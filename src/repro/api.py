@@ -62,7 +62,7 @@ from repro.workload.trace import Trace, TraceBuilder
 
 if False:  # pragma: no cover - hint only; resolved lazily below
     from repro.cluster.deployment import ClusterDeployment  # noqa: F401
-    from repro.cluster.fleet import FleetConfig, FleetDeployment  # noqa: F401
+    from repro.cluster.fleet import FleetConfig  # noqa: F401
     from repro.faults.plan import FaultPlan  # noqa: F401
 
 #: Mirrors :data:`repro.cluster.deployment.ROUTING_STRATEGIES`; kept
@@ -267,8 +267,8 @@ class ServeConfig:
         routing: Cluster load-balancing strategy (multi-replica only).
         fleet: Heterogeneous elastic pool description
             (:class:`repro.cluster.fleet.FleetConfig`); when set the
-            session builds a
-            :class:`~repro.cluster.fleet.FleetDeployment` and
+            session builds an elastic
+            :class:`~repro.cluster.deployment.ClusterDeployment` and
             ``num_replicas`` is ignored (the fleet's ``initial`` list
             sizes the pool).
         fleet_autoscaler: One of :data:`FLEET_AUTOSCALERS`
@@ -417,27 +417,10 @@ class Session:
         )
         engine_cls = resolve_engine_cls(config.engine)
         self.deployment = None
-        self.fleet = None
-        if config.fleet is not None:
-            from repro.cluster.fleet import FleetDeployment
-
-            factory = scheduler_factory or self._scheduler
-            self.deployment = self.fleet = FleetDeployment(
-                self.execution_model,
-                factory,
-                config.fleet,
-                replica_config=replica_config,
-                simulator=self.simulator,
-                routing=config.routing,
-                fault_plan=config.fault_plan,
-                autoscaler=self._fleet_autoscaler(),
-                observer=observer,
-                engine_cls=engine_cls,
-            )
-            self.engine = None
-        elif config.num_replicas == 1:
+        self.engine: ReplicaEngine | None = None
+        if config.fleet is None and config.num_replicas == 1:
             built = scheduler if scheduler is not None else self._scheduler()
-            self.engine: ReplicaEngine | None = engine_cls(
+            self.engine = engine_cls(
                 self.simulator,
                 self.execution_model,
                 built,
@@ -447,18 +430,22 @@ class Session:
         else:
             from repro.cluster.deployment import ClusterDeployment
 
-            factory = scheduler_factory or self._scheduler
+            elastic = config.fleet is not None
             self.deployment = ClusterDeployment(
                 self.execution_model,
-                factory,
-                config.num_replicas,
+                scheduler_factory or self._scheduler,
+                None if elastic else config.num_replicas,
                 replica_config=replica_config,
                 simulator=self.simulator,
                 routing=config.routing,
                 observer=observer,
                 engine_cls=engine_cls,
+                fault_plan=config.fault_plan,
+                fleet=config.fleet,
+                autoscaler=self._fleet_autoscaler() if elastic else None,
             )
-            self.engine = None
+        #: The deployment when it is an elastic fleet, else None.
+        self.fleet = self.deployment if config.fleet is not None else None
 
         self._conversations = 0
 

@@ -52,9 +52,7 @@ clock by ``--speed`` (``inf`` = deterministic as-fast-as-possible).
 no ``--port`` and ``--speed inf`` the replay is a pure offline
 simulation whose summary is byte-identical to the batch path.
 
-Multi-word flags are spelled with dashes (``--trace-out``); the
-legacy underscore spellings (``--trace_out``) still parse but are
-hidden from ``--help``.
+Multi-word flags are spelled with dashes (``--trace-out``) only.
 """
 
 from __future__ import annotations
@@ -150,18 +148,6 @@ def _registry() -> dict[str, tuple[str, Callable[[Scale], list]]]:
     }
 
 
-def _hidden_alias(parser, *flags, **kwargs) -> None:
-    """Register a legacy flag spelling: parsed, absent from ``--help``.
-
-    ``default=SUPPRESS`` keeps the alias from fighting the canonical
-    action over their shared dest's default value.
-    """
-    parser.add_argument(
-        *flags, help=argparse.SUPPRESS, default=argparse.SUPPRESS,
-        **kwargs,
-    )
-
-
 def _parse_speed(text: str) -> float:
     """``--speed`` values: a positive float, or ``inf`` (no pacing)."""
     lowered = text.strip().lower()
@@ -190,20 +176,17 @@ def _observability_parent() -> argparse.ArgumentParser:
         help="record an iteration-level JSONL trace of every "
              "simulated engine to FILE",
     )
-    _hidden_alias(parent, "--trace_out", type=Path, metavar="FILE")
     parent.add_argument(
         "--metrics-out", type=Path, default=None, metavar="FILE",
         help="write aggregated metrics in Prometheus text format "
              "to FILE after the run",
     )
-    _hidden_alias(parent, "--metrics_out", type=Path, metavar="FILE")
     parent.add_argument(
         "--incidents-out", type=Path, default=None, metavar="FILE",
         help="arm the SLO flight recorder: dump a JSONL incident "
              "window around every deadline violation or burn-rate "
              "trip to FILE (see docs/OBSERVABILITY.md)",
     )
-    _hidden_alias(parent, "--incidents_out", type=Path, metavar="FILE")
     return parent
 
 
@@ -248,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-y", action="store_true",
         help="log-scale the --plot y axis",
     )
-    _hidden_alias(run_parser, "--log_y", action="store_true")
     run_parser.add_argument(
         "--fault-plan", type=Path, default=None, metavar="FILE",
         help="JSON fault schedule (see docs/RESILIENCE.md) injected "
              "into fault-aware experiments",
     )
-    _hidden_alias(run_parser, "--fault_plan", type=Path, metavar="FILE")
     run_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for experiment grid fan-out "
@@ -266,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disk-backed run cache for experiment cells (default: "
              "disabled; see docs/PERFORMANCE.md for invalidation)",
     )
-    _hidden_alias(run_parser, "--cache_dir", type=Path, metavar="DIR")
     bench_parser = sub.add_parser(
         "bench", help="perf-trajectory benchmark harness"
     )
@@ -292,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
              "diff every later run against it and fail on any "
              "divergence (repro.obs.diff)",
     )
-    _hidden_alias(bench_parser, "--diff_baseline", type=Path,
-                  metavar="FILE")
     faults_parser = sub.add_parser(
         "faults", help="fault-plan tooling (repro.faults)"
     )
@@ -313,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of N replicas (the same check FaultInjector.arm applies "
              "at deployment time)",
     )
-    _hidden_alias(validate_parser, "--num_replicas", type=int,
-                  metavar="N", dest="num_replicas")
     trace_parser = sub.add_parser(
         "trace", help="inspect / convert a recorded JSONL trace"
     )
@@ -346,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="span export format: OTLP/JSON (default) or Chrome "
              "trace-event JSON with flow arrows",
     )
-    _hidden_alias(trace_parser, "--spans_format",
-                  choices=("otlp", "chrome"))
     dashboard_parser = sub.add_parser(
         "dashboard",
         help="SLO-forensics report from a recorded JSONL trace",
@@ -369,15 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed violation fraction per window (default: 0.01, "
              "the paper's 1%% goodput bar)",
     )
-    _hidden_alias(dashboard_parser, "--slo_budget", type=float,
-                  metavar="FRACTION")
     dashboard_parser.add_argument(
         "--no-validate", action="store_true",
         help="skip schema validation of the trace (validation is on "
              "by default; invalid events are a non-zero exit)",
     )
-    _hidden_alias(dashboard_parser, "--no_validate",
-                  action="store_true")
     dashboard_parser.add_argument(
         "--incidents", type=Path, default=None, metavar="FILE",
         help="cross-link a flight-recorder incident JSONL file "
@@ -413,14 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-validate", action="store_true",
         help="skip schema validation of the input traces",
     )
-    _hidden_alias(diff_parser, "--no_validate", action="store_true")
     diff_parser.add_argument(
         "--expect-identical", action="store_true",
         help="exit non-zero unless every comparison is byte-identical "
              "(the engine-parity / determinism assertion mode)",
     )
-    _hidden_alias(diff_parser, "--expect_identical",
-                  action="store_true")
     serve_parser = sub.add_parser(
         "serve",
         help="online serving gateway (repro.serve)",
@@ -458,18 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
              "byte-identical to stacks without the prefix cache "
              "(default: off)",
     )
-    _hidden_alias(serve_parser, "--kv_reuse", choices=("off", "radix"))
     serve_parser.add_argument(
         "--num-replicas", type=int, default=1, metavar="N",
         help="replica count (default: 1)",
     )
-    _hidden_alias(serve_parser, "--num_replicas", type=int, metavar="N")
     serve_parser.add_argument(
         "--chunk-size", type=int, default=256, metavar="TOKENS",
         help="prefill chunk size (default: 256)",
     )
-    _hidden_alias(serve_parser, "--chunk_size", type=int,
-                  metavar="TOKENS")
     serve_parser.add_argument(
         "--routing", default=None, metavar="STRATEGY",
         help="multi-replica routing strategy (default: round-robin, "
@@ -491,15 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-replicas", type=int, default=8, metavar="N",
         help="fleet size ceiling for the autoscaler (default: 8)",
     )
-    _hidden_alias(serve_parser, "--max_replicas", type=int,
-                  metavar="N")
     serve_parser.add_argument(
         "--fault-plan", type=Path, default=None, metavar="FILE",
         help="JSON fault schedule injected into the fleet (needs "
              "--fleet; see docs/RESILIENCE.md)",
     )
-    _hidden_alias(serve_parser, "--fault_plan", type=Path,
-                  metavar="FILE")
     serve_parser.add_argument(
         "--speed", type=_parse_speed, default=math.inf, metavar="FACTOR",
         help="virtual seconds simulated per wall second; 'inf' (the "
@@ -515,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tier admission-rate override (repeatable, e.g. "
              "--tier-rate Q3=2)",
     )
-    _hidden_alias(serve_parser, "--tier_rate", action="append",
-                  metavar="TIER=QPS")
     serve_parser.add_argument(
         "--burst", type=float, default=8.0, metavar="N",
         help="token-bucket burst capacity (default: 8)",
@@ -527,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the relegation victim ordering picks what to shed "
              "(default: unlimited)",
     )
-    _hidden_alias(serve_parser, "--max_queue_depth", type=int,
-                  metavar="N")
     serve_parser.add_argument(
         "--replay", type=Path, default=None, metavar="CSV",
         help="drive the gateway open-loop from an Azure-format trace "
@@ -538,21 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay-qps", type=float, default=None, metavar="QPS",
         help="rescale --replay arrival gaps to this mean rate",
     )
-    _hidden_alias(serve_parser, "--replay_qps", type=float,
-                  metavar="QPS")
     serve_parser.add_argument(
         "--replay-limit", type=int, default=None, metavar="N",
         help="offer only the first N --replay arrivals",
     )
-    _hidden_alias(serve_parser, "--replay_limit", type=int,
-                  metavar="N")
     serve_parser.add_argument(
         "--summary-out", type=Path, default=None, metavar="FILE",
         help="write the final gateway counters and run summary as "
              "JSON to FILE",
     )
-    _hidden_alias(serve_parser, "--summary_out", type=Path,
-                  metavar="FILE")
     top_parser = sub.add_parser(
         "top",
         help="live terminal dashboard over /v1/live (or an incident "

@@ -1,6 +1,6 @@
 """Multi-replica deployments: shared vs siloed clusters, load
-balancing, capacity planning, PD disaggregation, autoscaling and
-heterogeneous elastic fleets."""
+balancing, capacity planning, PD disaggregation, and fault-tolerant,
+heterogeneous, elastic fleets."""
 
 from repro.cluster.deployment import (
     ClusterDeployment,
@@ -19,26 +19,21 @@ from repro.cluster.decode_pool import (
     StrictSharedDecodePool,
     max_batch_for_tbt,
 )
-from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.fleet import (
     DEFAULT_HARDWARE_CLASSES,
     BurnRateAutoscaler,
     BusyFractionAutoscaler,
     FleetConfig,
-    FleetDeployment,
     HardwareClass,
     parse_fleet_spec,
 )
-from repro.cluster.resilient import ResilientClusterDeployment
 
 __all__ = [
-    "ResilientClusterDeployment",
     "DEFAULT_HARDWARE_CLASSES",
     "parse_fleet_spec",
     "BurnRateAutoscaler",
     "BusyFractionAutoscaler",
     "FleetConfig",
-    "FleetDeployment",
     "HardwareClass",
     "ClusterDeployment",
     "SiloedDeployment",
@@ -52,6 +47,4 @@ __all__ = [
     "QoSSharedDecodePool",
     "StrictSharedDecodePool",
     "max_batch_for_tbt",
-    "AutoscalerConfig",
-    "AutoscalingDeployment",
 ]

@@ -156,7 +156,7 @@ class ReplicaEngine:
         # can abort the batch in flight.
         self._inflight_event = None
         #: Optional ``(request, now)`` callback fired on completion;
-        #: the resilient cluster uses it to disarm deadline watchdogs.
+        #: a fault-tolerant cluster uses it to disarm deadline watchdogs.
         self.completion_hook: Callable[[Request, float], None] | None = None
         #: Optional ``(request, now)`` callback fired once per output
         #: token; the serving gateway uses it to stream tokens to

@@ -8,9 +8,10 @@ served three ways, all with QoServe replicas:
   practice); lowest violations, highest GPU-hours.
 * **static-mean** — replicas for the mean rate; cheaper, but every
   burst rides on queueing.
-* **autoscaled** — the reactive controller of
-  :mod:`repro.cluster.autoscaler`, paying a cold-start delay on every
-  scale-up.
+* **autoscaled** — an elastic :class:`~repro.cluster.deployment.
+  ClusterDeployment` driven by
+  :class:`~repro.cluster.fleet.BusyFractionAutoscaler` (scale on mean
+  replica busy fraction), paying a cold-start delay on every scale-up.
 
 Reported per deployment: GPU-hours consumed, violation percentages,
 and the p99 of Q1.  The interesting shape: autoscaling approaches
@@ -23,8 +24,12 @@ from __future__ import annotations
 
 import math
 
-from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.deployment import ClusterDeployment
+from repro.cluster.fleet import (
+    BusyFractionAutoscaler,
+    FleetConfig,
+    HardwareClass,
+)
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import scheduler_factory
@@ -66,14 +71,16 @@ def _static_run(execution_model, trace, replicas: int):
     return summary, gpu_hours
 
 
-def _autoscaled_run(execution_model, trace, config: AutoscalerConfig):
-    deployment = AutoscalingDeployment(
+def _autoscaled_run(execution_model, trace, fleet: FleetConfig):
+    deployment = ClusterDeployment(
         execution_model,
         scheduler_factory("qoserve", execution_model),
-        config=config,
+        fleet=fleet,
+        autoscaler=BusyFractionAutoscaler(),
+        routing="round-robin",
     )
     deployment.submit_trace(trace)
-    deployment.run_until_drained()
+    deployment.run_until_drained(max_events=50_000_000)
     return deployment.summarize(), deployment.gpu_hours, deployment
 
 
@@ -89,11 +96,21 @@ def run(
     mean_replicas = math.ceil(
         0.5 * (LOW_QPS + HIGH_QPS) / PER_REPLICA_GOODPUT
     )
-    autoscaler = AutoscalerConfig(
-        min_replicas=max(1, mean_replicas - 1),
+    # A single hardware class: the deployment's own GPU and TP width.
+    hardware = HardwareClass(
+        execution_model.hardware.name,
+        execution_model.hardware,
+        tp_degree=execution_model.tp_degree,
+    )
+    min_replicas = max(1, mean_replicas - 1)
+    fleet = FleetConfig(
+        classes=(hardware,),
+        initial=(hardware.name,) * min_replicas,
+        min_replicas=min_replicas,
         max_replicas=peak_replicas,
         control_interval=45.0,
         provision_delay=120.0,
+        max_step_up=2,
     )
 
     result = ExperimentResult(
@@ -102,7 +119,7 @@ def run(
         notes=[
             f"scale={scale.label}; QPS {LOW_QPS}<->{HIGH_QPS}; "
             f"QoServe replicas; cold start "
-            f"{autoscaler.provision_delay:.0f}s",
+            f"{fleet.provision_delay:.0f}s",
         ],
     )
 
@@ -119,11 +136,11 @@ def run(
                             summary))
 
     summary, gpu_hours, scaled = _autoscaled_run(
-        execution_model, trace.fresh_copy(), autoscaler
+        execution_model, trace.fresh_copy(), fleet
     )
     row = _row(
         "autoscaled",
-        f"{autoscaler.min_replicas}-{autoscaler.max_replicas}",
+        f"{fleet.min_replicas}-{fleet.max_replicas}",
         gpu_hours,
         summary,
     )

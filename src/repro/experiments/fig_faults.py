@@ -21,7 +21,7 @@ single KV block.
 
 from __future__ import annotations
 
-from repro.cluster.resilient import ResilientClusterDeployment
+from repro.cluster.deployment import ClusterDeployment
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
@@ -65,8 +65,8 @@ def _run_cluster(
     num_replicas: int,
     plan: FaultPlan,
     resilience: ResilienceConfig,
-) -> ResilientClusterDeployment:
-    cluster = ResilientClusterDeployment(
+) -> ClusterDeployment:
+    cluster = ClusterDeployment(
         execution_model,
         scheduler_factory("qoserve", execution_model),
         num_replicas=num_replicas,
@@ -82,7 +82,7 @@ def _run_cluster(
     return cluster
 
 
-def _row(name: str, cluster: ResilientClusterDeployment, qps: float) -> dict:
+def _row(name: str, cluster: ClusterDeployment, qps: float) -> dict:
     summary = cluster.summarize()
     stats = cluster.fault_stats()
     violations = summary.violations

@@ -29,12 +29,12 @@ invariant is asserted for every run.
 
 from __future__ import annotations
 
+from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import (
     BurnRateAutoscaler,
     BusyFractionAutoscaler,
     DEFAULT_HARDWARE_CLASSES,
     FleetConfig,
-    FleetDeployment,
 )
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
@@ -74,8 +74,8 @@ def _run_fleet(
     config: FleetConfig,
     autoscaler,
     plan: FaultPlan,
-) -> FleetDeployment:
-    fleet = FleetDeployment(
+) -> ClusterDeployment:
+    fleet = ClusterDeployment(
         execution_model,
         scheduler_factory("qoserve", execution_model),
         fleet=config,
@@ -93,7 +93,7 @@ def _run_fleet(
     return fleet
 
 
-def _row(name: str, fleet: FleetDeployment) -> dict:
+def _row(name: str, fleet: ClusterDeployment) -> dict:
     summary = fleet.summarize()
     stats = fleet.fleet_stats()
     violations = summary.violations

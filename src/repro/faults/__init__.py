@@ -4,8 +4,8 @@ Chaos for the simulated cluster: deterministic fault schedules
 (:class:`FaultPlan`), the injector that replays them onto a
 simulator, and the policies — retry backoff, deadline abandonment,
 tier-aware load shedding — that
-:class:`repro.cluster.resilient.ResilientClusterDeployment` applies
-when faults land.  See ``docs/RESILIENCE.md``.
+a fault-tolerant :class:`repro.cluster.deployment.ClusterDeployment`
+applies when faults land.  See ``docs/RESILIENCE.md``.
 """
 
 from repro.faults.injector import FAULT_PRIORITY, FaultInjector, FaultTarget

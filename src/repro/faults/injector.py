@@ -8,8 +8,9 @@ needs a *target* exposing three hooks —
 * ``on_replica_slowdown(replica_id, factor)`` (``factor`` 1.0 restores
   nominal speed)
 
-— which :class:`repro.cluster.resilient.ResilientClusterDeployment`
-implements.  Tests can pass any stub.
+— which a fault-tolerant
+:class:`repro.cluster.deployment.ClusterDeployment` implements.
+Tests can pass any stub.
 
 Fault events are scheduled at priority ``FAULT_PRIORITY`` (< 0) so a
 fault taking effect at time *t* is visible to all regular work

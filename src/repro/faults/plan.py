@@ -306,7 +306,7 @@ _DEFAULT_PLAN: FaultPlan | None = None
 
 
 def get_default_fault_plan() -> FaultPlan | None:
-    """The plan resilient deployments adopt when none is passed."""
+    """The plan fault-tolerant deployments adopt when none is passed."""
     return _DEFAULT_PLAN
 
 

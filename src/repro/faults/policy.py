@@ -1,7 +1,7 @@
 """Resilience policies: retries, deadline abandonment, load shedding.
 
-These are pure-data knobs consumed by
-:class:`repro.cluster.resilient.ResilientClusterDeployment`; keeping
+These are pure-data knobs consumed by a fault-tolerant
+:class:`repro.cluster.deployment.ClusterDeployment`; keeping
 them here lets experiments sweep policies without touching the
 deployment wiring.
 """

@@ -224,36 +224,38 @@ class TestPathErrorShape:
 
 
 class TestHiddenAliases:
-    """Legacy underscore spellings still parse but stay out of --help."""
+    """Underscore spellings are usage errors; help lists only the
+    hyphenated flags."""
 
-    def test_underscore_spellings_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "fig04", "--trace_out", "t.jsonl",
-             "--metrics_out", "m.prom", "--fault_plan", "f.json",
-             "--cache_dir", "c", "--log_y"]
-        )
-        assert str(args.trace_out) == "t.jsonl"
-        assert str(args.metrics_out) == "m.prom"
-        assert str(args.fault_plan) == "f.json"
-        assert str(args.cache_dir) == "c"
-        assert args.log_y is True
-        args = parser.parse_args(
-            ["dashboard", "t.jsonl", "--slo_budget", "0.05",
-             "--no_validate"]
-        )
-        assert args.slo_budget == 0.05
-        assert args.no_validate is True
-        args = parser.parse_args(
-            ["faults", "validate", "p.json", "--num_replicas", "3"]
-        )
-        assert args.num_replicas == 3
+    @staticmethod
+    def _rejected(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert flag in err
+
+    def test_underscore_spellings_parse(self, capsys):
+        for argv in (
+            ["run", "fig04", "--trace_out", "t.jsonl"],
+            ["run", "fig04", "--metrics_out", "m.prom"],
+            ["run", "fig04", "--fault_plan", "f.json"],
+            ["run", "fig04", "--cache_dir", "c"],
+            ["run", "fig04", "--log_y"],
+            ["dashboard", "t.jsonl", "--slo_budget", "0.05"],
+            ["dashboard", "t.jsonl", "--no_validate"],
+            ["faults", "validate", "p.json", "--num_replicas", "3"],
+        ):
+            flag = next(a for a in argv if a.startswith("--"))
+            self._rejected(capsys, argv, flag)
 
     def test_aliases_hidden_from_help(self, capsys):
         for command in ("run", "serve", "dashboard"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
             text = capsys.readouterr().out
+            assert "--trace-out" in text
             assert "--trace_out" not in text
             assert "_out" not in text.replace("summary_out", "")
 
@@ -284,17 +286,15 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["serve", "--speed", "fast"])
 
-    def test_serve_underscore_aliases(self):
-        args = build_parser().parse_args(
-            ["serve", "--num_replicas", "2", "--chunk_size", "512",
-             "--max_queue_depth", "4", "--summary_out", "s.json",
-             "--tier_rate", "Q1=3"]
-        )
-        assert args.num_replicas == 2
-        assert args.chunk_size == 512
-        assert args.max_queue_depth == 4
-        assert str(args.summary_out) == "s.json"
-        assert args.tier_rate == ["Q1=3"]
+    def test_serve_underscore_aliases(self, capsys):
+        for flag, value in (
+            ("--num_replicas", "2"), ("--chunk_size", "512"),
+            ("--max_queue_depth", "4"), ("--summary_out", "s.json"),
+            ("--tier_rate", "Q1=3"),
+        ):
+            TestHiddenAliases._rejected(
+                capsys, ["serve", flag, value], flag
+            )
 
 
 class TestServeCommand:
@@ -395,16 +395,17 @@ class TestTopParser:
                  "--spans-format", "protobuf"]
             )
 
-    def test_observability_underscore_aliases(self):
-        args = build_parser().parse_args(
-            ["serve", "--incidents_out", "i.jsonl"]
+    def test_observability_underscore_aliases(self, capsys):
+        TestHiddenAliases._rejected(
+            capsys, ["serve", "--incidents_out", "i.jsonl"],
+            "--incidents_out",
         )
-        assert str(args.incidents_out) == "i.jsonl"
-        args = build_parser().parse_args(
+        TestHiddenAliases._rejected(
+            capsys,
             ["trace", "t.jsonl", "--spans", "s.json",
-             "--spans_format", "chrome"]
+             "--spans_format", "chrome"],
+            "--spans_format",
         )
-        assert args.spans_format == "chrome"
 
 
 class TestFlightRecorderCLI:

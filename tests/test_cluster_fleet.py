@@ -18,12 +18,12 @@ import json
 import pytest
 
 from repro.api import ServeConfig, Session
+from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import (
     BurnRateAutoscaler,
     BusyFractionAutoscaler,
     DEFAULT_HARDWARE_CLASSES,
     FleetConfig,
-    FleetDeployment,
     HardwareClass,
     parse_fleet_spec,
 )
@@ -33,14 +33,20 @@ from repro.faults.plan import FaultPlan, ReplicaCrash
 from repro.faults.policy import ResilienceConfig
 from repro.metrics import summary_to_dict
 from repro.perfmodel.hardware import A100_80GB
+from repro.workload.arrivals import burst_schedule
 
 EXEC = get_execution_model("llama3-8b")
 
+AUTOSCALERS = {
+    "burn-rate": BurnRateAutoscaler,
+    "busy-fraction": BusyFractionAutoscaler,
+}
 
-def _trace(n=120, qps=8.0, seed=7):
+
+def _trace(n=120, qps=8.0, seed=7, arrivals=None):
     return build_trace(
         "ShareGPT", qps=qps, num_requests=n, seed=seed,
-        low_priority_fraction=0.25,
+        low_priority_fraction=0.25, arrivals=arrivals,
     )
 
 
@@ -58,7 +64,7 @@ def _config(initial=("a100", "a100", "a100"), **kwargs):
 
 
 def _fleet(config=None, autoscaler=None, plan=None, routing="perf-aware"):
-    return FleetDeployment(
+    return ClusterDeployment(
         EXEC,
         scheduler_factory("qoserve", EXEC),
         fleet=config or _config(),
@@ -153,6 +159,103 @@ class TestAutoscaling:
             for _, action, _ in fleet.scaling_events
         )
         assert fleet.fleet_stats()["max_burn_rate"] > 0
+
+    def test_busy_fraction_also_scales_up_under_sustained_overload(self):
+        fleet = _fleet(
+            config=_config(initial=("a100",)),
+            autoscaler=BusyFractionAutoscaler(),
+        )
+        fleet.submit_trace(_trace(n=400, qps=30.0).fresh_copy())
+        fleet.run_until_drained(max_events=10_000_000)
+        assert any(
+            action == "provision"
+            for _, action, _ in fleet.scaling_events
+        )
+        assert len(fleet.replicas) > 1
+
+    def test_starts_at_initial_fleet_size(self):
+        fleet = _fleet(
+            config=_config(initial=("a100", "a100"), min_replicas=2),
+            autoscaler=BusyFractionAutoscaler(),
+        )
+        assert fleet.fleet_size == 2
+        assert fleet.active_replicas == 2
+
+    @pytest.mark.parametrize("policy", sorted(AUTOSCALERS))
+    def test_completes_all_requests(self, policy):
+        fleet = _fleet(
+            config=_config(initial=("a100",), max_replicas=4),
+            autoscaler=AUTOSCALERS[policy](),
+        )
+        fleet.submit_trace(_trace(n=150, qps=3.0).fresh_copy())
+        fleet.run_until_drained(max_events=10_000_000)
+        assert all(r.is_finished for r in fleet.all_requests())
+
+    @pytest.mark.parametrize("policy", sorted(AUTOSCALERS))
+    def test_never_exceeds_max_replicas(self, policy):
+        fleet = _fleet(
+            config=_config(
+                initial=("a100",), max_replicas=2,
+                control_interval=15.0, provision_delay=5.0,
+            ),
+            autoscaler=AUTOSCALERS[policy](),
+        )
+        fleet.submit_trace(_trace(n=400, qps=30.0).fresh_copy())
+        fleet.run_until_drained(max_events=10_000_000)
+        sizes = [size for _, _, size in fleet.scaling_events]
+        assert sizes, "overload never triggered a resize"
+        assert max(sizes) <= 2
+        assert len(fleet.replicas) <= 2
+
+    def test_provision_delay_observed(self):
+        fleet = _fleet(
+            config=_config(
+                initial=("a100",), max_replicas=3,
+                control_interval=10.0, provision_delay=100.0,
+            ),
+            autoscaler=BusyFractionAutoscaler(),
+        )
+        fleet.submit_trace(_trace(n=300, qps=30.0).fresh_copy())
+        fleet.run(until=50.0)
+        actions = [action for _, action, _ in fleet.scaling_events]
+        assert "provision" in actions
+        # Nothing bought can be serving before its cold start ends.
+        assert "ready" not in actions
+        assert fleet.active_replicas == 1
+
+    @pytest.mark.parametrize("policy", sorted(AUTOSCALERS))
+    def test_gpu_hours_bounded_by_max_replicas(self, policy):
+        fleet = _fleet(
+            config=_config(
+                initial=("a100",), max_replicas=3,
+                control_interval=20.0, provision_delay=10.0,
+            ),
+            autoscaler=AUTOSCALERS[policy](),
+        )
+        fleet.submit_trace(_trace(n=200, qps=4.0).fresh_copy())
+        end = fleet.run_until_drained(max_events=10_000_000)
+        assert 0 < fleet.gpu_hours <= 3 * end / 3600.0 + 1e-6
+
+    @pytest.mark.parametrize("policy", sorted(AUTOSCALERS))
+    def test_drained_replicas_stop_costing(self, policy):
+        fleet = _fleet(
+            config=_config(
+                initial=("a100",), max_replicas=4,
+                control_interval=15.0, provision_delay=5.0,
+            ),
+            autoscaler=AUTOSCALERS[policy](),
+        )
+        trace = _trace(n=300, arrivals=burst_schedule(0.1, 30.0, 0.0, 60.0))
+        fleet.submit_trace(trace.fresh_copy())
+        end = fleet.run_until_drained(max_events=10_000_000)
+        assert len(fleet.replicas) > 1
+        assert fleet.fleet_size <= 2
+        # Advancing the clock an hour bills only the replicas still
+        # provisioned; released ones stopped at their release time.
+        hours = fleet.gpu_hours
+        fleet.simulator.schedule(end + 3600.0, lambda: None)
+        fleet.run()
+        assert fleet.gpu_hours == pytest.approx(hours + fleet.fleet_size)
 
     def test_burn_rate_drains_idle_fleet(self):
         fleet = _fleet(
@@ -291,6 +394,26 @@ class TestParseFleetSpec:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
             parse_fleet_spec(spec)
+
+    def test_rejects_invalid_bounds_and_thresholds(self):
+        for kwargs in (
+            dict(min_replicas=0),
+            dict(min_replicas=5, max_replicas=2),
+            dict(control_interval=0),
+        ):
+            with pytest.raises(ValueError):
+                _config(**kwargs)
+        with pytest.raises(ValueError):
+            BusyFractionAutoscaler(
+                scale_up_threshold=0.4, scale_down_threshold=0.5
+            )
+        factory = scheduler_factory("qoserve", EXEC)
+        with pytest.raises(ValueError, match="requires fleet"):
+            ClusterDeployment(
+                EXEC, factory, 2, autoscaler=BusyFractionAutoscaler()
+            )
+        with pytest.raises(ValueError, match="sized by fleet"):
+            ClusterDeployment(EXEC, factory, 2, fleet=_config())
 
     def test_duplicate_class_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

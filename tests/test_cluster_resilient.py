@@ -1,11 +1,10 @@
-"""Integration tests for :class:`ResilientClusterDeployment`."""
+"""Integration tests for :class:`ClusterDeployment` with fault tolerance."""
 
 import json
 
 import pytest
 
 from repro.cluster.deployment import ClusterDeployment
-from repro.cluster.resilient import ResilientClusterDeployment
 from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults import (
     FaultPlan,
@@ -31,7 +30,7 @@ def chaos_trace(num_requests=120, qps=10.0, seed=7):
 
 def make_cluster(execution_model, num_replicas, plan, resilience=None,
                  scheduler="qoserve", routing="round-robin"):
-    return ResilientClusterDeployment(
+    return ClusterDeployment(
         execution_model,
         scheduler_factory(scheduler, execution_model),
         num_replicas=num_replicas,
@@ -48,8 +47,8 @@ def trace_span(trace):
 
 class TestDeterminismPin:
     def test_empty_plan_summary_byte_identical(self, execution_model):
-        """With no faults the resilient deployment must be a drop-in:
-        run summaries are byte-for-byte those of ClusterDeployment."""
+        """With no faults the fault-tolerant pool must be a drop-in:
+        run summaries are byte-for-byte those of the static cluster."""
         trace = chaos_trace()
 
         plain = ClusterDeployment(

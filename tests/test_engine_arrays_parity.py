@@ -215,7 +215,7 @@ class TestFaultParity:
     """Crash + slowdown plan on a resilient pool, both engine cores."""
 
     def test_resilient_cluster_identical(self, execution_model):
-        from repro.cluster.resilient import ResilientClusterDeployment
+        from repro.cluster.deployment import ClusterDeployment
         from repro.experiments.runner import scheduler_factory
         from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
         from repro.metrics.export import summary_to_dict
@@ -229,7 +229,7 @@ class TestFaultParity:
         ))
         summaries, prints = [], []
         for engine_cls in ENGINES:
-            cluster = ResilientClusterDeployment(
+            cluster = ClusterDeployment(
                 execution_model,
                 scheduler_factory("qoserve", execution_model),
                 num_replicas=2,
