@@ -276,6 +276,23 @@ class TestAutoscaling:
         fleet.run_until_drained(max_events=10_000_000)
         assert fleet.fleet_size < 4
 
+    def test_busy_fraction_scales_down_after_burst(self):
+        fleet = _fleet(
+            config=_config(
+                initial=("a100",), max_replicas=4,
+                control_interval=20.0, provision_delay=5.0,
+            ),
+            autoscaler=BusyFractionAutoscaler(),
+        )
+        # A burst then a long quiet tail.
+        trace = _trace(n=400, arrivals=burst_schedule(0.2, 30.0, 0.0, 60.0))
+        fleet.submit_trace(trace.fresh_copy())
+        fleet.run_until_drained(max_events=10_000_000)
+        actions = [action for _, action, _ in fleet.scaling_events]
+        assert "provision" in actions
+        assert "drain" in actions
+        assert fleet.active_replicas < 4
+
     def test_static_fleet_never_resizes(self):
         fleet = _fleet(config=_config(initial=("a100",) * 3))
         fleet.submit_trace(_trace().fresh_copy())
