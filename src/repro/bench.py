@@ -174,7 +174,7 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     semantics so the ratio is a pure dispatch/layout comparison:
 
     * ``advance`` — one level-synchronous decode advance
-      (:meth:`ArrayReplicaEngine._advance_vector_all` vs 48
+      (:meth:`ArrayReplicaEngine._advance_vector` vs 48
       :meth:`Request.record_output_token` calls);
     * ``kv_grow`` — the whole batch grows one token
       (:meth:`ArrayKVLedger.bulk_decode_grow` vs 48
@@ -229,7 +229,7 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     class _AdvanceHarness:
         """Just enough engine state for the advance kernel."""
 
-        _advance_vector_all = ArrayReplicaEngine._advance_vector_all
+        _advance_vector = ArrayReplicaEngine._advance_vector
 
         def __init__(self) -> None:
             self._rows, _ = make_soa_state()
@@ -241,7 +241,7 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
     def soa_advance() -> None:
         clock["now"] += 0.01
-        harness._advance_vector_all(clock["now"])
+        harness._advance_vector(clock["now"], num_rows)
 
     results["soa_advance"] = _timeit(soa_advance, reps=reps, loops=loops)
 

@@ -24,9 +24,12 @@ class RequestPhase(enum.Enum):
     FINISHED = "finished"  # all output tokens produced
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One LLM inference request with QoS metadata and runtime state.
+
+    Requests compare by identity: engine queues use ``in`` and
+    ``.remove()``, which must never match a value-equal clone.
 
     Static trace attributes:
         request_id: Unique identifier within a trace.

@@ -28,23 +28,21 @@ engineered, not hoped for:
   path replays the reference algorithm exactly, including its
   eviction ordering.
 
-Two operating modes are picked automatically:
+One iteration loop serves traced and untraced runs alike.  Planning
+for :class:`~repro.schedulers.qoserve.QoServeScheduler` runs through
+vectorized kernels (latency budget, memoized forest lookups) that
+bypass the view/plan object construction; other schedulers get the
+``Scheduler`` protocol with a lazy decode-request list.  Observer
+hooks fire at the points the reference fires them; request-level
+hooks are no-ops on ``NULL_OBSERVER``.  Only two things depend on an
+observer being attached: the per-iteration hooks, which need a real
+``BatchPlan`` built from synced rows, and the decode-stretch
+fast-forward, which is skipped because a collapsed run emits no
+per-iteration events.
 
-* **fast** (observer is the no-op ``NULL_OBSERVER``): scheduler
-  planning for :class:`~repro.schedulers.qoserve.QoServeScheduler`
-  runs through vectorized kernels (latency budget, memoized forest
-  lookups) that bypass the view/plan object construction entirely;
-  other schedulers fall back to the ``Scheduler`` protocol with a
-  lazy decode-request list.
-* **observed** (tracing/metrics attached): the engine builds the real
-  ``EngineView``/``BatchPlan`` and emits every observer hook in the
-  reference order, so traces are byte-identical — while the array
-  machinery (ledger, rows) still carries the state.
-
-The object path is still required for: PD-disaggregation decode pools
-and the autoscaler's transient replicas (not threaded through the
-engine switch), and any scheduler whose planning mutates per-request
-state mid-view (none in-tree).
+The object path is still required for PD-disaggregation decode pools
+(not threaded through the engine switch) and any scheduler whose
+planning mutates per-request state mid-view (none in-tree).
 """
 
 from __future__ import annotations
@@ -77,23 +75,24 @@ class _RowStore:
     Row order *is* the decode-queue order — removals shift rows down
     (never swap), because the order drives per-token advance order,
     completion order (and hence the decode-length estimator's
-    observation stream) and eviction-victim tie-breaking.
+    observation stream) and eviction-victim tie-breaking.  Rows are
+    only ever appended, so the batch stamped at iteration start stays
+    the prefix ``[0, batch_n)`` while it is in flight.
     """
 
     _ARRAY_NAMES = (
         "ids", "decoded", "target", "ctx", "kv_tokens", "kv_blocks",
         "first", "last", "max_tbt", "gap_miss", "ddl_miss", "inter",
-        "ttft_base", "tbt", "ni_ddl", "epoch",
+        "ttft_base", "tbt", "ni_ddl",
     )
 
     def __init__(self, capacity: int = 64) -> None:
         self.n = 0
-        #: Bumped on every membership change (add/remove/clear); lets
-        #: the advance kernels prove the batch stamped at iteration
-        #: start is still exactly rows [0, n) and skip the per-row
-        #: epoch filter.
-        self.version = 0
-        #: Row-aligned request objects (synced lazily in fast mode).
+        #: Rows of the in-flight batch: set when an iteration is
+        #: stamped, decremented when one of its rows is removed (later
+        #: rows joined mid-flight and must not emit a token).
+        self.batch_n = 0
+        #: Row-aligned request objects (synced lazily).
         self.req: list[Request] = []
         #: request_id -> row index.
         self.index: dict[int, int] = {}
@@ -115,10 +114,6 @@ class _RowStore:
         self.tbt = np.zeros(capacity)
         #: total_deadline (== arrival + ttlt for non-interactive rows).
         self.ni_ddl = np.zeros(capacity)
-        #: Batch-membership stamp: rows advance at iteration end only
-        #: if their epoch matches the iteration that scheduled them
-        #: (mid-flight handoff admissions must not emit a token).
-        self.epoch = np.full(capacity, -1, np.int64)
 
     def _grow(self) -> None:
         for name in self._ARRAY_NAMES:
@@ -132,7 +127,6 @@ class _RowStore:
         if i == len(self.ids):
             self._grow()
         self.n = i + 1
-        self.version += 1
         self.req.append(request)
         self.index[request.request_id] = i
         self.ids[i] = request.request_id
@@ -158,11 +152,11 @@ class _RowStore:
             self.ttft_base[i] = np.nan
             self.tbt[i] = 0.0
         self.ni_ddl[i] = request.total_deadline
-        self.epoch[i] = -1
         return i
 
     def remove_at(self, i: int) -> None:
-        self.version += 1
+        if i < self.batch_n:
+            self.batch_n -= 1
         n = self.n - 1
         del self.index[self.req[i].request_id]
         del self.req[i]
@@ -177,8 +171,8 @@ class _RowStore:
         self.n = n
 
     def clear(self) -> None:
-        self.version += 1
         self.n = 0
+        self.batch_n = 0
         self.req.clear()
         self.index.clear()
 
@@ -572,23 +566,11 @@ class ArrayReplicaEngine(ReplicaEngine):
         if self.prefix_cache is not None:
             # Rebind the (still empty) radix tree to the array ledger.
             self._install_prefix_cache()
-        self._batch_seq = 0
-        #: Row-store version captured when the current iteration's
-        #: batch was stamped; if it still matches at finish time, the
-        #: batch is provably rows [0, n) and the advance kernels skip
-        #: the epoch filter / id lookups.
-        self._stamp_version = -1
-        #: Fast mode: no tracing attached, so observer hooks (all
-        #: no-ops) and the view/plan objects that feed them can be
-        #: skipped entirely.
-        self._fast = self.observer is NULL_OBSERVER
         from repro.schedulers.qoserve import QoServeScheduler
 
-        self._qoserve_fast = self._fast and isinstance(
-            scheduler, QoServeScheduler
-        )
+        self._qoserve = isinstance(scheduler, QoServeScheduler)
         self._forest_predictor = None
-        if self._qoserve_fast:
+        if self._qoserve:
             from repro.core.predictor import ForestBatchPredictor
 
             predictor = scheduler.predictor
@@ -637,15 +619,12 @@ class ArrayReplicaEngine(ReplicaEngine):
     # --- iteration loop ---------------------------------------------------
 
     def _start_iteration(self) -> None:
-        if self._fast:
-            self._start_iteration_fast()
-        else:
-            self._start_iteration_observed()
-
-    def _start_iteration_fast(self) -> None:
         now = self.simulator.now
+        observed = self.observer is not NULL_OBSERVER
+        rows = self._rows
         if (
-            self._rows.n > 0
+            rows.n > 0
+            and not observed
             and self.token_hook is None
             and not self.config.record_iterations
             and not self._inflight_prefills
@@ -653,10 +632,9 @@ class ArrayReplicaEngine(ReplicaEngine):
         ):
             now = self._decode_stretch(now)
         self._reserve_decode_growth()
-        rows = self._rows
         n_live = rows.n
         decode_context_total = self._decode_context_total
-        if self._qoserve_fast:
+        if self._qoserve:
             assignments = self._plan_qoserve_fast(now, n_live)
         else:
             view = EngineView(
@@ -677,26 +655,30 @@ class ArrayReplicaEngine(ReplicaEngine):
                 self._start_iteration()
                 return
             return
+        observer = self.observer
+        replica_id = self.replica_id
         prefill_tokens = 0
-        if assignments:
-            chunks = []
-            for assignment in assignments:
-                request = assignment.request
-                request_id = request.request_id
-                tokens = assignment.tokens
-                chunks.append((tokens, request.prefill_done))
-                self.kv_cache.grow(request_id, tokens)
-                self._inflight_prefills.add(request_id)
-                if request.scheduled_first_time is None:
-                    request.scheduled_first_time = now
-                if (
-                    request.relegated
-                    and request_id not in self._relegation_served_ids
-                ):
-                    self._relegation_served_ids.add(request_id)
-                prefill_tokens += tokens
-        else:
-            chunks = ()
+        chunks = []
+        for assignment in assignments:
+            request = assignment.request
+            request_id = request.request_id
+            tokens = assignment.tokens
+            chunks.append((tokens, request.prefill_done))
+            self.kv_cache.grow(request_id, tokens)
+            self._inflight_prefills.add(request_id)
+            if request.scheduled_first_time is None:
+                request.scheduled_first_time = now
+                observer.on_span_end("queue", request, now, replica_id)
+                observer.on_span_start("prefill", request, now, replica_id)
+            if (
+                request.relegated
+                and request_id not in self._relegation_served_ids
+            ):
+                self._relegation_served_ids.add(request_id)
+                observer.on_relegation_served(
+                    replica_id, request, now, tokens
+                )
+            prefill_tokens += tokens
         exec_time = self.execution_model.batch_time_flat(
             chunks, n_live, decode_context_total
         )
@@ -706,18 +688,27 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.busy_time += exec_time
         if prefill_tokens > 0:
             self.chunk_tokens_hist[prefill_tokens] += 1
-        seq = self._batch_seq = self._batch_seq + 1
-        rows.epoch[:n_live] = seq
-        self._stamp_version = rows.version
+        plan = None
+        if observed:
+            self._sync_rows()
+            plan = BatchPlan(
+                prefill_assignments=assignments,
+                decode_requests=rows.req[:n_live],
+            )
+            observer.on_iteration_start(
+                replica_id, now, exec_time, plan, self.iterations_run,
+                queue_depth=self.scheduler.queue_length(),
+            )
+        rows.batch_n = n_live
         self._inflight_event = self.simulator.schedule_after(
             exec_time,
-            lambda: self._finish_iteration_fast(
+            lambda: self._finish_iteration(
                 assignments, n_live, decode_context_total,
-                prefill_tokens, exec_time, now, seq,
+                prefill_tokens, exec_time, now, plan,
             ),
         )
 
-    def _finish_iteration_fast(
+    def _finish_iteration(
         self,
         assignments: list[PrefillAssignment],
         num_decodes: int,
@@ -725,7 +716,7 @@ class ArrayReplicaEngine(ReplicaEngine):
         prefill_tokens: int,
         exec_time: float,
         start_time: float,
-        seq: int,
+        plan: BatchPlan | None,
     ) -> None:
         now = self.simulator.now
         self._inflight_event = None
@@ -741,14 +732,14 @@ class ArrayReplicaEngine(ReplicaEngine):
                     kv_utilization=self.kv_cache.utilization,
                 )
             )
-        if self._rows.n:
-            if (
-                self.token_hook is not None
-                or self._rows.n < _SMALL_BATCH
-            ):
-                self._advance_scalar(now, seq)
+        m = self._rows.batch_n
+        if m:
+            if self.token_hook is not None:
+                self._advance_hooked(now, m)
+            elif m < _SMALL_BATCH:
+                self._advance_scalar(now, m)
             else:
-                self._advance_vector(now, seq)
+                self._advance_vector(now, m)
         for assignment in assignments:
             request = assignment.request
             if request.cancelled:
@@ -756,13 +747,18 @@ class ArrayReplicaEngine(ReplicaEngine):
             request.prefill_done += assignment.tokens
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
+        if plan is not None:
+            self.observer.on_iteration_end(
+                self.replica_id, now, start_time, exec_time, plan,
+                self.kv_cache,
+            )
         self._busy = False
         self._maybe_start()
 
     def _decode_stretch(self, now: float) -> float:
         """Collapse a run of pure-decode iterations into one advance.
 
-        Preconditions (checked by the caller): fast mode, no token
+        Preconditions (checked by the caller): no observer, no token
         hook, no iteration recording, no pending or in-flight prefill
         work.  Finds the longest run of ``k >= 2`` future iterations
         that provably (a) complete no request, (b) fit their KV
@@ -876,204 +872,20 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.simulator.fast_forward(end)
         return end
 
-    def _start_iteration_observed(self) -> None:
-        """Reference-ordered iteration start with full observability.
-
-        Mirrors ``ReplicaEngine._start_iteration`` line for line
-        (events, spans, scheduler view) while the rows/ledger carry
-        the state, so traced runs stay byte-identical.
-        """
-        now = self.simulator.now
-        self._reserve_decode_growth()
-        self._sync_rows()
-        rows = self._rows
-        decode_snapshot = list(rows.req)
-        decode_context_total = self._decode_context_total
-        view = EngineView(
-            now=now,
-            decode_requests=decode_snapshot,
-            kv_cache=self.kv_cache,
-            execution_model=self.execution_model,
-            max_decode_slots=self.config.max_decode_slots,
-            inflight_prefill_ids=frozenset(self._inflight_prefills),
-            decode_context_total=decode_context_total,
-        )
-        assignments = self.scheduler.plan_prefill(view)
-        plan = BatchPlan(
-            prefill_assignments=assignments,
-            decode_requests=decode_snapshot,
-        )
-        if plan.is_empty:
-            if (
-                rows.n == 0
-                and self.scheduler.has_pending_prefill()
-                and self._recover_prefill_stall()
-            ):
-                self._start_iteration()
-                return
-            return
-        for assignment in assignments:
-            request = assignment.request
-            self.kv_cache.grow(request.request_id, assignment.tokens)
-            self._inflight_prefills.add(request.request_id)
-            if request.scheduled_first_time is None:
-                request.scheduled_first_time = now
-                self.observer.on_span_end(
-                    "queue", request, now, self.replica_id
-                )
-                self.observer.on_span_start(
-                    "prefill", request, now, self.replica_id
-                )
-            if (
-                request.relegated
-                and request.request_id not in self._relegation_served_ids
-            ):
-                self._relegation_served_ids.add(request.request_id)
-                self.observer.on_relegation_served(
-                    self.replica_id, request, now, assignment.tokens
-                )
-        shape = plan.to_shape(decode_context_total)
-        exec_time = self.execution_model.batch_time(shape)
-        if self.slowdown_factor != 1.0:
-            exec_time *= self.slowdown_factor
-        self._busy = True
-        self.busy_time += exec_time
-        if plan.prefill_tokens > 0:
-            self.chunk_tokens_hist[plan.prefill_tokens] += 1
-        self.observer.on_iteration_start(
-            self.replica_id, now, exec_time, plan, self.iterations_run,
-            queue_depth=self.scheduler.queue_length(),
-        )
-        seq = self._batch_seq = self._batch_seq + 1
-        rows.epoch[: rows.n] = seq
-        self._stamp_version = rows.version
-        self._inflight_event = self.simulator.schedule_after(
-            exec_time,
-            lambda: self._finish_iteration_observed(
-                plan, shape, exec_time, now, seq
-            ),
-        )
-
-    def _finish_iteration_observed(
-        self,
-        plan: BatchPlan,
-        shape: BatchShape,
-        exec_time: float,
-        start_time: float,
-        seq: int,
-    ) -> None:
-        now = self.simulator.now
-        self._inflight_event = None
-        self.iterations_run += 1
-        if self.config.record_iterations:
-            self.iteration_records.append(
-                IterationRecord(
-                    start_time=start_time,
-                    exec_time=exec_time,
-                    prefill_tokens=shape.prefill_tokens,
-                    num_decodes=shape.num_decodes,
-                    decode_context_total=shape.decode_context_total,
-                    kv_utilization=self.kv_cache.utilization,
-                )
-            )
-        self._advance_scalar(now, seq)
-        for assignment in plan.prefill_assignments:
-            request = assignment.request
-            if request.cancelled:
-                continue
-            request.prefill_done += assignment.tokens
-            if request.remaining_prefill == 0:
-                self._on_prefill_finished(request, now)
-        self.observer.on_iteration_end(
-            self.replica_id, now, start_time, exec_time, plan,
-            self.kv_cache,
-        )
-        self._busy = False
-        self._maybe_start()
-
     # --- decode advance kernels -------------------------------------------
+    #
+    # Each kernel advances the in-flight batch, rows [0, m).  The two
+    # whole-batch kernels apply completions after the sweep: their side
+    # effects touch no state the remaining advances read, so the
+    # interleaving is equivalent to the reference's per-row loop.
 
-    def _advance_scalar(self, now: float, seq: int) -> None:
+    def _advance_scalar(self, now: float, m: int) -> None:
         """Per-row advance mirroring ``Request.record_output_token``.
 
-        Used when a token hook needs the reference's interleaved
-        hook/completion ordering, in observed mode, and for small
-        batches where kernel launch overhead loses to the loop.
+        For small batches, where the loop beats NumPy kernel launches;
+        same float operations as :meth:`_advance_vector`.
         """
         rows = self._rows
-        if (
-            rows.n
-            and self.token_hook is None
-            and rows.version == self._stamp_version
-        ):
-            # Membership untouched since the batch was stamped: it is
-            # exactly rows [0, n), so skip the epoch scan and the
-            # per-request id lookups.
-            self._advance_scalar_all(now)
-            return
-        epoch = rows.epoch
-        batch = [
-            rows.req[i] for i in range(rows.n) if epoch[i] == seq
-        ]
-        if not batch:
-            return
-        self._rows_dirty = True
-        hook = self.token_hook
-        index = rows.index
-        decoded = rows.decoded
-        first = rows.first
-        last = rows.last
-        max_tbt = rows.max_tbt
-        gap_miss = rows.gap_miss
-        ddl_miss = rows.ddl_miss
-        inter = rows.inter
-        ttft_base = rows.ttft_base
-        tbt = rows.tbt
-        ctx = rows.ctx
-        target = rows.target
-        for request in batch:
-            i = index.get(request.request_id)
-            if i is None:
-                continue  # evicted/cancelled while in flight
-            d0 = int(decoded[i])
-            d1 = d0 + 1
-            decoded[i] = d1
-            if d0 == 0:
-                first[i] = now
-            else:
-                gap = now - float(last[i])
-                if gap > float(max_tbt[i]):
-                    max_tbt[i] = gap
-                if inter[i] and gap > float(tbt[i]):
-                    gap_miss[i] += 1
-            if inter[i] and now > float(ttft_base[i]) + d0 * float(tbt[i]):
-                ddl_miss[i] += 1
-            last[i] = now
-            finished = d1 >= int(target[i])
-            self._decode_context_total += 1
-            ctx[i] += 1
-            if hook is not None:
-                rows.sync_row(i)
-                if finished:
-                    request.completion_time = now
-                hook(request, now)
-            if finished:
-                if hook is None:
-                    rows.sync_row(i)
-                    request.completion_time = now
-                self._complete(request, now)
-
-    def _advance_scalar_all(self, now: float) -> None:
-        """Scalar advance when the stamped batch is exactly rows [0, n).
-
-        Same float operations as :meth:`_advance_scalar`, minus the
-        epoch scan, the id lookups and the NumPy scalar boxing.
-        Completions are applied after the sweep (like the vector
-        kernel): their side effects touch no state the remaining
-        advances read, so the interleaving is equivalent.
-        """
-        rows = self._rows
-        n = rows.n
         self._rows_dirty = True
         decoded = rows.decoded
         first = rows.first
@@ -1087,7 +899,7 @@ class ArrayReplicaEngine(ReplicaEngine):
         ctx = rows.ctx
         target = rows.target
         finished_rows = None
-        for i in range(n):
+        for i in range(m):
             d0 = decoded.item(i)
             decoded[i] = d0 + 1
             it = inter.item(i)
@@ -1107,9 +919,42 @@ class ArrayReplicaEngine(ReplicaEngine):
                 if finished_rows is None:
                     finished_rows = []
                 finished_rows.append(i)
-        self._decode_context_total += n
-        if finished_rows is None:
-            return
+        self._decode_context_total += m
+        if finished_rows is not None:
+            self._complete_rows(finished_rows, now)
+
+    def _advance_vector(self, now: float, m: int) -> None:
+        """Level-synchronous advance in a handful of slice operations."""
+        rows = self._rows
+        self._rows_dirty = True
+        d0 = rows.decoded[:m].copy()
+        rows.decoded[:m] = d0 + 1
+        fresh = d0 == 0
+        rows.first[:m][fresh] = now
+        gap_rows = np.flatnonzero(~fresh)
+        if gap_rows.size:
+            gaps = now - rows.last[gap_rows]
+            worse = gaps > rows.max_tbt[gap_rows]
+            rows.max_tbt[gap_rows[worse]] = gaps[worse]
+            missed = rows.inter[gap_rows] & (gaps > rows.tbt[gap_rows])
+            rows.gap_miss[gap_rows[missed]] += 1
+        deadline = rows.ttft_base[:m] + d0 * rows.tbt[:m]
+        late = rows.inter[:m] & (now > deadline)
+        rows.ddl_miss[:m][late] += 1
+        rows.last[:m] = now
+        rows.ctx[:m] += 1
+        self._decode_context_total += m
+        done = np.flatnonzero(rows.decoded[:m] >= rows.target[:m])
+        if done.size:
+            self._complete_rows(done.tolist(), now)
+
+    def _complete_rows(self, finished_rows: list[int], now: float) -> None:
+        """Complete the rows a sweep finished, in row order.
+
+        Resolves every request before the first completion, because
+        each removal shifts the rows behind it.
+        """
+        rows = self._rows
         finished = []
         for i in finished_rows:
             rows.sync_row(i)
@@ -1119,85 +964,56 @@ class ArrayReplicaEngine(ReplicaEngine):
         for request in finished:
             self._complete(request, now)
 
-    def _advance_vector(self, now: float, seq: int) -> None:
-        """Level-synchronous decode advance over the whole batch."""
-        rows = self._rows
-        n = rows.n
-        if n and rows.version == self._stamp_version:
-            self._advance_vector_all(now)
-            return
-        idx = np.flatnonzero(rows.epoch[:n] == seq)
-        if idx.size == 0:
-            return
-        self._rows_dirty = True
-        d0 = rows.decoded[idx]
-        rows.decoded[idx] = d0 + 1
-        rows.first[idx[d0 == 0]] = now
-        gap_rows = idx[d0 > 0]
-        if gap_rows.size:
-            gaps = now - rows.last[gap_rows]
-            worse = gaps > rows.max_tbt[gap_rows]
-            rows.max_tbt[gap_rows[worse]] = gaps[worse]
-            missed = rows.inter[gap_rows] & (gaps > rows.tbt[gap_rows])
-            rows.gap_miss[gap_rows[missed]] += 1
-        deadline = rows.ttft_base[idx] + d0 * rows.tbt[idx]
-        late = rows.inter[idx] & (now > deadline)
-        rows.ddl_miss[idx[late]] += 1
-        rows.last[idx] = now
-        rows.ctx[idx] += 1
-        self._decode_context_total += int(idx.size)
-        done = idx[rows.decoded[idx] >= rows.target[idx]]
-        if done.size == 0:
-            return
-        finished = []
-        for i in done:
-            i = int(i)
-            rows.sync_row(i)
-            request = rows.req[i]
-            request.completion_time = now
-            finished.append(request)
-        for request in finished:
-            self._complete(request, now)
+    def _advance_hooked(self, now: float, m: int) -> None:
+        """Per-row advance firing the token hook.
 
-    def _advance_vector_all(self, now: float) -> None:
-        """Slice-based advance when the batch is exactly rows [0, n).
-
-        Identical float operations to :meth:`_advance_vector`, with
-        contiguous slices replacing the epoch filter and its fancy
-        indexing.
+        Keeps the reference's interleaving: each row's hook sees its
+        synced object, and a finished row completes before the next
+        row advances.  Iterates a copy of the batch because inline
+        completions shift the rows.
         """
         rows = self._rows
-        n = rows.n
         self._rows_dirty = True
-        d0 = rows.decoded[:n].copy()
-        rows.decoded[:n] = d0 + 1
-        fresh = d0 == 0
-        rows.first[:n][fresh] = now
-        gap_rows = np.flatnonzero(~fresh)
-        if gap_rows.size:
-            gaps = now - rows.last[gap_rows]
-            worse = gaps > rows.max_tbt[gap_rows]
-            rows.max_tbt[gap_rows[worse]] = gaps[worse]
-            missed = rows.inter[gap_rows] & (gaps > rows.tbt[gap_rows])
-            rows.gap_miss[gap_rows[missed]] += 1
-        deadline = rows.ttft_base[:n] + d0 * rows.tbt[:n]
-        late = rows.inter[:n] & (now > deadline)
-        rows.ddl_miss[:n][late] += 1
-        rows.last[:n] = now
-        rows.ctx[:n] += 1
-        self._decode_context_total += n
-        done = np.flatnonzero(rows.decoded[:n] >= rows.target[:n])
-        if done.size == 0:
-            return
-        finished = []
-        for i in done:
-            i = int(i)
+        hook = self.token_hook
+        index = rows.index
+        decoded = rows.decoded
+        first = rows.first
+        last = rows.last
+        max_tbt = rows.max_tbt
+        gap_miss = rows.gap_miss
+        ddl_miss = rows.ddl_miss
+        inter = rows.inter
+        ttft_base = rows.ttft_base
+        tbt = rows.tbt
+        ctx = rows.ctx
+        target = rows.target
+        for request in rows.req[:m]:
+            i = index.get(request.request_id)
+            if i is None:
+                continue  # removed by an earlier row's completion
+            d0 = int(decoded[i])
+            d1 = d0 + 1
+            decoded[i] = d1
+            if d0 == 0:
+                first[i] = now
+            else:
+                gap = now - float(last[i])
+                if gap > float(max_tbt[i]):
+                    max_tbt[i] = gap
+                if inter[i] and gap > float(tbt[i]):
+                    gap_miss[i] += 1
+            if inter[i] and now > float(ttft_base[i]) + d0 * float(tbt[i]):
+                ddl_miss[i] += 1
+            last[i] = now
+            finished = d1 >= int(target[i])
+            self._decode_context_total += 1
+            ctx[i] += 1
             rows.sync_row(i)
-            request = rows.req[i]
-            request.completion_time = now
-            finished.append(request)
-        for request in finished:
-            self._complete(request, now)
+            if finished:
+                request.completion_time = now
+            hook(request, now)
+            if finished:
+                self._complete(request, now)
 
     # --- KV reservation / eviction ----------------------------------------
 
@@ -1462,6 +1278,8 @@ class ArrayReplicaEngine(ReplicaEngine):
         run the reference (object) code on the scheduler's own state;
         only the per-iteration latency-budget scan and the predictor
         lookups are replaced by vectorized/memo-direct equivalents.
+        The chunk decision reaches the chunker's observer exactly as
+        ``DynamicChunker.prefill_budget`` reports it.
         """
         scheduler = self.scheduler
         if not scheduler._member:
@@ -1489,6 +1307,7 @@ class ArrayReplicaEngine(ReplicaEngine):
                 head_context, n_live, self._decode_context_total
             )
             decision = chunker._decide(latency_budget, predict)
+            chunker.observer.on_chunk_sized(now, decision, n_live)
             scheduler._last_iteration_estimate = decision.predicted_latency
             budget = decision.prefill_budget
         if budget <= 0:

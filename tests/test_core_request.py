@@ -155,3 +155,15 @@ class TestEviction:
         assert clone.first_token_time is None
         assert not clone.relegated
         assert clone.prompt_tokens == 40
+
+
+class TestIdentity:
+    def test_fresh_clones_compare_unequal(self):
+        """Queue membership must never match a value-equal clone."""
+        r = make_request(prompt_tokens=40, decode_tokens=3)
+        a, b = r.clone_fresh(), r.clone_fresh()
+        assert a != b
+        assert a == a
+        assert [a].count(b) == 0
+        assert b not in [a]
+        assert len({a, b}) == 2

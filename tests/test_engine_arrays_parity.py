@@ -6,10 +6,12 @@ object-based :class:`~repro.engine.replica.ReplicaEngine` reference
 path.  These tests pin that claim at every layer the array engine
 reimplements:
 
-* fast-mode run summaries (no observer — the vectorized kernels,
-  decode-stretch fast-forward and version-stamped advance paths);
+* untraced run summaries (the vectorized kernels, decode-stretch
+  fast-forward and whole-batch advance kernels);
 * traced runs (byte-identical event streams, rendered metric
   registries and per-request audit attribution);
+* batch membership changes while an iteration is in flight
+  (cancellations, prefilled handoffs, a token hook);
 * the fault path (crash + slowdown plan on a resilient pool);
 * a seeded 500-request randomized property run (completion order and
   per-request latency attribution totals);
@@ -118,7 +120,7 @@ def run_traced(engine_cls, execution_model, requests, scheduler):
 
 
 class TestRunParity:
-    """Fast-mode fingerprints across schedulers, datasets and loads."""
+    """Untraced fingerprints across schedulers, datasets and loads."""
 
     @pytest.mark.parametrize("scheduler", ["qoserve", "medha"])
     @pytest.mark.parametrize(
@@ -185,19 +187,27 @@ class TestTracedParity:
     """Byte-identical event streams, metrics and audit attribution."""
 
     @pytest.mark.parametrize(
-        "dataset,scheduler",
-        [(AZURE_CONV, "qoserve"), (AZURE_CODE, "medha")],
-        ids=["conv-qoserve", "code-medha"],
+        "dataset,scheduler,num_requests,compress",
+        [
+            (AZURE_CONV, "qoserve", 60, 6.0),
+            (AZURE_CODE, "medha", 60, 6.0),
+            # Heavy load: the batch passes the small-batch threshold,
+            # so the vector advance runs under the tracing observer.
+            (AZURE_CONV, "qoserve", 120, 12.0),
+        ],
+        ids=["conv-qoserve", "code-medha", "conv-qoserve-12x"],
     )
     def test_events_metrics_attribution(
-        self, execution_model, dataset, scheduler
+        self, execution_model, dataset, scheduler, num_requests, compress
     ):
-        trace = build_trace(dataset, qps=1.0, num_requests=60, seed=3)
+        trace = build_trace(
+            dataset, qps=1.0, num_requests=num_requests, seed=3
+        )
         events, metrics = [], []
         for engine_cls in ENGINES:
             requests = clone(trace.requests)
             for r in requests:
-                r.arrival_time /= 6.0
+                r.arrival_time /= compress
             ev, m = run_traced(
                 engine_cls, execution_model, requests, scheduler
             )
@@ -209,6 +219,102 @@ class TestTracedParity:
             audit_events(events[0]).to_dict()
             == audit_events(events[1]).to_dict()
         )
+
+
+def run_mid_flight(engine_cls, execution_model, requests, traced, hooked):
+    """Change the decode batch while iterations are in flight.
+
+    At 7 s one row of the running batch is cancelled; at 8 s two
+    prefilled handoffs join mid-flight and the first is cancelled at
+    once, removing a row behind the running batch.  Returns the run's
+    fingerprint, token-hook stream, trace events and the batch sizes
+    seen at both points.
+    """
+    sim = Simulator()
+    sink = ListSink()
+    observer = (
+        TracingObserver(recorder=TraceRecorder([sink])) if traced else None
+    )
+    engine = engine_cls(
+        sim,
+        execution_model,
+        make_scheduler("qoserve", execution_model),
+        ReplicaConfig(),
+        observer=observer,
+    )
+    tokens = []
+    if hooked:
+        engine.token_hook = lambda r, now: tokens.append(
+            (r.request_id, r.decoded, now)
+        )
+    for r in requests:
+        engine.submit(r)
+    handoffs = []
+    for k in range(2):
+        handoff = Request(
+            request_id=10_000 + k,
+            arrival_time=8.0,
+            prompt_tokens=300 + k,
+            decode_tokens=40,
+            qos=requests[k].qos,
+        )
+        handoff.prefill_done = handoff.prompt_tokens
+        handoffs.append(handoff)
+    batch_sizes = []
+
+    def cancel_running_row():
+        queue = engine.decode_queue
+        batch_sizes.append(len(queue))
+        engine.cancel_request(queue[5], "client_disconnect")
+
+    def handoff_then_cancel():
+        batch_sizes.append(len(engine.decode_queue))
+        for handoff in handoffs:
+            engine.submit_prefilled(handoff)
+        engine.cancel_request(handoffs[0], "client_disconnect")
+
+    sim.schedule(7.013, cancel_running_row)
+    sim.schedule(8.021, handoff_then_cancel)
+    sim.run(max_events=5_000_000)
+    return (
+        fingerprint(engine, requests + handoffs),
+        tokens,
+        sink.events,
+        batch_sizes,
+    )
+
+
+class TestMidFlightParity:
+    """Cancellations and handoffs that change a running batch: the
+    array engine's batch is the stamped row prefix, so a cancel inside
+    it must shrink the prefix and a row added behind it must not emit
+    a token until the next iteration."""
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hook"])
+    @pytest.mark.parametrize(
+        "traced", [False, True], ids=["untraced", "traced"]
+    )
+    def test_cancel_and_handoff_mid_flight(
+        self, execution_model, traced, hooked
+    ):
+        trace = build_trace(AZURE_CONV, qps=1.0, num_requests=120, seed=13)
+        results = []
+        for engine_cls in ENGINES:
+            requests = clone(trace.requests)
+            for r in requests:
+                r.arrival_time /= 12.0
+            results.append(
+                run_mid_flight(
+                    engine_cls, execution_model, requests, traced, hooked
+                )
+            )
+        batch_sizes = results[0][3]
+        assert len(batch_sizes) == 2 and min(batch_sizes) >= 32
+        assert results[0] == results[1]
+        fingerprint_, tokens, events, _ = results[0]
+        assert bool(tokens) == hooked
+        assert bool(events) == traced
+        assert sum(1 for row in fingerprint_[:-1] if row[-2]) == 2
 
 
 class TestFaultParity:
