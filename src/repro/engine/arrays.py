@@ -10,6 +10,14 @@ advance — timestamps, TBT gap/deadline misses, context growth,
 completion detection — is a handful of vectorized kernels instead of
 per-object method dispatch.
 
+Request-lifecycle transitions (handoff admission, prefill start and
+credit, prefill finish, completion, decode eviction, stall recovery,
+crash, cancel) are :class:`ReplicaEngine`'s, written against three
+decode-set primitives.  This engine overrides only those primitives
+(``_attach_decode``, ``_detach_decode``, ``_clear_decodes``), the
+iteration loop, the KV fast path (bulk decode growth and the vector
+eviction victim) and the QoServe planning kernels.
+
 This is the ``forest.fused`` playbook applied to the engine: the
 object-based ``engine.replica``/``engine.batch``/``engine.kvcache``
 stack remains the bit-identical reference path.  Equivalence is
@@ -612,9 +620,29 @@ class ArrayReplicaEngine(ReplicaEngine):
         for i in range(rows.n):
             rows.sync_row(i)
 
-    def _add_decode_row(self, request: Request) -> None:
+    # --- decode-set primitives ---------------------------------------------
+
+    def _attach_decode(self, request: Request, context: int) -> None:
         tokens, blocks = self.kv_cache.attach_row(request.request_id)
         self._rows.add(request, tokens, blocks)
+        self._decode_context_total += context
+
+    def _detach_decode(self, request: Request) -> int | None:
+        rows = self._rows
+        i = rows.index.get(request.request_id)
+        if i is None:
+            return None
+        rows.sync_row(i)
+        context = int(rows.ctx[i])
+        # The row-backed holding must be released while its row lives.
+        self.kv_cache.release(request.request_id)
+        rows.remove_at(i)
+        self._decode_context_total -= context
+        return context
+
+    def _clear_decodes(self) -> None:
+        self._rows.clear()
+        self._decode_context_total = 0
 
     # --- iteration loop ---------------------------------------------------
 
@@ -648,37 +676,14 @@ class ArrayReplicaEngine(ReplicaEngine):
             )
             assignments = self.scheduler.plan_prefill(view)
         if not assignments and n_live == 0:
-            if (
-                self.scheduler.has_pending_prefill()
-                and self._recover_prefill_stall()
-            ):
+            if self._recover_prefill_stall():
                 self._start_iteration()
-                return
             return
-        observer = self.observer
-        replica_id = self.replica_id
+        chunks = [(a.tokens, a.request.prefill_done) for a in assignments]
         prefill_tokens = 0
-        chunks = []
-        for assignment in assignments:
-            request = assignment.request
-            request_id = request.request_id
-            tokens = assignment.tokens
-            chunks.append((tokens, request.prefill_done))
-            self.kv_cache.grow(request_id, tokens)
-            self._inflight_prefills.add(request_id)
-            if request.scheduled_first_time is None:
-                request.scheduled_first_time = now
-                observer.on_span_end("queue", request, now, replica_id)
-                observer.on_span_start("prefill", request, now, replica_id)
-            if (
-                request.relegated
-                and request_id not in self._relegation_served_ids
-            ):
-                self._relegation_served_ids.add(request_id)
-                observer.on_relegation_served(
-                    replica_id, request, now, tokens
-                )
-            prefill_tokens += tokens
+        if assignments:
+            self._start_prefills(assignments, now)
+            prefill_tokens = sum(tokens for tokens, _ in chunks)
         exec_time = self.execution_model.batch_time_flat(
             chunks, n_live, decode_context_total
         )
@@ -695,8 +700,8 @@ class ArrayReplicaEngine(ReplicaEngine):
                 prefill_assignments=assignments,
                 decode_requests=rows.req[:n_live],
             )
-            observer.on_iteration_start(
-                replica_id, now, exec_time, plan, self.iterations_run,
+            self.observer.on_iteration_start(
+                self.replica_id, now, exec_time, plan, self.iterations_run,
                 queue_depth=self.scheduler.queue_length(),
             )
         rows.batch_n = n_live
@@ -740,13 +745,8 @@ class ArrayReplicaEngine(ReplicaEngine):
                 self._advance_scalar(now, m)
             else:
                 self._advance_vector(now, m)
-        for assignment in assignments:
-            request = assignment.request
-            if request.cancelled:
-                continue
-            request.prefill_done += assignment.tokens
-            if request.remaining_prefill == 0:
-                self._on_prefill_finished(request, now)
+        if assignments:
+            self._credit_prefills(assignments, now)
         if plan is not None:
             self.observer.on_iteration_end(
                 self.replica_id, now, start_time, exec_time, plan,
@@ -1025,7 +1025,10 @@ class ArrayReplicaEngine(ReplicaEngine):
         if self.kv_cache.bulk_decode_grow(n):
             return
         # Pressure: replay the reference algorithm exactly, including
-        # its snapshot iteration and victim re-selection.
+        # its snapshot iteration and victim re-selection.  It walks
+        # ``rows.req`` directly because ``self.decode_queue`` would
+        # sync every row first, and with a radix reclaimer attached
+        # this path can run on most iterations.
         for request in list(rows.req):
             request_id = request.request_id
             if self.kv_cache.can_grow(request_id, 1):
@@ -1060,197 +1063,6 @@ class ArrayReplicaEngine(ReplicaEngine):
         # argmax returns the first maximum, matching max()'s
         # tie-breaking over the queue order.
         return rows.req[int(np.argmax(deadline))]
-
-    def _evict_decode(self, request: Request) -> None:
-        rows = self._rows
-        i = rows.index[request.request_id]
-        rows.sync_row(i)
-        context_lost = int(rows.ctx[i])
-        self.kv_cache.release(request.request_id)
-        if self.prefix_cache is not None:
-            self.prefix_cache.unlock(request.request_id)
-        rows.remove_at(i)
-        self._decode_context_total -= context_lost
-        request.evict()
-        self.decode_evictions += 1
-        self.observer.on_decode_evicted(
-            self.replica_id, request, self.simulator.now, context_lost
-        )
-        self.scheduler.enqueue(request, self.simulator.now)
-
-    # --- lifecycle transitions --------------------------------------------
-
-    def _admit_handoffs(self) -> None:
-        while self._pending_handoffs:
-            request = self._pending_handoffs[0]
-            if self.running_requests >= self.config.max_decode_slots:
-                return
-            context = request.context_length
-            if not self.kv_cache.can_grow(request.request_id, context):
-                return
-            self.kv_cache.grow(request.request_id, context)
-            self._add_decode_row(request)
-            self._decode_context_total += context
-            if request.scheduled_first_time is None:
-                request.scheduled_first_time = self.simulator.now
-            self._pending_handoffs.popleft()
-
-    def _on_prefill_finished(self, request: Request, now: float) -> None:
-        self._inflight_prefills.discard(request.request_id)
-        self.scheduler.on_prefill_complete(request, now)
-        self.observer.on_span_end("prefill", request, now, self.replica_id)
-        if self.config.prefill_only:
-            self.kv_cache.release(request.request_id)
-            assert self.prefill_sink is not None
-            self.prefill_sink(request, now)
-            return
-        if self.prefix_cache is not None and request.token_ids is not None:
-            created, deduped = self.prefix_cache.insert_and_lock(
-                request.request_id, request.token_ids
-            )
-            self.observer.on_prefix_insert(
-                self.replica_id,
-                now,
-                created,
-                deduped,
-                self.prefix_cache.cached_tokens,
-            )
-        if request.decoded == 0:
-            request.record_output_token(now)
-            self.observer.on_span_start(
-                "decode", request, now, self.replica_id
-            )
-            if self.token_hook is not None:
-                self.token_hook(request, now)
-        if request.is_finished:
-            self._complete(request, now)
-        else:
-            self._add_decode_row(request)
-            self._decode_context_total += request.context_length
-
-    def _complete(self, request: Request, now: float) -> None:
-        rows = self._rows
-        i = rows.index.get(request.request_id)
-        if i is not None:
-            self._decode_context_total -= int(rows.ctx[i])
-            self.kv_cache.release(request.request_id)
-            rows.remove_at(i)
-        else:
-            self.kv_cache.release(request.request_id)
-        if self.prefix_cache is not None:
-            self.prefix_cache.unlock(request.request_id)
-        self.completed.append(request)
-        self.observer.on_span_end("decode", request, now, self.replica_id)
-        self.observer.on_request_completed(self.replica_id, request, now)
-        self.scheduler.on_request_complete(request, now)
-        if self.completion_hook is not None:
-            self.completion_hook(request, now)
-        if self._pending_handoffs:
-            self._admit_handoffs()
-        if self._stalled_requests:
-            for stalled in self._stalled_requests:
-                self.scheduler.enqueue(stalled, now)
-            self._stalled_requests.clear()
-
-    # --- faults -----------------------------------------------------------
-
-    def crash(self) -> list[Request]:
-        now = self.simulator.now
-        if self._inflight_event is not None:
-            self._inflight_event.cancel()
-            self._inflight_event = None
-        self._busy = False
-        self._sync_rows()
-
-        lost: list[Request] = []
-        seen: set[int] = set()
-
-        def take(request: Request) -> None:
-            if request.request_id not in seen and not request.is_finished:
-                seen.add(request.request_id)
-                lost.append(request)
-
-        rows = self._rows
-        for request in rows.req:
-            take(request)
-        for request in self.scheduler.pending_requests():
-            take(request)
-        for request in self._stalled_requests:
-            take(request)
-        for request in self._pending_handoffs:
-            take(request)
-
-        kv_blocks_dropped = 0
-        for request in lost:
-            self.scheduler.remove(request, now)
-            # Row-backed holdings must be released while the rows are
-            # still alive; the order among lost requests is free.
-            kv_blocks_dropped += self.kv_cache.release(request.request_id)
-            request.evict()
-
-        if self.prefix_cache is not None:
-            kv_blocks_dropped += self.prefix_cache.flush()
-
-        rows.clear()
-        self._decode_context_total = 0
-        self._stalled_requests.clear()
-        self._pending_handoffs.clear()
-        self._inflight_prefills.clear()
-
-        leaked = self.kv_cache.holders()
-        assert not leaked and self.kv_cache.used_blocks == 0, (
-            f"KV blocks leaked across crash of replica "
-            f"{self.replica_id}: {leaked}"
-        )
-
-        self.healthy = False
-        self.crash_count += 1
-        self._crashed_at = now
-        self.observer.on_replica_crashed(
-            self.replica_id, now, len(lost), kv_blocks_dropped
-        )
-        return lost
-
-    def cancel_request(self, request: Request, reason: str) -> bool:
-        if request.is_finished:
-            return False
-        now = self.simulator.now
-        resident = False
-        rows = self._rows
-        i = rows.index.get(request.request_id)
-        if i is not None:
-            rows.sync_row(i)
-            context = int(rows.ctx[i])
-            self.kv_cache.release(request.request_id)
-            rows.remove_at(i)
-            self._decode_context_total -= context
-            resident = True
-        if request.request_id in self._inflight_prefills:
-            self._inflight_prefills.discard(request.request_id)
-            resident = True
-        if any(
-            r.request_id == request.request_id
-            for r in self.scheduler.pending_requests()
-        ):
-            resident = True
-        self.scheduler.remove(request, now)
-        if request in self._stalled_requests:
-            self._stalled_requests.remove(request)
-            resident = True
-        if request in self._pending_handoffs:
-            self._pending_handoffs.remove(request)
-            resident = True
-        self.kv_cache.release(request.request_id)
-        if self.prefix_cache is not None:
-            self.prefix_cache.unlock(request.request_id)
-        request.cancel(now, reason)
-        self.cancelled.append(request)
-        self.observer.on_request_cancelled(self.replica_id, request, now,
-                                           reason)
-        if self._pending_handoffs:
-            self._admit_handoffs()
-        self._maybe_start()
-        return resident
 
     # --- driving ----------------------------------------------------------
 

@@ -244,8 +244,7 @@ class ReplicaEngine:
             if not self.kv_cache.can_grow(request.request_id, context):
                 return
             self.kv_cache.grow(request.request_id, context)
-            self.decode_queue.append(request)
-            self._decode_context_total += context
+            self._attach_decode(request, context)
             if request.scheduled_first_time is None:
                 request.scheduled_first_time = self.simulator.now
             self._pending_handoffs.popleft()
@@ -305,6 +304,53 @@ class ReplicaEngine:
     def has_work(self) -> bool:
         return bool(self.decode_queue) or self.scheduler.has_pending_prefill()
 
+    def holds(self, request: Request) -> bool:
+        """Whether ``request`` is resident on this replica: decoding,
+        mid-prefill, queued, parked by stall recovery or waiting for a
+        handoff slot."""
+        request_id = request.request_id
+        return (
+            request_id in self._inflight_prefills
+            or request in self.decode_queue
+            or request in self._stalled_requests
+            or request in self._pending_handoffs
+            or any(
+                r.request_id == request_id
+                for r in self.scheduler.pending_requests()
+            )
+        )
+
+    # --- decode set --------------------------------------------------------
+    #
+    # Every lifecycle transition moves requests into and out of the
+    # decode set through these three primitives; the array engine
+    # overrides only them to keep the set in its row store.
+
+    def _attach_decode(self, request: Request, context: int) -> None:
+        """Append ``request`` (holding ``context`` KV tokens) to the
+        decode set."""
+        self.decode_queue.append(request)
+        self._decode_context_total += context
+
+    def _detach_decode(self, request: Request) -> int | None:
+        """Remove ``request`` from the decode set and release its KV.
+
+        Returns the context it held, or None if it was not decoding
+        (its KV, if any, is then left alone).
+        """
+        if request not in self.decode_queue:
+            return None
+        context = request.context_length
+        self.kv_cache.release(request.request_id)
+        self.decode_queue.remove(request)
+        self._decode_context_total -= context
+        return context
+
+    def _clear_decodes(self) -> None:
+        """Empty the decode set (crash; KV already released)."""
+        self.decode_queue.clear()
+        self._decode_context_total = 0
+
     # --- iteration loop ----------------------------------------------------
 
     def _maybe_start(self) -> None:
@@ -337,40 +383,14 @@ class ReplicaEngine:
             decode_requests=decode_snapshot,
         )
         if plan.is_empty:
-            if (
-                not self.decode_queue
-                and self.scheduler.has_pending_prefill()
-                and self._recover_prefill_stall()
-            ):
-                # Freed KV by evicting a partial prefill; plan again.
+            # Nothing is decoding and the prefill queue is blocked
+            # (e.g. on KV memory): free KV by evicting a partial
+            # prefill and plan again, or idle until the next arrival
+            # or completion.
+            if self._recover_prefill_stall():
                 self._start_iteration()
-                return
-            # Prefill queue blocked (e.g. on KV memory) and nothing is
-            # decoding; idle until the next arrival or completion.
             return
-        for assignment in assignments:
-            request = assignment.request
-            self.kv_cache.grow(request.request_id, assignment.tokens)
-            self._inflight_prefills.add(request.request_id)
-            if request.scheduled_first_time is None:
-                request.scheduled_first_time = now
-                self.observer.on_span_end(
-                    "queue", request, now, self.replica_id
-                )
-                self.observer.on_span_start(
-                    "prefill", request, now, self.replica_id
-                )
-            if (
-                request.relegated
-                and request.request_id not in self._relegation_served_ids
-            ):
-                # First opportunistic chunk after demotion: the end of
-                # the relegation stall, which latency attribution needs
-                # as an explicit anchor.
-                self._relegation_served_ids.add(request.request_id)
-                self.observer.on_relegation_served(
-                    self.replica_id, request, now, assignment.tokens
-                )
+        self._start_prefills(assignments, now)
 
         # Token counts of snapshot members cannot change while the
         # batch is in flight (they only move in _finish_iteration), so
@@ -397,6 +417,46 @@ class ReplicaEngine:
             exec_time,
             lambda: self._finish_iteration(plan, shape, exec_time, now),
         )
+
+    def _start_prefills(
+        self, assignments: list[PrefillAssignment], now: float
+    ) -> None:
+        """Reserve KV for the iteration's prefill chunks and open the
+        requests' prefill phase."""
+        observer = self.observer
+        replica_id = self.replica_id
+        for assignment in assignments:
+            request = assignment.request
+            request_id = request.request_id
+            self.kv_cache.grow(request_id, assignment.tokens)
+            self._inflight_prefills.add(request_id)
+            if request.scheduled_first_time is None:
+                request.scheduled_first_time = now
+                observer.on_span_end("queue", request, now, replica_id)
+                observer.on_span_start("prefill", request, now, replica_id)
+            if (
+                request.relegated
+                and request_id not in self._relegation_served_ids
+            ):
+                # First opportunistic chunk after demotion: the end of
+                # the relegation stall, which latency attribution needs
+                # as an explicit anchor.
+                self._relegation_served_ids.add(request_id)
+                observer.on_relegation_served(
+                    replica_id, request, now, assignment.tokens
+                )
+
+    def _credit_prefills(
+        self, assignments: list[PrefillAssignment], now: float
+    ) -> None:
+        """Credit the finished iteration's prefill chunks."""
+        for assignment in assignments:
+            request = assignment.request
+            if request.cancelled:
+                continue  # cancelled mid-iteration; KV already freed
+            request.prefill_done += assignment.tokens
+            if request.remaining_prefill == 0:
+                self._on_prefill_finished(request, now)
 
     def _reserve_decode_growth(self) -> None:
         """Grow KV by one token per decode request, evicting on pressure.
@@ -456,8 +516,9 @@ class ReplicaEngine:
         )
         # Park the victim outside the scheduler: re-admitting it right
         # away would let it re-consume the freed blocks before the
-        # surviving holder finishes, thrashing forever.
-        self.scheduler.on_prefill_complete(victim, self.simulator.now)
+        # surviving holder finishes, thrashing forever.  ``remove``:
+        # after ``on_prefill_complete`` QoServe keeps feeding it chunks.
+        self.scheduler.remove(victim, self.simulator.now)
         self._stalled_requests.append(victim)
         return True
 
@@ -468,12 +529,9 @@ class ReplicaEngine:
         return max(candidates, key=lambda r: r.next_token_deadline)
 
     def _evict_decode(self, request: Request) -> None:
-        context_lost = request.context_length
-        self.kv_cache.release(request.request_id)
+        context_lost = self._detach_decode(request)
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)
-        self.decode_queue.remove(request)
-        self._decode_context_total -= context_lost
         request.evict()
         self.decode_evictions += 1
         self.observer.on_decode_evicted(
@@ -515,15 +573,7 @@ class ReplicaEngine:
             if request.is_finished:
                 self._complete(request, now)
 
-        # Prefill side: advance chunk progress.
-        for assignment in plan.prefill_assignments:
-            request = assignment.request
-            if request.cancelled:
-                continue  # cancelled mid-iteration; KV already freed
-            request.prefill_done += assignment.tokens
-            if request.remaining_prefill == 0:
-                self._on_prefill_finished(request, now)
-
+        self._credit_prefills(plan.prefill_assignments, now)
         self.observer.on_iteration_end(
             self.replica_id, now, start_time, exec_time, plan, self.kv_cache
         )
@@ -568,14 +618,11 @@ class ReplicaEngine:
         if request.is_finished:
             self._complete(request, now)
         else:
-            self.decode_queue.append(request)
-            self._decode_context_total += request.context_length
+            self._attach_decode(request, request.context_length)
 
     def _complete(self, request: Request, now: float) -> None:
-        if request in self.decode_queue:
-            self.decode_queue.remove(request)
-            self._decode_context_total -= request.context_length
-        self.kv_cache.release(request.request_id)
+        if self._detach_decode(request) is None:
+            self.kv_cache.release(request.request_id)
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)
         self.completed.append(request)
@@ -633,17 +680,17 @@ class ReplicaEngine:
         for request in self._pending_handoffs:
             take(request)
 
-        self.decode_queue.clear()
-        self._decode_context_total = 0
-        self._stalled_requests.clear()
-        self._pending_handoffs.clear()
-        self._inflight_prefills.clear()
-
         kv_blocks_dropped = 0
         for request in lost:
             self.scheduler.remove(request, now)
+            # Before the decode set is cleared: the array engine's
+            # decode holdings live in its rows.
             kv_blocks_dropped += self.kv_cache.release(request.request_id)
             request.evict()
+        self._clear_decodes()
+        self._stalled_requests.clear()
+        self._pending_handoffs.clear()
+        self._inflight_prefills.clear()
         if self.prefix_cache is not None:
             # Shared prefix blocks die with the replica too; flushing
             # (all node blocks released, every lock dropped) is what
@@ -695,26 +742,14 @@ class ReplicaEngine:
         if request.is_finished:
             return False
         now = self.simulator.now
-        resident = False
-        if request in self.decode_queue:
-            self.decode_queue.remove(request)
-            self._decode_context_total -= request.context_length
-            resident = True
-        if request.request_id in self._inflight_prefills:
-            self._inflight_prefills.discard(request.request_id)
-            resident = True
-        if any(
-            r.request_id == request.request_id
-            for r in self.scheduler.pending_requests()
-        ):
-            resident = True
+        resident = self.holds(request)
+        self._detach_decode(request)
+        self._inflight_prefills.discard(request.request_id)
         self.scheduler.remove(request, now)
         if request in self._stalled_requests:
             self._stalled_requests.remove(request)
-            resident = True
         if request in self._pending_handoffs:
             self._pending_handoffs.remove(request)
-            resident = True
         self.kv_cache.release(request.request_id)
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)

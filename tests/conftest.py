@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,39 @@ def make_request(
 @pytest.fixture
 def request_factory():
     return make_request
+
+
+def small_memory_model(kv_tokens: int = 4096) -> ExecutionModel:
+    """Llama3-8B on an A100 whose memory leaves room for exactly
+    ``kv_tokens`` tokens of KV, so every engine core builds a tiny
+    ledger of its own."""
+    reserve = 0.08  # ExecutionModel's kv_memory_reserve_fraction
+    memory = (
+        LLAMA3_8B.weight_bytes()
+        + (kv_tokens + 0.5) * LLAMA3_8B.kv_bytes_per_token()
+    ) / (1.0 - reserve)
+    model = ExecutionModel(
+        LLAMA3_8B, dataclasses.replace(A100_80GB, mem_capacity=memory)
+    )
+    assert model.kv_capacity_tokens == kv_tokens
+    return model
+
+
+def stall_requests(seed: int, count: int = 8) -> list[Request]:
+    """Prompts of 800-3,500 tokens arriving within 2 s: on a 4,096-token
+    cache several partial prefills wedge it, which forces stall
+    recovery."""
+    rng = random.Random(seed)
+    return [
+        Request(
+            request_id=i,
+            arrival_time=rng.uniform(0.0, 2.0),
+            prompt_tokens=rng.randint(800, 3500),
+            decode_tokens=rng.randint(1, 40),
+            qos=rng.choice([Q1_INTERACTIVE, Q2_RELAXED]),
+        )
+        for i in range(count)
+    ]
 
 
 # Re-export tier presets so tests can import them from one place.

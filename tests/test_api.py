@@ -17,7 +17,7 @@ from repro.api import (
 from repro.core.qos import Q1_INTERACTIVE
 from repro.metrics.export import summary_to_dict
 from repro.workload.datasets import AZURE_CONV
-from tests.conftest import make_request
+from tests.conftest import make_request, small_memory_model, stall_requests
 
 
 def _canonical(summary) -> str:
@@ -136,6 +136,47 @@ class TestSession:
         session.drain()
         assert request.cancelled
         assert request.cancel_reason == "test_cancel"
+
+    @pytest.mark.parametrize("engine", ["objects", "arrays"])
+    def test_cancel_parked_by_stall_recovery(self, engine):
+        session = Session(
+            ServeConfig(scheduler="qoserve-oracle", engine=engine),
+            execution_model=small_memory_model(),
+        )
+        for request in stall_requests(seed=2):
+            session.submit(request)
+        (replica,) = session.engines
+        now = 0.0
+        while not replica._stalled_requests:
+            now = session.advance(until=now + 0.01)
+            assert now < 10.0, "stall recovery never parked a request"
+        (parked,) = replica._stalled_requests
+        assert session.cancel(parked, "test_cancel")
+        assert parked.cancelled
+        assert not replica._stalled_requests
+
+    @pytest.mark.parametrize("engine", ["objects", "arrays"])
+    def test_cancel_queued_handoff(self, engine):
+        session = Session(
+            ServeConfig(scheduler="fcfs", engine=engine),
+            execution_model=small_memory_model(),
+        )
+        (replica,) = session.engines
+        handoffs = []
+        for i in range(2):
+            request = make_request(
+                request_id=i, prompt_tokens=3000, decode_tokens=50
+            )
+            request.prefill_done = request.prompt_tokens
+            replica.submit_prefilled(request)
+            handoffs.append(request)
+        # The second prompt's KV cannot fit beside the first.
+        assert list(replica._pending_handoffs) == [handoffs[1]]
+        assert session.cancel(handoffs[1], "test_cancel")
+        assert handoffs[1].cancelled
+        assert not replica._pending_handoffs
+        session.drain()
+        assert handoffs[0].is_finished
 
     def test_hooks_fire(self):
         session = Session(ServeConfig(scheduler="fcfs"))

@@ -13,6 +13,8 @@ reimplements:
 * batch membership changes while an iteration is in flight
   (cancellations, prefilled handoffs, a token hook);
 * the fault path (crash + slowdown plan on a resilient pool);
+* memory pressure on a tiny KV cache (decode eviction, prefill stall
+  recovery, prefill-only handoffs);
 * a seeded 500-request randomized property run (completion order and
   per-request latency attribution totals);
 * the block ledger's math vs :class:`KVCacheManager` at block sizes
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.qos import Q2_RELAXED
 from repro.core.request import Request
 from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
 from repro.engine.arrays import ArrayKVLedger, _RowStore
@@ -36,6 +39,7 @@ from repro.obs.trace import ListSink, TraceRecorder
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
+from tests.conftest import small_memory_model, stall_requests
 
 ENGINES = (ReplicaEngine, ArrayReplicaEngine)
 
@@ -364,6 +368,91 @@ class TestFaultParity:
             )
         assert summaries[0] == summaries[1]
         assert prints[0] == prints[1]
+
+
+def run_pressure(engine_cls, requests, scheduler, traced, prefill_only):
+    """Serve ``requests`` on a 4,096-token KV cache to drain."""
+    model = small_memory_model()
+    sim = Simulator()
+    sink = ListSink()
+    observer = (
+        TracingObserver(recorder=TraceRecorder([sink])) if traced else None
+    )
+    handoffs = []
+    engine = engine_cls(
+        sim,
+        model,
+        make_scheduler(scheduler, model),
+        ReplicaConfig(prefill_only=prefill_only),
+        prefill_sink=(
+            (lambda r, now: handoffs.append((r.request_id, now)))
+            if prefill_only
+            else None
+        ),
+        observer=observer,
+    )
+    for r in requests:
+        engine.submit(r)
+    sim.run(max_events=1_000_000)
+    assert not sim.pending_events
+    assert prefill_only or all(r.is_finished for r in requests)
+    return (
+        fingerprint(engine, requests),
+        engine.stall_preemptions,
+        handoffs,
+        sink.events,
+    )
+
+
+class TestPressureParity:
+    """Lifecycle paths that only run when KV runs out: decode eviction,
+    prefill stall recovery and prefill-only handoff, on engines that
+    each build their own small ledger."""
+
+    CASES = {
+        # Five 1,800-token prompts at once: decodes outgrow the cache.
+        "evict": (
+            lambda: [
+                Request(
+                    request_id=i,
+                    arrival_time=0.0,
+                    prompt_tokens=1800,
+                    decode_tokens=200,
+                    qos=Q2_RELAXED,
+                )
+                for i in range(5)
+            ],
+            "fcfs",
+            False,
+        ),
+        "stall": (lambda: stall_requests(seed=5), "qoserve-oracle", False),
+        "prefill-only": (
+            lambda: stall_requests(seed=0, count=12), "fcfs", True
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "traced", [False, True], ids=["untraced", "traced"]
+    )
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_identical(self, case, traced):
+        make_requests, scheduler, prefill_only = self.CASES[case]
+        results = [
+            run_pressure(
+                engine_cls, make_requests(), scheduler, traced, prefill_only
+            )
+            for engine_cls in ENGINES
+        ]
+        assert results[0] == results[1]
+        fingerprint_, stalls, handoffs, events = results[0]
+        decode_evictions = fingerprint_[-1][3]
+        if case == "evict":
+            assert decode_evictions == 6
+        elif case == "stall":
+            assert stalls >= 1
+        else:
+            assert len(handoffs) == 12
+        assert bool(events) == traced
 
 
 class TestRandomizedProperty:

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.engine import ReplicaConfig, ReplicaEngine
+from repro.api import make_scheduler
+from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
 from repro.schedulers import FCFSScheduler
 from repro.simcore import Simulator
-from tests.conftest import Q1, Q2, make_request
+from tests.conftest import (
+    Q1,
+    Q2,
+    make_request,
+    small_memory_model,
+    stall_requests,
+)
 
 
 def run_engine(requests, execution_model, scheduler=None, config=None,
@@ -245,6 +252,40 @@ class TestKVEviction:
         assert engine._pick_eviction_victim(
             exclude=requests[3]
         ) is requests[2]
+
+
+class TestStallRecoveryLiveness:
+    """Stall recovery parks its victim until a completion frees memory.
+
+    The victim must leave the scheduler for good (``remove``): QoServe
+    keeps a departed request in its cached order until the next
+    replan, so a victim parked with ``on_prefill_complete`` would keep
+    receiving chunks, take back the blocks it released, and leave the
+    engine idle with work pending.
+    """
+
+    @pytest.mark.parametrize("seed", [2, 5, 11])
+    @pytest.mark.parametrize(
+        "engine_cls", [ReplicaEngine, ArrayReplicaEngine],
+        ids=["objects", "arrays"],
+    )
+    def test_drain_finishes_every_request(self, engine_cls, seed):
+        model = small_memory_model()
+        sim = Simulator()
+        engine = engine_cls(
+            sim, model, make_scheduler("qoserve-oracle", model),
+            ReplicaConfig(),
+        )
+        requests = stall_requests(seed)
+        for r in requests:
+            engine.submit(r)
+        sim.run(max_events=100_000)
+        assert not sim.pending_events
+        assert engine.stall_preemptions > 0  # path exercised
+        assert all(
+            r.is_finished or r in engine.rejected for r in requests
+        )
+        assert engine.kv_cache.used_blocks == 0
 
 
 class TestIncrementalDecodeAccounting:
