@@ -58,7 +58,11 @@ from typing import Any, Callable
 #: session trace served with the radix KV prefix cache off and on;
 #: ``goodput_x`` is the *simulated* goodput ratio (deterministic — the
 #: CI gate asserts >= 1.2), wall times ride along for the trajectory.
-SCHEMA_VERSION = 6
+#: 7 — ``engine_e2e`` grew a ``fleet`` row (AzConv at 16 QPS on 8
+#: least-loaded replicas) and every row a ``stretch`` block with the
+#: array engine's decode-stretch counters; ``derived`` grew
+#: ``engine_e2e_fleet_speedup``.
+SCHEMA_VERSION = 7
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -306,66 +310,112 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
 
 def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
-    """The pinned trace through both engine cores, interleaved.
+    """The pinned traces through both engine cores, interleaved.
 
-    Two workloads: the decode-heavy conversational trace (where the
-    level-synchronous loop and decode-stretch fast-forward dominate —
-    the headline number) and the prefill-heavy code trace (where
-    shared planning cost bounds the ratio — the honest lower bound).
+    Three workloads: the decode-heavy conversational trace on one
+    replica (where the level-synchronous loop and decode-stretch
+    fast-forward dominate — the headline number), the prefill-heavy
+    code trace (where shared planning cost bounds the ratio — the
+    honest lower bound), and the conversational trace on an 8-replica
+    least-loaded fleet (where a stretch is bounded by other replicas'
+    events, so nearly every attempt must be rejected cheaply).
     Repetitions alternate engines so transient host load penalizes
     both equally; each engine reports its best rep, and the engines
     are constructed outside the timed region so the ratio measures the
-    iteration loop, not model-table setup.
+    iteration loop, not model-table setup.  Each row carries the array
+    engine's decode-stretch counters from its last rep.
     """
+    from repro.cluster.deployment import ClusterDeployment
     from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
     from repro.experiments.configs import get_execution_model
-    from repro.experiments.runner import build_trace, make_scheduler
+    from repro.experiments.runner import (
+        build_trace,
+        make_scheduler,
+        scheduler_factory,
+    )
     from repro.simcore import Simulator
     from repro.workload.datasets import AZURE_CODE, AZURE_CONV
 
     execution_model = get_execution_model("llama3-8b")
     num_requests = 60 if quick else 150
+    fleet_requests = 800 if quick else 2000
     reps = 3 if quick else 5
-    workloads = {
-        "conv": (AZURE_CONV, 5.0),
-        "code": (AZURE_CODE, 3.0),
-    }
     engines = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
 
-    report: dict[str, Any] = {"num_requests": num_requests, "reps": reps}
-    for name, (dataset, scale) in workloads.items():
+    def replica(dataset, scale):
         base = build_trace(
             dataset, qps=1.0, num_requests=num_requests, seed=42
         )
+
+        def build(engine_cls):
+            simulator = Simulator()
+            engine = engine_cls(
+                simulator,
+                execution_model,
+                make_scheduler("qoserve", execution_model),
+                ReplicaConfig(),
+            )
+            for request in base.fresh_copy().scaled_arrivals(scale):
+                engine.submit(request)
+            return simulator.run, [engine]
+
+        return f"{dataset.name} qps=1.0 x{scale} qoserve", build
+
+    def fleet():
+        base = build_trace(
+            AZURE_CONV, qps=16.0, num_requests=fleet_requests, seed=42
+        )
+
+        def build(engine_cls):
+            cluster = ClusterDeployment(
+                execution_model,
+                scheduler_factory("qoserve", execution_model),
+                num_replicas=8,
+                routing="least-loaded",
+                engine_cls=engine_cls,
+            )
+            for request in base.fresh_copy():
+                cluster.submit(request)
+            return cluster.run, cluster.replicas
+
+        return f"{AZURE_CONV.name} qps=16.0 8 replicas least-loaded", build
+
+    workloads = {
+        "conv": replica(AZURE_CONV, 5.0),
+        "code": replica(AZURE_CODE, 3.0),
+        "fleet": fleet(),
+    }
+    report: dict[str, Any] = {
+        "num_requests": num_requests,
+        "fleet_requests": fleet_requests,
+        "reps": reps,
+    }
+    for name, (label, build) in workloads.items():
         best = {key: math.inf for key in engines}
         completed = {}
         for _ in range(reps + 1):  # first interleaved pass is warm-up
             for key, engine_cls in engines.items():
-                simulator = Simulator()
-                engine = engine_cls(
-                    simulator,
-                    execution_model,
-                    make_scheduler("qoserve", execution_model),
-                    ReplicaConfig(),
-                )
-                for request in base.fresh_copy().scaled_arrivals(scale):
-                    engine.submit(request)
+                run, replicas = build(engine_cls)
                 started = time.perf_counter()
-                simulator.run(max_events=50_000_000)
+                run(max_events=50_000_000)
                 elapsed = time.perf_counter() - started
-                if completed.setdefault(key, len(engine.completed)) != len(
-                    engine.completed
-                ):
+                done = sum(len(e.completed) for e in replicas)
+                if completed.setdefault(key, done) != done:
                     raise RuntimeError(f"{name}/{key}: nondeterministic run")
                 best[key] = min(best[key], elapsed)
+            stretched = replicas  # the array engine ran last
         if completed["objects"] != completed["arrays"]:
             raise RuntimeError(f"{name}: engines disagree on completions")
         report[name] = {
-            "workload": f"{dataset.name} qps=1.0 x{scale} qoserve",
+            "workload": label,
             "objects_s": best["objects"],
             "arrays_s": best["arrays"],
             "speedup": best["objects"] / best["arrays"],
             "completed": completed["objects"],
+            "stretch": {
+                c: sum(getattr(e, f"stretch_{c}") for e in stretched)
+                for c in ("attempts", "rejected_cheap", "hits", "iterations")
+            },
         }
     return report
 
@@ -742,6 +792,7 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         ),
         "engine_e2e_conv_speedup": engine_e2e["conv"]["speedup"],
         "engine_e2e_code_speedup": engine_e2e["code"]["speedup"],
+        "engine_e2e_fleet_speedup": engine_e2e["fleet"]["speedup"],
     }
     return {
         "schema": SCHEMA_VERSION,

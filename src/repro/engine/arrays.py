@@ -556,6 +556,12 @@ class ArrayReplicaEngine(ReplicaEngine):
     ) -> None:
         self._rows = _RowStore()
         self._rows_dirty = False
+        # Decode-stretch telemetry: attempts, attempts rejected by the
+        # cheap bound, stretches that fired and iterations collapsed.
+        self.stretch_attempts = 0
+        self.stretch_rejected_cheap = 0
+        self.stretch_hits = 0
+        self.stretch_iterations = 0
         super().__init__(
             simulator,
             execution_model,
@@ -650,6 +656,10 @@ class ArrayReplicaEngine(ReplicaEngine):
         now = self.simulator.now
         observed = self.observer is not NULL_OBSERVER
         rows = self._rows
+        # (num_decodes, decode_context_total) of the decode-only batch
+        # time probed for the stretch, reused below when the iteration
+        # turns out to be exactly that batch.
+        probe = None
         if (
             rows.n > 0
             and not observed
@@ -658,7 +668,9 @@ class ArrayReplicaEngine(ReplicaEngine):
             and not self._inflight_prefills
             and not self.scheduler.has_pending_prefill()
         ):
-            now = self._decode_stretch(now)
+            probe = (rows.n, self._decode_context_total)
+            probe_time = self.execution_model.batch_time_flat((), *probe)
+            now = self._decode_stretch(now, probe_time)
         self._reserve_decode_growth()
         n_live = rows.n
         decode_context_total = self._decode_context_total
@@ -684,9 +696,12 @@ class ArrayReplicaEngine(ReplicaEngine):
         if assignments:
             self._start_prefills(assignments, now)
             prefill_tokens = sum(tokens for tokens, _ in chunks)
-        exec_time = self.execution_model.batch_time_flat(
-            chunks, n_live, decode_context_total
-        )
+        if not chunks and probe == (n_live, decode_context_total):
+            exec_time = probe_time
+        else:
+            exec_time = self.execution_model.batch_time_flat(
+                chunks, n_live, decode_context_total
+            )
         if self.slowdown_factor != 1.0:
             exec_time *= self.slowdown_factor
         self._busy = True
@@ -755,19 +770,36 @@ class ArrayReplicaEngine(ReplicaEngine):
         self._busy = False
         self._maybe_start()
 
-    def _decode_stretch(self, now: float) -> float:
+    def _decode_stretch(self, now: float, first_time: float) -> float:
         """Collapse a run of pure-decode iterations into one advance.
 
         Preconditions (checked by the caller): no observer, no token
         hook, no iteration recording, no pending or in-flight prefill
-        work.  Finds the longest run of ``k >= 2`` future iterations
-        that provably (a) complete no request, (b) fit their KV
-        growth without eviction, and (c) finish strictly before the
-        next simulator event and within the driver's run bound — then
-        applies the ``k`` per-token advances as closed-form vector
-        updates and fast-forwards the clock to the last finish time.
-        Falls back to the per-iteration path (returning ``now``
-        unchanged) whenever any bound trims the run below 2.
+        work.  ``first_time`` is the unscaled batch time of the next
+        iteration, the decode-only batch of the current rows.  Finds
+        the longest run of ``k >= 2`` future iterations that provably
+        (a) complete no request, (b) fit their KV growth without
+        eviction, and (c) finish strictly before the next simulator
+        event and within the simulator's run bound — then applies the
+        ``k`` per-token advances as closed-form vector updates and
+        fast-forwards the clock to the last finish time.  Falls back
+        to the per-iteration path (returning ``now`` unchanged)
+        whenever any bound trims the run below 2.
+
+        Cheap rejection: at fleet scale the next event is almost
+        always another replica's iteration, so (c) fails nearly every
+        time.  Before any array work, the run is rejected when
+        ``(now + e0) + e0`` already reaches the next event or passes
+        the run bound, ``e0`` being ``first_time`` times the slowdown
+        factor.  This is exact, not a heuristic: a decode-only batch
+        time is monotone non-decreasing in the decode context total
+        (every term is a positive-constant product or sum of it,
+        ``max`` and ``+ overhead`` preserve order, and IEEE rounding
+        is monotone), and the context only grows, so the second
+        iteration's time ``e1 >= e0`` and its finish ``c[2] = (now +
+        e0) + e1 >= (now + e0) + e0``.  Step (c) needs ``c[2] <
+        next_event`` and ``c[2] <= run_bound`` for ``k >= 2``, so the
+        cheap bound rejects only runs the full computation rejects.
 
         Bit-exactness: finish times are the left-associated cumulative
         sum ``((now + e_1) + e_2) + ...`` (``np.add.accumulate``),
@@ -780,6 +812,17 @@ class ArrayReplicaEngine(ReplicaEngine):
         ``k`` collapsed finish events are never enqueued (the safety
         valve sees fewer events; no other consumer exists).
         """
+        self.stretch_attempts += 1
+        if self.slowdown_factor != 1.0:
+            first_time *= self.slowdown_factor
+        second_floor = (now + first_time) + first_time
+        next_event = self.simulator.next_event_time()
+        bound = self.simulator.run_bound
+        if (next_event is not None and second_floor >= next_event) or (
+            bound is not None and second_floor > bound
+        ):
+            self.stretch_rejected_cheap += 1
+            return now
         rows = self._rows
         n = rows.n
         # (a) the iteration emitting a request's final token must run
@@ -813,17 +856,17 @@ class ArrayReplicaEngine(ReplicaEngine):
             exec_times = exec_times * self.slowdown_factor
         c = np.add.accumulate(np.concatenate(((now,), exec_times)))
         k = k_cap
-        next_event = self.simulator.next_event_time()
         if next_event is not None:
             # Strictly before: at equal timestamps the reference fires
             # the pending event (lower heap seq) before our finish.
             k = min(k, int(np.searchsorted(c[1:], next_event, side="left")))
-        bound = self.simulator.run_bound
         if bound is not None:
             k = min(k, int(np.searchsorted(c[1:], bound, side="right")))
         if k < 2:
             return now
 
+        self.stretch_hits += 1
+        self.stretch_iterations += k
         times = c[1 : k + 1]
         self._rows_dirty = True
         self.iterations_run += k

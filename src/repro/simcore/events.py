@@ -4,6 +4,12 @@ Events are ordered by ``(time, priority, seq)``.  The monotonically
 increasing sequence number guarantees a deterministic total order even
 when two events share a timestamp, which keeps simulations reproducible
 across runs and platforms.
+
+The queue's heap holds ``(time, priority, seq, event)`` tuples rather
+than the events themselves: tuples of floats and ints compare in C,
+while a dataclass ordering runs a generated Python ``__lt__`` per heap
+comparison.  ``seq`` is unique, so a comparison never reaches the
+event.  :class:`Event` is the handle ``push`` returns, used to cancel.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A single scheduled occurrence in simulated time.
 
@@ -38,10 +44,10 @@ class Event:
 
 
 class EventQueue:
-    """A heap of :class:`Event` objects with deterministic ordering."""
+    """A heap of ``(time, priority, seq, event)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -59,13 +65,9 @@ class EventQueue:
         """Schedule ``action`` at ``time`` and return the event handle."""
         if time != time:  # NaN guard: a NaN timestamp corrupts heap order
             raise ValueError("event time must not be NaN")
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            action=action,
-        )
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Event:
@@ -74,16 +76,18 @@ class EventQueue:
         Raises:
             IndexError: If the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 return event
         raise IndexError("pop from empty event queue")
 
     def peek_time(self) -> float | None:
         """Return the timestamp of the next live event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]

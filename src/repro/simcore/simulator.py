@@ -121,15 +121,16 @@ class Simulator:
         self._running = True
         self._run_until = until
         processed = 0
+        queue = self._queue
         try:
-            while self._queue and self._running:
-                next_time = self._queue.peek_time()
+            while queue and self._running:
+                next_time = queue.peek_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
                     self._now = until
                     return self._now
-                event = self._queue.pop()
+                event = queue.pop()
                 self._now = event.time
                 if event.action is not None:
                     event.action()

@@ -12,7 +12,11 @@ reimplements:
   registries and per-request audit attribution);
 * batch membership changes while an iteration is in flight
   (cancellations, prefilled handoffs, a token hook);
-* the fault path (crash + slowdown plan on a resilient pool);
+* the fault path (crash + slowdown plan on a resilient pool), and an
+  8-replica least-loaded fleet under faults, where the decode
+  stretch is bounded by other replicas' events;
+* the decode-stretch counters against the hits of the full stretch
+  computation;
 * memory pressure on a tiny KV cache (decode eviction, prefill stall
   recovery, prefill-only handoffs);
 * a seeded 500-request randomized property run (completion order and
@@ -368,6 +372,101 @@ class TestFaultParity:
             )
         assert summaries[0] == summaries[1]
         assert prints[0] == prints[1]
+
+
+class TestFleetParity:
+    """Eight least-loaded replicas under faults, untraced.
+
+    Here a replica's decode-stretch bound is almost always another
+    replica's event, so nearly every attempt is rejected by the cheap
+    bound while a few stretches still fire; both must leave every
+    float identical to the object engine.
+    """
+
+    def test_fleet_with_faults_identical(self, execution_model):
+        from repro.cluster.deployment import ClusterDeployment
+        from repro.experiments.runner import scheduler_factory
+        from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
+        from repro.metrics.export import summary_to_dict
+
+        trace = build_trace(AZURE_CONV, qps=8.0, num_requests=300, seed=7)
+        plan = FaultPlan(events=(
+            ReplicaCrash(time=3.0, replica_id=2, recover_after=5.0),
+            ReplicaSlowdownFault(
+                time=2.0, replica_id=5, factor=1.6, duration=10.0
+            ),
+        ))
+        summaries, prints = [], []
+        for engine_cls in ENGINES:
+            cluster = ClusterDeployment(
+                execution_model,
+                scheduler_factory("qoserve", execution_model),
+                num_replicas=8,
+                routing="least-loaded",
+                fault_plan=plan,
+                engine_cls=engine_cls,
+            )
+            requests = clone(trace.requests)
+            for r in requests:
+                cluster.submit(r)
+            cluster.run(max_events=5_000_000)
+            summaries.append(
+                (summary_to_dict(cluster.summarize()), cluster.fault_stats())
+            )
+            prints.append(
+                [
+                    (
+                        r.request_id,
+                        r.decoded,
+                        r.first_token_time,
+                        r.last_token_time,
+                        r.completion_time,
+                        r.max_tbt,
+                        r.tbt_gap_misses,
+                        r.tbt_deadline_misses,
+                        r.cancelled,
+                        r.attempts,
+                        r.evictions,
+                    )
+                    for r in requests
+                ]
+            )
+        assert summaries[0] == summaries[1]
+        assert prints[0] == prints[1]
+        assert summaries[1][1]["crashes"] == 1
+        replicas = cluster.replicas  # the array engine's, run last
+        assert sum(e.stretch_rejected_cheap for e in replicas) > 0
+        # The full computation at the cheap bound's introduction fired
+        # 7 stretches collapsing 3,172 iterations on this fleet.
+        assert sum(e.stretch_hits for e in replicas) == 7
+        assert sum(e.stretch_iterations for e in replicas) == 3172
+
+
+class TestStretchTelemetry:
+    """The stretch counters, and proof the cheap bound loses no hit."""
+
+    def test_counters_pin_full_computation(self, execution_model):
+        trace = build_trace(AZURE_CONV, qps=1.0, num_requests=40, seed=3)
+        sim = Simulator()
+        engine = ArrayReplicaEngine(
+            sim,
+            execution_model,
+            make_scheduler("qoserve", execution_model),
+            ReplicaConfig(),
+        )
+        for r in trace.fresh_copy().scaled_arrivals(2.0):
+            engine.submit(r)
+        sim.run(max_events=5_000_000)
+        assert len(engine.completed) == 40
+        # Hits and collapsed iterations of the full NumPy computation
+        # without the cheap bound, on this exact run.
+        assert engine.stretch_hits == 55
+        assert engine.stretch_iterations == 1881
+        assert 0 < engine.stretch_rejected_cheap
+        assert (
+            engine.stretch_rejected_cheap + engine.stretch_hits
+            <= engine.stretch_attempts
+        )
 
 
 def run_pressure(engine_cls, requests, scheduler, traced, prefill_only):

@@ -150,3 +150,60 @@ class TestCancellationSemantics:
         # peek_time popped the cancelled prefix off the heap for real.
         assert len(q) == 1
         assert q.pop() is keeper
+
+
+class TestTupleHeapEntries:
+    """The heap orders ``(time, priority, seq, event)`` tuples; the
+    event handle only carries the action and the cancel flag."""
+
+    def test_equal_time_fires_in_priority_then_seq_order(self):
+        q = EventQueue()
+        pushed = [
+            q.push(1.0, lambda: None, priority=p) for p in (2, 0, 1, 0, 2)
+        ]
+        popped = [q.pop() for _ in pushed]
+        assert [(e.priority, e.seq) for e in popped] == sorted(
+            (e.priority, e.seq) for e in pushed
+        )
+        assert popped == sorted(pushed)
+
+    def test_cancelled_head_skipped_by_peek_and_pop(self):
+        q = EventQueue()
+        head = q.push(1.0, lambda: None)
+        tie = q.push(1.0, lambda: None, priority=1)
+        later = q.push(2.0, lambda: None)
+        head.cancel()
+        assert q.peek_time() == 1.0
+        assert q.pop() is tie
+        later.cancel()
+        assert q.peek_time() is None
+        with pytest.raises(IndexError):
+            q.pop()
+
+    def test_cancel_after_firing_is_harmless(self):
+        from repro.simcore import Simulator
+
+        sim = Simulator()
+        fired = []
+        done = sim.schedule(1.0, lambda: fired.append("first"))
+        sim.run()
+        done.cancel()
+        sim.schedule(2.0, lambda: fired.append("second"))
+        assert sim.next_event_time() == 2.0
+        sim.run()
+        assert fired == ["first", "second"]
+        assert sim.now == 2.0
+
+    def test_fast_forward_refuses_to_pass_a_live_event(self):
+        from repro.simcore import Simulator
+
+        sim = Simulator()
+        doomed = sim.schedule(1.0, lambda: None)
+        sim.schedule(3.0, lambda: None)
+        doomed.cancel()
+        sim.fast_forward(2.0)  # only a cancelled event lies before 2.0
+        assert sim.now == 2.0
+        sim.fast_forward(3.0)  # landing on the live event is allowed
+        with pytest.raises(ValueError, match="pending event"):
+            sim.fast_forward(3.5)
+        assert sim.now == 3.0
