@@ -16,9 +16,9 @@ from typing import Iterable
 
 from repro.core.predictor import BatchLatencyPredictor
 from repro.core.request import Request
+from repro.engine.interface import decode_slack
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.timing import timed
-from repro.perfmodel.execution import BatchShape, PrefillChunk
 
 
 @dataclass(frozen=True)
@@ -79,31 +79,10 @@ class DynamicChunker:
     def latency_budget(
         self, now: float, decode_requests: Iterable[Request]
     ) -> float:
-        """Eq. 2-style slack: min over decodes of next-token headroom.
-
-        Interactive decodes contribute their next-token deadline minus
-        ``now``.  Non-interactive decodes contribute an even pace:
-        remaining TTLT slack divided by remaining tokens, floored at
-        ``ni_pace_floor``.  Returns ``inf`` when no decode constrains
-        the iteration.
-        """
-        budget = float("inf")
-        for request in decode_requests:
-            if request.is_interactive:
-                slack = request.next_token_deadline - now
-                if slack <= 0.0:
-                    # Deadline already blown (e.g. a relegated request
-                    # that finally reached decode): honouring it is
-                    # impossible, so pace it best-effort at the floor
-                    # instead of strangling the whole iteration.
-                    slack = self.ni_pace_floor
-            else:
-                remaining = max(1, request.remaining_decode)
-                slack = (request.total_deadline - now) / remaining
-                slack = max(slack, self.ni_pace_floor)
-            if slack < budget:
-                budget = slack
-        return budget
+        """Decode slack of ``decode_requests`` (see
+        :func:`repro.engine.interface.decode_slack`), with
+        non-interactive pace floored at ``ni_pace_floor``."""
+        return decode_slack(now, decode_requests, self.ni_pace_floor)
 
     @timed("chunker.prefill_budget")
     def prefill_budget(
@@ -111,8 +90,7 @@ class DynamicChunker:
         now: float,
         decode_requests: list[Request],
         prefill_context_before: int = 0,
-        extra_latency_budget: float | None = None,
-        ignore_decode_slack: bool = False,
+        latency_budget: float | None = None,
         decode_context_total: int | None = None,
     ) -> ChunkDecision:
         """Choose the prefill token budget for the next iteration.
@@ -123,12 +101,12 @@ class DynamicChunker:
             prefill_context_before: Context already processed for the
                 prefill request that will consume the budget (affects
                 attention cost, hence the prediction).
-            extra_latency_budget: Additional cap on iteration latency,
-                e.g. the TTFT slack of the prefill request itself.
-            ignore_decode_slack: Use only ``extra_latency_budget`` as
-                the time budget (Medha-style fixed-target chunking,
-                deadline-unaware); decode shapes still inform the
-                latency prediction.
+            latency_budget: Time budget of the iteration.  ``None``
+                derives it from the decodes' slack
+                (:meth:`latency_budget`); a number is used as given —
+                the engine view's precomputed slack, or Medha's fixed
+                TBT target.  Decode shapes inform the latency
+                prediction either way.
             decode_context_total: Precomputed sum of the decode
                 requests' context lengths (the engine tracks it
                 incrementally); ``None`` recomputes it here.
@@ -137,39 +115,18 @@ class DynamicChunker:
             The chosen budget; ``prefill_budget`` is 0 only when even
             ``min_chunk`` does not fit the latency budget.
         """
-        if ignore_decode_slack:
-            if extra_latency_budget is None:
-                raise ValueError(
-                    "ignore_decode_slack requires extra_latency_budget"
-                )
-            budget = extra_latency_budget
-        else:
-            budget = self.latency_budget(now, decode_requests)
-            if extra_latency_budget is not None:
-                budget = min(budget, extra_latency_budget)
-
+        if latency_budget is None:
+            latency_budget = self.latency_budget(now, decode_requests)
         num_decodes = len(decode_requests)
         decode_context = (
             decode_context_total
             if decode_context_total is not None
             else sum(r.context_length for r in decode_requests)
         )
-
-        def predict(chunk: int) -> float:
-            chunks = (
-                [PrefillChunk(chunk, prefill_context_before)]
-                if chunk > 0
-                else []
-            )
-            return self.predictor.predict(
-                BatchShape(
-                    prefill_chunks=chunks,
-                    num_decodes=num_decodes,
-                    decode_context_total=decode_context,
-                )
-            )
-
-        decision = self._decide(budget, predict)
+        predict = self.predictor.chunk_predictor(
+            prefill_context_before, num_decodes, decode_context
+        )
+        decision = self._decide(latency_budget, predict)
         self.observer.on_chunk_sized(now, decision, num_decodes)
         return decision
 

@@ -14,11 +14,12 @@ Two implementations share one interface:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 import numpy as np
 
 from repro.forest import RandomForestRegressor
-from repro.perfmodel.execution import BatchShape, ExecutionModel
+from repro.perfmodel.execution import BatchShape, ExecutionModel, PrefillChunk
 from repro.perfmodel.profiler import Profiler, batch_features
 
 
@@ -28,6 +29,33 @@ class BatchLatencyPredictor(ABC):
     @abstractmethod
     def predict(self, shape: BatchShape) -> float:
         """Estimated latency of one iteration running ``shape``."""
+
+    def chunk_predictor(
+        self, prefill_context: int, num_decodes: int, decode_context: int
+    ) -> Callable[[int], float]:
+        """The chunk-latency curve the dynamic chunker inverts.
+
+        Returns ``predict(chunk)``: the latency of a batch carrying
+        ``num_decodes`` decodes (``decode_context`` tokens in total)
+        plus one ``chunk``-token prefill chunk whose request has
+        ``prefill_context`` tokens processed already; ``chunk == 0`` is
+        the decode-only batch.  Bit-identical to :meth:`predict` on the
+        same :class:`BatchShape`.
+        """
+
+        def predict(chunk: int) -> float:
+            chunks = (
+                [PrefillChunk(chunk, prefill_context)] if chunk > 0 else []
+            )
+            return self.predict(
+                BatchShape(
+                    prefill_chunks=chunks,
+                    num_decodes=num_decodes,
+                    decode_context_total=decode_context,
+                )
+            )
+
+        return predict
 
 
 class OracleBatchPredictor(BatchLatencyPredictor):
@@ -97,10 +125,15 @@ class ForestBatchPredictor(BatchLatencyPredictor):
         # Round *up* to the bucket edge: the memoized prediction then
         # corresponds to a batch at least as heavy as the real one,
         # keeping the memo on the conservative side of the SLO.
-        key = tuple(
-            bucket * -(-value // bucket)
-            for value, bucket in zip(features, self.MEMO_BUCKETS)
+        return self._memoized(
+            tuple(
+                bucket * -(-value // bucket)
+                for value, bucket in zip(features, self.MEMO_BUCKETS)
+            )
         )
+
+    def _memoized(self, key: tuple[float, ...]) -> float:
+        """Prediction at a bucketed memo key, computed on first use."""
         cached = self._memo.get(key)
         if cached is None:
             if len(self._memo) >= self.MEMO_LIMIT:
@@ -110,6 +143,30 @@ class ForestBatchPredictor(BatchLatencyPredictor):
             )
             self._memo[key] = cached
         return cached
+
+    def chunk_predictor(
+        self, prefill_context: int, num_decodes: int, decode_context: int
+    ) -> Callable[[int], float]:
+        """Memo-direct chunk-latency curve: only the chunk-size part of
+        the bucketed memo key changes between probes, so the other
+        three parts are rounded once and no shape is built."""
+        if not self.memoize:
+            return super().chunk_predictor(
+                prefill_context, num_decodes, decode_context
+            )
+        memoized = self._memoized
+        b0, b1, b2, b3 = self.MEMO_BUCKETS
+        k1 = b1 * -(-float(prefill_context) // b1)
+        k2 = b2 * -(-float(num_decodes) // b2)
+        k3 = b3 * -(-float(decode_context) // b3)
+
+        def predict(chunk: int) -> float:
+            if chunk > 0:
+                return memoized((b0 * -(-float(chunk) // b0), k1, k2, k3))
+            # A decode-only batch has no prefill context either.
+            return memoized((0.0, 0.0, k2, k3))
+
+        return predict
 
     @classmethod
     def train(

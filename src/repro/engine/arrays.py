@@ -16,7 +16,7 @@ crash, cancel) are :class:`ReplicaEngine`'s, written against three
 decode-set primitives.  This engine overrides only those primitives
 (``_attach_decode``, ``_detach_decode``, ``_clear_decodes``), the
 iteration loop, the KV fast path (bulk decode growth and the vector
-eviction victim) and the QoServe planning kernels.
+eviction victim) and the scheduler's view of the decode set.
 
 This is the ``forest.fused`` playbook applied to the engine: the
 object-based ``engine.replica``/``engine.batch``/``engine.kvcache``
@@ -36,17 +36,17 @@ engineered, not hoped for:
   path replays the reference algorithm exactly, including its
   eviction ordering.
 
-One iteration loop serves traced and untraced runs alike.  Planning
-for :class:`~repro.schedulers.qoserve.QoServeScheduler` runs through
-vectorized kernels (latency budget, memoized forest lookups) that
-bypass the view/plan object construction; other schedulers get the
-``Scheduler`` protocol with a lazy decode-request list.  Observer
-hooks fire at the points the reference fires them; request-level
-hooks are no-ops on ``NULL_OBSERVER``.  Only two things depend on an
-observer being attached: the per-iteration hooks, which need a real
-``BatchPlan`` built from synced rows, and the decode-stretch
-fast-forward, which is skipped because a collapsed run emits no
-per-iteration events.
+One iteration loop serves traced and untraced runs alike.  Every
+scheduler plans through its own ``plan_prefill`` on one row-backed
+view: the decode requests are a lazy list that syncs rows only when
+iterated, and the view's decode slack — what QoServe's dynamic
+chunker inverts the predictor's chunk-latency curve against — is a
+sweep over the row columns.  Observer hooks fire at the points the
+reference fires them; request-level hooks are no-ops on
+``NULL_OBSERVER``.  Only two things depend on an observer being
+attached: the per-iteration hooks, which need a real ``BatchPlan``
+built from synced rows, and the decode-stretch fast-forward, which is
+skipped because a collapsed run emits no per-iteration events.
 
 The object path is still required for PD-disaggregation decode pools
 (not threaded through the engine switch) and any scheduler whose
@@ -63,7 +63,7 @@ from repro.core.request import Request
 from repro.engine.batch import BatchPlan, IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.perfmodel.execution import BatchShape, ExecutionModel, PrefillChunk
+from repro.perfmodel.execution import ExecutionModel
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.simcore.simulator import Simulator
 
@@ -195,17 +195,6 @@ class _RowStore:
         r.max_tbt = float(self.max_tbt[i])
         r.tbt_gap_misses = int(self.gap_miss[i])
         r.tbt_deadline_misses = int(self.ddl_miss[i])
-
-    def load_row(self, i: int, request: Request) -> None:
-        """Refresh a row's columns from its (authoritative) object."""
-        self.decoded[i] = request.decoded
-        ft = request.first_token_time
-        self.first[i] = np.nan if ft is None else ft
-        lt = request.last_token_time
-        self.last[i] = np.nan if lt is None else lt
-        self.max_tbt[i] = request.max_tbt
-        self.gap_miss[i] = request.tbt_gap_misses
-        self.ddl_miss[i] = request.tbt_deadline_misses
 
 
 class ArrayKVLedger:
@@ -495,8 +484,8 @@ class ArrayKVLedger:
 class _LazyRequestList:
     """Decode-request view that only syncs rows when iterated.
 
-    Schedulers that just need ``len(view.decode_requests)`` (medha's
-    fixed-target chunking, the fixed-chunk budget) never pay the
+    Schedulers that just need ``len(view.decode_requests)`` (QoServe's
+    and Medha's chunk sizing, the fixed-chunk budget) never pay the
     object-sync cost.
     """
 
@@ -520,25 +509,79 @@ class _LazyRequestList:
         return self._materialize()[item]
 
 
-class _FastView:
-    """Minimal duck-typed EngineView for the packer's fast path."""
+class _RowView(EngineView):
+    """The scheduler's view of the array engine.
 
-    __slots__ = (
-        "now", "decode_requests", "kv_cache", "execution_model",
-        "max_decode_slots", "inflight_prefill_ids",
-        "decode_context_total",
-    )
+    ``decode_requests`` syncs rows only when iterated, the in-flight
+    prefill set is shared rather than copied, and the decode slack is
+    a sweep over the row columns instead of the request objects.
+    """
 
-    def __init__(self, now, decode_requests, kv_cache, execution_model,
-                 max_decode_slots, inflight_prefill_ids,
-                 decode_context_total):
-        self.now = now
-        self.decode_requests = decode_requests
-        self.kv_cache = kv_cache
-        self.execution_model = execution_model
-        self.max_decode_slots = max_decode_slots
-        self.inflight_prefill_ids = inflight_prefill_ids
-        self.decode_context_total = decode_context_total
+    def __init__(
+        self, engine: "ArrayReplicaEngine", now: float, n_live: int
+    ) -> None:
+        super().__init__(
+            now=now,
+            decode_requests=_LazyRequestList(engine, n_live),
+            kv_cache=engine.kv_cache,
+            execution_model=engine.execution_model,
+            max_decode_slots=engine.config.max_decode_slots,
+            inflight_prefill_ids=engine._inflight_prefills,
+            decode_context_total=engine._decode_context_total,
+        )
+        self._rows = engine._rows
+
+    def decode_slack(self, floor: float) -> float:
+        """Row sweep equivalent to
+        :func:`repro.engine.interface.decode_slack`.
+
+        Float-exact: interactive slack is ``(ttft_base + decoded*tbt)
+        - now`` (the reference's association), non-interactive pace is
+        ``(total_deadline - now) / max(1, remaining)`` floored, and
+        the min over rows equals the reference's running minimum.
+        """
+        rows = self._rows
+        now = self.now
+        n = rows.n
+        if n == 0:
+            return float("inf")
+        if n < _SMALL_BATCH:
+            # Scalar sweep: identical float ops, no kernel launches.
+            inter = rows.inter
+            decoded = rows.decoded
+            ttft_base = rows.ttft_base
+            tbt = rows.tbt
+            target = rows.target
+            ni_ddl = rows.ni_ddl
+            best = float("inf")
+            for i in range(n):
+                if inter.item(i):
+                    slack = (
+                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
+                    ) - now
+                    if slack <= 0.0:
+                        slack = floor
+                else:
+                    remaining = target.item(i) - decoded.item(i)
+                    if remaining < 1:
+                        remaining = 1
+                    slack = (ni_ddl.item(i) - now) / remaining
+                    if slack < floor:
+                        slack = floor
+                if slack < best:
+                    best = slack
+            return best
+        interactive_slack = (
+            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
+        ) - now
+        interactive_slack = np.where(
+            interactive_slack <= 0.0, floor, interactive_slack
+        )
+        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
+        pace = (rows.ni_ddl[:n] - now) / remaining
+        np.maximum(pace, floor, out=pace)
+        slack = np.where(rows.inter[:n], interactive_slack, pace)
+        return float(slack.min())
 
 
 class ArrayReplicaEngine(ReplicaEngine):
@@ -580,19 +623,6 @@ class ArrayReplicaEngine(ReplicaEngine):
         if self.prefix_cache is not None:
             # Rebind the (still empty) radix tree to the array ledger.
             self._install_prefix_cache()
-        from repro.schedulers.qoserve import QoServeScheduler
-
-        self._qoserve = isinstance(scheduler, QoServeScheduler)
-        self._forest_predictor = None
-        if self._qoserve:
-            from repro.core.predictor import ForestBatchPredictor
-
-            predictor = scheduler.predictor
-            if (
-                isinstance(predictor, ForestBatchPredictor)
-                and predictor.memoize
-            ):
-                self._forest_predictor = predictor
 
     # --- decode queue as a view over the rows -----------------------------
 
@@ -674,19 +704,11 @@ class ArrayReplicaEngine(ReplicaEngine):
         self._reserve_decode_growth()
         n_live = rows.n
         decode_context_total = self._decode_context_total
-        if self._qoserve:
-            assignments = self._plan_qoserve_fast(now, n_live)
-        else:
-            view = EngineView(
-                now=now,
-                decode_requests=_LazyRequestList(self, n_live),
-                kv_cache=self.kv_cache,
-                execution_model=self.execution_model,
-                max_decode_slots=self.config.max_decode_slots,
-                inflight_prefill_ids=frozenset(self._inflight_prefills),
-                decode_context_total=decode_context_total,
-            )
-            assignments = self.scheduler.plan_prefill(view)
+        assignments = (
+            self._plan_qoserve_fast(now, n_live)
+            if self.scheduler.has_pending_prefill()
+            else []
+        )
         if not assignments and n_live == 0:
             if self._recover_prefill_stall():
                 self._start_iteration()
@@ -1121,168 +1143,18 @@ class ArrayReplicaEngine(ReplicaEngine):
         self._sync_rows()
         return result
 
-    # --- fast scheduler kernels (QoServe) ---------------------------------
+    # --- planning ---------------------------------------------------------
 
     def _plan_qoserve_fast(
         self, now: float, n_live: int
     ) -> list[PrefillAssignment]:
-        """QoServe planning without view/plan/closure construction.
+        """Plan the iteration's prefill chunks: any scheduler, one view.
 
-        Mirrors ``QoServeScheduler.plan_prefill`` exactly: the replan
-        cadence, selective-preemption pinning and the greedy packer
-        run the reference (object) code on the scheduler's own state;
-        only the per-iteration latency-budget scan and the predictor
-        lookups are replaced by vectorized/memo-direct equivalents.
-        The chunk decision reaches the chunker's observer exactly as
-        ``DynamicChunker.prefill_budget`` reports it.
+        The scheduler's own ``plan_prefill`` runs on a row-backed
+        :class:`_RowView`, so QoServe's chunk sizing reads the decode
+        slack from the row columns.  The caller skips this when no
+        prefill is pending (every in-tree scheduler plans nothing
+        then, before touching any state).  The name is fixed by the
+        span table of ``simbench/spans.py``, which patches it.
         """
-        scheduler = self.scheduler
-        if not scheduler._member:
-            return []
-        scheduler._iterations_since_replan += 1
-        if (
-            scheduler._order_dirty
-            or scheduler._iterations_since_replan
-            >= scheduler.config.replan_interval
-        ):
-            scheduler._replan(now)
-        ordered = scheduler._order_cache
-        if scheduler.config.selective_preemption:
-            ordered = scheduler._pin_at_risk_inflight(ordered, now)
-
-        if not scheduler.config.dynamic_chunking:
-            budget = max(0, scheduler.chunk_size - n_live)
-        else:
-            chunker = scheduler.chunker
-            latency_budget = self._latency_budget_fast(
-                now, chunker.ni_pace_floor
-            )
-            head_context = ordered[0].prefill_done if ordered else 0
-            predict = self._fast_predict(
-                head_context, n_live, self._decode_context_total
-            )
-            decision = chunker._decide(latency_budget, predict)
-            chunker.observer.on_chunk_sized(now, decision, n_live)
-            scheduler._last_iteration_estimate = decision.predicted_latency
-            budget = decision.prefill_budget
-        if budget <= 0:
-            return []
-        from repro.schedulers.base import pack_prefill_assignments
-
-        view = _FastView(
-            now=now,
-            decode_requests=range(n_live),
-            kv_cache=self.kv_cache,
-            execution_model=self.execution_model,
-            max_decode_slots=self.config.max_decode_slots,
-            inflight_prefill_ids=self._inflight_prefills,
-            decode_context_total=self._decode_context_total,
-        )
-        return pack_prefill_assignments(
-            ordered, budget, view, scheduler.kv_start_watermark
-        )
-
-    def _latency_budget_fast(self, now: float, floor: float) -> float:
-        """Vectorized ``DynamicChunker.latency_budget``.
-
-        Float-exact: interactive slack is ``(ttft_base + decoded*tbt)
-        - now`` (the reference's association), non-interactive pace is
-        ``(total_deadline - now) / max(1, remaining)`` floored, and
-        the min over rows equals the reference's running minimum.
-        """
-        rows = self._rows
-        n = rows.n
-        if n == 0:
-            return float("inf")
-        if n < _SMALL_BATCH:
-            # Scalar sweep: identical float ops, no kernel launches.
-            inter = rows.inter
-            decoded = rows.decoded
-            ttft_base = rows.ttft_base
-            tbt = rows.tbt
-            target = rows.target
-            ni_ddl = rows.ni_ddl
-            best = float("inf")
-            for i in range(n):
-                if inter.item(i):
-                    slack = (
-                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
-                    ) - now
-                    if slack <= 0.0:
-                        slack = floor
-                else:
-                    remaining = target.item(i) - decoded.item(i)
-                    if remaining < 1:
-                        remaining = 1
-                    slack = (ni_ddl.item(i) - now) / remaining
-                    if slack < floor:
-                        slack = floor
-                if slack < best:
-                    best = slack
-            return best
-        interactive_slack = (
-            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
-        ) - now
-        interactive_slack = np.where(
-            interactive_slack <= 0.0, floor, interactive_slack
-        )
-        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
-        pace = (rows.ni_ddl[:n] - now) / remaining
-        np.maximum(pace, floor, out=pace)
-        slack = np.where(rows.inter[:n], interactive_slack, pace)
-        return float(slack.min())
-
-    def _fast_predict(
-        self, head_context: int, num_decodes: int, decode_context: int
-    ):
-        """Latency-predictor closure bypassing shape construction.
-
-        For the memoized forest predictor this computes the bucketed
-        memo key directly (the key, not the raw features, is what the
-        reference feeds the forest); otherwise it mirrors the
-        chunker's closure with real ``BatchShape`` objects.
-        """
-        predictor = self._forest_predictor
-        if predictor is not None:
-            memo = predictor._memo
-            b0, b1, b2, b3 = predictor.MEMO_BUCKETS
-            k2 = b2 * -(-float(num_decodes) // b2)
-            k3 = b3 * -(-float(decode_context) // b3)
-            k1 = b1 * -(-float(head_context) // b1)
-            forest = predictor.forest
-            quantile = predictor.quantile
-            safety = predictor.safety_factor
-            limit = predictor.MEMO_LIMIT
-
-            def predict(chunk: int) -> float:
-                if chunk > 0:
-                    key = (b0 * -(-float(chunk) // b0), k1, k2, k3)
-                else:
-                    key = (0.0, 0.0, k2, k3)
-                cached = memo.get(key)
-                if cached is None:
-                    if len(memo) >= limit:
-                        memo.clear()
-                    cached = safety * forest.predict_one(
-                        key, quantile=quantile
-                    )
-                    memo[key] = cached
-                return cached
-
-            return predict
-
-        fallback = self.scheduler.predictor
-
-        def predict(chunk: int) -> float:
-            chunks = (
-                [PrefillChunk(chunk, head_context)] if chunk > 0 else []
-            )
-            return fallback.predict(
-                BatchShape(
-                    prefill_chunks=chunks,
-                    num_decodes=num_decodes,
-                    decode_context_total=decode_context,
-                )
-            )
-
-        return predict
+        return self.scheduler.plan_prefill(_RowView(self, now, n_live))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
@@ -93,6 +93,36 @@ class KVLedger(Protocol):
         ...
 
 
+def decode_slack(
+    now: float, decode_requests: Iterable[Request], floor: float
+) -> float:
+    """Eq. 2-style slack: min over decodes of next-token headroom.
+
+    Interactive decodes contribute their next-token deadline minus
+    ``now``.  Non-interactive decodes contribute an even pace:
+    remaining TTLT slack divided by remaining tokens, floored at
+    ``floor``.  Returns ``inf`` when no decode constrains the
+    iteration.
+    """
+    budget = float("inf")
+    for request in decode_requests:
+        if request.is_interactive:
+            slack = request.next_token_deadline - now
+            if slack <= 0.0:
+                # Deadline already blown (e.g. a relegated request
+                # that finally reached decode): honouring it is
+                # impossible, so pace it best-effort at the floor
+                # instead of strangling the whole iteration.
+                slack = floor
+        else:
+            remaining = max(1, request.remaining_decode)
+            slack = (request.total_deadline - now) / remaining
+            slack = max(slack, floor)
+        if slack < budget:
+            budget = slack
+    return budget
+
+
 @dataclass
 class EngineView:
     """Read-only snapshot handed to the scheduler each iteration.
@@ -119,6 +149,12 @@ class EngineView:
     max_decode_slots: int
     inflight_prefill_ids: frozenset[int] = frozenset()
     decode_context_total: int | None = None
+
+    def decode_slack(self, floor: float) -> float:
+        """Smallest next-token headroom among ``decode_requests``
+        (:func:`decode_slack`); engines with their own decode-set
+        layout override this with an equivalent sweep."""
+        return decode_slack(self.now, self.decode_requests, floor)
 
 
 class Scheduler(ABC):

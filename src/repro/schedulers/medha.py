@@ -81,8 +81,7 @@ class MedhaScheduler(FixedChunkScheduler):
                 view.now,
                 decode_requests=view.decode_requests,
                 prefill_context_before=head_context,
-                extra_latency_budget=self.tbt_target,
-                ignore_decode_slack=True,
+                latency_budget=self.tbt_target,
                 decode_context_total=view.decode_context_total,
             )
             # Medha ignores slack: cap the budget by the fixed target

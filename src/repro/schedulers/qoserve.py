@@ -276,6 +276,7 @@ class QoServeScheduler(FixedChunkScheduler):
             view.now,
             view.decode_requests,
             prefill_context_before=head_context,
+            latency_budget=view.decode_slack(self.chunker.ni_pace_floor),
             decode_context_total=view.decode_context_total,
         )
         self._last_iteration_estimate = decision.predicted_latency

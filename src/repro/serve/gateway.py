@@ -401,6 +401,17 @@ class ServeGateway:
             raise KeyError(
                 f"unknown tier {tier!r}; options: {sorted(self.tiers)}"
             )
+        # A request no replica can hold would be rejected by the engine
+        # with no completion, leaving its ticket open forever.
+        capacity = max(
+            engine.kv_cache.capacity_tokens for engine in self.session.engines
+        )
+        if prompt_tokens + decode_tokens > capacity:
+            raise ValueError(
+                f"prompt_tokens + max_tokens = "
+                f"{prompt_tokens + decode_tokens} exceeds every replica's "
+                f"KV capacity ({capacity} tokens)"
+            )
         target = self.clock.target()
         if target is not None and target > self.session.now:
             # Catch the simulator up so admission sees current state.

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -204,12 +205,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             frames = int(query.get("frames", ["0"])[0])
             interval = float(query.get("interval", ["1.0"])[0])
-            if frames < 0 or not interval > 0:
+            if frames < 0 or not 0 < interval < math.inf:
                 raise ValueError
         except ValueError:
             self._send_json(400, {
                 "error": "bad_request",
-                "detail": "frames must be >= 0 and interval > 0",
+                "detail": "frames must be >= 0 and interval finite > 0",
             })
             return
         self.send_response(200)
@@ -261,8 +262,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             parent_request_id = (
                 int(raw_parent) if raw_parent is not None else None
             )
-        except (KeyError, ValueError, TypeError,
+        except (KeyError, ValueError, TypeError, OverflowError,
                 json.JSONDecodeError) as error:
+            # OverflowError: int() of a non-finite JSON number (1e400).
             self._send_json(400, {"error": "bad_request",
                                   "detail": str(error)})
             return

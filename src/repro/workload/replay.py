@@ -84,14 +84,20 @@ class OpenLoopReplay:
                     arrival_time=original.arrival_time,
                 )
             except AdmissionRefused as refused:
-                report.shed += 1
-                report.shed_by_reason[refused.reason] = (
-                    report.shed_by_reason.get(refused.reason, 0) + 1
+                reason = refused.reason
+            except ValueError:
+                # Larger than every replica's KV cache: the gateway
+                # refuses it before recording anything.
+                reason = "exceeds_kv_capacity"
+            else:
+                report.admitted += 1
+                report.request_ids[original.request_id] = (
+                    admitted.request_id
                 )
                 continue
-            report.admitted += 1
-            report.request_ids[original.request_id] = (
-                admitted.request_id
+            report.shed += 1
+            report.shed_by_reason[reason] = (
+                report.shed_by_reason.get(reason, 0) + 1
             )
         return report
 

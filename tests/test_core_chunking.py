@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.chunking import DynamicChunker
+from repro.core.predictor import BatchLatencyPredictor
 from tests.conftest import Q1, Q2, Q3, make_request
 
 
@@ -94,27 +95,21 @@ class TestPrefillBudget:
         assert decision.prefill_budget == chunker.min_chunk
 
     def test_extra_budget_caps(self, chunker):
-        decision = chunker.prefill_budget(
-            0.0, [], extra_latency_budget=0.050
-        )
+        decision = chunker.prefill_budget(0.0, [], latency_budget=0.050)
         assert decision.prefill_budget < chunker.max_chunk
-
-    def test_ignore_decode_slack_requires_extra(self, chunker):
-        with pytest.raises(ValueError):
-            chunker.prefill_budget(0.0, [], ignore_decode_slack=True)
 
     def test_ignore_decode_slack_overrides_tight_decode(self, chunker):
         tight = decode_request(decoded=1)
         constrained = chunker.prefill_budget(6.0, [tight]).prefill_budget
         medha_style = chunker.prefill_budget(
-            6.0, [tight], extra_latency_budget=0.2, ignore_decode_slack=True
+            6.0, [tight], latency_budget=0.2
         ).prefill_budget
         assert medha_style > constrained
 
     def test_monotone_in_budget(self, chunker):
         sizes = [
             chunker.prefill_budget(
-                0.0, [], extra_latency_budget=b
+                0.0, [], latency_budget=b
             ).prefill_budget
             for b in (0.03, 0.06, 0.12, 0.24)
         ]
@@ -129,7 +124,7 @@ class TestValidation:
             DynamicChunker(oracle_predictor, min_chunk=100, max_chunk=50)
 
 
-class _CountingPredictor:
+class _CountingPredictor(BatchLatencyPredictor):
     """Wraps a predictor, counting distinct predict() invocations."""
 
     def __init__(self, inner):

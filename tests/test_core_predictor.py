@@ -156,6 +156,70 @@ class TestMemoEdgeCases:
             assert value == direct
 
 
+def _probe_shape(chunk, prefill_context, num_decodes, decode_context):
+    chunks = [PrefillChunk(chunk, prefill_context)] if chunk > 0 else []
+    return BatchShape(chunks, num_decodes, decode_context)
+
+
+#: (prefill_context, num_decodes, decode_context) batches and the chunk
+#: sizes probed on each: bucket edges, one past them, and chunk 0 (the
+#: decode-only batch).
+CURVE_BATCHES = [
+    (0, 0, 0), (100, 1, 500), (256, 7, 7 * 1024), (4000, 48, 48 * 2048 + 1),
+]
+CURVE_CHUNKS = (0, 1, 31, 32, 33, 500, 2500)
+
+
+class TestChunkPredictor:
+    """``chunk_predictor(...)(c)`` is ``predict(BatchShape(...))`` bit
+    for bit, for every predictor kind."""
+
+    @pytest.fixture(scope="class")
+    def small_forest(self, execution_model):
+        return ForestBatchPredictor.train(
+            execution_model, n_trees=4, max_depth=6
+        ).forest
+
+    def _assert_curve_matches(self, curve_owner, reference):
+        for prefill_context, num_decodes, decode_context in CURVE_BATCHES:
+            predict = curve_owner.chunk_predictor(
+                prefill_context, num_decodes, decode_context
+            )
+            for chunk in CURVE_CHUNKS:
+                expected = reference.predict(
+                    _probe_shape(
+                        chunk, prefill_context, num_decodes, decode_context
+                    )
+                )
+                assert predict(chunk).hex() == expected.hex(), (
+                    prefill_context, num_decodes, decode_context, chunk
+                )
+
+    @pytest.mark.parametrize("memoize", [True, False],
+                             ids=["memo", "no-memo"])
+    def test_forest(self, small_forest, memoize):
+        curve_owner = ForestBatchPredictor(small_forest, memoize=memoize)
+        reference = ForestBatchPredictor(small_forest, memoize=memoize)
+        self._assert_curve_matches(curve_owner, reference)
+        # Both paths fill the memo under the same key format.
+        assert curve_owner._memo.keys() == reference._memo.keys()
+        assert bool(curve_owner._memo) == memoize
+
+    def test_oracle(self, execution_model):
+        oracle = OracleBatchPredictor(execution_model)
+        self._assert_curve_matches(oracle, oracle)
+
+    def test_memo_clear_mid_curve(self, small_forest):
+        """A memo that overflows MEMO_LIMIT while a curve is being
+        probed is cleared and refilled without changing any value."""
+        curve_owner = ForestBatchPredictor(small_forest)
+        curve_owner.MEMO_LIMIT = 5
+        self._assert_curve_matches(
+            curve_owner, ForestBatchPredictor(small_forest)
+        )
+        assert 0 < len(curve_owner._memo) <= 5
+
+
 class TestCache:
     def test_cached_predictor_reused(self, execution_model):
         a = cached_forest_predictor(execution_model)

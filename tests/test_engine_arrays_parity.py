@@ -6,8 +6,10 @@ object-based :class:`~repro.engine.replica.ReplicaEngine` reference
 path.  These tests pin that claim at every layer the array engine
 reimplements:
 
-* untraced run summaries (the vectorized kernels, decode-stretch
-  fast-forward and whole-batch advance kernels);
+* untraced run summaries for every scheduler kind and QoServe's
+  fixed-chunk and no-pinning variants (the vectorized kernels,
+  decode-stretch fast-forward, whole-batch advance kernels and the
+  row-backed scheduler view);
 * traced runs (byte-identical event streams, rendered metric
   registries and per-request audit attribution);
 * batch membership changes while an iteration is in flight
@@ -21,6 +23,8 @@ reimplements:
   recovery, prefill-only handoffs);
 * a seeded 500-request randomized property run (completion order and
   per-request latency attribution totals);
+* the row-backed view's decode slack vs the object sweep, in every
+  clamp regime, on the scalar and the vector branch;
 * the block ledger's math vs :class:`KVCacheManager` at block sizes
   1 and 16 and off-by-one token counts;
 * the flat batch-time kernels vs :meth:`ExecutionModel.batch_time`.
@@ -31,16 +35,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.qos import Q2_RELAXED
+from repro.core.qos import DEFAULT_TIERS, Q2_RELAXED
 from repro.core.request import Request
 from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
-from repro.engine.arrays import ArrayKVLedger, _RowStore
+from repro.engine.arrays import ArrayKVLedger, _RowStore, _RowView
+from repro.engine.interface import decode_slack
 from repro.engine.kvcache import KVCacheManager
 from repro.experiments.runner import build_trace, make_scheduler
 from repro.obs.audit import audit_events
 from repro.obs.observer import TracingObserver
 from repro.obs.trace import ListSink, TraceRecorder
 from repro.perfmodel.execution import BatchShape, PrefillChunk
+from repro.schedulers.qoserve import QoServeConfig
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
 from tests.conftest import small_memory_model, stall_requests
@@ -96,12 +102,26 @@ def fingerprint(engine, requests):
     ]
 
 
+#: Scheduler variants beyond the :data:`SCHEDULER_KINDS` names: the
+#: QoServe planning branches without dynamic chunking (fixed chunk)
+#: and without selective preemption (no pinning).
+SCHEDULER_VARIANTS = {
+    "qoserve-fixed-chunk": ("qoserve", QoServeConfig(dynamic_chunking=False)),
+    "qoserve-no-pin": ("qoserve", QoServeConfig(selective_preemption=False)),
+}
+
+
+def build_scheduler(scheduler, execution_model):
+    kind, config = SCHEDULER_VARIANTS.get(scheduler, (scheduler, None))
+    return make_scheduler(kind, execution_model, qoserve_config=config)
+
+
 def run_fast(engine_cls, execution_model, requests, scheduler):
     sim = Simulator()
     engine = engine_cls(
         sim,
         execution_model,
-        make_scheduler(scheduler, execution_model),
+        build_scheduler(scheduler, execution_model),
         ReplicaConfig(),
     )
     for r in requests:
@@ -130,7 +150,11 @@ def run_traced(engine_cls, execution_model, requests, scheduler):
 class TestRunParity:
     """Untraced fingerprints across schedulers, datasets and loads."""
 
-    @pytest.mark.parametrize("scheduler", ["qoserve", "medha"])
+    @pytest.mark.parametrize(
+        "scheduler",
+        ["qoserve", "medha", "fcfs", "sjf", "srpf", "edf", "conserve",
+         "qoserve-oracle", *SCHEDULER_VARIANTS],
+    )
     @pytest.mark.parametrize(
         "dataset", [AZURE_CONV, AZURE_CODE], ids=["conv", "code"]
     )
@@ -667,6 +691,41 @@ class TestLedgerBlockMath:
         with pytest.raises(MemoryError) as arr_err:
             ledger.grow(2, 16)
         assert str(ref_err.value) == str(arr_err.value)
+
+
+class TestDecodeSlackParity:
+    """The row-backed view's decode slack equals the object sweep bit
+    for bit, on both the scalar (< 32 rows) and the vector branch, in
+    every clamp regime: blown interactive deadlines and
+    non-interactive pace under the floor."""
+
+    @pytest.mark.parametrize("num_rows", [7, 40], ids=["scalar", "vector"])
+    def test_matches_object_sweep(self, execution_model, num_rows):
+        rng = np.random.default_rng(num_rows)
+        engine = ArrayReplicaEngine(
+            Simulator(), execution_model,
+            make_scheduler("fcfs", execution_model),
+        )
+        requests = []
+        for rid in range(num_rows):
+            decode_tokens = int(rng.integers(2, 300))
+            request = Request(
+                request_id=rid,
+                arrival_time=float(rng.uniform(0.0, 50.0)),
+                prompt_tokens=int(rng.integers(16, 2048)),
+                decode_tokens=decode_tokens,
+                qos=DEFAULT_TIERS[rid % 3],
+            )
+            request.prefill_done = request.prompt_tokens
+            request.decoded = int(rng.integers(0, decode_tokens))
+            engine._attach_decode(request, request.context_length)
+            requests.append(request)
+        floor = 0.025
+        for now in (0.0, 7.5, 20.0, 599.0, 640.0, 1799.5, 1900.0):
+            view = _RowView(engine, now, num_rows)
+            assert view.decode_slack(floor) == decode_slack(
+                now, requests, floor
+            ), now
 
 
 class TestFlatBatchTime:

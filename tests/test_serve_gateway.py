@@ -1,6 +1,7 @@
 """Unit tests for the serving gateway (repro.serve): clock, admission,
 and the deterministic ``speed=inf`` replay path."""
 
+import asyncio
 import heapq
 import json
 import math
@@ -22,6 +23,7 @@ from repro.serve import (
     pick_shed_victim,
 )
 from repro.serve.gateway import SHED_CANCEL_REASON
+from repro.workload import OpenLoopReplay, wait_drained
 from repro.workload.datasets import AZURE_CONV
 from tests.conftest import make_request
 
@@ -423,3 +425,64 @@ class TestGatewayObservability:
         assert 'repro_gateway_token_bucket_fill{tier="' in text
         # Scraping twice must not perturb admission state.
         assert gateway.prometheus_text() == text
+
+
+class TestOversizedRequest:
+    def test_submit_refuses_request_no_replica_can_hold(self):
+        """The engine would reject the request without completing it,
+        so its ticket would never close; the gateway refuses it up
+        front, records nothing, and keeps serving."""
+        session = Session(ServeConfig(scheduler="fcfs"))
+        gateway = ServeGateway(session)
+        capacity = session.engines[0].kv_cache.capacity_tokens
+
+        async def scenario():
+            await gateway.start()
+            try:
+                with pytest.raises(ValueError, match="KV capacity"):
+                    await gateway.submit(
+                        prompt_tokens=capacity - 3, decode_tokens=4
+                    )
+                assert gateway.offered == []
+                assert gateway.stats.admitted_total == 0
+                assert gateway.stats.shed_total == 0
+                request = await gateway.submit(
+                    prompt_tokens=64, decode_tokens=4
+                )
+                return await asyncio.wait_for(
+                    gateway.result(request.request_id), timeout=30
+                )
+            finally:
+                await gateway.stop()
+
+        finished = asyncio.run(scenario())
+        assert finished.decoded == 4
+        assert finished.request_id == 0
+
+    def test_paced_replay_counts_oversized_request_as_shed(self):
+        session = Session(ServeConfig(scheduler="fcfs"))
+        gateway = ServeGateway(
+            session, config=GatewayConfig(speed=10_000.0)
+        )
+        capacity = session.engines[0].kv_cache.capacity_tokens
+        trace = [
+            make_request(request_id=0, prompt_tokens=64, decode_tokens=4),
+            make_request(request_id=1, arrival_time=0.5, prompt_tokens=64,
+                         decode_tokens=capacity),
+            make_request(request_id=2, arrival_time=1.0, prompt_tokens=64,
+                         decode_tokens=4),
+        ]
+
+        async def scenario():
+            await gateway.start()
+            try:
+                report = await OpenLoopReplay(trace).drive(gateway)
+                await asyncio.wait_for(wait_drained(gateway), timeout=30)
+                return report
+            finally:
+                await gateway.stop()
+
+        report = asyncio.run(scenario())
+        assert (report.offered, report.admitted, report.shed) == (3, 2, 1)
+        assert report.shed_by_reason == {"exceeds_kv_capacity": 1}
+        assert all(r.decoded == 4 for r in gateway.offered)

@@ -34,15 +34,14 @@ def served():
         assert not gateway.running
 
 
-def _request(server, method, path, body=None):
+def _request(server, method, path, body=None, timeout=60):
     connection = http.client.HTTPConnection(
-        "127.0.0.1", server.port, timeout=60
+        "127.0.0.1", server.port, timeout=timeout
     )
+    if isinstance(body, dict):
+        body = json.dumps(body)
     try:
-        connection.request(
-            method, path,
-            body=json.dumps(body) if body is not None else None,
-        )
+        connection.request(method, path, body=body)
         response = connection.getresponse()
         return response.status, response.read()
     finally:
@@ -176,10 +175,15 @@ class TestEndpoints:
 
     def test_live_rejects_bad_params(self, served):
         _, server = served
-        for query in ("frames=-1", "interval=0", "frames=x"):
-            status, body = _request(server, "GET", f"/v1/live?{query}")
+        for query in ("frames=-1", "interval=0", "frames=x",
+                      "frames=2&interval=inf", "frames=2&interval=nan"):
+            status, body = _request(
+                server, "GET", f"/v1/live?{query}", timeout=10
+            )
             assert status == 400
             assert b"bad_request" in body
+        status, _ = _request(server, "GET", "/v1/live?frames=1")
+        assert status == 200
 
     def test_unknown_path_404(self, served):
         _, server = served
@@ -259,6 +263,48 @@ class TestSessionFieldsOverHTTP:
              "parent_request_id": "zero"},
         )
         assert status == 400
+
+
+class TestBoundaryRejections:
+    """Input the gateway cannot serve gets a prompt 400, and the next
+    well-formed request is still served."""
+
+    def _assert_still_serving(self, server):
+        status, body = _request(
+            server, "POST", "/v1/completions",
+            {"prompt_tokens": 16, "max_tokens": 2}, timeout=10,
+        )
+        assert status == 200
+        assert json.loads(body)["finished"] is True
+
+    @pytest.mark.parametrize(
+        "field", ["prompt_tokens", "max_tokens", "parent_request_id",
+                  "token_ids"],
+    )
+    @pytest.mark.parametrize("number", ["1e400", "-Infinity"])
+    def test_non_finite_body_number(self, served, field, number):
+        _, server = served
+        payload = {"prompt_tokens": 16, "max_tokens": 2}
+        payload[field] = ["@"] if field == "token_ids" else "@"
+        body = json.dumps(payload).replace('"@"', number)
+        status, reply = _request(
+            server, "POST", "/v1/completions", body, timeout=10
+        )
+        assert status == 400
+        assert json.loads(reply)["error"] == "bad_request"
+        self._assert_still_serving(server)
+
+    def test_request_no_replica_can_hold(self, served):
+        gateway, server = served
+        status, body = _request(
+            server, "POST", "/v1/completions",
+            {"prompt_tokens": 1_000_000_000, "max_tokens": 16},
+            timeout=10,
+        )
+        assert status == 400
+        assert b"KV capacity" in body
+        assert gateway.offered == []
+        self._assert_still_serving(server)
 
 
 class TestAdmissionOverHTTP:
