@@ -61,7 +61,6 @@ from repro.workload.tiers import TierAssigner, TierMix
 from repro.workload.trace import Trace, TraceBuilder
 
 if False:  # pragma: no cover - hint only; resolved lazily below
-    from repro.cluster.deployment import ClusterDeployment  # noqa: F401
     from repro.cluster.fleet import FleetConfig  # noqa: F401
     from repro.faults.plan import FaultPlan  # noqa: F401
 
@@ -262,9 +261,10 @@ class ServeConfig:
         qoserve_config: Optional QoServe scheduler overrides.
         scheduler_kwargs: Extra keyword arguments forwarded to the
             scheduler constructor.
-        num_replicas: 1 builds a bare :class:`ReplicaEngine`; more
-            builds a :class:`ClusterDeployment` behind a router.
-        routing: Cluster load-balancing strategy (multi-replica only).
+        num_replicas: Size of the static
+            :class:`~repro.cluster.deployment.ClusterDeployment` pool
+            the session builds; 1 is a pool of one.
+        routing: Cluster load-balancing strategy.
         fleet: Heterogeneous elastic pool description
             (:class:`repro.cluster.fleet.FleetConfig`); when set the
             session builds an elastic
@@ -365,12 +365,20 @@ class Session:
     * :meth:`summary` produces the same :class:`RunSummary` (including
       ``scheduler_stats``) as the batch helpers.
 
+    The stack is always one
+    :class:`~repro.cluster.deployment.ClusterDeployment`
+    (:attr:`deployment`), and a single replica is a pool of one.  A
+    round-robin pool hands each submitted request straight to its
+    replica, so a pool of one runs exactly as a bare engine does.
+
     Args:
         config: Stack description; defaults to :class:`ServeConfig`.
         execution_model: Override the deployment's cost model (used by
             the delegating legacy wrappers).
-        scheduler: Pre-built scheduler for single-replica sessions.
-        scheduler_factory: Pre-built factory for cluster sessions.
+        scheduler: Pre-built scheduler for the one replica of a
+            static single-replica session (``ValueError`` with
+            ``num_replicas > 1`` or ``fleet=``); by default every
+            replica gets a fresh one from ``config``.
         simulator: Share an existing event loop.
         observer: Observability hooks; ``None`` adopts the process
             default at engine construction, as engines always have.
@@ -382,11 +390,16 @@ class Session:
         *,
         execution_model: ExecutionModel | None = None,
         scheduler: Scheduler | None = None,
-        scheduler_factory: Callable[[], Scheduler] | None = None,
         simulator: Simulator | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.config = config = config or ServeConfig()
+        elastic = config.fleet is not None
+        if scheduler is not None and (elastic or config.num_replicas > 1):
+            raise ValueError(
+                "a pre-built scheduler serves one static replica; "
+                "pools and fleets build theirs from ServeConfig.scheduler"
+            )
         if execution_model is None:
             # Deferred so importing repro.api never drags in the
             # experiments package (which imports repro.api back).
@@ -415,37 +428,23 @@ class Session:
             record_iterations=config.record_iterations,
             kv_reuse=config.kv_reuse,
         )
-        engine_cls = resolve_engine_cls(config.engine)
-        self.deployment = None
-        self.engine: ReplicaEngine | None = None
-        if config.fleet is None and config.num_replicas == 1:
-            built = scheduler if scheduler is not None else self._scheduler()
-            self.engine = engine_cls(
-                self.simulator,
-                self.execution_model,
-                built,
-                replica_config,
-                observer=observer,
-            )
-        else:
-            from repro.cluster.deployment import ClusterDeployment
+        from repro.cluster.deployment import ClusterDeployment
 
-            elastic = config.fleet is not None
-            self.deployment = ClusterDeployment(
-                self.execution_model,
-                scheduler_factory or self._scheduler,
-                None if elastic else config.num_replicas,
-                replica_config=replica_config,
-                simulator=self.simulator,
-                routing=config.routing,
-                observer=observer,
-                engine_cls=engine_cls,
-                fault_plan=config.fault_plan,
-                fleet=config.fleet,
-                autoscaler=self._fleet_autoscaler() if elastic else None,
-            )
+        self.deployment = ClusterDeployment(
+            self.execution_model,
+            self._scheduler if scheduler is None else lambda: scheduler,
+            None if elastic else config.num_replicas,
+            replica_config=replica_config,
+            simulator=self.simulator,
+            routing=config.routing,
+            observer=observer,
+            engine_cls=resolve_engine_cls(config.engine),
+            fault_plan=config.fault_plan,
+            fleet=config.fleet,
+            autoscaler=self._fleet_autoscaler() if elastic else None,
+        )
         #: The deployment when it is an elastic fleet, else None.
-        self.fleet = self.deployment if config.fleet is not None else None
+        self.fleet = self.deployment if elastic else None
 
         self._conversations = 0
 
@@ -464,10 +463,7 @@ class Session:
     @property
     def engines(self) -> list[ReplicaEngine]:
         """Live view of the serving replicas (a fleet can grow)."""
-        if self.deployment is not None:
-            return list(self.deployment.replicas)
-        assert self.engine is not None
-        return [self.engine]
+        return list(self.deployment.replicas)
 
     def _scheduler(self) -> Scheduler:
         config = self.config
@@ -494,19 +490,11 @@ class Session:
 
     def submit(self, request: Request) -> None:
         """Register a request; it arrives at ``request.arrival_time``."""
-        if self.deployment is not None:
-            self.deployment.submit(request)
-        else:
-            assert self.engine is not None
-            self.engine.submit(request)
+        self.deployment.submit(request)
 
     def submit_now(self, request: Request) -> ReplicaEngine:
         """Inject a request immediately; returns the serving replica."""
-        if self.deployment is not None:
-            return self.deployment.submit_now(request)
-        assert self.engine is not None
-        self.engine.submit_now(request)
-        return self.engine
+        return self.deployment.submit_now(request)
 
     def conversation(
         self,
@@ -578,36 +566,25 @@ class Session:
     def set_token_hook(
         self, hook: Callable[[Request, float], None]
     ) -> None:
-        """Fire ``hook(request, now)`` on every output token emitted."""
-        if self.deployment is not None:
-            # The deployment chains hooks itself — a fleet also replays
-            # them onto replicas provisioned later.
-            self.deployment.set_token_hook(hook)
-            return
-        for engine in self.engines:
-            engine.token_hook = _chain_hooks(engine.token_hook, hook)
+        """Fire ``hook(request, now)`` on every output token emitted.
+
+        Hooks chain: earlier ones keep firing, and a fleet replays them
+        onto replicas provisioned later.
+        """
+        self.deployment.set_token_hook(hook)
 
     def set_completion_hook(
         self, hook: Callable[[Request, float], None]
     ) -> None:
         """Fire ``hook(request, now)`` when a request completes."""
-        if self.deployment is not None:
-            self.deployment.set_completion_hook(hook)
-            return
-        for engine in self.engines:
-            engine.completion_hook = _chain_hooks(
-                engine.completion_hook, hook
-            )
+        self.deployment.set_completion_hook(hook)
 
     # --- state ----------------------------------------------------------
 
     @property
     def requests(self) -> list[Request]:
         """Every request submitted to the stack so far."""
-        if self.deployment is not None:
-            return self.deployment.all_requests()
-        assert self.engine is not None
-        return list(self.engine.submitted)
+        return self.deployment.all_requests()
 
     def queue_depth(self) -> int:
         """Prefill backlog across all replicas (admission signal)."""
@@ -636,12 +613,7 @@ class Session:
             first_arrival = min(r.arrival_time for r in offered)
             summary.drain_time = now - last_arrival
             summary.arrival_span = last_arrival - first_arrival
-        if self.engine is not None:
-            summary.scheduler_stats = engine_scheduler_stats(self.engine)
-        else:
-            summary.scheduler_stats = aggregate_scheduler_stats(
-                self.engines
-            )
+        summary.scheduler_stats = aggregate_scheduler_stats(self.engines)
         if self._audit_sink is not None:
             from repro.obs.audit import audit_events
 
@@ -742,18 +714,6 @@ class Conversation:
         return request
 
 
-def _chain_hooks(existing, hook):
-    """Compose completion/token hooks without displacing earlier ones."""
-    if existing is None:
-        return hook
-
-    def chained(request, now):
-        existing(request, now)
-        hook(request, now)
-
-    return chained
-
-
 def simulate(
     *,
     config: ServeConfig | None = None,
@@ -771,9 +731,9 @@ def simulate(
 
     Provide either a pre-built ``trace`` or a ``dataset`` +
     ``num_requests`` (+ ``qps``/``seed``/``mix``) recipe; the stack
-    itself comes from ``config``.  The output is byte-identical to the
-    legacy ``run_replica_trace`` path for single-replica configs — the
-    golden test in ``tests/test_api.py`` pins this.
+    itself comes from ``config``.  A single-replica config is
+    byte-identical to a bare engine driven directly — the golden test
+    in ``tests/test_api.py`` pins this.
     """
     config = config or ServeConfig()
     if trace is None:

@@ -89,9 +89,7 @@ def run_replica_trace(
     for request in trace:
         session.submit(request)
     session.advance(max_events=max_events)
-    engine = session.engine
-    assert engine is not None
-    return session.summary(requests=list(trace)), engine
+    return session.summary(requests=list(trace)), session.engines[0]
 
 
 def goodput_search(

@@ -591,7 +591,7 @@ class ServeGateway:
     def _fleet_snapshot(self) -> dict | None:
         """Fleet gauges for ``/metrics`` and ``/v1/live`` (None when
         the session is not fleet-backed)."""
-        fleet = getattr(self.session, "fleet", None)
+        fleet = self.session.fleet
         if fleet is None:
             return None
         return {

@@ -24,7 +24,8 @@ bridge into the gateway's asyncio loop with
 * ``GET /v1/live`` — Server-Sent Events stream of live frames, one
   ``data: {...}`` per frame.  Query params: ``frames=N`` stops after N
   frames (0 = until the client disconnects), ``interval=S`` wall
-  seconds between frames (default 1.0).
+  seconds between frames (default 1.0, at most
+  :data:`MAX_LIVE_INTERVAL`).
 * ``GET /healthz`` — liveness plus the current virtual time.  On a
   fault-tolerant deployment whose alive fraction has crossed a
   graceful-degradation threshold the status is ``degraded`` (still
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,6 +48,10 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.obs.live import build_live_snapshot
 from repro.serve.gateway import AdmissionRefused, ServeGateway
+
+#: Longest ``/v1/live`` frame interval, in wall seconds.  Anything
+#: longer is a client error; ``time.sleep`` overflows on huge values.
+MAX_LIVE_INTERVAL = 3600.0
 
 
 class GatewayRuntime:
@@ -103,7 +107,7 @@ def _health_payload(gateway: ServeGateway) -> dict:
         if gateway.clock.is_realtime else "inf",
     }
     deployment = gateway.session.deployment
-    resilience = getattr(deployment, "resilience", None)
+    resilience = deployment.resilience
     if resilience is None:
         return payload
     alive = deployment.alive_fraction
@@ -205,12 +209,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             frames = int(query.get("frames", ["0"])[0])
             interval = float(query.get("interval", ["1.0"])[0])
-            if frames < 0 or not 0 < interval < math.inf:
+            if frames < 0 or not 0 < interval <= MAX_LIVE_INTERVAL:
                 raise ValueError
         except ValueError:
             self._send_json(400, {
                 "error": "bad_request",
-                "detail": "frames must be >= 0 and interval finite > 0",
+                "detail": "frames must be >= 0 and interval in "
+                f"(0, {MAX_LIVE_INTERVAL:g}] seconds",
             })
             return
         self.send_response(200)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    ENGINE_KINDS,
     ROUTING_STRATEGIES,
     SCHEDULER_KINDS,
     ServeConfig,
@@ -74,25 +75,54 @@ class TestBuildTrace:
 
 
 class TestSimulateGolden:
-    def test_matches_run_replica_trace(self, execution_model):
-        """The facade and the legacy helper are byte-identical."""
-        from repro.experiments.runner import run_replica_trace
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    def test_matches_bare_engine(self, engine, execution_model):
+        """A one-replica session (a pool of one) is byte-identical to a
+        bare engine driven directly: summary, scheduler stats and the
+        traced event stream."""
+        from repro.api import engine_scheduler_stats, resolve_engine_cls
+        from repro.engine.replica import ReplicaConfig
+        from repro.metrics.summary import summarize_run
+        from repro.obs import ListSink, TraceRecorder, TracingObserver
+        from repro.simcore.simulator import Simulator
 
         def fresh_trace():
-            return build_trace(
+            return list(build_trace(
                 AZURE_CONV, qps=3.0, num_requests=30, seed=11
-            )
+            ))
 
-        legacy, _ = run_replica_trace(
+        bare_sink = ListSink()
+        simulator = Simulator()
+        bare = resolve_engine_cls(engine)(
+            simulator,
             execution_model,
             make_scheduler("qoserve", execution_model),
-            fresh_trace(),
+            ReplicaConfig(),
+            observer=TracingObserver(TraceRecorder([bare_sink])),
         )
+        requests = fresh_trace()
+        for request in requests:
+            bare.submit(request)
+        now = simulator.run()
+        reference = summarize_run(requests, now=now)
+        last_arrival = max(r.arrival_time for r in requests)
+        reference.drain_time = now - last_arrival
+        reference.arrival_span = last_arrival - min(
+            r.arrival_time for r in requests
+        )
+        reference.scheduler_stats = engine_scheduler_stats(bare)
+
+        session_sink = ListSink()
         facade = simulate(
-            config=ServeConfig(scheduler="qoserve"),
+            config=ServeConfig(scheduler="qoserve", engine=engine),
             trace=fresh_trace(),
+            observer=TracingObserver(TraceRecorder([session_sink])),
         )
-        assert _canonical(facade) == _canonical(legacy)
+        assert _canonical(facade) == _canonical(reference)
+        assert list(facade.scheduler_stats) == list(
+            reference.scheduler_stats
+        )
+        assert session_sink.events == bare_sink.events
 
     def test_builds_trace_when_given_dataset(self):
         summary = simulate(
@@ -118,7 +148,25 @@ class TestSession:
     def test_submit_now_returns_engine(self):
         session = Session(ServeConfig(scheduler="fcfs"))
         engine = session.submit_now(make_request())
-        assert engine is session.engine
+        assert engine is session.engines[0]
+
+    def test_prebuilt_scheduler_needs_one_static_replica(
+        self, execution_model
+    ):
+        # A pool or fleet builds one scheduler per replica; a single
+        # pre-built one cannot serve them, so it is refused outright.
+        from repro.cluster.fleet import parse_fleet_spec
+
+        scheduler = make_scheduler("fcfs", execution_model)
+        with pytest.raises(ValueError, match="pre-built scheduler"):
+            Session(ServeConfig(num_replicas=2), scheduler=scheduler)
+        with pytest.raises(ValueError, match="pre-built scheduler"):
+            Session(
+                ServeConfig(fleet=parse_fleet_spec("a100:1")),
+                scheduler=scheduler,
+            )
+        session = Session(ServeConfig(), scheduler=scheduler)
+        assert session.engines[0].scheduler is scheduler
 
     def test_queue_depth_drops_after_drain(self):
         session = Session(ServeConfig(scheduler="fcfs"))

@@ -796,13 +796,13 @@ class TestEngineSwitch:
         from repro.api import ServeConfig, Session
 
         single = Session(ServeConfig(engine="arrays"))
-        assert type(single.engine) is ArrayReplicaEngine
+        assert type(single.engines[0]) is ArrayReplicaEngine
         pool = Session(ServeConfig(engine="arrays", num_replicas=3))
         assert all(
             type(e) is ArrayReplicaEngine for e in pool.engines
         )
         default = Session(ServeConfig())
-        assert type(default.engine) is ReplicaEngine
+        assert type(default.engines[0]) is ReplicaEngine
 
     def test_session_summary_parity(self):
         import json

@@ -352,7 +352,8 @@ class TestDeterministicShedding:
 
 
 class TestGatewayObservability:
-    def test_events_and_counters(self):
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_events_and_counters(self, num_replicas):
         from repro.obs import (
             ListSink,
             TraceRecorder,
@@ -362,7 +363,10 @@ class TestGatewayObservability:
 
         sink = ListSink()
         observer = TracingObserver(TraceRecorder([sink]))
-        session = Session(ServeConfig(scheduler="fcfs"), observer=observer)
+        session = Session(
+            ServeConfig(scheduler="fcfs", num_replicas=num_replicas),
+            observer=observer,
+        )
         gateway = ServeGateway(
             session,
             config=GatewayConfig(
@@ -373,6 +377,11 @@ class TestGatewayObservability:
         kinds = {event["kind"] for event in sink.events}
         assert "gateway_admitted" in kinds
         assert "gateway_shed" in kinds
+        # Every admitted request is routed, one replica included.
+        assert {
+            e["name"] for e in sink.events if e["kind"] == "span_start"
+        } == {"gateway", "admission", "dispatch", "queue", "prefill",
+              "decode"}
         for event in sink.events:
             validate_event(event)
         text = observer.registry.to_prometheus_text()

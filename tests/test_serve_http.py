@@ -176,7 +176,8 @@ class TestEndpoints:
     def test_live_rejects_bad_params(self, served):
         _, server = served
         for query in ("frames=-1", "interval=0", "frames=x",
-                      "frames=2&interval=inf", "frames=2&interval=nan"):
+                      "frames=2&interval=inf", "frames=2&interval=nan",
+                      "frames=2&interval=1e300"):
             status, body = _request(
                 server, "GET", f"/v1/live?{query}", timeout=10
             )
