@@ -17,8 +17,8 @@ Run:
 import sys
 
 from repro import AZURE_CODE, replicas_needed
+from repro.api import goodput_search
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import goodput_search
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.workload.tiers import TierMix
 

@@ -12,9 +12,9 @@ Run:
 """
 
 from repro import AZURE_CONV, PoissonArrivals, TierAssigner, TraceBuilder
+from repro.api import Session, make_scheduler
 from repro.core.request import Request
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.schedulers.base import FixedChunkScheduler
 
 
@@ -56,9 +56,12 @@ def main() -> None:
     print("-" * 55)
     for name, factory in contenders.items():
         trace = trace_builder.build(1500)
-        summary, _ = run_replica_trace(
-            execution_model, factory(), trace
-        )
+        # A pre-built scheduler drives the session's single replica.
+        session = Session(scheduler=factory())
+        for request in trace:
+            session.submit(request)
+        session.drain()
+        summary = session.summary(requests=list(trace))
         print(f"{name:16s} {summary.violations.overall_pct:7.2f} "
               f"{summary.tier_percentile('Q1', 0.99):8.2f} "
               f"{summary.tier_percentile('Q2', 0.99):9.1f} "

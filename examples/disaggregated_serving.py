@@ -11,10 +11,12 @@ Run:
     python examples/disaggregated_serving.py
 """
 
+from functools import partial
+
 from repro import AZURE_CONV, DisaggregatedDeployment, QoServeConfig
+from repro.api import build_trace, make_scheduler
 from repro.cluster.capacity import find_max_goodput, stable_drain
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, scheduler_factory
 
 TARGET_QPS = 30.0
 CHUNK = 8192
@@ -33,7 +35,7 @@ def prefill_goodput(scheme: str, execution_model) -> float:
     def evaluate(qps):
         deployment = DisaggregatedDeployment(
             execution_model,
-            scheduler_factory(scheme, execution_model, **kwargs),
+            partial(make_scheduler, scheme, execution_model, **kwargs),
         )
         trace = base.scaled_arrivals(qps)
         deployment.submit_trace(trace)

@@ -12,8 +12,7 @@ Run:
 """
 
 from repro import DiurnalArrivals, AZURE_CODE, TierAssigner, TraceBuilder
-from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import make_scheduler, run_replica_trace
+from repro.api import ServeConfig, simulate
 from repro.metrics.latency import rolling_percentile
 
 NUM_REQUESTS = 2500
@@ -31,7 +30,6 @@ def build_trace():
 
 
 def main() -> None:
-    execution_model = get_execution_model("llama3-8b")
     print(f"diurnal load 2.0 <-> 5.0 QPS, {NUM_REQUESTS} requests, "
           f"20% free-tier\n")
     header = (f"{'scheme':14s} {'viol%':>7s} {'important%':>11s} "
@@ -40,10 +38,7 @@ def main() -> None:
     print("-" * len(header))
     for scheme in SCHEMES:
         trace = build_trace()
-        scheduler = make_scheduler(scheme, execution_model)
-        summary, engine = run_replica_trace(
-            execution_model, scheduler, trace
-        )
+        summary = simulate(config=ServeConfig(scheduler=scheme), trace=trace)
         violations = summary.violations
         # Peak of the rolling p95 across Q1's important requests: the
         # "did the burst hurt paying users?" number.  (p95 rather than

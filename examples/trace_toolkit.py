@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 from repro import AZURE_CODE, PoissonArrivals, TierAssigner, TraceBuilder
-from repro.experiments.configs import get_execution_model
+from repro.api import ServeConfig, simulate
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.metrics.export import result_to_csv, summary_to_json
 from repro.workload.analysis import analyze_trace
 from repro.workload.azure_csv import load_azure_trace, write_azure_csv
@@ -47,9 +46,9 @@ def main(output_dir: str = "trace_toolkit_output") -> None:
     print(f"\nwrote {csv_path} and reloaded {len(reloaded)} requests")
 
     # 3. Replay and export.
-    execution_model = get_execution_model("llama3-8b")
-    scheduler = make_scheduler("qoserve", execution_model)
-    summary, _ = run_replica_trace(execution_model, scheduler, reloaded)
+    summary = simulate(
+        config=ServeConfig(scheduler="qoserve"), trace=reloaded
+    )
 
     summary_path = out / "run_summary.json"
     summary_to_json(summary, summary_path)

@@ -1,23 +1,20 @@
 """The unified public Python API: config in, summary out.
 
-Entry points accreted across the codebase as the reproduction grew:
-``make_scheduler`` / ``scheduler_factory`` / ``build_trace`` /
-``run_replica_trace`` in :mod:`repro.experiments.runner`, plus
-:meth:`ClusterDeployment.run` for multi-replica runs.  This module is
-the one documented front door that composes them:
+This module is the one front door to the serving stack; every
+experiment driver, example and the online gateway go through it:
 
 * :class:`ServeConfig` — a keyword-only description of the serving
   stack (deployment, scheduler, replica count, routing).
 * :func:`simulate` — one call from workload to
-  :class:`~repro.metrics.summary.RunSummary`, replacing the
-  build-trace / make-scheduler / run-replica-trace dance.
+  :class:`~repro.metrics.summary.RunSummary`.
 * :class:`Session` — an incremental handle over the same stack for
-  callers that interleave submission with simulation (the online
-  gateway in :mod:`repro.serve` is built on it).
-
-The legacy helpers in :mod:`repro.experiments.runner` remain as thin
-delegating wrappers, and their outputs are byte-identical: both paths
-run the exact same construction and event sequence.
+  callers that interleave submission with simulation or read the
+  engines afterwards (the online gateway in :mod:`repro.serve` is
+  built on it).
+* :func:`make_scheduler`, :func:`build_trace` and
+  :func:`goodput_search` — the building blocks the experiment
+  drivers share.  Deployments that need one scheduler per replica
+  take ``functools.partial(make_scheduler, kind, execution_model)``.
 
 Example::
 
@@ -36,13 +33,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from repro.cluster.capacity import CapacityResult, find_max_goodput
+from repro.cluster.deployment import ROUTING_STRATEGIES, ClusterDeployment
+from repro.cluster.fleet import (
+    BurnRateAutoscaler,
+    BusyFractionAutoscaler,
+    FleetConfig,
+)
 from repro.core.qos import DEFAULT_TIERS, QoSSpec
 from repro.core.request import Request
+from repro.engine.arrays import ArrayReplicaEngine
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
+from repro.experiments.configs import get_execution_model
+from repro.faults.plan import FaultPlan
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.obs.metrics import DEFAULT_CHUNK_BUCKETS, bucket_counts
-from repro.obs.observer import Observer
+from repro.obs.audit import audit_events
+from repro.obs.observer import (
+    MultiObserver,
+    Observer,
+    TracingObserver,
+    get_default_observer,
+)
+from repro.obs.trace import ListSink, TraceRecorder
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers import (
     ConServeScheduler,
@@ -59,18 +73,6 @@ from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workload.datasets import DATASETS, DatasetSpec
 from repro.workload.tiers import TierAssigner, TierMix
 from repro.workload.trace import Trace, TraceBuilder
-
-if False:  # pragma: no cover - hint only; resolved lazily below
-    from repro.cluster.fleet import FleetConfig  # noqa: F401
-    from repro.faults.plan import FaultPlan  # noqa: F401
-
-#: Mirrors :data:`repro.cluster.deployment.ROUTING_STRATEGIES`; kept
-#: as a literal so validating a :class:`ServeConfig` does not import
-#: the cluster package (which imports this module back through the
-#: experiment helpers).
-ROUTING_STRATEGIES = (
-    "round-robin", "least-loaded", "power-of-two", "perf-aware",
-)
 
 #: Autoscaling policies a fleet-backed :class:`ServeConfig` accepts.
 FLEET_AUTOSCALERS = ("off", "busy-fraction", "burn-rate")
@@ -89,8 +91,6 @@ def resolve_engine_cls(engine: str) -> type[ReplicaEngine]:
     if engine == "objects":
         return ReplicaEngine
     if engine == "arrays":
-        from repro.engine.arrays import ArrayReplicaEngine
-
         return ArrayReplicaEngine
     raise ValueError(
         f"unknown engine {engine!r}; options: {ENGINE_KINDS}"
@@ -300,9 +300,9 @@ class ServeConfig:
     scheduler_kwargs: Mapping = field(default_factory=dict)
     num_replicas: int = 1
     routing: str = "round-robin"
-    fleet: "FleetConfig | None" = None
+    fleet: FleetConfig | None = None
     fleet_autoscaler: str = "burn-rate"
-    fault_plan: "FaultPlan | None" = None
+    fault_plan: FaultPlan | None = None
     record_iterations: bool = False
     audit: bool = False
     max_events: int = 50_000_000
@@ -373,8 +373,8 @@ class Session:
 
     Args:
         config: Stack description; defaults to :class:`ServeConfig`.
-        execution_model: Override the deployment's cost model (used by
-            the delegating legacy wrappers).
+        execution_model: Override the deployment's cost model (a
+            custom or pre-trained :class:`ExecutionModel`).
         scheduler: Pre-built scheduler for the one replica of a
             static single-replica session (``ValueError`` with
             ``num_replicas > 1`` or ``fleet=``); by default every
@@ -400,23 +400,12 @@ class Session:
                 "a pre-built scheduler serves one static replica; "
                 "pools and fleets build theirs from ServeConfig.scheduler"
             )
-        if execution_model is None:
-            # Deferred so importing repro.api never drags in the
-            # experiments package (which imports repro.api back).
-            from repro.experiments.configs import get_execution_model
-
-            execution_model = get_execution_model(config.deployment)
-        self.execution_model = execution_model
+        self.execution_model = (
+            execution_model or get_execution_model(config.deployment)
+        )
         self.simulator = simulator or Simulator()
         self._audit_sink = None
         if config.audit:
-            from repro.obs.observer import (
-                MultiObserver,
-                TracingObserver,
-                get_default_observer,
-            )
-            from repro.obs.trace import ListSink, TraceRecorder
-
             self._audit_sink = ListSink()
             collector = TracingObserver(TraceRecorder([self._audit_sink]))
             effective = (
@@ -428,8 +417,6 @@ class Session:
             record_iterations=config.record_iterations,
             kv_reuse=config.kv_reuse,
         )
-        from repro.cluster.deployment import ClusterDeployment
-
         self.deployment = ClusterDeployment(
             self.execution_model,
             self._scheduler if scheduler is None else lambda: scheduler,
@@ -449,11 +436,6 @@ class Session:
         self._conversations = 0
 
     def _fleet_autoscaler(self):
-        from repro.cluster.fleet import (
-            BurnRateAutoscaler,
-            BusyFractionAutoscaler,
-        )
-
         return {
             "off": None,
             "busy-fraction": BusyFractionAutoscaler(),
@@ -615,8 +597,6 @@ class Session:
             summary.arrival_span = last_arrival - first_arrival
         summary.scheduler_stats = aggregate_scheduler_stats(self.engines)
         if self._audit_sink is not None:
-            from repro.obs.audit import audit_events
-
             summary.attribution = audit_events(self._audit_sink.events)
         return summary
 
@@ -762,3 +742,57 @@ def simulate(
 def default_tier_names() -> tuple[str, ...]:
     """Names of the Table 3 tiers, in order."""
     return tuple(t.name for t in DEFAULT_TIERS)
+
+
+def goodput_search(
+    kind: str,
+    execution_model: ExecutionModel,
+    dataset: DatasetSpec,
+    num_requests: int,
+    seed: int = 42,
+    mix: TierMix | None = None,
+    chunk_size: int = 256,
+    qoserve_config: QoServeConfig | None = None,
+    qps_high: float = 16.0,
+    tolerance: float = 0.15,
+    min_duration: float = 420.0,
+    scheduler_kwargs: dict | None = None,
+) -> CapacityResult:
+    """Max per-replica goodput for one (scheduler, dataset) pair.
+
+    Every probe's trace spans at least ``min_duration`` simulated
+    seconds: a short burst at high QPS would hide beyond-capacity
+    operation inside the long-TTLT tiers and the drain phase, so the
+    probe size grows with the probed rate (the base trace is built
+    once at the largest size and prefix-truncated per probe, keeping
+    request bodies comparable across rates).
+    """
+    num_requests = max(num_requests, int(3.5 * 180))
+    max_requests = max(num_requests, int(qps_high * min_duration))
+    base = build_trace(dataset, qps=1.0, num_requests=max_requests,
+                       seed=seed, mix=mix)
+    config = ServeConfig(
+        scheduler=kind,
+        chunk_size=chunk_size,
+        qoserve_config=qoserve_config,
+        scheduler_kwargs=scheduler_kwargs or {},
+    )
+
+    def evaluate(qps: float) -> RunSummary:
+        needed = max(num_requests, int(qps * min_duration))
+        trace = base.scaled_arrivals(qps)
+        if needed < len(trace):
+            trace = Trace(
+                trace.requests[:needed],
+                dataset_name=trace.dataset_name,
+                seed=trace.seed,
+            )
+        session = Session(config, execution_model=execution_model)
+        for request in trace:
+            session.submit(request)
+        session.drain(max_events=config.max_events)
+        return session.summary(requests=list(trace))
+
+    return find_max_goodput(
+        evaluate, qps_high=qps_high, tolerance=tolerance
+    )

@@ -102,7 +102,7 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     from repro.perfmodel.execution import BatchShape, PrefillChunk
     from repro.perfmodel.profiler import batch_features
     from repro.workload.datasets import AZURE_CODE
-    from repro.experiments.runner import build_trace
+    from repro.api import build_trace
 
     execution_model = get_execution_model("llama3-8b")
     predictor = cached_forest_predictor(execution_model)
@@ -325,14 +325,12 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
     iteration loop, not model-table setup.  Each row carries the array
     engine's decode-stretch counters from its last rep.
     """
+    from functools import partial
+
+    from repro.api import build_trace, make_scheduler
     from repro.cluster.deployment import ClusterDeployment
     from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
     from repro.experiments.configs import get_execution_model
-    from repro.experiments.runner import (
-        build_trace,
-        make_scheduler,
-        scheduler_factory,
-    )
     from repro.simcore import Simulator
     from repro.workload.datasets import AZURE_CODE, AZURE_CONV
 
@@ -369,7 +367,7 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
         def build(engine_cls):
             cluster = ClusterDeployment(
                 execution_model,
-                scheduler_factory("qoserve", execution_model),
+                partial(make_scheduler, "qoserve", execution_model),
                 num_replicas=8,
                 routing="least-loaded",
                 engine_cls=engine_cls,
@@ -428,16 +426,10 @@ def _end_to_end_benchmark(quick: bool) -> dict[str, Any]:
     sections (chunker, relegation planner, iteration loop) — the same
     sections the fast-path engine work optimizes.
     """
-    from repro.experiments.configs import get_execution_model
-    from repro.experiments.runner import (
-        build_trace,
-        make_scheduler,
-        run_replica_trace,
-    )
+    from repro.api import ServeConfig, build_trace, simulate
     from repro.obs import PROFILER
     from repro.workload.datasets import AZURE_CODE
 
-    execution_model = get_execution_model("llama3-8b")
     num_requests = 60 if quick else 150
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=num_requests, seed=42
@@ -448,8 +440,7 @@ def _end_to_end_benchmark(quick: bool) -> dict[str, Any]:
     PROFILER.enable()
     try:
         started = time.perf_counter()
-        scheduler = make_scheduler("qoserve", execution_model)
-        summary, _ = run_replica_trace(execution_model, scheduler, trace)
+        summary = simulate(config=ServeConfig(), trace=trace)
         elapsed = time.perf_counter() - started
     finally:
         PROFILER.disable()
@@ -470,26 +461,20 @@ def _capture_pinned_trace(quick: bool) -> list[dict[str, Any]]:
     is deterministic, so any change between two captures is a real
     behavior change, not noise.
     """
-    from repro.experiments.configs import get_execution_model
-    from repro.experiments.runner import (
-        build_trace,
-        make_scheduler,
-        run_replica_trace,
-    )
+    from repro.api import ServeConfig, build_trace, simulate
     from repro.obs import ListSink, TraceRecorder, TracingObserver
     from repro.workload.datasets import AZURE_CODE
 
-    execution_model = get_execution_model("llama3-8b")
     num_requests = 60 if quick else 150
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=num_requests, seed=42
     )
     trace = base.scaled_arrivals(3.0)
     sink = ListSink()
-    observer = TracingObserver(recorder=TraceRecorder([sink]))
-    scheduler = make_scheduler("qoserve", execution_model)
-    run_replica_trace(
-        execution_model, scheduler, trace, observer=observer
+    simulate(
+        config=ServeConfig(),
+        trace=trace,
+        observer=TracingObserver(recorder=TraceRecorder([sink])),
     )
     return sink.events
 
@@ -572,12 +557,7 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
     host load penalizes them equally) and each reports its best run,
     the micro-benchmark noise filter.
     """
-    from repro.experiments.configs import get_execution_model
-    from repro.experiments.runner import (
-        build_trace,
-        make_scheduler,
-        run_replica_trace,
-    )
+    from repro.api import ServeConfig, build_trace, simulate
     from repro.obs import RingSink, TraceRecorder, TracingObserver
     from repro.workload.datasets import AZURE_CODE
 
@@ -588,7 +568,6 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
         def on_span_end(self, name, request, now, replica_id=-1):
             pass
 
-    execution_model = get_execution_model("llama3-8b")
     num_requests = 150 if quick else 400
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=num_requests, seed=42
@@ -597,11 +576,8 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
 
     def run_once(observer) -> float:
         trace = base.fresh_copy()
-        scheduler = make_scheduler("qoserve", execution_model)
         started = time.perf_counter()
-        run_replica_trace(
-            execution_model, scheduler, trace, observer=observer
-        )
+        simulate(config=ServeConfig(), trace=trace, observer=observer)
         return time.perf_counter() - started
 
     def tracing(cls) -> Any:

@@ -43,7 +43,7 @@ class PolyServePlanner:
         """Args:
         class_goodputs: Max goodput (QPS/replica) of a dedicated
             deployment per class, e.g. measured via
-            :func:`repro.experiments.runner.goodput_search` with a
+            :func:`repro.api.goodput_search` with a
             Medha scheduler at the class's TBT target.
         tp_degree: GPUs per replica.
         """

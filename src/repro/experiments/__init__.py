@@ -17,13 +17,6 @@ from repro.experiments.configs import (
     get_execution_model,
 )
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    SCHEDULER_KINDS,
-    goodput_search,
-    make_scheduler,
-    run_replica_trace,
-    scheduler_factory,
-)
 
 __all__ = [
     "DEPLOYMENTS",
@@ -34,9 +27,4 @@ __all__ = [
     "Scale",
     "get_execution_model",
     "ExperimentResult",
-    "SCHEDULER_KINDS",
-    "goodput_search",
-    "make_scheduler",
-    "run_replica_trace",
-    "scheduler_factory",
 ]

@@ -12,6 +12,7 @@ DESIGN.md calls out four choices worth quantifying:
 
 from __future__ import annotations
 
+from repro.api import ServeConfig, build_trace, simulate
 from repro.core.decode_estimator import (
     OracleDecodeEstimator,
     StaticDecodeEstimator,
@@ -19,19 +20,19 @@ from repro.core.decode_estimator import (
 from repro.core.predictor import ForestBatchPredictor
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, run_replica_trace
-from repro.schedulers import QoServeConfig, QoServeScheduler
+from repro.schedulers import QoServeConfig
 from repro.workload.datasets import AZURE_CODE
 
 
-def _run(execution_model, trace, config=None, **scheduler_kwargs):
-    scheduler = QoServeScheduler(
-        execution_model, config or QoServeConfig(), **scheduler_kwargs
+def _run(deployment, trace, config=None, **scheduler_kwargs):
+    return simulate(
+        config=ServeConfig(
+            deployment=deployment,
+            qoserve_config=config,
+            scheduler_kwargs=scheduler_kwargs,
+        ),
+        trace=trace.fresh_copy(),
     )
-    summary, _ = run_replica_trace(
-        execution_model, scheduler, trace.fresh_copy()
-    )
-    return summary
 
 
 def run_predictor_ablation(
@@ -74,7 +75,7 @@ def run_predictor_ablation(
         notes=[f"scale={scale.label}; qps={qps}; dataset=AzCode"],
     )
     for name, kwargs in variants:
-        summary = _run(execution_model, trace, **kwargs)
+        summary = _run(deployment, trace, **kwargs)
         result.rows.append(
             {
                 "predictor": name,
@@ -100,7 +101,6 @@ def run_preemption_ablation(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Selective preemption on vs off under load."""
-    execution_model = get_execution_model(deployment)
     trace = build_trace(
         AZURE_CODE, qps=qps, num_requests=scale.requests_for(qps),
         seed=scale.seed,
@@ -114,7 +114,7 @@ def run_preemption_ablation(
         config = QoServeConfig(
             selective_preemption=enabled, use_forest_predictor=False
         )
-        summary = _run(execution_model, trace, config=config)
+        summary = _run(deployment, trace, config=config)
         result.rows.append(
             {
                 "selective_preemption": name,
@@ -138,7 +138,6 @@ def run_estimator_ablation(
     prediction could buy, and the pessimistic static estimator shows
     the cost of ignoring application structure.
     """
-    execution_model = get_execution_model(deployment)
     trace = build_trace(
         AZURE_CODE, qps=qps, num_requests=scale.requests_for(qps),
         seed=scale.seed,
@@ -156,8 +155,7 @@ def run_estimator_ablation(
     for name, estimator in variants:
         config = QoServeConfig(use_forest_predictor=False)
         summary = _run(
-            execution_model, trace, config=config,
-            decode_estimator=estimator,
+            deployment, trace, config=config, decode_estimator=estimator,
         )
         result.rows.append(
             {

@@ -21,15 +21,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.api import ServeConfig, build_trace, simulate
 from repro.experiments.cache import cached_cell
-from repro.experiments.configs import SMOKE, Scale, get_execution_model
+from repro.experiments.configs import SMOKE, Scale
 from repro.experiments.parallel import pmap
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.obs.diff import diff_runs
 from repro.obs.sketch import QuantileSketch, merge_sketches
@@ -59,13 +55,12 @@ def _arena_cell(task: tuple[str, str, float, int, int]) -> dict:
     deployment, scheme, qps, num_requests, seed = task
 
     def compute() -> dict:
-        execution_model = get_execution_model(deployment)
         trace = _base_trace(num_requests, seed).scaled_arrivals(qps)
         sink = ListSink()
-        observer = TracingObserver(recorder=TraceRecorder([sink]))
-        scheduler = make_scheduler(scheme, execution_model)
-        summary, _ = run_replica_trace(
-            execution_model, scheduler, trace, observer=observer
+        summary = simulate(
+            config=ServeConfig(deployment=deployment, scheduler=scheme),
+            trace=trace,
+            observer=TracingObserver(recorder=TraceRecorder([sink])),
         )
         completed = summary.finished
         violated = sum(

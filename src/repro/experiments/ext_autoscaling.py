@@ -23,7 +23,9 @@ is why QoServe's relegation matters even with elastic capacity.
 from __future__ import annotations
 
 import math
+from functools import partial
 
+from repro.api import make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import (
     BusyFractionAutoscaler,
@@ -32,7 +34,6 @@ from repro.cluster.fleet import (
 )
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import scheduler_factory
 from repro.workload.arrivals import DiurnalArrivals
 from repro.workload.datasets import AZURE_CODE
 from repro.workload.tiers import TierAssigner
@@ -58,7 +59,7 @@ def build_cluster_trace(scale: Scale, phase_duration: float = 400.0):
 def _static_run(execution_model, trace, replicas: int):
     deployment = ClusterDeployment(
         execution_model,
-        scheduler_factory("qoserve", execution_model),
+        partial(make_scheduler, "qoserve", execution_model),
         num_replicas=replicas,
     )
     deployment.submit_trace(trace)
@@ -74,7 +75,7 @@ def _static_run(execution_model, trace, replicas: int):
 def _autoscaled_run(execution_model, trace, fleet: FleetConfig):
     deployment = ClusterDeployment(
         execution_model,
-        scheduler_factory("qoserve", execution_model),
+        partial(make_scheduler, "qoserve", execution_model),
         fleet=fleet,
         autoscaler=BusyFractionAutoscaler(),
         routing="round-robin",

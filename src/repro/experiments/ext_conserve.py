@@ -12,13 +12,9 @@ deadline is the first casualty, while QoServe spends Q3's slack first.
 
 from __future__ import annotations
 
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.api import ServeConfig, build_trace, simulate
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.workload.datasets import AZURE_CODE
 
 SCHEMES = ("conserve", "qoserve")
@@ -31,7 +27,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """QoServe vs ConServe under the three-tier workload."""
-    execution_model = get_execution_model(deployment)
     base = build_trace(
         AZURE_CODE, qps=1.0,
         num_requests=scale.requests_for(max(loads)), seed=scale.seed,
@@ -47,10 +42,9 @@ def run(
     )
     for scheme in SCHEMES:
         for qps in loads:
-            trace = base.scaled_arrivals(qps)
-            scheduler = make_scheduler(scheme, execution_model)
-            summary, _ = run_replica_trace(
-                execution_model, scheduler, trace
+            summary = simulate(
+                config=ServeConfig(deployment=deployment, scheduler=scheme),
+                trace=base.scaled_arrivals(qps),
             )
             violations = summary.violations
             result.rows.append(

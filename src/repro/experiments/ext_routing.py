@@ -10,10 +10,12 @@ scheduling recovers versus what arrival-time load-aware routing
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ROUTING_STRATEGIES, ClusterDeployment
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.workload.datasets import AZURE_CODE
 
 
@@ -41,7 +43,7 @@ def run(
     for routing in strategies:
         cluster = ClusterDeployment(
             execution_model,
-            scheduler_factory("qoserve", execution_model),
+            partial(make_scheduler, "qoserve", execution_model),
             num_replicas=num_replicas,
             routing=routing,
         )

@@ -7,9 +7,9 @@ percentage among long requests — the four panels of Figure 2.
 
 from __future__ import annotations
 
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.api import ServeConfig, build_trace, simulate
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.metrics.latency import latency_percentiles
 from repro.workload.datasets import AZURE_CODE
 
@@ -24,7 +24,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Figure 2's policy comparison."""
-    execution_model = get_execution_model(deployment)
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=scale.requests_for(max(loads)),
         seed=scale.seed
@@ -40,8 +39,10 @@ def run(
     for policy in policies:
         for qps in loads:
             trace = base.scaled_arrivals(qps)
-            scheduler = make_scheduler(policy, execution_model)
-            summary, _ = run_replica_trace(execution_model, scheduler, trace)
+            summary = simulate(
+                config=ServeConfig(deployment=deployment, scheduler=policy),
+                trace=trace,
+            )
             q1 = [r for r in trace if r.qos.name == "Q1"]
             q1_pcts = latency_percentiles(q1, (0.50, 0.99))
             result.rows.append(

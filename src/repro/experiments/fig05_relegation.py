@@ -8,9 +8,9 @@ latency grows by orders of magnitude from cascading violations.
 
 from __future__ import annotations
 
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.api import ServeConfig, build_trace, simulate
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.schedulers.qoserve import make_ablation_config
 from repro.workload.datasets import AZURE_CODE
 
@@ -23,7 +23,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Figure 5's relegation on/off comparison."""
-    execution_model = get_execution_model(deployment)
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=scale.requests_for(max(loads)),
         seed=scale.seed
@@ -50,11 +49,13 @@ def run(
         causes: dict[str, int] = {}
         for qps in loads:
             trace = base.scaled_arrivals(qps)
-            scheduler = make_scheduler(
-                "qoserve", execution_model, qoserve_config=config
-            )
-            summary, _ = run_replica_trace(
-                execution_model, scheduler, trace, audit=True
+            summary = simulate(
+                config=ServeConfig(
+                    deployment=deployment,
+                    qoserve_config=config,
+                    audit=True,
+                ),
+                trace=trace,
             )
             stats = summary.scheduler_stats
             report = summary.attribution

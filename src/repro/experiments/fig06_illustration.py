@@ -12,11 +12,11 @@ both schedulers, measured makespan and deadline outcomes.
 
 from __future__ import annotations
 
+from repro.api import ServeConfig, Session
 from repro.core.qos import QoSClass, QoSSpec
 from repro.core.request import Request
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.workload.trace import Trace
 
 #: Three QoS buckets as in the figure: one interactive, two
@@ -60,7 +60,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Execute the Figure 6 scenario under both schedulers."""
-    execution_model = get_execution_model(deployment)
     result = ExperimentResult(
         experiment="figure-06",
         title="The five-request illustration: SOTA fixed chunk vs "
@@ -73,15 +72,17 @@ def run(
         ("QoServe", "qoserve-oracle", {}),
     ):
         trace = five_request_scenario()
-        scheduler = make_scheduler(kind, execution_model, **kwargs)
-        summary, engine = run_replica_trace(
-            execution_model, scheduler, trace
+        session = Session(
+            ServeConfig(deployment=deployment, scheduler=kind, **kwargs)
         )
+        for request in trace:
+            session.submit(request)
+        session.drain()
         by_name = {r.app_id: r for r in trace}
         result.rows.append(
             {
                 "scheduler": label,
-                "makespan_s": engine.simulator.now,
+                "makespan_s": session.now,
                 "a_ttft_s": by_name["A"].ttft,
                 "missed_deadlines": sum(
                     1 for r in trace if r.violated_deadline

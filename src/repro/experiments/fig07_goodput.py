@@ -7,11 +7,11 @@ QoServe at 1.5-2.4x Sarathi-FCFS and 1.2-1.4x Sarathi-EDF.
 
 from __future__ import annotations
 
+from repro.api import goodput_search
 from repro.experiments.cache import cached_cell
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.parallel import pmap
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import goodput_search
 from repro.workload.datasets import DATASETS
 
 SCHEMES = ("fcfs", "edf", "qoserve")

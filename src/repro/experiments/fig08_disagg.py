@@ -9,13 +9,15 @@ the large baseline chunk leaves no dynamic-chunking headroom.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.api import build_trace, make_scheduler
 from repro.cluster.disagg import DisaggregatedDeployment
 from repro.cluster.capacity import find_max_goodput, CapacityResult
 from repro.experiments.cache import cached_cell
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.parallel import pmap
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.metrics.summary import RunSummary
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers import QoServeConfig
@@ -57,7 +59,7 @@ def _disagg_goodput(
     def evaluate(qps: float) -> RunSummary:
         deployment = DisaggregatedDeployment(
             execution_model,
-            scheduler_factory(scheme, execution_model, **kwargs),
+            partial(make_scheduler, scheme, execution_model, **kwargs),
             num_prefill_replicas=1,
         )
         needed = max(num_requests, int(qps * MIN_PROBE_DURATION))

@@ -9,9 +9,9 @@ decodes in flight they fall back toward the small-chunk regime.
 
 from __future__ import annotations
 
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.api import ServeConfig, Session, build_trace
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.workload.datasets import AZURE_CONV
 
 
@@ -22,16 +22,17 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Figure 9's chunk-size/latency trace."""
-    execution_model = get_execution_model(deployment)
     trace = build_trace(
         AZURE_CONV, qps=qps, num_requests=scale.num_requests, seed=scale.seed
     )
-    scheduler = make_scheduler("qoserve", execution_model)
-    summary, engine = run_replica_trace(
-        execution_model, scheduler, trace, record_iterations=True,
-        audit=True,
+    session = Session(
+        ServeConfig(deployment=deployment, record_iterations=True, audit=True)
     )
-    records = engine.iteration_records
+    for request in trace:
+        session.submit(request)
+    session.drain()
+    summary = session.summary(requests=list(trace))
+    records = session.engines[0].iteration_records
     # Pick the window showing the most chunk-size dynamics — Figure 9's
     # point is the scheduler swinging between small (strict decode in
     # flight) and large (slack available) chunks, so score windows by

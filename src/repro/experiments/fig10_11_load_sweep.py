@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.api import ServeConfig, build_trace, simulate
 from repro.experiments.cache import cached_cell
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.parallel import pmap
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.metrics.latency import governing_latency, latency_percentiles
 from repro.obs.sketch import QuantileSketch, merge_sketches
 from repro.workload.datasets import AZURE_CODE
@@ -37,10 +37,11 @@ def _sweep_cell(task: tuple[str, str, float, int, int]) -> dict:
     deployment, scheme, qps, num_requests, seed = task
 
     def compute() -> dict:
-        execution_model = get_execution_model(deployment)
         trace = _base_trace(num_requests, seed).scaled_arrivals(qps)
-        scheduler = make_scheduler(scheme, execution_model)
-        summary, _ = run_replica_trace(execution_model, scheduler, trace)
+        summary = simulate(
+            config=ServeConfig(deployment=deployment, scheduler=scheme),
+            trace=trace,
+        )
         row = {
             "scheme": f"Sarathi-{scheme.upper()}"
             if scheme != "qoserve"

@@ -9,9 +9,9 @@ p99 of high-priority requests per tier.
 
 from __future__ import annotations
 
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.api import ServeConfig, simulate
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.metrics.latency import rolling_percentile
 from repro.workload.arrivals import DiurnalArrivals
 from repro.workload.datasets import AZURE_CODE
@@ -53,7 +53,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Figure 12's violation table under diurnal load."""
-    execution_model = get_execution_model(deployment)
     result = ExperimentResult(
         experiment="figure-12",
         title="Deadline violations under diurnal transient overload",
@@ -64,8 +63,10 @@ def run(
     )
     for scheme in schemes:
         trace = build_diurnal_trace(scale)
-        scheduler = make_scheduler(scheme, execution_model)
-        summary, _ = run_replica_trace(execution_model, scheduler, trace)
+        summary = simulate(
+            config=ServeConfig(deployment=deployment, scheduler=scheme),
+            trace=trace,
+        )
         violations = summary.violations
         result.rows.append(
             {
@@ -90,7 +91,6 @@ def run_rolling_latency(
     quantile: float = 0.99,
 ) -> ExperimentResult:
     """Reproduce Figure 13: rolling p99 of important requests per tier."""
-    execution_model = get_execution_model(deployment)
     result = ExperimentResult(
         experiment="figure-13",
         title="Rolling p99 latency of high-priority requests (diurnal load)",
@@ -98,8 +98,10 @@ def run_rolling_latency(
     )
     for scheme in schemes:
         trace = build_diurnal_trace(scale)
-        scheduler = make_scheduler(scheme, execution_model)
-        summary, engine = run_replica_trace(execution_model, scheduler, trace)
+        simulate(
+            config=ServeConfig(deployment=deployment, scheduler=scheme),
+            trace=trace,
+        )
         window = max(30.0, trace.duration / 24.0)
         for tier in ("Q1", "Q2", "Q3"):
             important = [

@@ -8,10 +8,10 @@ trade-off motivating load-adaptive tuning.
 
 from __future__ import annotations
 
+from repro.api import ServeConfig, build_trace, simulate
 from repro.core.priority import MS_PER_TOKEN
-from repro.experiments.configs import BENCH, Scale, get_execution_model
+from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.schedulers import QoServeConfig
 from repro.workload.datasets import AZURE_CODE
 
@@ -26,7 +26,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Figure 14's alpha sweep."""
-    execution_model = get_execution_model(deployment)
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=scale.requests_for(max(loads)),
         seed=scale.seed
@@ -45,10 +44,12 @@ def run(
         )
         for qps in loads:
             trace = base.scaled_arrivals(qps)
-            scheduler = make_scheduler(
-                "qoserve", execution_model, qoserve_config=config
+            summary = simulate(
+                config=ServeConfig(
+                    deployment=deployment, qoserve_config=config
+                ),
+                trace=trace,
             )
-            summary, _ = run_replica_trace(execution_model, scheduler, trace)
             result.rows.append(
                 {
                     "alpha_ms_per_token": alpha_ms,

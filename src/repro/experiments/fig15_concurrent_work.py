@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import math
 
+from repro.api import ServeConfig, Session, goodput_search, simulate
 from repro.cluster.capacity import stable_drain
 from repro.cluster.polyserve import PolyServePlanner
 from repro.core.qos import QoSClass, QoSSpec
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    goodput_search,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.schedulers import QoServeConfig
 from repro.simcore.rng import RngStreams
 from repro.workload.datasets import AZURE_CONV
@@ -79,7 +75,6 @@ def run_medha_comparison(
     window: int = 1000,
 ) -> ExperimentResult:
     """Panel (a): per-batch chunk sizes, Medha vs QoServe-DC."""
-    execution_model = get_execution_model(deployment)
     num_requests = max(20, scale.num_requests // 20)
     result = ExperimentResult(
         experiment="figure-15a",
@@ -89,20 +84,24 @@ def run_medha_comparison(
             f"{num_requests} requests"
         ],
     )
-    for name, scheduler in (
-        ("Medha", make_scheduler("medha", execution_model)),
-        (
-            "QoServe",
-            make_scheduler(
-                "qoserve", execution_model, qoserve_config=DC_ONLY
-            ),
-        ),
+    for name, kind, qoserve_config in (
+        ("Medha", "medha", None),
+        ("QoServe", "qoserve", DC_ONLY),
     ):
         trace = synthetic_trace(num_requests, qps, seed=scale.seed)
-        _, engine = run_replica_trace(
-            execution_model, scheduler, trace, record_iterations=True
+        session = Session(
+            ServeConfig(
+                deployment=deployment,
+                scheduler=kind,
+                qoserve_config=qoserve_config,
+                record_iterations=True,
+            )
         )
-        for i, record in enumerate(engine.iteration_records[:window]):
+        for request in trace:
+            session.submit(request)
+        session.drain()
+        records = session.engines[0].iteration_records
+        for i, record in enumerate(records[:window]):
             if record.prefill_tokens <= 0:
                 continue
             result.rows.append(
@@ -119,26 +118,28 @@ def run_medha_goodput(
     scale: Scale = BENCH, deployment: str = "llama3-8b"
 ) -> ExperimentResult:
     """Panel (a) inset: isolated chunking-strategy goodput."""
-    execution_model = get_execution_model(deployment)
     num_requests = max(20, scale.num_requests // 20)
     result = ExperimentResult(
         experiment="figure-15a-goodput",
         title="Goodput from the chunking strategy alone (FCFS order)",
         notes=["paper: QoServe 0.32 vs Medha 0.26 QPS (+23%)"],
     )
-    for name, kind, kwargs in (
-        ("Medha", "medha", {}),
-        ("QoServe", "qoserve", {"qoserve_config": DC_ONLY}),
+    for name, kind, qoserve_config in (
+        ("Medha", "medha", None),
+        ("QoServe", "qoserve", DC_ONLY),
     ):
         base = synthetic_trace(num_requests, qps=1.0, seed=scale.seed)
+        config = ServeConfig(
+            deployment=deployment,
+            scheduler=kind,
+            qoserve_config=qoserve_config,
+        )
 
         lo, hi = 0.02, 1.0
         best = 0.0
         for _ in range(10):
             mid = 0.5 * (lo + hi)
-            trace = base.scaled_arrivals(mid)
-            scheduler = make_scheduler(kind, execution_model, **kwargs)
-            summary, _ = run_replica_trace(execution_model, scheduler, trace)
+            summary = simulate(config=config, trace=base.scaled_arrivals(mid))
             if summary.violations.overall_pct <= 1.0 and stable_drain(summary):
                 best = mid
                 lo = mid

@@ -21,11 +21,13 @@ single KV block.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults.plan import FaultPlan, ReplicaCrash, get_default_fault_plan
 from repro.faults.policy import ResilienceConfig, RetryPolicy
 from repro.obs.audit import audit_requests
@@ -68,7 +70,7 @@ def _run_cluster(
 ) -> ClusterDeployment:
     cluster = ClusterDeployment(
         execution_model,
-        scheduler_factory("qoserve", execution_model),
+        partial(make_scheduler, "qoserve", execution_model),
         num_replicas=num_replicas,
         fault_plan=plan,
         resilience=resilience,

@@ -29,6 +29,9 @@ invariant is asserted for every run.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import (
     BurnRateAutoscaler,
@@ -39,7 +42,6 @@ from repro.cluster.fleet import (
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResilienceConfig
 from repro.obs.audit import audit_requests
@@ -77,7 +79,7 @@ def _run_fleet(
 ) -> ClusterDeployment:
     fleet = ClusterDeployment(
         execution_model,
-        scheduler_factory("qoserve", execution_model),
+        partial(make_scheduler, "qoserve", execution_model),
         fleet=config,
         routing="perf-aware",
         fault_plan=plan,

@@ -12,16 +12,13 @@ their p99 latencies and violation rates reported.
 from __future__ import annotations
 
 import math
+from functools import partial
 
+from repro.api import build_trace, goodput_search, make_scheduler
 from repro.cluster.deployment import ClusterDeployment, SiloedDeployment, SiloSpec
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    build_trace,
-    goodput_search,
-    scheduler_factory,
-)
 from repro.workload.datasets import AZURE_CODE
 from repro.workload.tiers import TierMix
 
@@ -63,8 +60,9 @@ def _simulate_silo(
         SiloSpec(
             tier_names=(tier,),
             num_replicas=count,
-            scheduler_factory=scheduler_factory(
-                "fcfs", execution_model, chunk_size=SILO_CHUNKS[tier]
+            scheduler_factory=partial(
+                make_scheduler, "fcfs", execution_model,
+                chunk_size=SILO_CHUNKS[tier],
             ),
         )
         for tier, count in replicas.items()
@@ -78,7 +76,7 @@ def _simulate_silo(
 def _simulate_shared(execution_model, num_replicas: int, trace):
     deployment = ClusterDeployment(
         execution_model,
-        scheduler_factory("qoserve", execution_model),
+        partial(make_scheduler, "qoserve", execution_model),
         num_replicas=num_replicas,
     )
     deployment.submit_trace(trace)

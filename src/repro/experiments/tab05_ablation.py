@@ -10,16 +10,11 @@ violation percentage at a fixed high load.
 
 from __future__ import annotations
 
+from repro.api import ServeConfig, build_trace, goodput_search, simulate
 from repro.experiments.cache import cached_cell
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.parallel import pmap
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    build_trace,
-    goodput_search,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.schedulers.qoserve import make_ablation_config
 from repro.workload.datasets import AZURE_CODE
 
@@ -63,11 +58,10 @@ def _ablation_cell(
         base = build_trace(
             AZURE_CODE, qps=1.0, num_requests=highload_requests, seed=seed
         )
-        trace = base.scaled_arrivals(high_load_qps)
-        scheduler = make_scheduler(
-            "qoserve", execution_model, qoserve_config=config
+        summary = simulate(
+            config=ServeConfig(deployment=deployment, qoserve_config=config),
+            trace=base.scaled_arrivals(high_load_qps),
         )
-        summary, _ = run_replica_trace(execution_model, scheduler, trace)
         return {
             "config": label,
             "goodput_qps": capacity.max_qps,

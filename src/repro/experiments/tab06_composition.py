@@ -12,15 +12,10 @@ QoServe vs Sarathi-EDF (paper: 5.0 vs 3.7 QPS).
 
 from __future__ import annotations
 
+from repro.api import ServeConfig, build_trace, goodput_search, simulate
 from repro.core.qos import QoSClass, QoSSpec
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
-from repro.experiments.runner import (
-    build_trace,
-    goodput_search,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
 from repro.workload.tiers import TierMix
 
@@ -37,7 +32,6 @@ def run(
     deployment: str = "llama3-8b",
 ) -> ExperimentResult:
     """Reproduce Table 6's skewed-composition comparison."""
-    execution_model = get_execution_model(deployment)
     result = ExperimentResult(
         experiment="table-06",
         title=f"Skewed workload compositions at {qps} QPS (AzCode)",
@@ -52,9 +46,10 @@ def run(
             mix=mix,
         )
         for scheme in SCHEMES:
-            trace = base.fresh_copy()
-            scheduler = make_scheduler(scheme, execution_model)
-            summary, _ = run_replica_trace(execution_model, scheduler, trace)
+            summary = simulate(
+                config=ServeConfig(deployment=deployment, scheduler=scheme),
+                trace=base.fresh_copy(),
+            )
             result.rows.append(
                 {
                     "composition": mix_name,

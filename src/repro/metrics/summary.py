@@ -40,7 +40,7 @@ class RunSummary:
     #: Simulated time between the last arrival and full completion.
     #: A stable (non-divergent) system drains quickly; a run operating
     #: beyond capacity accumulates backlog that shows up here.  Set by
-    #: the experiment runner, 0 when unknown.
+    #: :meth:`repro.api.Session.summary`, 0 when unknown.
     drain_time: float = 0.0
     #: Span of the arrival process in simulated seconds.
     arrival_span: float = 0.0
@@ -51,13 +51,14 @@ class RunSummary:
     #: Scheduler-decision counters collected by the engine during the
     #: run (relegations by tier, preemptions, decode evictions, KV
     #: high-water utilization, chunk-size histogram).  Filled in by
-    #: :func:`repro.experiments.runner.run_replica_trace`; empty for
-    #: summaries built straight from a request list.
+    #: :meth:`repro.api.Session.summary`; empty for summaries built
+    #: straight from a request list.
     scheduler_stats: dict = field(default_factory=dict)
     #: Per-request latency attribution
     #: (:class:`repro.obs.audit.AttributionReport`), filled in by
-    #: :func:`repro.experiments.runner.run_replica_trace` when the run
-    #: is audited; ``None`` otherwise.  Deliberately excluded from
+    #: :meth:`repro.api.Session.summary` when the run is audited
+    #: (``ServeConfig(audit=True)``); ``None`` otherwise.
+    #: Deliberately excluded from
     #: :func:`repro.metrics.export.summary_to_dict` so audited and
     #: unaudited runs serialize identically (the determinism pin).
     attribution: object | None = None

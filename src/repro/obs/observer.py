@@ -821,11 +821,11 @@ class TracingObserver(Observer):
 class MultiObserver(Observer):
     """Fan every hook out to a list of observers, in order.
 
-    Lets the experiment runner chain an in-memory audit collector with
-    whatever observer is already installed (e.g. the CLI's tracing
-    observer) without displacing either: both see the identical hook
-    stream, and neither can perturb the simulation — the same
-    read-only contract as any single observer.
+    Lets an audited :class:`repro.api.Session` chain an in-memory
+    audit collector with whatever observer is already installed (e.g.
+    the CLI's tracing observer) without displacing either: both see
+    the identical hook stream, and neither can perturb the simulation
+    — the same read-only contract as any single observer.
     """
 
     def __init__(self, observers: "Iterable[Observer]") -> None:

@@ -251,8 +251,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             prompt_tokens = int(payload["prompt_tokens"])
             decode_tokens = int(payload.get("max_tokens", 16))
             tier = str(payload.get("tier", "Q1"))
-            important = bool(payload.get("important", True))
-            stream = bool(payload.get("stream", False))
+            important = _json_bool(payload, "important", True)
+            stream = _json_bool(payload, "stream", False)
             app_id = str(payload.get("app_id", "api"))
             raw_ids = payload.get("token_ids")
             token_ids = (
@@ -346,6 +346,18 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream; nothing to clean up
+
+
+def _json_bool(payload: dict, key: str, default: bool) -> bool:
+    """A body flag: a JSON ``true``/``false`` or absent (``default``).
+
+    Anything else — ``"false"``, ``0``, ``null`` — is a ``ValueError``
+    rather than a truthiness guess.
+    """
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
 
 
 def _completion_payload(request) -> dict:

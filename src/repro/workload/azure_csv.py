@@ -18,6 +18,7 @@ reproduces its fixed-QPS methodology on real lengths).
 from __future__ import annotations
 
 import csv
+import math
 from datetime import datetime
 from pathlib import Path
 
@@ -82,8 +83,8 @@ def load_azure_trace(
         An arrival-sorted :class:`Trace`.
 
     Raises:
-        ValueError: On missing columns, unparseable rows, or an empty
-            file.
+        ValueError: On missing columns, unparseable or non-finite
+            values (naming the file and line), or an empty file.
     """
     path = Path(path)
     arrivals: list[float] = []
@@ -92,17 +93,24 @@ def load_azure_trace(
     with path.open(newline="") as source:
         reader = csv.DictReader(source)
         for row in reader:
-            arrivals.append(
-                _parse_timestamp(
-                    _pick(row, _TIMESTAMP_KEYS, path, "timestamp")
-                )
+            arrival = _parse_timestamp(
+                _pick(row, _TIMESTAMP_KEYS, path, "timestamp")
             )
-            prompts.append(
-                int(float(_pick(row, _CONTEXT_KEYS, path, "context")))
-            )
-            decodes.append(
-                int(float(_pick(row, _GENERATED_KEYS, path, "generated")))
-            )
+            context = float(_pick(row, _CONTEXT_KEYS, path, "context"))
+            generated = float(_pick(row, _GENERATED_KEYS, path, "generated"))
+            for field, value in (
+                ("timestamp", arrival),
+                ("context", context),
+                ("generated", generated),
+            ):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: non-finite "
+                        f"{field} {value!r}"
+                    )
+            arrivals.append(arrival)
+            prompts.append(int(context))
+            decodes.append(int(generated))
             if max_requests is not None and len(arrivals) >= max_requests:
                 break
     if not arrivals:

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import ServeConfig, Session
 from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.core.request import Request
@@ -99,6 +100,24 @@ def stall_requests(seed: int, count: int = 8) -> list[Request]:
         )
         for i in range(count)
     ]
+
+
+def drain_trace(execution_model, scheduler, trace, *, observer=None,
+                **config):
+    """Run ``trace`` to drain on one replica driven by a pre-built
+    ``scheduler`` under ``execution_model``; ``config`` forwards to
+    :class:`ServeConfig` (e.g. ``record_iterations``, ``audit``).
+    Returns ``(summary, engine)``."""
+    session = Session(
+        ServeConfig(**config),
+        execution_model=execution_model,
+        scheduler=scheduler,
+        observer=observer,
+    )
+    for request in trace:
+        session.submit(request)
+    session.drain()
+    return session.summary(requests=list(trace)), session.engines[0]
 
 
 # Re-export tier presets so tests can import them from one place.

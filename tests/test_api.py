@@ -7,7 +7,6 @@ import pytest
 from repro.api import (
     ENGINE_KINDS,
     ROUTING_STRATEGIES,
-    SCHEDULER_KINDS,
     ServeConfig,
     Session,
     build_trace,
@@ -51,14 +50,10 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="chunk_size"):
             ServeConfig(chunk_size=-1)
 
-    def test_routing_mirror_matches_cluster(self):
-        # repro.api keeps a literal copy to avoid the import cycle;
-        # this pins the two tuples together.
-        from repro.cluster.deployment import (
-            ROUTING_STRATEGIES as CLUSTER_STRATEGIES,
-        )
+    def test_routing_strategies_come_from_cluster(self):
+        import repro.cluster.deployment
 
-        assert tuple(ROUTING_STRATEGIES) == tuple(CLUSTER_STRATEGIES)
+        assert ROUTING_STRATEGIES is repro.cluster.deployment.ROUTING_STRATEGIES
 
 
 class TestBuildTrace:
@@ -257,13 +252,6 @@ class TestSession:
 
 
 class TestWrapperDelegation:
-    def test_runner_reexports_facade(self):
-        from repro.experiments import runner
-
-        assert runner.build_trace is build_trace
-        assert runner.make_scheduler is make_scheduler
-        assert runner.SCHEDULER_KINDS is SCHEDULER_KINDS
-
     def test_top_level_exports(self):
         import repro
 

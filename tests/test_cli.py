@@ -357,6 +357,19 @@ class TestServeCommand:
         assert code == 1
         assert "cannot read --replay:" in capsys.readouterr().err
 
+    def test_non_finite_replay_values(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "TIMESTAMP,ContextTokens,GeneratedTokens\n"
+            "0,100,5\n1,inf,5\n"
+        )
+        code = main(["serve", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "invalid replay trace" in err
+        assert "line 3: non-finite context" in err
+        assert "Traceback" not in err
+
     def test_summary_out_path_error(self, capsys, tmp_path, replay_csv):
         code = main(["serve", "--replay", str(replay_csv),
                      "--scheduler", "fcfs",

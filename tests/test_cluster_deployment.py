@@ -1,13 +1,15 @@
 """Unit tests for cluster deployments and load balancing."""
 
+from functools import partial
+
 import pytest
 
+from repro.api import make_scheduler
 from repro.cluster.deployment import (
     ClusterDeployment,
     SiloedDeployment,
     SiloSpec,
 )
-from repro.experiments.runner import scheduler_factory
 from repro.workload import PoissonArrivals, TierAssigner, TraceBuilder
 from repro.workload.datasets import AZURE_CODE
 from tests.conftest import make_request
@@ -23,7 +25,7 @@ def small_trace(n=60, qps=3.0, seed=3):
 class TestClusterDeployment:
     def test_round_robin_spreads_requests(self, execution_model):
         cluster = ClusterDeployment(
-            execution_model, scheduler_factory("fcfs", execution_model),
+            execution_model, partial(make_scheduler, "fcfs", execution_model),
             num_replicas=3,
         )
         for i in range(9):
@@ -33,7 +35,7 @@ class TestClusterDeployment:
 
     def test_all_requests_complete(self, execution_model):
         cluster = ClusterDeployment(
-            execution_model, scheduler_factory("fcfs", execution_model),
+            execution_model, partial(make_scheduler, "fcfs", execution_model),
             num_replicas=2,
         )
         trace = small_trace()
@@ -47,7 +49,7 @@ class TestClusterDeployment:
 
         qwen = get_execution_model("qwen-7b")  # TP2
         cluster = ClusterDeployment(
-            qwen, scheduler_factory("fcfs", qwen), num_replicas=3
+            qwen, partial(make_scheduler, "fcfs", qwen), num_replicas=3
         )
         assert cluster.gpus_used == 6
 
@@ -57,7 +59,7 @@ class TestClusterDeployment:
         def p99(replicas):
             cluster = ClusterDeployment(
                 execution_model,
-                scheduler_factory("fcfs", execution_model),
+                partial(make_scheduler, "fcfs", execution_model),
                 num_replicas=replicas,
             )
             cluster.submit_trace(trace.fresh_copy())
@@ -70,7 +72,7 @@ class TestClusterDeployment:
         with pytest.raises(ValueError):
             ClusterDeployment(
                 execution_model,
-                scheduler_factory("fcfs", execution_model),
+                partial(make_scheduler, "fcfs", execution_model),
                 num_replicas=0,
             )
 
@@ -80,9 +82,9 @@ class TestSiloedDeployment:
         return SiloedDeployment(
             execution_model,
             silos=[
-                SiloSpec(("Q1",), 1, scheduler_factory(
+                SiloSpec(("Q1",), 1, partial(make_scheduler, 
                     "fcfs", execution_model, chunk_size=256)),
-                SiloSpec(("Q2", "Q3"), 1, scheduler_factory(
+                SiloSpec(("Q2", "Q3"), 1, partial(make_scheduler, 
                     "fcfs", execution_model, chunk_size=2048)),
             ],
         )
@@ -110,7 +112,7 @@ class TestSiloedDeployment:
         deployment = SiloedDeployment(
             execution_model,
             silos=[SiloSpec(("Q1",), 1,
-                            scheduler_factory("fcfs", execution_model))],
+                            partial(make_scheduler, "fcfs", execution_model))],
         )
         from tests.conftest import Q2
         with pytest.raises(KeyError):
@@ -122,9 +124,9 @@ class TestSiloedDeployment:
                 execution_model,
                 silos=[
                     SiloSpec(("Q1",), 1,
-                             scheduler_factory("fcfs", execution_model)),
+                             partial(make_scheduler, "fcfs", execution_model)),
                     SiloSpec(("Q1",), 1,
-                             scheduler_factory("fcfs", execution_model)),
+                             partial(make_scheduler, "fcfs", execution_model)),
                 ],
             )
 

@@ -1,9 +1,11 @@
 """Unit tests for PD disaggregation."""
 
+from functools import partial
+
 import pytest
 
+from repro.api import make_scheduler
 from repro.cluster.disagg import DecodePool, DisaggregatedDeployment
-from repro.experiments.runner import scheduler_factory
 from repro.workload import PoissonArrivals, TierAssigner, TraceBuilder
 from repro.workload.datasets import AZURE_CONV
 from tests.conftest import Q1, make_request
@@ -36,7 +38,7 @@ class TestDisaggregatedDeployment:
     def test_end_to_end(self, execution_model):
         deployment = DisaggregatedDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model, chunk_size=8192),
+            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
             num_prefill_replicas=2,
         )
         trace = TraceBuilder(
@@ -53,7 +55,7 @@ class TestDisaggregatedDeployment:
         iteration on the prefill node."""
         deployment = DisaggregatedDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model, chunk_size=8192),
+            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
         )
         r = make_request(prompt_tokens=4000, decode_tokens=5)
         deployment.submit(r)
@@ -63,7 +65,7 @@ class TestDisaggregatedDeployment:
     def test_summary_includes_decode_latency(self, execution_model):
         deployment = DisaggregatedDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model, chunk_size=8192),
+            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
         )
         r = make_request(prompt_tokens=1000, decode_tokens=10, qos=Q1)
         deployment.submit(r)
@@ -76,6 +78,6 @@ class TestDisaggregatedDeployment:
         with pytest.raises(ValueError):
             DisaggregatedDeployment(
                 execution_model,
-                scheduler_factory("fcfs", execution_model),
+                partial(make_scheduler, "fcfs", execution_model),
                 num_prefill_replicas=0,
             )

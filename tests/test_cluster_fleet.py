@@ -14,10 +14,11 @@ Covers ROADMAP item 5's three composed layers:
 """
 
 import json
+from functools import partial
 
 import pytest
 
-from repro.api import ServeConfig, Session
+from repro.api import ServeConfig, Session, build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import (
     BurnRateAutoscaler,
@@ -28,7 +29,6 @@ from repro.cluster.fleet import (
     parse_fleet_spec,
 )
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults.plan import FaultPlan, ReplicaCrash
 from repro.faults.policy import ResilienceConfig
 from repro.metrics import summary_to_dict
@@ -66,7 +66,7 @@ def _config(initial=("a100", "a100", "a100"), **kwargs):
 def _fleet(config=None, autoscaler=None, plan=None, routing="perf-aware"):
     return ClusterDeployment(
         EXEC,
-        scheduler_factory("qoserve", EXEC),
+        partial(make_scheduler, "qoserve", EXEC),
         fleet=config or _config(),
         routing=routing,
         fault_plan=plan,
@@ -424,7 +424,7 @@ class TestParseFleetSpec:
             BusyFractionAutoscaler(
                 scale_up_threshold=0.4, scale_down_threshold=0.5
             )
-        factory = scheduler_factory("qoserve", EXEC)
+        factory = partial(make_scheduler, "qoserve", EXEC)
         with pytest.raises(ValueError, match="requires fleet"):
             ClusterDeployment(
                 EXEC, factory, 2, autoscaler=BusyFractionAutoscaler()

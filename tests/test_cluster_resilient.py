@@ -1,11 +1,12 @@
 """Integration tests for :class:`ClusterDeployment` with fault tolerance."""
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults import (
     FaultPlan,
     ReplicaCrash,
@@ -32,7 +33,7 @@ def make_cluster(execution_model, num_replicas, plan, resilience=None,
                  scheduler="qoserve", routing="round-robin"):
     return ClusterDeployment(
         execution_model,
-        scheduler_factory(scheduler, execution_model),
+        partial(make_scheduler, scheduler, execution_model),
         num_replicas=num_replicas,
         routing=routing,
         fault_plan=plan,
@@ -53,7 +54,7 @@ class TestDeterminismPin:
 
         plain = ClusterDeployment(
             execution_model,
-            scheduler_factory("qoserve", execution_model),
+            partial(make_scheduler, "qoserve", execution_model),
             num_replicas=3,
         )
         plain.submit_trace(trace.fresh_copy())

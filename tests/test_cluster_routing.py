@@ -1,9 +1,11 @@
 """Tests for the cluster routing strategies."""
 
+from functools import partial
+
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ROUTING_STRATEGIES, ClusterDeployment
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.metrics.summary import summarize_run
 from repro.workload.datasets import AZURE_CODE
 from tests.conftest import make_request
@@ -12,7 +14,7 @@ from tests.conftest import make_request
 def run_cluster(execution_model, routing, trace, replicas=3):
     cluster = ClusterDeployment(
         execution_model,
-        scheduler_factory("fcfs", execution_model),
+        partial(make_scheduler, "fcfs", execution_model),
         num_replicas=replicas,
         routing=routing,
     )
@@ -34,7 +36,7 @@ class TestStrategies:
         with pytest.raises(ValueError):
             ClusterDeployment(
                 execution_model,
-                scheduler_factory("fcfs", execution_model),
+                partial(make_scheduler, "fcfs", execution_model),
                 num_replicas=2,
                 routing="random-walk",
             )
@@ -42,7 +44,7 @@ class TestStrategies:
     def test_round_robin_exactly_even(self, execution_model):
         cluster = ClusterDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model),
+            partial(make_scheduler, "fcfs", execution_model),
             num_replicas=3,
             routing="round-robin",
         )
@@ -55,7 +57,7 @@ class TestStrategies:
         """A huge request on one replica diverts later arrivals."""
         cluster = ClusterDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model),
+            partial(make_scheduler, "fcfs", execution_model),
             num_replicas=2,
             routing="least-loaded",
         )
@@ -127,7 +129,7 @@ class TestTieBreaks:
     def idle_cluster(self, execution_model, routing, replicas=4):
         return ClusterDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model),
+            partial(make_scheduler, "fcfs", execution_model),
             num_replicas=replicas,
             routing=routing,
         )

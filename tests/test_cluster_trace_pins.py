@@ -15,15 +15,21 @@ say why in the change description.
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.api import ServeConfig, Session, resolve_engine_cls
+from repro.api import (
+    ServeConfig,
+    Session,
+    build_trace,
+    make_scheduler,
+    resolve_engine_cls,
+)
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import parse_fleet_spec
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
 from repro.faults.policy import ResilienceConfig
 from repro.obs import ListSink, TraceRecorder, TracingObserver
@@ -79,7 +85,7 @@ def _chaos_trace():
 def _static(routing: str, engine: str) -> str:
     sink, observer = _recording()
     cluster = ClusterDeployment(
-        EXEC, scheduler_factory("qoserve", EXEC), 4, routing=routing,
+        EXEC, partial(make_scheduler, "qoserve", EXEC), 4, routing=routing,
         observer=observer, engine_cls=resolve_engine_cls(engine),
     )
     cluster.submit_trace(_chaos_trace())
@@ -99,7 +105,7 @@ def _resilient(engine: str) -> str:
     ))
     sink, observer = _recording()
     cluster = ClusterDeployment(
-        EXEC, scheduler_factory("qoserve", EXEC), 4,
+        EXEC, partial(make_scheduler, "qoserve", EXEC), 4,
         observer=observer, engine_cls=resolve_engine_cls(engine),
         fault_plan=plan, resilience=ResilienceConfig(shed_free_below=0.8),
     )

@@ -1,9 +1,8 @@
 """The code snippets in docs/EXTENDING.md must keep working."""
 
+from repro.api import Session
 from repro.core.qos import QoSClass, QoSSpec
 from repro.core.request import Request
-from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import run_replica_trace
 from repro.perfmodel import ExecutionModel, HardwareSpec, ModelSpec
 from repro.schedulers.base import FixedChunkScheduler
 from repro.workload import (
@@ -45,9 +44,11 @@ def make_docs_workload(n=60):
 class TestExtendingDocs:
     def test_custom_scheduler_runs(self):
         trace = make_docs_workload()
-        summary, _ = run_replica_trace(
-            get_execution_model(), DeadlineDensityScheduler(), trace
-        )
+        session = Session(scheduler=DeadlineDensityScheduler())
+        for request in trace:
+            session.submit(request)
+        session.drain()
+        summary = session.summary(requests=list(trace))
         assert summary.finished == len(trace)
 
     def test_custom_deployment_constructs(self):

@@ -35,13 +35,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.core.qos import DEFAULT_TIERS, Q2_RELAXED
 from repro.core.request import Request
 from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
 from repro.engine.arrays import ArrayKVLedger, _RowStore, _RowView
 from repro.engine.interface import decode_slack
 from repro.engine.kvcache import KVCacheManager
-from repro.experiments.runner import build_trace, make_scheduler
 from repro.obs.audit import audit_events
 from repro.obs.observer import TracingObserver
 from repro.obs.trace import ListSink, TraceRecorder
@@ -353,8 +353,10 @@ class TestFaultParity:
     """Crash + slowdown plan on a resilient pool, both engine cores."""
 
     def test_resilient_cluster_identical(self, execution_model):
+        from functools import partial
+
+        from repro.api import make_scheduler
         from repro.cluster.deployment import ClusterDeployment
-        from repro.experiments.runner import scheduler_factory
         from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
         from repro.metrics.export import summary_to_dict
 
@@ -369,7 +371,7 @@ class TestFaultParity:
         for engine_cls in ENGINES:
             cluster = ClusterDeployment(
                 execution_model,
-                scheduler_factory("qoserve", execution_model),
+                partial(make_scheduler, "qoserve", execution_model),
                 num_replicas=2,
                 fault_plan=plan,
                 engine_cls=engine_cls,
@@ -408,8 +410,10 @@ class TestFleetParity:
     """
 
     def test_fleet_with_faults_identical(self, execution_model):
+        from functools import partial
+
+        from repro.api import make_scheduler
         from repro.cluster.deployment import ClusterDeployment
-        from repro.experiments.runner import scheduler_factory
         from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
         from repro.metrics.export import summary_to_dict
 
@@ -424,7 +428,7 @@ class TestFleetParity:
         for engine_cls in ENGINES:
             cluster = ClusterDeployment(
                 execution_model,
-                scheduler_factory("qoserve", execution_model),
+                partial(make_scheduler, "qoserve", execution_model),
                 num_replicas=8,
                 routing="least-loaded",
                 fault_plan=plan,

@@ -1,19 +1,22 @@
-"""Unit tests for the experiment runner utilities."""
+"""Unit tests for the helpers experiment drivers share: the
+scheduler, trace and capacity-search building blocks in
+:mod:`repro.api` and the presets in :mod:`repro.experiments.configs`."""
 
 import pytest
 
+from repro.api import (
+    SCHEDULER_KINDS,
+    ServeConfig,
+    Session,
+    build_trace,
+    goodput_search,
+    make_scheduler,
+)
 from repro.experiments.configs import (
     DEPLOYMENTS,
     SMOKE,
     Scale,
     get_execution_model,
-)
-from repro.experiments.runner import (
-    SCHEDULER_KINDS,
-    build_trace,
-    goodput_search,
-    make_scheduler,
-    run_replica_trace,
 )
 from repro.schedulers import (
     EDFScheduler,
@@ -89,11 +92,15 @@ class TestRunHelpers:
         names = {r.qos.name for r in trace}
         assert names == {"Q1", "Q2", "Q3"}
 
-    def test_run_replica_trace_drains(self, execution_model):
+    def test_session_drains_trace(self, execution_model):
         trace = build_trace(AZURE_CODE, qps=2.0, num_requests=40, seed=1)
-        summary, engine = run_replica_trace(
-            execution_model, make_scheduler("fcfs", execution_model), trace
+        session = Session(
+            ServeConfig(scheduler="fcfs"), execution_model=execution_model
         )
+        for request in trace:
+            session.submit(request)
+        session.drain()
+        summary = session.summary(requests=list(trace))
         assert summary.finished == 40
         assert summary.arrival_span > 0
         assert summary.drain_time >= 0

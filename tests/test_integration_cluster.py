@@ -1,11 +1,13 @@
 """Cluster-level integration tests across deployments and modes."""
 
+from functools import partial
+
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment, SiloedDeployment, SiloSpec
 from repro.cluster.disagg import DisaggregatedDeployment
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, scheduler_factory
 from repro.schedulers import QoServeConfig
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
 
@@ -19,7 +21,7 @@ class TestSharedClusterAcrossDeployments:
     def test_gpu_accounting(self, deployment_name, expected_gpus):
         em = get_execution_model(deployment_name)
         cluster = ClusterDeployment(
-            em, scheduler_factory("fcfs", em), num_replicas=2
+            em, partial(make_scheduler, "fcfs", em), num_replicas=2
         )
         assert cluster.gpus_used == expected_gpus
 
@@ -27,7 +29,7 @@ class TestSharedClusterAcrossDeployments:
     def test_multireplica_qoserve_completes(self, deployment_name):
         em = get_execution_model(deployment_name)
         cluster = ClusterDeployment(
-            em, scheduler_factory("qoserve-oracle", em), num_replicas=2
+            em, partial(make_scheduler, "qoserve-oracle", em), num_replicas=2
         )
         trace = build_trace(AZURE_CODE, qps=4.0, num_requests=80, seed=6)
         cluster.submit_trace(trace)
@@ -48,11 +50,11 @@ class TestSiloVsSharedAtEqualGpus:
             em,
             silos=[
                 SiloSpec(("Q1",), 1,
-                         scheduler_factory("fcfs", em, chunk_size=256)),
+                         partial(make_scheduler, "fcfs", em, chunk_size=256)),
                 SiloSpec(("Q2",), 1,
-                         scheduler_factory("fcfs", em, chunk_size=2048)),
+                         partial(make_scheduler, "fcfs", em, chunk_size=2048)),
                 SiloSpec(("Q3",), 1,
-                         scheduler_factory("fcfs", em, chunk_size=2048)),
+                         partial(make_scheduler, "fcfs", em, chunk_size=2048)),
             ],
         )
         silo.submit_trace(trace.fresh_copy())
@@ -60,7 +62,7 @@ class TestSiloVsSharedAtEqualGpus:
         silo_summary = silo.summarize()
 
         shared = ClusterDeployment(
-            em, scheduler_factory("qoserve-oracle", em), num_replicas=3
+            em, partial(make_scheduler, "qoserve-oracle", em), num_replicas=3
         )
         shared.submit_trace(trace.fresh_copy())
         shared.run(max_events=50_000_000)
@@ -78,7 +80,7 @@ class TestDisaggQoServeConfig:
         em = get_execution_model("llama3-8b")
         deployment = DisaggregatedDeployment(
             em,
-            scheduler_factory(
+            partial(make_scheduler, 
                 "qoserve-oracle", em,
                 qoserve_config=QoServeConfig(
                     max_chunk_size=8192, fixed_chunk_size=8192,
@@ -98,7 +100,7 @@ class TestDisaggQoServeConfig:
     def test_disagg_multireplica_round_robin(self):
         em = get_execution_model("llama3-8b")
         deployment = DisaggregatedDeployment(
-            em, scheduler_factory("edf", em, chunk_size=8192),
+            em, partial(make_scheduler, "edf", em, chunk_size=8192),
             num_prefill_replicas=3,
         )
         trace = build_trace(AZURE_CONV, qps=3.0, num_requests=30, seed=9)

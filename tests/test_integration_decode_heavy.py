@@ -7,9 +7,10 @@ KV growth and TTLT pacing dominate scheduling.
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.workload.datasets import SHAREGPT
+from tests.conftest import drain_trace
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ class TestDecodeHeavyRegime:
     @pytest.mark.parametrize("scheme", ["fcfs", "edf", "qoserve-oracle"])
     def test_completes_at_moderate_load(self, em, trace, scheme):
         scaled = trace.scaled_arrivals(1.5)
-        summary, engine = run_replica_trace(
+        summary, engine = drain_trace(
             em, make_scheduler(scheme, em), scaled
         )
         assert summary.finished == len(scaled)
@@ -36,7 +37,7 @@ class TestDecodeHeavyRegime:
         """ShareGPT's long decodes keep many requests resident — the
         mixed batches the execution model's decode terms exist for."""
         scaled = trace.scaled_arrivals(2.0)
-        _, engine = run_replica_trace(
+        _, engine = drain_trace(
             em, make_scheduler("qoserve-oracle", em), scaled,
             record_iterations=True,
         )
@@ -45,17 +46,17 @@ class TestDecodeHeavyRegime:
 
     def test_qoserve_tbt_clean_under_decode_pressure(self, em, trace):
         scaled = trace.scaled_arrivals(1.5)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             em, make_scheduler("qoserve-oracle", em), scaled
         )
         assert summary.violations.tbt_miss_pct < 1.5
 
     def test_qoserve_beats_fcfs_here_too(self, em, trace):
         scaled = trace.scaled_arrivals(2.5)
-        fcfs, _ = run_replica_trace(
+        fcfs, _ = drain_trace(
             em, make_scheduler("fcfs", em), scaled.fresh_copy()
         )
-        qoserve, _ = run_replica_trace(
+        qoserve, _ = drain_trace(
             em, make_scheduler("qoserve-oracle", em), scaled.fresh_copy()
         )
         assert (

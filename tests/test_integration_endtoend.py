@@ -8,19 +8,16 @@ kicking in under overload, dynamic chunking raising throughput.
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.schedulers import QoServeConfig, QoServeScheduler
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV, SHAREGPT
 from repro.workload.tiers import TierAssigner
 from repro.workload.trace import TraceBuilder
 from repro.workload.arrivals import PoissonArrivals
+from tests.conftest import drain_trace
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +27,7 @@ def em():
 
 def run(em, kind, trace, **kwargs):
     scheduler = make_scheduler(kind, em, **kwargs)
-    summary, engine = run_replica_trace(em, scheduler, trace.fresh_copy())
+    summary, engine = drain_trace(em, scheduler, trace.fresh_copy())
     return summary, engine
 
 

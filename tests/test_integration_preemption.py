@@ -8,9 +8,9 @@ that decodes are never interrupted.
 
 import pytest
 
+from repro.api import make_scheduler
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import make_scheduler
 from repro.simcore import Simulator
 from tests.conftest import Q1, Q2, make_request
 

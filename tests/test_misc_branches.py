@@ -55,12 +55,14 @@ class TestDecodePoolDefaults:
 
 class TestSiloSummaryAtTime:
     def test_summarize_with_explicit_now(self, execution_model):
+        from functools import partial
+
+        from repro.api import make_scheduler
         from repro.cluster.deployment import ClusterDeployment
-        from repro.experiments.runner import scheduler_factory
 
         cluster = ClusterDeployment(
             execution_model,
-            scheduler_factory("fcfs", execution_model),
+            partial(make_scheduler, "fcfs", execution_model),
             num_replicas=1,
         )
         r = make_request(arrival_time=0.0, prompt_tokens=400,

@@ -4,12 +4,8 @@ import json
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.experiments.configs import Scale, get_execution_model
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.metrics.export import summary_to_dict
 from repro.obs.audit import (
     CONSERVATION_TOL,
@@ -18,6 +14,7 @@ from repro.obs.audit import (
     audit_requests,
 )
 from repro.workload.datasets import AZURE_CODE
+from tests.conftest import drain_trace
 
 
 def completed(
@@ -227,7 +224,7 @@ class TestEndToEnd:
             seed=scale.seed,
         ).scaled_arrivals(8.0)
         scheduler = make_scheduler("fcfs", execution_model)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             execution_model, scheduler, trace, audit=True
         )
         return summary, trace
@@ -255,7 +252,7 @@ class TestEndToEnd:
         summary, trace = smoke
         execution_model = get_execution_model("llama3-8b")
         scheduler = make_scheduler("fcfs", execution_model)
-        plain, _ = run_replica_trace(
+        plain, _ = drain_trace(
             execution_model, scheduler, trace.fresh_copy()
         )
         audited = json.dumps(summary_to_dict(summary), sort_keys=True)

@@ -4,13 +4,9 @@ import json
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.cli import main
 from repro.experiments.configs import Scale, get_execution_model
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.obs import (
     JSONLSink,
     TraceRecorder,
@@ -21,6 +17,7 @@ from repro.obs import (
     render_terminal,
 )
 from repro.workload.datasets import AZURE_CODE
+from tests.conftest import drain_trace
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +33,7 @@ def trace_file(tmp_path_factory):
     with JSONLSink(path) as sink:
         observer = TracingObserver(TraceRecorder([sink]))
         scheduler = make_scheduler("fcfs", execution_model)
-        run_replica_trace(
+        drain_trace(
             execution_model, scheduler, trace, observer=observer
         )
     return path

@@ -10,12 +10,8 @@ import json
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.metrics.export import summary_to_dict
 from repro.obs.observer import (
     NULL_OBSERVER,
@@ -29,7 +25,7 @@ from repro.obs.timing import WallClockProfiler, timed
 from repro.obs.trace import ListSink, TraceRecorder
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE
-from tests.conftest import Q1, make_request
+from tests.conftest import Q1, drain_trace, make_request
 
 
 def run_engine(execution_model, observer=None, num_requests=12):
@@ -37,7 +33,7 @@ def run_engine(execution_model, observer=None, num_requests=12):
         AZURE_CODE, qps=6.0, num_requests=num_requests, seed=11
     )
     scheduler = make_scheduler("qoserve-oracle", execution_model)
-    return run_replica_trace(
+    return drain_trace(
         execution_model, scheduler, trace, observer=observer
     )
 
@@ -176,7 +172,7 @@ class TestSchedulerStats:
 
     def test_relegations_counted_by_tier(self):
         # Synthetic check: the stats helper only reads request flags.
-        from repro.experiments.runner import engine_scheduler_stats
+        from repro.api import engine_scheduler_stats
 
         class FakeKV:
             high_water_utilization = 0.5
@@ -301,7 +297,7 @@ class TestRelegationServedEvent:
         scheduler = make_scheduler(
             "qoserve", execution_model, qoserve_config=config
         )
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             execution_model, scheduler, trace, observer=observer
         )
         assert summary.scheduler_stats["relegations_total"] > 0, (

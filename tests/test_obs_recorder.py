@@ -4,12 +4,8 @@ import json
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.obs import (
     FlightRecorder,
     TraceRecorder,
@@ -19,6 +15,7 @@ from repro.obs import (
 )
 from repro.workload.datasets import AZURE_CODE
 from tests.test_obs_audit import completed, iteration
+from tests.conftest import drain_trace
 
 
 def noise(ts):
@@ -212,7 +209,7 @@ class TestEndToEnd:
         flight = FlightRecorder(path, capacity=512, post_context=32)
         observer = TracingObserver(TraceRecorder([flight]))
         scheduler = make_scheduler("fcfs", execution_model)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             execution_model, scheduler, trace, observer=observer
         )
         flight.close()

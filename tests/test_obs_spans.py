@@ -4,12 +4,8 @@ import json
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import (
-    build_trace,
-    make_scheduler,
-    run_replica_trace,
-)
 from repro.metrics.export import summary_to_dict
 from repro.obs import (
     ListSink,
@@ -27,6 +23,7 @@ from repro.obs import (
 from repro.obs.audit import CONSERVATION_TOL
 from repro.workload.datasets import AZURE_CODE
 from tests.test_obs_audit import completed, iteration
+from tests.conftest import drain_trace
 
 #: The tentpole bound: span trees must reconcile with the auditor's
 #: attribution to within 1e-9 (in practice they are bit-identical).
@@ -252,7 +249,7 @@ class TestEndToEnd:
         sink = ListSink()
         observer = TracingObserver(TraceRecorder([sink]))
         scheduler = make_scheduler("fcfs", execution_model)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             execution_model, scheduler, trace, observer=observer
         )
         return summary, trace, sink.events
@@ -299,7 +296,7 @@ class TestEndToEnd:
         summary, trace, _ = smoke
         execution_model = get_execution_model("llama3-8b")
         scheduler = make_scheduler("fcfs", execution_model)
-        plain, _ = run_replica_trace(
+        plain, _ = drain_trace(
             execution_model, scheduler, trace.fresh_copy()
         )
         spanned = json.dumps(summary_to_dict(summary), sort_keys=True)

@@ -10,11 +10,11 @@ KV caches all flow through the same assertions.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.api import make_scheduler
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import make_scheduler
 from repro.simcore import Simulator
 
 EM = get_execution_model("llama3-8b")
@@ -102,13 +102,14 @@ def test_fixed_chunk_bounds_iteration_latency(requests):
 @settings(max_examples=10, deadline=None)
 def test_trace_reproducibility(seed):
     """Same seed, same simulation outcome, bit-for-bit."""
-    from repro.experiments.runner import build_trace, run_replica_trace
+    from repro.api import build_trace
     from repro.workload.datasets import AZURE_CONV
+    from tests.conftest import drain_trace
 
     def once():
         trace = build_trace(AZURE_CONV, qps=3.0, num_requests=30,
                             seed=seed)
-        summary, engine = run_replica_trace(
+        summary, engine = drain_trace(
             EM, make_scheduler("qoserve-oracle", EM), trace
         )
         return [

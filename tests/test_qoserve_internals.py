@@ -4,12 +4,12 @@ interplay of configuration toggles."""
 
 import pytest
 
+from repro.api import build_trace, make_scheduler
 from repro.core.priority import MS_PER_TOKEN
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import build_trace, make_scheduler, run_replica_trace
 from repro.schedulers import QoServeConfig, QoServeScheduler
 from repro.workload.datasets import AZURE_CODE
-from tests.conftest import Q1, make_request
+from tests.conftest import Q1, drain_trace, make_request
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ class TestLoadAdaptiveAlpha:
             em, QoServeConfig(use_forest_predictor=False)
         )
         trace = build_trace(AZURE_CODE, qps=8.0, num_requests=600, seed=1)
-        run_replica_trace(em, scheduler, trace)
+        drain_trace(em, scheduler, trace)
         # During the overloaded phase the controller saw high pressure
         # (the EMA decays through the drain, so peak is the witness).
         assert scheduler._adaptive_alpha is not None
@@ -36,7 +36,7 @@ class TestLoadAdaptiveAlpha:
             em, QoServeConfig(use_forest_predictor=False)
         )
         trace = build_trace(AZURE_CODE, qps=1.0, num_requests=150, seed=1)
-        run_replica_trace(em, scheduler, trace)
+        drain_trace(em, scheduler, trace)
         assert scheduler.hybrid.alpha <= 1.5 * MS_PER_TOKEN
 
     def test_fixed_alpha_never_adapts(self, em):
@@ -45,7 +45,7 @@ class TestLoadAdaptiveAlpha:
             QoServeConfig(alpha=0.004, use_forest_predictor=False),
         )
         trace = build_trace(AZURE_CODE, qps=8.0, num_requests=400, seed=1)
-        run_replica_trace(em, scheduler, trace)
+        drain_trace(em, scheduler, trace)
         assert scheduler.hybrid.alpha == 0.004
 
 
@@ -96,7 +96,7 @@ class TestRelegationAccounting:
     def test_relegated_time_recorded(self, em):
         trace = build_trace(AZURE_CODE, qps=8.0, num_requests=800, seed=2)
         scheduler = make_scheduler("qoserve-oracle", em)
-        summary, engine = run_replica_trace(em, scheduler, trace)
+        summary, engine = drain_trace(em, scheduler, trace)
         relegated = [r for r in engine.submitted if r.relegated]
         assert relegated, "expected relegation at 2x overload"
         for r in relegated:
@@ -106,7 +106,7 @@ class TestRelegationAccounting:
 
     def test_relegated_requests_still_complete(self, em):
         trace = build_trace(AZURE_CODE, qps=8.0, num_requests=800, seed=2)
-        summary, engine = run_replica_trace(
+        summary, engine = drain_trace(
             em, make_scheduler("qoserve-oracle", em), trace
         )
         assert summary.finished == summary.num_requests
@@ -123,17 +123,17 @@ class TestConfigToggles:
     def test_every_toggle_runs_clean(self, em, toggle):
         config = QoServeConfig(use_forest_predictor=False, **toggle)
         trace = build_trace(AZURE_CODE, qps=2.5, num_requests=120, seed=3)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             em, QoServeScheduler(em, config), trace
         )
         assert summary.finished == 120
 
     def test_forest_vs_oracle_same_workload_comparable(self, em):
         trace = build_trace(AZURE_CODE, qps=2.5, num_requests=200, seed=4)
-        oracle, _ = run_replica_trace(
+        oracle, _ = drain_trace(
             em, make_scheduler("qoserve-oracle", em), trace.fresh_copy()
         )
-        forest, _ = run_replica_trace(
+        forest, _ = drain_trace(
             em, make_scheduler("qoserve", em), trace.fresh_copy()
         )
         assert abs(
@@ -146,7 +146,7 @@ class TestOtherDeployments:
     def test_qoserve_runs_on_table1_deployments(self, deployment):
         em = get_execution_model(deployment)
         trace = build_trace(AZURE_CODE, qps=2.0, num_requests=80, seed=5)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             em, make_scheduler("qoserve-oracle", em), trace
         )
         assert summary.finished == 80

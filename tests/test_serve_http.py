@@ -203,6 +203,23 @@ class TestEndpoints:
         )
         assert status == 400
         assert b"unknown tier" in body
+        for field, value in (
+            ("important", "false"), ("important", 0), ("important", None),
+            ("stream", "false"), ("stream", 1),
+        ):
+            status, body = _request(
+                server, "POST", "/v1/completions",
+                {"prompt_tokens": 8, "max_tokens": 2, field: value},
+            )
+            assert status == 400
+            assert json.loads(body)["error"] == "bad_request"
+            assert field.encode() in body
+        status, body = _request(
+            server, "POST", "/v1/completions",
+            {"prompt_tokens": 8, "max_tokens": 2, "important": False},
+        )
+        assert status == 200
+        assert json.loads(body)["finished"] is True
 
 
 class TestSessionFieldsOverHTTP:

@@ -107,6 +107,23 @@ class TestErrors:
         with pytest.raises(ValueError, match="unparseable"):
             load_azure_trace(path)
 
+    @pytest.mark.parametrize("row,field", [
+        ("nan,100,5", "timestamp"),
+        ("inf,100,5", "timestamp"),
+        ("-inf,100,5", "timestamp"),
+        ("1,inf,5", "context"),
+        ("1,nan,5", "context"),
+        ("1,100,inf", "generated"),
+        ("1,100,NaN", "generated"),
+    ])
+    def test_non_finite_values(self, tmp_path, row, field):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["0,100,5", row])
+        with pytest.raises(
+            ValueError, match=rf"t\.csv: line 3: non-finite {field}"
+        ):
+            load_azure_trace(path)
+
     def test_bad_target_qps(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["0,100,5", "1,100,5"])
@@ -132,7 +149,8 @@ class TestRoundTrip:
             )
 
     def test_loaded_trace_simulates(self, tmp_path, execution_model):
-        from repro.experiments.runner import make_scheduler, run_replica_trace
+        from repro.api import make_scheduler
+        from tests.conftest import drain_trace
 
         original = TraceBuilder(
             AZURE_CONV, arrivals=PoissonArrivals(2.0),
@@ -141,7 +159,7 @@ class TestRoundTrip:
         path = tmp_path / "t.csv"
         write_azure_csv(original, path)
         trace = load_azure_trace(path)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             execution_model, make_scheduler("qoserve-oracle",
                                             execution_model), trace
         )

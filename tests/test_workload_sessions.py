@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import make_scheduler
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.workload.sessions import (
     SessionProfile,
     SessionWorkload,
     session_turn_index,
 )
+from tests.conftest import drain_trace
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ class TestSimulation:
     def test_sessions_serve_end_to_end(self):
         em = get_execution_model("llama3-8b")
         trace = SessionWorkload(session_qps=0.3, seed=5).build(40)
-        summary, _ = run_replica_trace(
+        summary, _ = drain_trace(
             em, make_scheduler("qoserve-oracle", em), trace.fresh_copy()
         )
         assert summary.finished == len(trace)
