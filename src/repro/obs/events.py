@@ -58,7 +58,39 @@ class TraceSchemaError(ValueError):
     """A serialized event does not match the declared schema."""
 
 
-@dataclass(frozen=True)
+def _event(cls: type) -> type:
+    """``@dataclass(frozen=True)`` with a cheaper ``__init__``.
+
+    Hooks build an event per engine iteration.  The frozen dataclass
+    ``__init__`` stores each field through its own
+    ``object.__setattr__`` call; the one compiled here fills the
+    instance dict in a single ``update``, bypassing the frozen
+    ``__setattr__`` the same way.  Signature, defaults, equality,
+    hashing and immutability are the dataclass's own.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    namespace: dict[str, Any] = {}
+    params = []
+    for field in fields:
+        if field.default is dataclasses.MISSING:
+            params.append(field.name)
+        else:
+            namespace[f"_default_{field.name}"] = field.default
+            params.append(f"{field.name}=_default_{field.name}")
+    assigns = ", ".join(f"{field.name}={field.name}" for field in fields)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n"
+        f"    self.__dict__.update({assigns})\n",
+        namespace,
+    )
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_event
 class TraceEvent:
     """Base class: every event has a simulated timestamp ``ts``."""
 
@@ -67,19 +99,33 @@ class TraceEvent:
     ts: float
 
     def to_dict(self) -> dict[str, Any]:
-        """Flat JSON-safe payload with the ``kind`` discriminator."""
+        """Flat JSON-safe payload with the ``kind`` discriminator.
+
+        Keys follow the dataclass field order, read from a per-class
+        cache of field names rather than :func:`dataclasses.fields`.
+        """
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(
+                field.name for field in dataclasses.fields(cls)
+            )
         payload: dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in names:
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 value = None
             elif isinstance(value, tuple):
                 value = list(value)
-            payload[field.name] = value
+            payload[name] = value
         return payload
 
 
-@dataclass(frozen=True)
+#: Event class -> its dataclass field names, in declaration order.
+_FIELD_NAMES: dict[type[TraceEvent], tuple[str, ...]] = {}
+
+
+@_event
 class IterationScheduled(TraceEvent):
     """One engine iteration was planned and dispatched.
 
@@ -103,7 +149,7 @@ class IterationScheduled(TraceEvent):
     queue_depth: int = -1
 
 
-@dataclass(frozen=True)
+@_event
 class ChunkSized(TraceEvent):
     """The dynamic chunker converted decode slack into a token budget."""
 
@@ -115,7 +161,7 @@ class ChunkSized(TraceEvent):
     num_decodes: int
 
 
-@dataclass(frozen=True)
+@_event
 class Relegated(TraceEvent):
     """Eager relegation demoted a request behind all regular work."""
 
@@ -127,7 +173,7 @@ class Relegated(TraceEvent):
     remaining_prefill: int
 
 
-@dataclass(frozen=True)
+@_event
 class RelegationServed(TraceEvent):
     """A relegated request finally received opportunistic service.
 
@@ -147,7 +193,7 @@ class RelegationServed(TraceEvent):
     waited: float
 
 
-@dataclass(frozen=True)
+@_event
 class Preempted(TraceEvent):
     """A partial prefill lost its KV to break a memory deadlock."""
 
@@ -158,7 +204,7 @@ class Preempted(TraceEvent):
     prefill_tokens_lost: int
 
 
-@dataclass(frozen=True)
+@_event
 class DecodeEvicted(TraceEvent):
     """A decoding request was evicted under KV pressure (recompute)."""
 
@@ -169,7 +215,7 @@ class DecodeEvicted(TraceEvent):
     context_tokens_lost: int
 
 
-@dataclass(frozen=True)
+@_event
 class RequestCompleted(TraceEvent):
     """A request produced its final token.
 
@@ -195,7 +241,7 @@ class RequestCompleted(TraceEvent):
     qos_class: str = ""
 
 
-@dataclass(frozen=True)
+@_event
 class KVCacheSnapshot(TraceEvent):
     """Point-in-time KV occupancy of one replica."""
 
@@ -207,7 +253,7 @@ class KVCacheSnapshot(TraceEvent):
     utilization: float
 
 
-@dataclass(frozen=True)
+@_event
 class ReplicaCrashed(TraceEvent):
     """A replica failed: KV cache and in-flight batch lost."""
 
@@ -218,7 +264,7 @@ class ReplicaCrashed(TraceEvent):
     kv_blocks_dropped: int
 
 
-@dataclass(frozen=True)
+@_event
 class ReplicaRecovered(TraceEvent):
     """A crashed replica came back with a cold cache."""
 
@@ -228,7 +274,7 @@ class ReplicaRecovered(TraceEvent):
     downtime: float
 
 
-@dataclass(frozen=True)
+@_event
 class ReplicaSlowdown(TraceEvent):
     """A replica's iteration time changed by a straggler multiplier.
 
@@ -241,7 +287,7 @@ class ReplicaSlowdown(TraceEvent):
     factor: float
 
 
-@dataclass(frozen=True)
+@_event
 class RequestRetried(TraceEvent):
     """A request lost to a crash was re-enqueued after backoff."""
 
@@ -254,7 +300,7 @@ class RequestRetried(TraceEvent):
     from_replica: int
 
 
-@dataclass(frozen=True)
+@_event
 class RequestShed(TraceEvent):
     """Admission control refused an arrival under degraded capacity."""
 
@@ -266,7 +312,7 @@ class RequestShed(TraceEvent):
     alive_fraction: float
 
 
-@dataclass(frozen=True)
+@_event
 class RequestCancelled(TraceEvent):
     """A request was abandoned (deadline timeout or retry budget)."""
 
@@ -279,7 +325,7 @@ class RequestCancelled(TraceEvent):
     waited: float
 
 
-@dataclass(frozen=True)
+@_event
 class FaultSkipped(TraceEvent):
     """A fault plan event resolved to a no-op instead of firing.
 
@@ -300,7 +346,7 @@ class FaultSkipped(TraceEvent):
     reason: str
 
 
-@dataclass(frozen=True)
+@_event
 class FleetResized(TraceEvent):
     """The heterogeneous fleet changed size or composition.
 
@@ -320,7 +366,7 @@ class FleetResized(TraceEvent):
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@_event
 class PrefixHit(TraceEvent):
     """An arrival's prompt matched a shared radix-cached prefix.
 
@@ -341,7 +387,7 @@ class PrefixHit(TraceEvent):
     cached_tokens: int
 
 
-@dataclass(frozen=True)
+@_event
 class GatewayAdmitted(TraceEvent):
     """The online gateway accepted an arrival into a replica."""
 
@@ -353,7 +399,7 @@ class GatewayAdmitted(TraceEvent):
     queue_depth: int
 
 
-@dataclass(frozen=True)
+@_event
 class GatewayShed(TraceEvent):
     """The online gateway refused or evicted a request.
 
@@ -371,7 +417,7 @@ class GatewayShed(TraceEvent):
     queue_depth: int
 
 
-@dataclass(frozen=True)
+@_event
 class SpanStart(TraceEvent):
     """A request entered a lifecycle stage (see :mod:`repro.obs.spans`).
 
@@ -389,23 +435,8 @@ class SpanStart(TraceEvent):
     replica_id: int = -1
     tier: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        # Span markers fire several times per request on the engine's
-        # hot path; an unrolled payload (same key order as the generic
-        # reflective one) keeps the spans-on overhead within the bound
-        # documented in docs/OBSERVABILITY.md.
-        ts = self.ts
-        return {
-            "kind": self.kind,
-            "ts": ts if math.isfinite(ts) else None,
-            "name": self.name,
-            "request_id": self.request_id,
-            "replica_id": self.replica_id,
-            "tier": self.tier,
-        }
 
-
-@dataclass(frozen=True)
+@_event
 class SpanEnd(TraceEvent):
     """A request left a lifecycle stage opened by :class:`SpanStart`."""
 
@@ -415,8 +446,6 @@ class SpanEnd(TraceEvent):
     request_id: int
     replica_id: int = -1
     tier: str = ""
-
-    to_dict = SpanStart.to_dict
 
 
 #: kind -> event class, the closed registry of trace event types.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -39,6 +40,8 @@ DEFAULT_CHUNK_BUCKETS: tuple[float, ...] = (
 
 def format_value(value: float) -> str:
     """Render a sample the way Prometheus text exposition expects."""
+    if math.isnan(value):
+        return "NaN"
     if value == float("inf"):
         return "+Inf"
     if value == float("-inf"):
@@ -98,11 +101,8 @@ class _HistogramChild:
             raise ValueError("cannot observe NaN")
         self.total += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # First bound >= value; one past the last bound is the +Inf slot.
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def cumulative(self) -> list[tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``+Inf``."""
@@ -179,6 +179,11 @@ class MetricFamily:
         if kv:
             if values:
                 raise ValueError("pass labels positionally or by name")
+            if set(kv) != set(self.labelnames):
+                raise ValueError(
+                    f"{self.name}: expected labels {self.labelnames}, "
+                    f"got {tuple(kv)}"
+                )
             values = tuple(kv[name] for name in self.labelnames)
         key = tuple(str(v) for v in values)
         if len(key) != len(self.labelnames):

@@ -295,6 +295,30 @@ class Observer:
 NULL_OBSERVER = Observer()
 
 
+class _BoundSeries(dict):
+    """One metric family's child series, keyed by raw label value(s).
+
+    Each key is resolved through :meth:`MetricFamily.labels` once, on
+    first use (``()`` for an unlabeled family, a tuple for several
+    labels), and the child is reused from then on.  Binding lazily
+    keeps the exported series set exactly the one the hooks touched.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: MetricFamily) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            child = self.family.labels(*key)
+        else:
+            child = self.family.labels(key)
+        self[key] = child
+        return child
+
+
 class TracingObserver(Observer):
     """Records typed events and metric series from the hook stream.
 
@@ -321,166 +345,166 @@ class TracingObserver(Observer):
         self._iters_since_snapshot: dict[int, int] = {}
 
         reg = self.registry
-        self._iterations = reg.counter(
+        self._iterations = _BoundSeries(reg.counter(
             "repro_iterations_total",
             "Engine iterations executed", ("replica",),
-        )
-        self._prefill_tokens = reg.counter(
+        ))
+        self._prefill_tokens = _BoundSeries(reg.counter(
             "repro_prefill_tokens_total",
             "Prompt tokens processed", ("replica",),
-        )
-        self._decode_tokens = reg.counter(
+        ))
+        self._decode_tokens = _BoundSeries(reg.counter(
             "repro_decode_tokens_total",
             "Output tokens produced by batched decodes", ("replica",),
-        )
-        self._exec_seconds = reg.histogram(
+        ))
+        self._exec_seconds = _BoundSeries(reg.histogram(
             "repro_iteration_exec_seconds",
             "Per-iteration batch execution time",
             buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self._chunk_hist = reg.histogram(
+        ))
+        self._chunk_hist = _BoundSeries(reg.histogram(
             "repro_chunk_size_tokens",
             "Prefill token budget chosen per iteration",
             buckets=DEFAULT_CHUNK_BUCKETS,
-        )
-        self._kv_utilization = reg.gauge(
+        ))
+        self._kv_utilization = _BoundSeries(reg.gauge(
             "repro_kv_utilization",
             "KV-cache block utilization (gauge; max tracked)",
             ("replica",),
-        )
-        self._relegations = reg.counter(
+        ))
+        self._relegations = _BoundSeries(reg.counter(
             "repro_relegations_total",
             "Requests demoted by eager relegation", ("tier",),
-        )
-        self._relegation_scans = reg.counter(
+        ))
+        self._relegation_scans = _BoundSeries(reg.counter(
             "repro_relegation_scans_total",
             "Relegation feasibility scans run",
-        )
-        self._important_saved = reg.counter(
+        ))
+        self._important_saved = _BoundSeries(reg.counter(
             "repro_relegation_important_saved_total",
             "Important requests saved by demoting free-tier work",
-        )
-        self._preemptions = reg.counter(
+        ))
+        self._preemptions = _BoundSeries(reg.counter(
             "repro_preemptions_total",
             "Prefill preemptions (stall-recovery KV reclaims)",
             ("replica",),
-        )
-        self._decode_evictions = reg.counter(
+        ))
+        self._decode_evictions = _BoundSeries(reg.counter(
             "repro_decode_evictions_total",
             "Decode evictions under KV pressure", ("replica",),
-        )
-        self._completed = reg.counter(
+        ))
+        self._completed = _BoundSeries(reg.counter(
             "repro_requests_completed_total",
             "Requests that produced their final token",
             ("tier",),
-        )
-        self._violations = reg.counter(
+        ))
+        self._violations = _BoundSeries(reg.counter(
             "repro_deadline_violations_total",
             "Completed requests that missed their governing SLO",
             ("tier",),
-        )
-        self._crashes = reg.counter(
+        ))
+        self._crashes = _BoundSeries(reg.counter(
             "repro_replica_crashes_total",
             "Replica failures injected", ("replica",),
-        )
-        self._recoveries = reg.counter(
+        ))
+        self._recoveries = _BoundSeries(reg.counter(
             "repro_replica_recoveries_total",
             "Replica recoveries after a crash", ("replica",),
-        )
-        self._slowdowns = reg.counter(
+        ))
+        self._slowdowns = _BoundSeries(reg.counter(
             "repro_replica_slowdowns_total",
             "Straggler windows started on a replica", ("replica",),
-        )
-        self._retries = reg.counter(
+        ))
+        self._retries = _BoundSeries(reg.counter(
             "repro_request_retries_total",
             "Crash-lost requests re-enqueued for dispatch", ("tier",),
-        )
-        self._shed = reg.counter(
+        ))
+        self._shed = _BoundSeries(reg.counter(
             "repro_requests_shed_total",
             "Arrivals refused by degraded-capacity admission control",
             ("tier",),
-        )
-        self._cancellations = reg.counter(
+        ))
+        self._cancellations = _BoundSeries(reg.counter(
             "repro_requests_cancelled_total",
             "Requests abandoned before completion", ("tier", "reason"),
-        )
-        self._relegations_served = reg.counter(
+        ))
+        self._relegations_served = _BoundSeries(reg.counter(
             "repro_relegations_served_total",
             "Relegated requests that received opportunistic service",
             ("tier",),
-        )
-        self._prefix_hits = reg.counter(
+        ))
+        self._prefix_hits = _BoundSeries(reg.counter(
             "repro_kv_prefix_hits_total",
             "Arrivals whose prompt matched a radix-cached prefix",
             ("replica",),
-        )
-        self._prefix_misses = reg.counter(
+        ))
+        self._prefix_misses = _BoundSeries(reg.counter(
             "repro_kv_prefix_misses_total",
             "Radix-cache lookups that matched no blocks", ("replica",),
-        )
-        self._prefix_evictions = reg.counter(
+        ))
+        self._prefix_evictions = _BoundSeries(reg.counter(
             "repro_kv_prefix_evictions_total",
             "Shared prefix blocks reclaimed under memory pressure",
             ("replica",),
-        )
-        self._prefix_hit_tokens = reg.counter(
+        ))
+        self._prefix_hit_tokens = _BoundSeries(reg.counter(
             "repro_kv_prefix_hit_tokens_total",
             "Prefill tokens skipped via shared-prefix matches",
             ("replica",),
-        )
-        self._prefix_cached_tokens = reg.gauge(
+        ))
+        self._prefix_cached_tokens = _BoundSeries(reg.gauge(
             "repro_kv_prefix_cached_tokens",
             "Tokens resident in the shared radix prefix tree",
             ("replica",),
-        )
-        self._events_dropped = reg.counter(
+        ))
+        self._events_dropped = _BoundSeries(reg.counter(
             "repro_trace_events_dropped_total",
             "Trace events shed by bounded-memory ring sinks",
-        )
-        self._gateway_admitted = reg.counter(
+        ))
+        self._gateway_admitted = _BoundSeries(reg.counter(
             "repro_gateway_admitted_total",
             "Requests admitted by the serving gateway", ("tier",),
-        )
-        self._gateway_shed = reg.counter(
+        ))
+        self._gateway_shed = _BoundSeries(reg.counter(
             "repro_gateway_shed_total",
             "Requests refused or evicted by the serving gateway",
             ("tier", "reason"),
-        )
-        self._gateway_tokens_streamed = reg.counter(
+        ))
+        self._gateway_tokens_streamed = _BoundSeries(reg.counter(
             "repro_gateway_tokens_streamed_total",
             "Output tokens delivered to streaming consumers", ("tier",),
-        )
-        self._faults_skipped = reg.counter(
+        ))
+        self._faults_skipped = _BoundSeries(reg.counter(
             "repro_faults_skipped_total",
             "Fault plan events resolved to no-ops on absent replicas",
             ("fault_kind", "reason"),
-        )
-        self._fleet_resizes = reg.counter(
+        ))
+        self._fleet_resizes = _BoundSeries(reg.counter(
             "repro_fleet_resizes_total",
             "Fleet provisioning actions", ("action", "hardware"),
-        )
-        self._fleet_size_gauge = reg.gauge(
+        ))
+        self._fleet_size_gauge = _BoundSeries(reg.gauge(
             "repro_fleet_size",
             "Replicas provisioned and not yet released",
-        )
-        self._fleet_hardware_gauge = reg.gauge(
+        ))
+        self._fleet_hardware_gauge = _BoundSeries(reg.gauge(
             "repro_fleet_replicas",
             "Provisioned replicas by hardware class", ("hardware",),
-        )
+        ))
         # Per-tier latency sketches: mergeable percentiles replacing
         # fixed-bucket histograms for the three governing latencies.
-        self._ttft_sketch = reg.sketch(
+        self._ttft_sketch = _BoundSeries(reg.sketch(
             "repro_request_ttft_seconds",
             "Time to first token per completed request", ("tier",),
-        )
-        self._tbt_sketch = reg.sketch(
+        ))
+        self._tbt_sketch = _BoundSeries(reg.sketch(
             "repro_request_tbt_seconds",
             "Mean time between tokens per completed request", ("tier",),
-        )
-        self._ttlt_sketch = reg.sketch(
+        ))
+        self._ttlt_sketch = _BoundSeries(reg.sketch(
             "repro_request_ttlt_seconds",
             "Time to last token per completed request", ("tier",),
-        )
+        ))
         #: Windowed SLO burn rate over simulated time (one verdict per
         #: completion, at completion time).
         self.burn_rate = BurnRateTracker()
@@ -488,7 +512,10 @@ class TracingObserver(Observer):
         # the loss as a counter so lossy traces are visible in scrapes.
         for sink in self.recorder.sinks:
             if isinstance(sink, RingSink) and sink.on_drop is None:
-                sink.on_drop = self._events_dropped.inc
+                sink.on_drop = self._count_dropped_event
+
+    def _count_dropped_event(self) -> None:
+        self._events_dropped[()].inc()
 
     # --- engine hooks ----------------------------------------------------
 
@@ -496,6 +523,8 @@ class TracingObserver(Observer):
         self, replica_id, now, exec_time, plan, iteration,
         queue_depth: int = -1,
     ) -> None:
+        assignments = plan.prefill_assignments
+        decodes = plan.decode_requests
         prefill_tokens = plan.prefill_tokens
         self.recorder.emit(IterationScheduled(
             ts=now,
@@ -503,29 +532,25 @@ class TracingObserver(Observer):
             iteration=iteration,
             dur=exec_time,
             prefill_tokens=prefill_tokens,
-            num_prefills=len(plan.prefill_assignments),
-            num_decodes=len(plan.decode_requests),
-            decode_context_tokens=sum(
-                r.context_length for r in plan.decode_requests
-            ),
+            num_prefills=len(assignments),
+            num_decodes=len(decodes),
+            decode_context_tokens=sum(r.context_length for r in decodes),
             prefill_request_ids=tuple(
-                a.request.request_id for a in plan.prefill_assignments
+                a.request.request_id for a in assignments
             ),
             queue_depth=queue_depth,
         ))
-        replica = str(replica_id)
-        self._iterations.labels(replica).inc()
-        self._prefill_tokens.labels(replica).inc(prefill_tokens)
-        self._decode_tokens.labels(replica).inc(len(plan.decode_requests))
-        self._exec_seconds.observe(exec_time)
-        self._chunk_hist.observe(prefill_tokens)
+        self._iterations[replica_id].inc()
+        self._prefill_tokens[replica_id].inc(prefill_tokens)
+        self._decode_tokens[replica_id].inc(len(decodes))
+        self._exec_seconds[()].observe(exec_time)
+        self._chunk_hist[()].observe(prefill_tokens)
 
     def on_iteration_end(
         self, replica_id, now, start_time, exec_time, plan, kv_cache
     ) -> None:
-        self._kv_utilization.labels(str(replica_id)).set(
-            kv_cache.utilization
-        )
+        utilization = kv_cache.utilization
+        self._kv_utilization[replica_id].set(utilization)
         since = self._iters_since_snapshot.get(replica_id, 0) + 1
         if since >= self.kv_snapshot_every:
             self._iters_since_snapshot[replica_id] = 0
@@ -534,7 +559,7 @@ class TracingObserver(Observer):
                 replica_id=replica_id,
                 used_blocks=kv_cache.used_blocks,
                 capacity_blocks=kv_cache.capacity_blocks,
-                utilization=kv_cache.utilization,
+                utilization=utilization,
             ))
         else:
             self._iters_since_snapshot[replica_id] = since
@@ -558,12 +583,12 @@ class TracingObserver(Observer):
             important=request.important,
             remaining_prefill=request.remaining_prefill,
         ))
-        self._relegations.labels(request.qos.name).inc()
+        self._relegations[request.qos.name].inc()
 
     def on_relegation_scan(self, now, plan) -> None:
-        self._relegation_scans.inc()
+        self._relegation_scans[()].inc()
         if plan.important_saved:
-            self._important_saved.inc(plan.important_saved)
+            self._important_saved[()].inc(plan.important_saved)
 
     def on_relegation_served(
         self, replica_id, request, now, tokens
@@ -579,7 +604,7 @@ class TracingObserver(Observer):
                 now - relegated_at if relegated_at is not None else 0.0
             ),
         ))
-        self._relegations_served.labels(request.qos.name).inc()
+        self._relegations_served[request.qos.name].inc()
 
     def on_preempted(
         self, replica_id, request, now, prefill_tokens_lost
@@ -590,7 +615,7 @@ class TracingObserver(Observer):
             request_id=request.request_id,
             prefill_tokens_lost=prefill_tokens_lost,
         ))
-        self._preemptions.labels(str(replica_id)).inc()
+        self._preemptions[replica_id].inc()
 
     def on_decode_evicted(
         self, replica_id, request, now, context_tokens_lost
@@ -601,7 +626,7 @@ class TracingObserver(Observer):
             request_id=request.request_id,
             context_tokens_lost=context_tokens_lost,
         ))
-        self._decode_evictions.labels(str(replica_id)).inc()
+        self._decode_evictions[replica_id].inc()
 
     def on_request_completed(self, replica_id, request, now) -> None:
         violated = request.violated_deadline
@@ -624,21 +649,21 @@ class TracingObserver(Observer):
             qos_class=request.qos.qos_class.value,
         ))
         tier = request.qos.name
-        self._completed.labels(tier).inc()
+        self._completed[tier].inc()
         if violated:
-            self._violations.labels(tier).inc()
+            self._violations[tier].inc()
         ttft = request.ttft
         if ttft is not None:
-            self._ttft_sketch.labels(tier).observe(ttft)
+            self._ttft_sketch[tier].observe(ttft)
         ttlt = request.ttlt
         if ttlt is not None:
-            self._ttlt_sketch.labels(tier).observe(ttlt)
+            self._ttlt_sketch[tier].observe(ttlt)
         if (
             request.first_token_time is not None
             and request.completion_time is not None
             and request.decoded > 1
         ):
-            self._tbt_sketch.labels(tier).observe(
+            self._tbt_sketch[tier].observe(
                 (request.completion_time - request.first_token_time)
                 / (request.decoded - 1)
             )
@@ -649,7 +674,6 @@ class TracingObserver(Observer):
     def on_prefix_lookup(
         self, replica_id, request, now, hit_tokens, cached_tokens
     ) -> None:
-        replica = str(replica_id)
         if hit_tokens > 0:
             self.recorder.emit(PrefixHit(
                 ts=now,
@@ -660,25 +684,22 @@ class TracingObserver(Observer):
                 prompt_tokens=request.prompt_tokens,
                 cached_tokens=cached_tokens,
             ))
-            self._prefix_hits.labels(replica).inc()
-            self._prefix_hit_tokens.labels(replica).inc(hit_tokens)
+            self._prefix_hits[replica_id].inc()
+            self._prefix_hit_tokens[replica_id].inc(hit_tokens)
         else:
-            self._prefix_misses.labels(replica).inc()
-        self._prefix_cached_tokens.labels(replica).set(cached_tokens)
+            self._prefix_misses[replica_id].inc()
+        self._prefix_cached_tokens[replica_id].set(cached_tokens)
 
     def on_prefix_insert(
         self, replica_id, now, new_blocks, deduped_blocks, cached_tokens
     ) -> None:
-        self._prefix_cached_tokens.labels(str(replica_id)).set(
-            cached_tokens
-        )
+        self._prefix_cached_tokens[replica_id].set(cached_tokens)
 
     def on_prefix_evicted(
         self, replica_id, now, blocks, cached_tokens
     ) -> None:
-        replica = str(replica_id)
-        self._prefix_evictions.labels(replica).inc(blocks)
-        self._prefix_cached_tokens.labels(replica).set(cached_tokens)
+        self._prefix_evictions[replica_id].inc(blocks)
+        self._prefix_cached_tokens[replica_id].set(cached_tokens)
 
     # --- fault hooks ------------------------------------------------------
 
@@ -691,20 +712,20 @@ class TracingObserver(Observer):
             lost_requests=lost_requests,
             kv_blocks_dropped=kv_blocks_dropped,
         ))
-        self._crashes.labels(str(replica_id)).inc()
+        self._crashes[replica_id].inc()
 
     def on_replica_recovered(self, replica_id, now, downtime) -> None:
         self.recorder.emit(ReplicaRecovered(
             ts=now, replica_id=replica_id, downtime=downtime,
         ))
-        self._recoveries.labels(str(replica_id)).inc()
+        self._recoveries[replica_id].inc()
 
     def on_replica_slowdown(self, replica_id, now, factor) -> None:
         self.recorder.emit(ReplicaSlowdown(
             ts=now, replica_id=replica_id, factor=factor,
         ))
         if factor != 1.0:  # 1.0 closes a window, it does not open one
-            self._slowdowns.labels(str(replica_id)).inc()
+            self._slowdowns[replica_id].inc()
 
     def on_request_retried(
         self, request, now, attempt, backoff, from_replica
@@ -717,7 +738,7 @@ class TracingObserver(Observer):
             backoff=backoff,
             from_replica=from_replica,
         ))
-        self._retries.labels(request.qos.name).inc()
+        self._retries[request.qos.name].inc()
 
     def on_request_shed(self, request, now, alive_fraction) -> None:
         self.recorder.emit(RequestShed(
@@ -727,7 +748,7 @@ class TracingObserver(Observer):
             important=request.important,
             alive_fraction=alive_fraction,
         ))
-        self._shed.labels(request.qos.name).inc()
+        self._shed[request.qos.name].inc()
 
     def on_request_cancelled(self, replica_id, request, now, reason) -> None:
         self.recorder.emit(RequestCancelled(
@@ -738,7 +759,7 @@ class TracingObserver(Observer):
             reason=reason,
             waited=now - request.arrival_time,
         ))
-        self._cancellations.labels(request.qos.name, reason).inc()
+        self._cancellations[request.qos.name, reason].inc()
 
     def on_fault_skipped(self, replica_id, now, fault_kind, reason) -> None:
         self.recorder.emit(FaultSkipped(
@@ -747,7 +768,7 @@ class TracingObserver(Observer):
             fault_kind=fault_kind,
             reason=reason,
         ))
-        self._faults_skipped.labels(fault_kind, reason).inc()
+        self._faults_skipped[fault_kind, reason].inc()
 
     # --- fleet hooks ------------------------------------------------------
 
@@ -763,10 +784,10 @@ class TracingObserver(Observer):
             fleet_size=fleet_size,
             reason=reason,
         ))
-        self._fleet_resizes.labels(action, hardware).inc()
-        self._fleet_size_gauge.set(fleet_size)
+        self._fleet_resizes[action, hardware].inc()
+        self._fleet_size_gauge[()].set(fleet_size)
         for name, count in (by_hardware or {}).items():
-            self._fleet_hardware_gauge.labels(hardware=name).set(count)
+            self._fleet_hardware_gauge[name].set(count)
 
     # --- gateway hooks ----------------------------------------------------
 
@@ -778,7 +799,7 @@ class TracingObserver(Observer):
             important=request.important,
             queue_depth=queue_depth,
         ))
-        self._gateway_admitted.labels(request.qos.name).inc()
+        self._gateway_admitted[request.qos.name].inc()
 
     def on_gateway_shed(self, request, now, reason, queue_depth) -> None:
         self.recorder.emit(GatewayShed(
@@ -789,10 +810,10 @@ class TracingObserver(Observer):
             reason=reason,
             queue_depth=queue_depth,
         ))
-        self._gateway_shed.labels(request.qos.name, reason).inc()
+        self._gateway_shed[request.qos.name, reason].inc()
 
     def on_token_streamed(self, request, now) -> None:
-        self._gateway_tokens_streamed.labels(request.qos.name).inc()
+        self._gateway_tokens_streamed[request.qos.name].inc()
 
     # --- span hooks -------------------------------------------------------
 

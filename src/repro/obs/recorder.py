@@ -8,8 +8,9 @@ keeps only a bounded ring of recent events; when a trigger fires it
 freezes the ring (pre-context), keeps collecting for a fixed number of
 further events (post-context), and dumps the full-fidelity window as
 one JSONL *incident* with the dominant cause from
-:mod:`repro.obs.audit`.  Steady-state cost is one deque append per
-event; the incident file only ever holds windows around anomalies.
+:mod:`repro.obs.audit`.  Like every writing sink it serializes each
+event in ``append``; steady-state cost is that plus one deque append,
+and the incident file only ever holds windows around anomalies.
 
 Triggers:
 
@@ -34,6 +35,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.obs.audit import audit_events
+from repro.obs.events import TraceEvent
 from repro.obs.sketch import BurnRateTracker
 
 __all__ = ["FlightRecorder", "record_incidents", "read_incidents"]
@@ -102,7 +104,11 @@ class FlightRecorder:
 
     # --- TraceSink protocol --------------------------------------------
 
-    def append(self, payload: dict[str, Any]) -> None:
+    def append(self, event: TraceEvent) -> None:
+        self.append_payload(event.to_dict())
+
+    def append_payload(self, payload: dict[str, Any]) -> None:
+        """Consume one already serialized event (offline replay)."""
         self._ring.append(payload)
         for incident in self._open:
             incident["events"].append(payload)
@@ -212,7 +218,7 @@ def record_incidents(
     """
     recorder = FlightRecorder(path, **kwargs)
     for event in events:
-        recorder.append(dict(event))
+        recorder.append_payload(dict(event))
     recorder.close()
     return recorder.incidents_written
 

@@ -1,16 +1,22 @@
 """Trace recording: bounded-memory and streaming-JSONL sinks.
 
-A :class:`TraceRecorder` fans serialized events out to any number of
-sinks.  The two built-ins cover the common deployments:
+A :class:`TraceRecorder` fans events out to any number of sinks.  The
+two built-ins cover the common deployments:
 
 * :class:`RingSink` keeps the last N events in memory (flight-recorder
   mode — always on, negligible cost, inspect after an anomaly);
 * :class:`JSONLSink` streams every event to disk as one JSON object
   per line, the format ``repro trace`` converts to Chrome trace JSON.
 
-Sinks receive plain dicts (the output of
-:meth:`~repro.obs.events.TraceEvent.to_dict`), never live event or
-request objects, so a slow sink can never alias mutable engine state.
+Every sink implements one protocol, ``append(event)``, and receives the
+immutable :class:`~repro.obs.events.TraceEvent` itself.  Buffering
+sinks (:class:`RingSink`, :class:`ListSink`) hold the events and
+serialize them only when ``.events`` is read, so events a ring sheds
+are never serialized at all; writing sinks (:class:`JSONLSink`, the
+flight recorder) call :meth:`~repro.obs.events.TraceEvent.to_dict` in
+``append``.  Events carry only scalars and tuples, so holding them can
+never alias mutable engine state, and every read of ``.events``
+returns fresh dicts a consumer may mutate freely.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from repro.obs.events import TraceEvent, validate_event
 
 
 class TraceSink(Protocol):
-    """Anything that can accept serialized trace events."""
+    """Anything that can accept trace events."""
 
-    def append(self, payload: dict[str, Any]) -> None: ...
+    def append(self, event: TraceEvent) -> None: ...
 
     def close(self) -> None: ...
 
@@ -48,15 +54,15 @@ class RingSink:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._ring: deque[dict[str, Any]] = deque(maxlen=self.capacity)
+        self._ring: deque[TraceEvent] = deque(maxlen=self.capacity)
         self.appended = 0
         self.on_drop = on_drop
 
-    def append(self, payload: dict[str, Any]) -> None:
-        shedding = len(self._ring) == self.capacity
-        self._ring.append(payload)
+    def append(self, event: TraceEvent) -> None:
+        self._ring.append(event)
         self.appended += 1
-        if shedding and self.on_drop is not None:
+        # A full ring stays full, so every append past capacity sheds.
+        if self.appended > self.capacity and self.on_drop is not None:
             self.on_drop()
 
     @property
@@ -66,7 +72,8 @@ class RingSink:
 
     @property
     def events(self) -> list[dict[str, Any]]:
-        return list(self._ring)
+        """The retained events, oldest first, serialized on each read."""
+        return [event.to_dict() for event in self._ring]
 
     def close(self) -> None:  # nothing buffered outside the ring
         pass
@@ -76,10 +83,15 @@ class ListSink:
     """Unbounded in-memory sink (tests and short runs)."""
 
     def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+        self._events: list[TraceEvent] = []
 
-    def append(self, payload: dict[str, Any]) -> None:
-        self.events.append(payload)
+    def append(self, event: TraceEvent) -> None:
+        self._events.append(event)
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        """Every event, in emission order, serialized on each read."""
+        return [event.to_dict() for event in self._events]
 
     def close(self) -> None:
         pass
@@ -93,8 +105,8 @@ class JSONLSink:
         self._file = self.path.open("w")
         self.written = 0
 
-    def append(self, payload: dict[str, Any]) -> None:
-        self._file.write(json.dumps(payload, separators=(",", ":")))
+    def append(self, event: TraceEvent) -> None:
+        self._file.write(json.dumps(event.to_dict(), separators=(",", ":")))
         self._file.write("\n")
         self.written += 1
 
@@ -110,7 +122,7 @@ class JSONLSink:
 
 
 class TraceRecorder:
-    """Serializes events once and fans them out to every sink."""
+    """Counts events by kind and fans them out to every sink."""
 
     def __init__(self, sinks: Iterable[TraceSink] = ()) -> None:
         self.sinks: list[TraceSink] = list(sinks)
@@ -120,10 +132,9 @@ class TraceRecorder:
         self.sinks.append(sink)
 
     def emit(self, event: TraceEvent) -> None:
-        payload = event.to_dict()
-        self.counts[payload["kind"]] += 1
+        self.counts[event.kind] += 1
         for sink in self.sinks:
-            sink.append(payload)
+            sink.append(event)
 
     @property
     def total_events(self) -> int:

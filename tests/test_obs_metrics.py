@@ -1,6 +1,7 @@
 """Unit tests for the zero-dependency metrics registry."""
 
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestLabels:
         with pytest.raises(ValueError, match="expected labels"):
             counter.labels("Q1", "extra")
 
+    @pytest.mark.parametrize("labelnames, kv", [
+        (("replica",), {"replica": "0", "typo": "y"}),  # unknown name
+        (("tier", "replica"), {"replica": "0", "typo": "y"}),
+        (("tier", "replica"), {"replica": "0"}),  # missing name
+    ])
+    def test_wrong_label_names_rejected(self, labelnames, kv):
+        counter = MetricsRegistry().counter("c", labelnames=labelnames)
+        with pytest.raises(
+            ValueError, match=rf"expected labels {re.escape(str(labelnames))}"
+        ):
+            counter.labels(**kv)
+        assert counter.series() == {}
+
 
 class TestHistogram:
     def test_bucket_assignment(self):
@@ -134,6 +148,12 @@ class TestFormatValue:
         assert format_value(float("-inf")) == "-Inf"
         assert format_value(3.0) == "3"
         assert format_value(0.25) == "0.25"
+        assert format_value(float("nan")) == "NaN"
+
+    def test_nan_gauge_scrapes_as_nan(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(float("nan"))
+        assert "\ng NaN\n" in registry.to_prometheus_text()
 
 
 class TestBucketCounts:

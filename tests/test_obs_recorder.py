@@ -27,9 +27,9 @@ class TestDeadlineTrigger:
     def test_violation_opens_an_incident(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
         recorder = FlightRecorder(path, post_context=0)
-        recorder.append(noise(0.5))
-        recorder.append(iteration(1.0, 0.5, prefill_ids=[7]))
-        recorder.append(completed(
+        recorder.append_payload(noise(0.5))
+        recorder.append_payload(iteration(1.0, 0.5, prefill_ids=[7]))
+        recorder.append_payload(completed(
             request_id=7, arrival=0.0, scheduled=1.0, first_token=1.5,
             completion=2.0, violated=True,
         ))
@@ -59,12 +59,12 @@ class TestDeadlineTrigger:
     def test_post_context_extends_the_window(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
         recorder = FlightRecorder(path, post_context=2)
-        recorder.append(completed(violated=True))
+        recorder.append_payload(completed(violated=True))
         assert recorder.incidents_written == 0  # still collecting
-        recorder.append(noise(3.1))
-        recorder.append(noise(3.2))
+        recorder.append_payload(noise(3.1))
+        recorder.append_payload(noise(3.2))
         assert recorder.incidents_written == 1  # sealed by the 2nd
-        recorder.append(noise(3.3))  # after the seal: not included
+        recorder.append_payload(noise(3.3))  # after the seal: not included
         recorder.close()
         [incident] = read_incidents(path)
         assert incident["num_events"] == 3
@@ -73,8 +73,8 @@ class TestDeadlineTrigger:
     def test_close_seals_open_incidents_early(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
         recorder = FlightRecorder(path, post_context=100)
-        recorder.append(completed(violated=True))
-        recorder.append(noise(3.5))
+        recorder.append_payload(completed(violated=True))
+        recorder.append_payload(noise(3.5))
         recorder.close()
         [incident] = read_incidents(path)
         assert incident["num_events"] == 2
@@ -83,8 +83,8 @@ class TestDeadlineTrigger:
         path = tmp_path / "incidents.jsonl"
         recorder = FlightRecorder(path, capacity=3, post_context=0)
         for i in range(10):
-            recorder.append(noise(float(i)))
-        recorder.append(completed(violated=True))
+            recorder.append_payload(noise(float(i)))
+        recorder.append_payload(completed(violated=True))
         recorder.close()
         [incident] = read_incidents(path)
         assert incident["num_events"] == 3
@@ -106,12 +106,12 @@ class TestBurnRateTrigger:
         path = tmp_path / "incidents.jsonl"
         recorder = self._recorder(path)
         # Window [0, 10): 1 violation out of 3 = 1.33x the 25% budget.
-        recorder.append(completed(request_id=1, completion=1.0))
-        recorder.append(completed(
+        recorder.append_payload(completed(request_id=1, completion=1.0))
+        recorder.append_payload(completed(
             request_id=2, completion=2.0, violated=True,
         ))
-        recorder.append(completed(request_id=3, completion=3.0))
-        recorder.append(completed(request_id=4, completion=4.0))
+        recorder.append_payload(completed(request_id=3, completion=3.0))
+        recorder.append_payload(completed(request_id=4, completion=4.0))
         recorder.close()
         burn = [
             i for i in read_incidents(path)
@@ -127,11 +127,11 @@ class TestBurnRateTrigger:
     def test_under_threshold_never_trips(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
         recorder = self._recorder(path, slo_budget=0.9)
-        recorder.append(completed(
+        recorder.append_payload(completed(
             request_id=1, completion=1.0, violated=True,
         ))
-        recorder.append(completed(request_id=2, completion=2.0))
-        recorder.append(completed(request_id=3, completion=3.0))
+        recorder.append_payload(completed(request_id=2, completion=2.0))
+        recorder.append_payload(completed(request_id=3, completion=3.0))
         recorder.close()
         assert not any(
             i["trigger"] == "burn_rate" for i in read_incidents(path)
@@ -140,7 +140,7 @@ class TestBurnRateTrigger:
     def test_min_window_total_gates_early_windows(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
         recorder = self._recorder(path, min_window_total=50)
-        recorder.append(completed(completion=1.0, violated=True))
+        recorder.append_payload(completed(completion=1.0, violated=True))
         recorder.close()
         kinds = [i["trigger"] for i in read_incidents(path)]
         assert kinds == ["deadline_violation"]
@@ -159,7 +159,7 @@ class TestBehaviour:
             path, post_context=0, max_incidents=1
         )
         for i in range(3):
-            recorder.append(completed(
+            recorder.append_payload(completed(
                 request_id=i, completion=float(i + 1), violated=True,
             ))
         recorder.close()

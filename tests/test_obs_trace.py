@@ -1,5 +1,6 @@
 """Unit tests for trace events, sinks, the recorder and the schema."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,8 @@ from repro.obs.events import (
     ChunkSized,
     IterationScheduled,
     RequestCompleted,
+    SpanEnd,
+    SpanStart,
     TraceSchemaError,
     validate_event,
 )
@@ -37,6 +40,29 @@ class TestEvents:
         assert payload["prefill_request_ids"] == [7]
         # Round-trips through json without custom encoders.
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_compiled_init_keeps_dataclass_semantics(self):
+        event = iteration_event()
+        positional = IterationScheduled(
+            1.0, 0, 3, 0.05, 256, 1, 4, 900, (7,)
+        )
+        assert positional == event
+        assert hash(positional) == hash(event)
+        assert event.queue_depth == -1  # default applied
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.ts = 2.0
+        assert dataclasses.replace(event, ts=2.0).ts == 2.0
+        with pytest.raises(TypeError):
+            IterationScheduled(ts=1.0)
+
+    def test_to_dict_key_order_follows_fields(self):
+        for event in (
+            iteration_event(),
+            SpanStart(ts=1.0, name="queue", request_id=4),
+            SpanEnd(ts=2.0, name="queue", request_id=4, tier="Q1"),
+        ):
+            names = [field.name for field in dataclasses.fields(event)]
+            assert list(event.to_dict()) == ["kind", *names]
 
     def test_non_finite_floats_become_null(self):
         event = ChunkSized(
@@ -105,8 +131,8 @@ class TestRingSink:
     def test_bounded_memory_and_drop_count(self):
         ring = RingSink(capacity=3)
         for i in range(5):
-            ring.append({"i": i})
-        assert [e["i"] for e in ring.events] == [2, 3, 4]
+            ring.append(iteration_event(ts=float(i)))
+        assert [e["ts"] for e in ring.events] == [2.0, 3.0, 4.0]
         assert ring.dropped == 2
         assert ring.appended == 5
 
@@ -118,7 +144,7 @@ class TestRingSink:
         drops = []
         ring = RingSink(capacity=2, on_drop=lambda: drops.append(1))
         for i in range(5):
-            ring.append({"i": i})
+            ring.append(iteration_event(ts=float(i)))
         assert len(drops) == 3
         assert ring.dropped == 3
 
@@ -162,12 +188,12 @@ class TestJSONLSink:
     def test_one_compact_object_per_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with JSONLSink(path) as sink:
-            sink.append({"kind": "x", "ts": 1.0})
-            sink.append({"kind": "y", "ts": 2.0})
+            sink.append(iteration_event(ts=1.0))
+            sink.append(iteration_event(ts=2.0))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert " " not in lines[0]  # compact separators
-        assert json.loads(lines[1]) == {"kind": "y", "ts": 2.0}
+        assert json.loads(lines[1]) == iteration_event(ts=2.0).to_dict()
 
 
 class TestTraceRecorder:
@@ -214,3 +240,78 @@ class TestReadJsonlTrace:
         path = tmp_path / "t.jsonl"
         path.write_text('\n{"kind": "x"}\n\n')
         assert len(read_jsonl_trace(path)) == 1
+
+
+class TestLazySinks:
+    """Buffering sinks hold events and serialize on read; the result
+    must equal what a writing sink serialized on append."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        from repro.api import ServeConfig, build_trace, simulate
+        from repro.obs.observer import TracingObserver
+        from repro.workload.datasets import AZURE_CODE
+
+        path = tmp_path_factory.mktemp("lazy") / "t.jsonl"
+        sinks = {
+            "big": RingSink(capacity=1_000_000),
+            "small": RingSink(capacity=50),
+            "list": ListSink(),
+            "jsonl": JSONLSink(path),
+        }
+        observer = TracingObserver(TraceRecorder(sinks.values()))
+        simulate(
+            config=ServeConfig(num_replicas=2, routing="round-robin"),
+            trace=build_trace(AZURE_CODE, qps=8.0, num_requests=40, seed=3),
+            observer=observer,
+        )
+        observer.close()
+        return sinks, observer, read_jsonl_trace(path, validate=True)
+
+    def test_ring_list_and_jsonl_agree(self, run):
+        sinks, observer, written = run
+        assert len(written) == observer.recorder.total_events > 50
+        assert sinks["big"].events == written
+        assert sinks["list"].events == written
+        assert sinks["big"].dropped == 0
+
+    def test_small_ring_returns_exactly_the_last_n(self, run):
+        sinks, _, written = run
+        assert sinks["small"].events == written[-50:]
+        assert sinks["small"].dropped == len(written) - 50
+
+    def test_dropped_counter_matches_the_ring(self, run):
+        sinks, observer, _ = run
+        [series] = observer.registry.to_dict()[
+            "repro_trace_events_dropped_total"
+        ]["series"]
+        assert series["value"] == sinks["small"].dropped
+
+    def test_each_read_returns_fresh_dicts(self, run):
+        sinks, _, _ = run
+        for sink in (sinks["small"], sinks["list"]):
+            first, second = sink.events, sink.events
+            assert first == second
+            assert all(a is not b for a, b in zip(first, second))
+            for event in first:
+                event["ts"] = -1.0
+                if "prefill_request_ids" in event:
+                    event["prefill_request_ids"].append(-1)
+            assert sink.events == second
+
+    def test_events_a_ring_sheds_are_never_serialized(self, monkeypatch):
+        from repro.obs.events import TraceEvent
+
+        calls = []
+        original = TraceEvent.to_dict
+        monkeypatch.setattr(
+            TraceEvent, "to_dict",
+            lambda self: calls.append(self) or original(self),
+        )
+        ring = RingSink(capacity=3)
+        recorder = TraceRecorder([ring])
+        for i in range(10):
+            recorder.emit(iteration_event(ts=float(i)))
+        assert calls == []
+        assert [e["ts"] for e in ring.events] == [7.0, 8.0, 9.0]
+        assert len(calls) == 3
