@@ -41,7 +41,7 @@ from repro.cluster.fleet import (
     FleetConfig,
 )
 from repro.core.qos import DEFAULT_TIERS, QoSSpec
-from repro.core.request import Request
+from repro.core.request import Request, token_array
 from repro.engine.arrays import ArrayReplicaEngine
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
@@ -630,7 +630,7 @@ class Conversation:
         self.session_id = session_id
         # Shared system-prompt ids are session-global (0..n-1); all
         # later tokens come from this conversation's own namespace.
-        self._context: list[int] = list(range(system_prompt_tokens))
+        self._context = token_array(range(system_prompt_tokens))
         self._next_private = token_namespace
         self._pending_completion = 0
         self._last_request_id: int | None = None
@@ -642,10 +642,10 @@ class Conversation:
         message (history grows by each turn's completion)."""
         return len(self._context) + self._pending_completion
 
-    def _mint(self, count: int) -> list[int]:
+    def _mint(self, count: int) -> range:
         start = self._next_private
         self._next_private += count
-        return list(range(start, start + count))
+        return range(start, start + count)
 
     def turn(
         self,
@@ -684,7 +684,9 @@ class Conversation:
             qos=qos or DEFAULT_TIERS[0],
             app_id=self.session_id,
             important=important,
-            token_ids=tuple(self._context),
+            # A copy: the request must never alias the buffer this
+            # conversation keeps extending.
+            token_ids=self._context[:],
             session_id=self.session_id,
             parent_request_id=self._last_request_id,
         )

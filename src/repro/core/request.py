@@ -11,9 +11,23 @@ that metrics and schedulers read.
 from __future__ import annotations
 
 import enum
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.qos import QoSSpec
+
+
+def token_array(token_ids: Iterable[int]) -> array:
+    """``token_ids`` as an ``array('q')``, the one compact token form.
+
+    An ``array('q')`` is returned as is (no copy); anything else is
+    converted once, raising ``OverflowError`` for an id outside the
+    signed 64-bit range.
+    """
+    if type(token_ids) is array and token_ids.typecode == "q":
+        return token_ids
+    return array("q", token_ids)
 
 
 class RequestPhase(enum.Enum):
@@ -43,9 +57,15 @@ class Request:
         important: Application hint — True for paid-tier/important
             requests, False for relegation-preferred free-tier traffic.
         token_ids: Optional concrete prompt token ids (length must
-            equal ``prompt_tokens`` when present).  Only prefix-aware
-            KV reuse reads them; traces without token ids behave
-            exactly as before.
+            equal ``prompt_tokens`` when present), stored as one
+            ``array('q')`` of signed 64-bit ids (8 B per token).  Any
+            other sequence is converted once at construction; an
+            ``array('q')`` is adopted as is, so :meth:`clone_fresh`
+            shares the buffer.  The request owns the array: callers
+            must not mutate it.  An ``array`` never equals a tuple, so
+            compare through ``tuple(...)`` or ``.tolist()``.  Only
+            prefix-aware KV reuse reads them; traces without token ids
+            behave exactly as before.
         session_id: Conversation this request belongs to, if any.
             Turns of one session share a token-id prefix, which is
             what the radix KV cache exploits.
@@ -89,7 +109,7 @@ class Request:
     qos: QoSSpec
     app_id: str = "default"
     important: bool = True
-    token_ids: tuple[int, ...] | None = None
+    token_ids: array | None = None
     session_id: str | None = None
     parent_request_id: int | None = None
 
@@ -122,15 +142,14 @@ class Request:
             raise ValueError(
                 f"request {self.request_id}: decode_tokens must be >= 1"
             )
-        if (
-            self.token_ids is not None
-            and len(self.token_ids) != self.prompt_tokens
-        ):
-            raise ValueError(
-                f"request {self.request_id}: token_ids length "
-                f"{len(self.token_ids)} != prompt_tokens "
-                f"{self.prompt_tokens}"
-            )
+        if self.token_ids is not None:
+            self.token_ids = token_array(self.token_ids)
+            if len(self.token_ids) != self.prompt_tokens:
+                raise ValueError(
+                    f"request {self.request_id}: token_ids length "
+                    f"{len(self.token_ids)} != prompt_tokens "
+                    f"{self.prompt_tokens}"
+                )
 
     # --- lifecycle -----------------------------------------------------
 

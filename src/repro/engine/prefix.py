@@ -4,10 +4,15 @@ Every request today prefills its prompt from scratch, yet multi-turn
 conversations and shared-system-prompt agent/RAG traffic resubmit the
 same leading tokens on every turn.  :class:`RadixPrefixCache` keeps a
 block-granular radix tree over concrete prompt token ids (sglang's
-RadixCache, adapted to the simulator's accounting-only KV ledger): a
+RadixCache, adapted to the simulator's accounting-only KV ledger).  A
 new request whose prompt shares a prefix with resident KV locks that
 path and skips the prefix's prefill work — the execution model only
 ever sees the uncached suffix.
+
+Each child is keyed by its block's raw ``array('q')`` bytes, as vLLM's
+automatic prefix caching keys whole blocks: a walk is one dict lookup
+per block, and since keys are the exact token bytes two different
+blocks can never collide.
 
 Accounting model
 ----------------
@@ -51,8 +56,14 @@ import itertools
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.core.request import token_array
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.interface import KVLedger
+
+
+#: Bytes per token id in a block key.
+_TOKEN_BYTES = token_array(()).itemsize
 
 
 @runtime_checkable
@@ -69,10 +80,13 @@ class PrefixReclaimer(Protocol):
 
 
 class _RadixNode:
-    """One KV block's worth of tokens in the prefix tree."""
+    """One KV block's worth of tokens in the prefix tree.
+
+    ``key`` is the block's token ids as raw ``array('q')`` bytes.
+    """
 
     __slots__ = (
-        "tokens",
+        "key",
         "parent",
         "children",
         "depth",
@@ -84,13 +98,13 @@ class _RadixNode:
 
     def __init__(
         self,
-        tokens: tuple[int, ...],
+        key: bytes,
         parent: "_RadixNode | None",
         owner_id: int,
     ) -> None:
-        self.tokens = tokens
+        self.key = key
         self.parent = parent
-        self.children: dict[tuple[int, ...], _RadixNode] = {}
+        self.children: dict[bytes, _RadixNode] = {}
         self.depth = 0 if parent is None else parent.depth + 1
         self.ref_count = 0
         self.last_access = 0
@@ -119,7 +133,7 @@ class RadixPrefixCache:
     def __init__(self, ledger: "KVLedger") -> None:
         self.ledger = ledger
         self.block_size = ledger.block_size
-        self._root = _RadixNode((), None, owner_id=0)
+        self._root = _RadixNode(b"", None, owner_id=0)
         # request_id -> deepest locked node of that request's path
         self._locked: dict[int, _RadixNode] = {}
         self._clock = 0
@@ -179,7 +193,9 @@ class RadixPrefixCache:
         Matches whole blocks only, never more than ``max_tokens``
         tokens (the engine caps at ``prompt_tokens - 1`` so at least
         one prefill token remains to emit the first output token).
-        Returns the matched token count; 0 records a miss.
+        ``token_ids`` is normally the request's ``array('q')``; any
+        other int sequence is converted first.  Returns the matched
+        token count; 0 records a miss.
         """
         if request_id in self._locked:
             raise RuntimeError(
@@ -187,10 +203,12 @@ class RadixPrefixCache:
             )
         bs = self.block_size
         limit = min(len(token_ids), max_tokens) // bs
+        raw = token_array(token_ids)[: limit * bs].tobytes()
+        width = bs * _TOKEN_BYTES
         cur = self._root
         path: list[_RadixNode] = []
-        for i in range(limit):
-            child = cur.children.get(tuple(token_ids[i * bs : (i + 1) * bs]))
+        for start in range(0, limit * width, width):
+            child = cur.children.get(raw[start : start + width])
             if child is None:
                 break
             path.append(child)
@@ -198,10 +216,7 @@ class RadixPrefixCache:
         if not path:
             self.misses += 1
             return 0
-        for node in path:
-            self._incref(node)
-            self._touch(node)
-        self._locked[request_id] = path[-1]
+        self._lock_path(request_id, path, 0)
         matched = len(path) * bs
         self.hits += 1
         self.hit_tokens += matched
@@ -213,7 +228,9 @@ class RadixPrefixCache:
         """Publish a finished prefill's prompt blocks into the tree.
 
         The request must currently hold one private block per full
-        prompt block beyond any path it locked at admission; each such
+        prompt block beyond the path it locked at admission, if any.
+        That path is what :meth:`match_and_lock` matched on these same
+        ``token_ids``, so the walk resumes below it.  Each private
         block is either transferred to a new node or freed as a
         duplicate of an existing one.  On return the request's lock
         covers its full prompt path (released via :meth:`unlock`).
@@ -222,13 +239,20 @@ class RadixPrefixCache:
         bs = self.block_size
         full = len(token_ids) // bs
         locked = self._locked.get(request_id)
-        locked_depth = 0 if locked is None else locked.depth
-        cur = self._root
         path: list[_RadixNode] = []
+        node = locked
+        while node is not None and node.parent is not None:
+            path.append(node)
+            node = node.parent
+        path.reverse()
+        locked_depth = len(path)
+        cur = self._root if locked is None else locked
+        raw = token_array(token_ids)[locked_depth * bs : full * bs].tobytes()
+        width = bs * _TOKEN_BYTES
         created = 0
         deduped = 0
-        for i in range(full):
-            block = tuple(token_ids[i * bs : (i + 1) * bs])
+        for start in range(0, len(raw), width):
+            block = raw[start : start + width]
             child = cur.children.get(block)
             if child is None:
                 child = _RadixNode(block, cur, owner_id=self._next_owner)
@@ -241,19 +265,15 @@ class RadixPrefixCache:
                 self._node_count += 1
                 self._evictable += 1  # ref 0 until locked below
                 created += 1
-            elif i >= locked_depth:
+            else:
                 # The request privately recomputed a block an earlier
                 # request already shares; free the duplicate.
                 self.ledger.shrink(request_id, bs, 1)
                 deduped += 1
             path.append(child)
             cur = child
-        for node in path[locked_depth:]:
-            self._incref(node)
-        for node in path:
-            self._touch(node)
         if path:
-            self._locked[request_id] = path[-1]
+            self._lock_path(request_id, path, locked_depth)
         return created, deduped
 
     def unlock(self, request_id: int) -> None:
@@ -309,10 +329,22 @@ class RadixPrefixCache:
         self._clock += 1
         node.last_access = self._clock
 
-    def _incref(self, node: _RadixNode) -> None:
-        if node.ref_count == 0:
-            self._evictable -= 1
-        node.ref_count += 1
+    def _lock_path(
+        self, request_id: int, path: list[_RadixNode], held: int
+    ) -> None:
+        """Lock ``path`` (root first) for ``request_id``: reference
+        every node past the ``held`` ones the request already locks,
+        and touch the whole path, deepest most recent."""
+        for node in path[held:]:
+            if node.ref_count == 0:
+                self._evictable -= 1
+            node.ref_count += 1
+        clock = self._clock
+        for node in path:
+            clock += 1
+            node.last_access = clock
+        self._clock = clock
+        self._locked[request_id] = path[-1]
 
     def _decref(self, node: _RadixNode) -> None:
         node.ref_count -= 1
@@ -327,7 +359,7 @@ class RadixPrefixCache:
         self.ledger.release(node.owner_id)
         parent = node.parent
         assert parent is not None
-        del parent.children[node.tokens]
+        del parent.children[node.key]
         node.alive = False
         self._node_count -= 1
         self._evictable -= 1

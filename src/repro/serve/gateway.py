@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Iterable
+from typing import AsyncIterator, Iterable, Sequence
 
 from repro.api import Session
 from repro.core.qos import DEFAULT_TIERS, QoSSpec
@@ -378,7 +378,7 @@ class ServeGateway:
         important: bool = True,
         app_id: str = "api",
         arrival_time: float | None = None,
-        token_ids: tuple[int, ...] | None = None,
+        token_ids: Sequence[int] | None = None,
         session_id: str | None = None,
         parent_request_id: int | None = None,
     ) -> Request:
@@ -391,7 +391,8 @@ class ServeGateway:
         open-loop replay driver uses it); admission still runs now.
         ``token_ids`` (length ``prompt_tokens``) gives the prompt a
         concrete identity so stacks with ``kv_reuse="radix"`` can skip
-        prefill for prefixes already resident; ``session_id`` /
+        prefill for prefixes already resident (the request stores it
+        as an ``array('q')``, adopting one uncopied); ``session_id`` /
         ``parent_request_id`` link multi-turn conversation turns.
         """
         if not self._running:

@@ -9,8 +9,8 @@ bridge into the gateway's asyncio loop with
   "important": bool, "stream": bool, "app_id": str,
   "token_ids": [int, ...], "session_id": str,
   "parent_request_id": int}`` (the last three optional: concrete
-  prompt identity for ``kv_reuse="radix"`` stacks and multi-turn
-  session linkage).  With
+  prompt identity for ``kv_reuse="radix"`` stacks, each id a signed
+  64-bit integer, and multi-turn session linkage).  With
   ``stream`` true the response is Server-Sent Events, one
   ``data: {...}`` line per output token and a final ``data: [DONE]``;
   otherwise a single JSON object once the request finishes.  Admission
@@ -46,6 +46,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro.core.request import token_array
 from repro.obs.live import build_live_snapshot
 from repro.serve.gateway import AdmissionRefused, ServeGateway
 
@@ -256,7 +257,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             app_id = str(payload.get("app_id", "api"))
             raw_ids = payload.get("token_ids")
             token_ids = (
-                tuple(int(t) for t in raw_ids)
+                token_array(int(t) for t in raw_ids)
                 if raw_ids is not None else None
             )
             raw_session = payload.get("session_id")
@@ -269,7 +270,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             )
         except (KeyError, ValueError, TypeError, OverflowError,
                 json.JSONDecodeError) as error:
-            # OverflowError: int() of a non-finite JSON number (1e400).
+            # OverflowError: int() of a non-finite JSON number (1e400),
+            # or a token id outside the signed 64-bit range.
             self._send_json(400, {"error": "bad_request",
                                   "detail": str(error)})
             return

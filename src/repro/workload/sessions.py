@@ -16,12 +16,13 @@ precomputable (closed-loop replay would need simulation feedback).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.qos import Q1_INTERACTIVE, QoSSpec
-from repro.core.request import Request
+from repro.core.request import Request, token_array
 from repro.simcore.rng import RngStreams
 from repro.workload.distributions import LengthDistribution, LognormalLengths
 from repro.workload.trace import Trace
@@ -103,7 +104,7 @@ class SessionWorkload:
         self.session_qps = float(session_qps)
         self.seed = int(seed)
 
-    def _token_ids(self, session_index: int, count: int) -> tuple[int, ...]:
+    def _token_ids(self, session_index: int, count: int) -> array:
         """First ``count`` token ids of a session's deterministic stream.
 
         Position ``k`` maps to the global shared-prefix id ``k`` while
@@ -111,13 +112,14 @@ class SessionWorkload:
         (offset by ``(session_index + 1) * max_context``, which no
         prompt can outgrow) — a pure counter scheme, so emitting ids
         costs no RNG draws and leaves lengths and timings untouched.
+        The ids go straight into an ``array('q')`` (8 B per token).
         """
         profile = self.profile
         shared = min(profile.shared_prefix_tokens, count)
         base = (session_index + 1) * profile.max_context
-        return tuple(range(shared)) + tuple(
-            range(base + shared, base + count)
-        )
+        ids = token_array(range(shared))
+        ids.extend(range(base + shared, base + count))
+        return ids
 
     def build(self, num_sessions: int) -> Trace:
         """Generate ``num_sessions`` sessions as one arrival-sorted trace.

@@ -12,6 +12,8 @@ across qoserve/medha x objects/arrays.
 
 import hashlib
 import json
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -178,6 +180,94 @@ class TestRadixUnit:
         assert 2 not in ledger.holders()
         cache.unlock(1)
         cache.unlock(2)
+
+
+def _drive_cache(convert, seed):
+    """A seeded admit (match) / prefill-finish (insert) / release
+    (unlock) sequence against a small ledger; returns every outcome."""
+    cache, ledger = make_cache(capacity_tokens=48 * BS)
+    rng = np.random.default_rng(seed)
+    matched: dict[int, tuple[tuple[int, ...], int]] = {}
+    inserted: set[int] = set()
+    outcomes = []
+    for rid in range(400):
+        op = int(rng.integers(0, 3))
+        if op == 0:
+            # Four streams: prompts of one stream share their prefix.
+            n = int(rng.integers(1, 300))
+            tokens = ids(n, int(rng.integers(0, 4)) * 100_000)
+            hit = cache.match_and_lock(rid, convert(tokens), n - 1)
+            matched[rid] = (tokens, hit)
+            outcomes.append(("match", hit))
+        elif op == 1 and matched:
+            done = sorted(matched)[int(rng.integers(len(matched)))]
+            tokens, hit = matched.pop(done)
+            if ledger.can_grow(done, len(tokens) - hit):
+                ledger.grow(done, len(tokens) - hit)
+                outcomes.append(
+                    ("insert", cache.insert_and_lock(done, convert(tokens)))
+                )
+                inserted.add(done)
+            else:
+                cache.unlock(done)
+        elif op == 2 and inserted:
+            done = sorted(inserted)[int(rng.integers(len(inserted)))]
+            inserted.discard(done)
+            cache.unlock(done)
+            ledger.release(done)
+        outcomes.append((cache.cached_blocks, cache.total_refs()))
+    return outcomes, cache
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tuple_and_array_inputs_agree(seed):
+    as_tuple, cache = _drive_cache(tuple, seed)
+    as_array, _ = _drive_cache(lambda t: array("q", t), seed)
+    assert as_tuple == as_array
+    inserts = [o[1] for o in as_tuple if o[0] == "insert"]
+    assert any(created for created, _ in inserts)
+    assert any(deduped for _, deduped in inserts)
+    assert cache.hits > 0 and cache.evictions > 0
+
+
+class TestCompactTokenIdentity:
+    def test_request_stores_int64_array_shared_by_clones(self):
+        request = Request(
+            request_id=0, arrival_time=0.0, prompt_tokens=3,
+            decode_tokens=1, qos=Q2, token_ids=(5, 6, 7),
+        )
+        assert isinstance(request.token_ids, array)
+        assert request.token_ids.typecode == "q"
+        assert request.token_ids.tolist() == [5, 6, 7]
+        assert request.clone_fresh().token_ids is request.token_ids
+
+    def test_int64_array_adopted_without_copy(self):
+        tokens = array("q", range(4))
+        request = Request(
+            request_id=0, arrival_time=0.0, prompt_tokens=4,
+            decode_tokens=1, qos=Q2, token_ids=tokens,
+        )
+        assert request.token_ids is tokens
+
+    def test_token_id_outside_int64_rejected(self):
+        with pytest.raises(OverflowError):
+            Request(
+                request_id=0, arrival_time=0.0, prompt_tokens=1,
+                decode_tokens=1, qos=Q2, token_ids=(2**63,),
+            )
+
+    def test_session_prompts_cost_at_most_ten_bytes_per_token(self):
+        workload = SessionWorkload(AGENT_PROFILE, seed=0)
+        workload.build(1)  # warm up: lazy imports are not prompt storage
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = workload.build(20)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tokens = sum(r.prompt_tokens for r in trace)
+        assert held / tokens <= 10
 
 
 class TestUsedTokensCounter:
@@ -527,6 +617,22 @@ class TestConversationHelper:
         cache = session.engines[0].prefix_cache
         assert cache.hits == 2  # turns 2 and 3 matched turn 1's path
         assert cache.total_refs() == 0
+
+    def test_next_turn_leaves_earlier_turn_untouched(self):
+        conversation = Session(ServeConfig()).conversation(
+            system_prompt_tokens=16
+        )
+        first = conversation.turn(
+            request_id=0, user_tokens=20, decode_tokens=4
+        )
+        snapshot = first.token_ids.tolist()
+        second = conversation.turn(
+            request_id=1, user_tokens=30, decode_tokens=4
+        )
+        assert first.token_ids.tolist() == snapshot
+        assert len(first.token_ids) == first.prompt_tokens == 36
+        assert second.token_ids[:36] == first.token_ids
+        assert second.token_ids is not first.token_ids
 
     def test_conversations_share_system_prompt(self):
         session = Session(ServeConfig(kv_reuse="off"))

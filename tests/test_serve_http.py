@@ -324,6 +324,19 @@ class TestBoundaryRejections:
         assert gateway.offered == []
         self._assert_still_serving(server)
 
+    @pytest.mark.parametrize("token", [2**63, -(2**63) - 1])
+    def test_token_id_outside_int64(self, served, token):
+        gateway, server = served
+        status, body = _request(
+            server, "POST", "/v1/completions",
+            {"prompt_tokens": 2, "max_tokens": 2, "token_ids": [0, token]},
+            timeout=10,
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "bad_request"
+        assert gateway.offered == []
+        self._assert_still_serving(server)
+
 
 class TestAdmissionOverHTTP:
     def test_rate_limited_429(self):
