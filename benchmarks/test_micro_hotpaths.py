@@ -16,7 +16,7 @@ from repro.core.chunking import DynamicChunker
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine.interface import EngineView
-from repro.engine.kvcache import KVCacheManager
+from repro.engine.rows import ArrayKVLedger
 from repro.experiments.configs import get_execution_model
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.schedulers import EDFScheduler, QoServeScheduler, QoServeConfig
@@ -54,7 +54,7 @@ def make_view(decodes=32):
     return EngineView(
         now=50.0,
         decode_requests=decode_requests,
-        kv_cache=KVCacheManager(capacity_tokens=400_000),
+        kv_cache=ArrayKVLedger(capacity_tokens=400_000),
         execution_model=EM,
         max_decode_slots=256,
         inflight_prefill_ids=frozenset(),
@@ -160,7 +160,7 @@ def test_edf_heap_plan_with_queue(benchmark, queue_size):
 
 
 def test_kv_cache_grow_release(benchmark):
-    kv = KVCacheManager(capacity_tokens=400_000)
+    kv = ArrayKVLedger(capacity_tokens=400_000)
 
     def cycle():
         for rid in range(32):

@@ -42,7 +42,6 @@ from repro.cluster.fleet import (
 )
 from repro.core.qos import DEFAULT_TIERS, QoSSpec
 from repro.core.request import Request, token_array
-from repro.engine.arrays import ArrayReplicaEngine
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
@@ -76,25 +75,6 @@ from repro.workload.trace import Trace, TraceBuilder
 
 #: Autoscaling policies a fleet-backed :class:`ServeConfig` accepts.
 FLEET_AUTOSCALERS = ("off", "busy-fraction", "burn-rate")
-
-#: Engine cores a :class:`ServeConfig` can pick: ``"objects"`` is the
-#: reference per-request implementation
-#: (:class:`~repro.engine.replica.ReplicaEngine`), ``"arrays"`` the
-#: struct-of-arrays drop-in
-#: (:class:`~repro.engine.arrays.ArrayReplicaEngine`) — bit-identical
-#: results, vectorized iteration loop (see docs/PERFORMANCE.md).
-ENGINE_KINDS = ("objects", "arrays")
-
-
-def resolve_engine_cls(engine: str) -> type[ReplicaEngine]:
-    """Map an :data:`ENGINE_KINDS` name to its engine class."""
-    if engine == "objects":
-        return ReplicaEngine
-    if engine == "arrays":
-        return ArrayReplicaEngine
-    raise ValueError(
-        f"unknown engine {engine!r}; options: {ENGINE_KINDS}"
-    )
 
 #: Scheduler identifiers accepted by :func:`make_scheduler`.  The
 #: "sarathi-" prefix used in the paper's figures maps to the bare
@@ -280,10 +260,9 @@ class ServeConfig:
         audit: Attribute per-request latency to named phases
             (:mod:`repro.obs.audit`); lands in ``summary.attribution``.
         max_events: Safety valve on simulator events per run.
-        engine: Engine core, one of :data:`ENGINE_KINDS`:
-            ``"objects"`` (reference per-request loop) or ``"arrays"``
-            (struct-of-arrays loop; bit-identical traces and metrics,
-            several times faster on decode-heavy workloads).
+        engine: Accepts only ``"arrays"``, the struct-of-arrays
+            :class:`~repro.engine.replica.ReplicaEngine` every session
+            runs; the per-request object engine was removed.
         kv_reuse: Cross-request KV prefix reuse, one of
             :data:`~repro.engine.replica.ReplicaConfig.KV_REUSE_KINDS`:
             ``"off"`` (every request prefills from scratch —
@@ -306,14 +285,15 @@ class ServeConfig:
     record_iterations: bool = False
     audit: bool = False
     max_events: int = 50_000_000
-    engine: str = "objects"
+    engine: str = "arrays"
     kv_reuse: str = "off"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_KINDS:
+        if self.engine != "arrays":
             raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"options: {ENGINE_KINDS}"
+                f"engine {self.engine!r} is not available: the object "
+                "engine was removed, and \"arrays\" (the default) is "
+                "the only engine core"
             )
         key = self.scheduler.lower().removeprefix("sarathi-")
         if key not in SCHEDULER_KINDS:
@@ -425,7 +405,6 @@ class Session:
             simulator=self.simulator,
             routing=config.routing,
             observer=observer,
-            engine_cls=resolve_engine_cls(config.engine),
             fault_plan=config.fault_plan,
             fleet=config.fleet,
             autoscaler=self._fleet_autoscaler() if elastic else None,

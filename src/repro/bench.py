@@ -19,9 +19,10 @@ The pinned micro workloads:
 * ``execution_prefill_time``  — memoized prefill-time lookup
 
 plus the ``engine_soa`` kernel pairs (struct-of-arrays decode advance,
-bulk KV growth and eviction-victim selection vs their per-object
-reference loops) and the ``engine_e2e`` section driving the pinned
-trace through both engine cores (see ``docs/PERFORMANCE.md``).
+bulk KV growth and eviction-victim selection vs the per-request or
+per-row loops they replace) and the ``engine_e2e`` section driving
+the pinned traces through the engine end to end (see
+``docs/PERFORMANCE.md``).
 
 All workloads are deterministic; wall-clock numbers obviously vary by
 host, which is why each report embeds the host fingerprint (CPU count,
@@ -30,6 +31,7 @@ Python/NumPy versions).  Compare reports only within one host class.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -62,7 +64,13 @@ from typing import Any, Callable
 #: least-loaded replicas) and every row a ``stretch`` block with the
 #: array engine's decode-stretch counters; ``derived`` grew
 #: ``engine_e2e_fleet_speedup``.
-SCHEMA_VERSION = 7
+#: 8 — one engine core: ``engine_e2e`` rows report the engine's best
+#: ``wall_s`` and ``host_s`` (``wall_s`` scaled to simbench's reference
+#: host by its yardstick) instead of ``objects_s``/``arrays_s``/
+#: ``speedup``, and the three ``engine_e2e_*_speedup`` derived rows are
+#: gone; ``engine_soa.object_kv_grow`` became ``row_kv_grow`` (48
+#: per-row ``ArrayKVLedger.grow`` calls, the pressure fallback).
+SCHEMA_VERSION = 8
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -172,17 +180,18 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
 
 def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
-    """SoA engine kernels vs the per-object loops they replace.
+    """SoA engine kernels vs the per-request loops they replace.
 
     Three pinned 48-row workloads, each timed both ways with the same
     semantics so the ratio is a pure dispatch/layout comparison:
 
     * ``advance`` — one level-synchronous decode advance
-      (:meth:`ArrayReplicaEngine._advance_vector` vs 48
+      (:meth:`ReplicaEngine._advance_vector` vs 48
       :meth:`Request.record_output_token` calls);
     * ``kv_grow`` — the whole batch grows one token
-      (:meth:`ArrayKVLedger.bulk_decode_grow` vs 48
-      :meth:`KVCacheManager.grow` calls);
+      (:meth:`ArrayKVLedger.bulk_decode_grow` vs 48 per-row
+      :meth:`ArrayKVLedger.grow` calls on the same ledger, the path
+      the engine falls back to under KV pressure);
     * ``victim_select`` — stall-recovery victim choice
       (``np.argmax`` over the deadline column vs ``max()`` over the
       decode queue).
@@ -195,8 +204,8 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
     from repro.core.qos import Q1_INTERACTIVE
     from repro.core.request import Request
-    from repro.engine.arrays import ArrayKVLedger, ArrayReplicaEngine, _RowStore
-    from repro.engine.kvcache import KVCacheManager
+    from repro.engine.replica import ReplicaEngine
+    from repro.engine.rows import ArrayKVLedger, _RowStore
 
     reps = 3 if quick else 5
     loops = 200 if quick else 1000
@@ -233,7 +242,7 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     class _AdvanceHarness:
         """Just enough engine state for the advance kernel."""
 
-        _advance_vector = ArrayReplicaEngine._advance_vector
+        _advance_vector = ReplicaEngine._advance_vector
 
         def __init__(self) -> None:
             self._rows, _ = make_soa_state()
@@ -268,21 +277,15 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
         lambda: ledger.bulk_decode_grow(num_rows), reps=reps, loops=loops
     )
 
-    kv = KVCacheManager(10**8, block_size=block_size)
-    for request in make_requests():
-        kv.grow(request.request_id, request.context_length)
-
-    def object_kv_grow() -> None:
+    def row_kv_grow() -> None:
         for request_id in range(num_rows):
-            kv.grow(request_id, 1)
+            ledger.grow(request_id, 1)
 
-    results["object_kv_grow"] = _timeit(
-        object_kv_grow, reps=reps, loops=loops
-    )
+    results["row_kv_grow"] = _timeit(row_kv_grow, reps=reps, loops=loops)
 
     # --- victim_select: stall-recovery eviction choice --------------
     class _VictimHarness:
-        _pick_eviction_victim = ArrayReplicaEngine._pick_eviction_victim
+        _pick_eviction_victim = ReplicaEngine._pick_eviction_victim
 
         def __init__(self) -> None:
             self._rows, _ = make_soa_state()
@@ -309,27 +312,43 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     return results
 
 
+def _host_speed():
+    """simbench's :class:`HostSpeed`: scales a wall time to seconds on
+    its reference host, bracketing it with yardstick runs.
+
+    Loaded from the checkout's ``simbench/run.py`` (``repro bench``
+    already writes its reports at the checkout root).
+    """
+    spec = importlib.util.spec_from_file_location(
+        "simbench_run", REPO_ROOT / "simbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.HostSpeed()
+
+
 def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
-    """The pinned traces through both engine cores, interleaved.
+    """The pinned traces through the engine end to end.
 
     Three workloads: the decode-heavy conversational trace on one
     replica (where the level-synchronous loop and decode-stretch
-    fast-forward dominate — the headline number), the prefill-heavy
-    code trace (where shared planning cost bounds the ratio — the
-    honest lower bound), and the conversational trace on an 8-replica
-    least-loaded fleet (where a stretch is bounded by other replicas'
-    events, so nearly every attempt must be rejected cheaply).
-    Repetitions alternate engines so transient host load penalizes
-    both equally; each engine reports its best rep, and the engines
-    are constructed outside the timed region so the ratio measures the
-    iteration loop, not model-table setup.  Each row carries the array
-    engine's decode-stretch counters from its last rep.
+    fast-forward dominate), the prefill-heavy code trace (where
+    scheduler planning dominates), and the conversational trace on an
+    8-replica least-loaded fleet (where a stretch is bounded by other
+    replicas' events, so nearly every attempt must be rejected
+    cheaply).  Engines are constructed outside the timed region, and
+    each row reports its best rep: ``wall_s`` as measured and
+    ``host_s`` scaled to simbench's reference host, so a gate on it
+    holds across host speeds.  ``completed`` and the decode-stretch
+    counters are deterministic behaviour, pinned by CI.
     """
     from functools import partial
 
     from repro.api import build_trace, make_scheduler
     from repro.cluster.deployment import ClusterDeployment
-    from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
+    from repro.engine import ReplicaConfig, ReplicaEngine
     from repro.experiments.configs import get_execution_model
     from repro.simcore import Simulator
     from repro.workload.datasets import AZURE_CODE, AZURE_CONV
@@ -338,16 +357,15 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
     num_requests = 60 if quick else 150
     fleet_requests = 800 if quick else 2000
     reps = 3 if quick else 5
-    engines = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
 
     def replica(dataset, scale):
         base = build_trace(
             dataset, qps=1.0, num_requests=num_requests, seed=42
         )
 
-        def build(engine_cls):
+        def build():
             simulator = Simulator()
-            engine = engine_cls(
+            engine = ReplicaEngine(
                 simulator,
                 execution_model,
                 make_scheduler("qoserve", execution_model),
@@ -364,13 +382,12 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
             AZURE_CONV, qps=16.0, num_requests=fleet_requests, seed=42
         )
 
-        def build(engine_cls):
+        def build():
             cluster = ClusterDeployment(
                 execution_model,
                 partial(make_scheduler, "qoserve", execution_model),
                 num_replicas=8,
                 routing="least-loaded",
-                engine_cls=engine_cls,
             )
             for request in base.fresh_copy():
                 cluster.submit(request)
@@ -388,30 +405,31 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
         "fleet_requests": fleet_requests,
         "reps": reps,
     }
+    speed = _host_speed()
     for name, (label, build) in workloads.items():
-        best = {key: math.inf for key in engines}
-        completed = {}
-        for _ in range(reps + 1):  # first interleaved pass is warm-up
-            for key, engine_cls in engines.items():
-                run, replicas = build(engine_cls)
-                started = time.perf_counter()
-                run(max_events=50_000_000)
-                elapsed = time.perf_counter() - started
-                done = sum(len(e.completed) for e in replicas)
-                if completed.setdefault(key, done) != done:
-                    raise RuntimeError(f"{name}/{key}: nondeterministic run")
-                best[key] = min(best[key], elapsed)
-            stretched = replicas  # the array engine ran last
-        if completed["objects"] != completed["arrays"]:
-            raise RuntimeError(f"{name}: engines disagree on completions")
+        wall_s = host_s = math.inf
+        completed = None
+        for rep in range(reps + 1):  # the first pass is warm-up
+            run, replicas = build()
+            started = time.perf_counter()
+            run(max_events=50_000_000)
+            elapsed = time.perf_counter() - started
+            scaled = speed.scale(elapsed)
+            done = sum(len(e.completed) for e in replicas)
+            if completed is None:
+                completed = done
+            elif completed != done:
+                raise RuntimeError(f"{name}: nondeterministic run")
+            if rep:
+                wall_s = min(wall_s, elapsed)
+                host_s = min(host_s, scaled)
         report[name] = {
             "workload": label,
-            "objects_s": best["objects"],
-            "arrays_s": best["arrays"],
-            "speedup": best["objects"] / best["arrays"],
-            "completed": completed["objects"],
+            "wall_s": wall_s,
+            "host_s": host_s,
+            "completed": completed,
             "stretch": {
-                c: sum(getattr(e, f"stretch_{c}") for e in stretched)
+                c: sum(getattr(e, f"stretch_{c}") for e in replicas)
                 for c in ("attempts", "rejected_cheap", "hits", "iterations")
             },
         }
@@ -423,8 +441,7 @@ def _end_to_end_benchmark(quick: bool) -> dict[str, Any]:
 
     The run executes with the :data:`repro.obs.PROFILER` enabled, so
     the report breaks ``wall_s`` down into the ``obs.timed`` hot-path
-    sections (chunker, relegation planner, iteration loop) — the same
-    sections the fast-path engine work optimizes.
+    sections (scheduler planning, chunker, relegation planner).
     """
     from repro.api import ServeConfig, build_trace, simulate
     from repro.obs import PROFILER
@@ -759,16 +776,13 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
             / engine_soa["soa_advance"]["best_us"]
         ),
         "soa_kv_grow_speedup": (
-            engine_soa["object_kv_grow"]["best_us"]
+            engine_soa["row_kv_grow"]["best_us"]
             / engine_soa["soa_kv_grow"]["best_us"]
         ),
         "soa_victim_select_speedup": (
             engine_soa["object_victim_select"]["best_us"]
             / engine_soa["soa_victim_select"]["best_us"]
         ),
-        "engine_e2e_conv_speedup": engine_e2e["conv"]["speedup"],
-        "engine_e2e_code_speedup": engine_e2e["code"]["speedup"],
-        "engine_e2e_fleet_speedup": engine_e2e["fleet"]["speedup"],
     }
     return {
         "schema": SCHEMA_VERSION,

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument(
         "--expect-identical", action="store_true",
         help="exit non-zero unless every comparison is byte-identical "
-             "(the engine-parity / determinism assertion mode)",
+             "(the determinism assertion mode)",
     )
     serve_parser = sub.add_parser(
         "serve",
@@ -410,12 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler", default="qoserve", metavar="KIND",
         help="scheduler kind (default: qoserve; see "
              "repro.api.SCHEDULER_KINDS)",
-    )
-    serve_parser.add_argument(
-        "--engine", default="objects", choices=("objects", "arrays"),
-        help="engine core: the reference per-request loop or the "
-             "struct-of-arrays loop (bit-identical results; see "
-             "docs/PERFORMANCE.md; default: objects)",
     )
     serve_parser.add_argument(
         "--kv-reuse", default="off", choices=("off", "radix"),
@@ -766,7 +760,6 @@ def _serve_command(args) -> int:
             session = Session(ServeConfig(
                 deployment=args.deployment,
                 scheduler=args.scheduler,
-                engine=args.engine,
                 kv_reuse=args.kv_reuse,
                 chunk_size=args.chunk_size,
                 num_replicas=args.num_replicas,

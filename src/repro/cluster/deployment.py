@@ -166,7 +166,6 @@ class ClusterDeployment:
         simulator: Simulator | None = None,
         routing: str = "round-robin",
         observer=None,
-        engine_cls: type[ReplicaEngine] | None = None,
         *,
         fault_plan: FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
@@ -193,9 +192,6 @@ class ClusterDeployment:
         self.scheduler_factory = scheduler_factory
         self.replica_config = replica_config or ReplicaConfig()
         self.routing = routing
-        #: Engine implementation every replica (including ones
-        #: provisioned later by the autoscaler) is built from.
-        self.engine_cls = engine_cls or ReplicaEngine
         self.fleet = fleet
         self.autoscaler = autoscaler
         self.resilience: ResilienceConfig | None = None
@@ -274,7 +270,7 @@ class ClusterDeployment:
                 hw_class.hardware,
                 tp_degree=hw_class.tp_degree,
             )
-        engine = self.engine_cls(
+        engine = ReplicaEngine(
             self.simulator,
             execution_model,
             self.scheduler_factory(),
@@ -305,10 +301,7 @@ class ClusterDeployment:
         )
 
     def _outstanding(self, replica: ReplicaEngine) -> int:
-        return (
-            replica.running_requests
-            + len(replica.scheduler.pending_requests())
-        )
+        return replica.running_requests + replica.scheduler.queue_length()
 
     # --- health / routing -------------------------------------------------
 

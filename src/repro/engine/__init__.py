@@ -4,20 +4,16 @@ Implements the iteration-level, chunked-prefill execution loop of a
 Sarathi/vLLM replica on top of the discrete-event simulator: requests
 arrive, prefill in scheduler-chosen chunks, join the running decode
 batch when their prompt completes, and emit one token per iteration
-until done — all gated by a paged KV-cache manager.
+until done — all gated by a paged KV-cache ledger.
 """
 
-from repro.engine.kvcache import KVCacheManager
-from repro.engine.batch import BatchPlan, IterationRecord, PrefillAssignment
+from repro.engine.batch import IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
-from repro.engine.arrays import ArrayKVLedger, ArrayReplicaEngine
+from repro.engine.rows import ArrayKVLedger
 
 __all__ = [
     "ArrayKVLedger",
-    "ArrayReplicaEngine",
-    "KVCacheManager",
-    "BatchPlan",
     "IterationRecord",
     "PrefillAssignment",
     "EngineView",

@@ -1,11 +1,11 @@
-"""Batch plan and iteration-record types shared by engine and schedulers."""
+"""Prefill-assignment and iteration-record types shared by engine and
+schedulers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.request import Request
-from repro.perfmodel.execution import BatchShape, PrefillChunk
 
 
 @dataclass(frozen=True)
@@ -24,48 +24,6 @@ class PrefillAssignment:
                 f"{self.tokens} exceeds remaining prefill "
                 f"{self.request.remaining_prefill}"
             )
-
-
-@dataclass
-class BatchPlan:
-    """One iteration's work: all running decodes plus prefill chunks."""
-
-    prefill_assignments: list[PrefillAssignment] = field(default_factory=list)
-    decode_requests: list[Request] = field(default_factory=list)
-
-    @property
-    def prefill_tokens(self) -> int:
-        return sum(a.tokens for a in self.prefill_assignments)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.prefill_assignments and not self.decode_requests
-
-    def to_shape(
-        self, decode_context_total: int | None = None
-    ) -> BatchShape:
-        """Project the plan onto the execution model's batch shape.
-
-        Args:
-            decode_context_total: Precomputed sum of the decode
-                requests' context lengths (the engine tracks this
-                incrementally); ``None`` recomputes it from scratch.
-        """
-        if decode_context_total is None:
-            decode_context_total = sum(
-                r.context_length for r in self.decode_requests
-            )
-        return BatchShape(
-            prefill_chunks=[
-                PrefillChunk(
-                    tokens=a.tokens,
-                    context_before=a.request.prefill_done,
-                )
-                for a in self.prefill_assignments
-            ],
-            num_decodes=len(self.decode_requests),
-            decode_context_total=decode_context_total,
-        )
 
 
 @dataclass(frozen=True)

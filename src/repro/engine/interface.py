@@ -24,15 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @runtime_checkable
 class KVLedger(Protocol):
-    """Block-granular KV accounting shared by both engine cores.
+    """Block-granular KV accounting as schedulers see it.
 
-    :class:`repro.engine.kvcache.KVCacheManager` (object engine) and
-    :class:`repro.engine.arrays.ArrayKVLedger` (array engine) both
-    implement this contract; schedulers, admission control and the
-    prefix cache program against it rather than a concrete class.
-    Block math is identical across implementations — allocations round
-    up to ``block_size`` and ``blocks == ceil(tokens / block_size)``
-    holds for every holding.
+    :class:`repro.engine.rows.ArrayKVLedger` implements this contract;
+    schedulers, admission control and the prefix cache program against
+    it rather than the concrete class.  Allocations round up to
+    ``block_size`` and ``blocks == ceil(tokens / block_size)`` holds
+    for every holding.
     """
 
     block_size: int
@@ -152,8 +150,8 @@ class EngineView:
 
     def decode_slack(self, floor: float) -> float:
         """Smallest next-token headroom among ``decode_requests``
-        (:func:`decode_slack`); engines with their own decode-set
-        layout override this with an equivalent sweep."""
+        (:func:`decode_slack`); the engine's row-backed view overrides
+        this with an equivalent sweep over its columns."""
         return decode_slack(self.now, self.decode_requests, floor)
 
 

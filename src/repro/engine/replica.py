@@ -8,6 +8,25 @@ growth is accounted before execution; if a decode step cannot fit, the
 engine preempts the decode request with the slackest deadline and
 recomputes it later, mirroring vLLM's recompute-on-eviction.
 
+The decode batch is struct-of-arrays: it lives in a
+:class:`~repro.engine.rows._RowStore` (one column per request field
+the iteration loop touches), and KV accounting in an
+:class:`~repro.engine.rows.ArrayKVLedger` whose decode holdings are
+row columns too.  Every per-token decode advance (timestamps, TBT
+gap and deadline misses, context growth, completion detection) is a
+handful of array operations instead of per-object method dispatch.
+Request objects are synced from their rows lazily: when a row leaves
+the batch, when a caller reads ``decode_queue``, when a scheduler
+iterates the view's decode requests, and when a run returns.  The
+float expressions are those of :class:`~repro.core.request.Request`
+(e.g. the Eq. 2 token deadline ``(arrival + ttft) + k * tbt`` is kept
+as a scalar ``ttft_base`` so the vector form performs the same IEEE
+operations), and ``tests/test_engine_pins.py`` pins the results.
+
+Runs of pure-decode iterations that no event can interrupt collapse
+into one closed-form advance (:meth:`ReplicaEngine._decode_stretch`)
+when nothing observes individual iterations.
+
 In ``prefill_only`` mode (PD disaggregation, Section 4.1.3) completed
 prefills are handed to a caller-provided sink instead of entering the
 local decode queue, and their KV is released (shipped to the decode
@@ -20,15 +39,20 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.core.request import Request
-from repro.engine.batch import BatchPlan, IterationRecord, PrefillAssignment
+from repro.engine.batch import IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
-from repro.engine.kvcache import KVCacheManager
 from repro.engine.prefix import RadixPrefixCache
+from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.obs.observer import NULL_OBSERVER, Observer, get_default_observer
-from repro.obs.timing import timed
-from repro.perfmodel.execution import BatchShape, ExecutionModel
+from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.simulator import Simulator
+
+#: Below this batch size the per-row scalar loop beats NumPy kernel
+#: launch overhead; both paths execute the identical float operations.
+_SMALL_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -62,6 +86,110 @@ class ReplicaConfig:
                 f"kv_reuse must be one of {self.KV_REUSE_KINDS}, "
                 f"got {self.kv_reuse!r}"
             )
+
+
+class _LazyRequestList:
+    """Decode-request view that only syncs rows when iterated.
+
+    Schedulers that just need ``len(view.decode_requests)`` (QoServe's
+    and Medha's chunk sizing, the fixed-chunk budget) never pay the
+    object-sync cost.
+    """
+
+    __slots__ = ("_engine", "_n")
+
+    def __init__(self, engine: "ReplicaEngine", n: int) -> None:
+        self._engine = engine
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _materialize(self) -> list[Request]:
+        self._engine._sync_rows()
+        return self._engine._rows.req[: self._n]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __getitem__(self, item):
+        return self._materialize()[item]
+
+
+class _RowView(EngineView):
+    """The scheduler's view of the engine.
+
+    ``decode_requests`` syncs rows only when iterated, the in-flight
+    prefill set is shared rather than copied, and the decode slack is
+    a sweep over the row columns instead of the request objects.
+    """
+
+    def __init__(
+        self, engine: "ReplicaEngine", now: float, n_live: int
+    ) -> None:
+        super().__init__(
+            now=now,
+            decode_requests=_LazyRequestList(engine, n_live),
+            kv_cache=engine.kv_cache,
+            execution_model=engine.execution_model,
+            max_decode_slots=engine.config.max_decode_slots,
+            inflight_prefill_ids=engine._inflight_prefills,
+            decode_context_total=engine._decode_context_total,
+        )
+        self._rows = engine._rows
+
+    def decode_slack(self, floor: float) -> float:
+        """Row sweep equivalent to
+        :func:`repro.engine.interface.decode_slack`.
+
+        Float-exact: interactive slack is ``(ttft_base + decoded*tbt)
+        - now`` (``Request.next_token_deadline``'s association),
+        non-interactive pace is ``(total_deadline - now) / max(1,
+        remaining)`` floored, and the min over rows equals the
+        function's running minimum.
+        """
+        rows = self._rows
+        now = self.now
+        n = rows.n
+        if n == 0:
+            return float("inf")
+        if n < _SMALL_BATCH:
+            # Scalar sweep: identical float ops, no kernel launches.
+            inter = rows.inter
+            decoded = rows.decoded
+            ttft_base = rows.ttft_base
+            tbt = rows.tbt
+            target = rows.target
+            ni_ddl = rows.ni_ddl
+            best = float("inf")
+            for i in range(n):
+                if inter.item(i):
+                    slack = (
+                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
+                    ) - now
+                    if slack <= 0.0:
+                        slack = floor
+                else:
+                    remaining = target.item(i) - decoded.item(i)
+                    if remaining < 1:
+                        remaining = 1
+                    slack = (ni_ddl.item(i) - now) / remaining
+                    if slack < floor:
+                        slack = floor
+                if slack < best:
+                    best = slack
+            return best
+        interactive_slack = (
+            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
+        ) - now
+        interactive_slack = np.where(
+            interactive_slack <= 0.0, floor, interactive_slack
+        )
+        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
+        pace = (rows.ni_ddl[:n] - now) / remaining
+        np.maximum(pace, floor, out=pace)
+        slack = np.where(rows.inter[:n], interactive_slack, pace)
+        return float(slack.min())
 
 
 class ReplicaEngine:
@@ -104,9 +232,15 @@ class ReplicaEngine:
         if self.observer is not NULL_OBSERVER:
             scheduler.set_observer(self.observer)
 
-        self.kv_cache = KVCacheManager(
+        self._rows = _RowStore()
+        # Request objects lag their rows after a decode advance until
+        # the rows are synced back (see _sync_rows).
+        self._rows_dirty = False
+
+        self.kv_cache = ArrayKVLedger(
             capacity_tokens=execution_model.kv_capacity_tokens,
             block_size=self.config.kv_block_size,
+            rows=self._rows,
         )
         #: Radix prefix index (``kv_reuse="radix"``), or None; every
         #: prefix code path in the engine is guarded on it so the
@@ -115,11 +249,12 @@ class ReplicaEngine:
         #: they never populate (and therefore never consult) a tree.
         self.prefix_cache: RadixPrefixCache | None = None
         if self.config.kv_reuse == "radix" and not self.config.prefill_only:
-            self._install_prefix_cache()
-        self.decode_queue: list[Request] = []
-        # Incremental mirror of sum(r.context_length for r in
-        # decode_queue): adjusted on admit/evict/finish so the hot
-        # loop never re-aggregates the whole queue.
+            self.prefix_cache = RadixPrefixCache(self.kv_cache)
+            self.kv_cache.set_reclaimer(self.prefix_cache)
+            self.prefix_cache.on_evict = self._notify_prefix_evicted
+        # Incremental mirror of the decode rows' summed context length:
+        # adjusted on admit/evict/finish and per advance, so the hot
+        # loop never re-aggregates the batch.
         self._decode_context_total = 0
         self.completed: list[Request] = []
         self.submitted: list[Request] = []
@@ -171,18 +306,14 @@ class ReplicaEngine:
         # scheduler until a completion frees memory, so they cannot
         # immediately re-consume the blocks they just released.
         self._stalled_requests: list[Request] = []
+        # Decode-stretch telemetry: attempts, attempts rejected by the
+        # cheap bound, stretches that fired and iterations collapsed.
+        self.stretch_attempts = 0
+        self.stretch_rejected_cheap = 0
+        self.stretch_hits = 0
+        self.stretch_iterations = 0
 
     # --- prefix reuse -----------------------------------------------------
-
-    def _install_prefix_cache(self) -> None:
-        """Bind a fresh radix cache to the current KV ledger.
-
-        Called from ``__init__`` and again by the array engine after it
-        swaps in its own ledger (the tree is empty at both points).
-        """
-        self.prefix_cache = RadixPrefixCache(self.kv_cache)
-        self.kv_cache.set_reclaimer(self.prefix_cache)
-        self.prefix_cache.on_evict = self._notify_prefix_evicted
 
     def _notify_prefix_evicted(self, blocks: int) -> None:
         assert self.prefix_cache is not None
@@ -293,16 +424,23 @@ class ReplicaEngine:
     # --- derived state ----------------------------------------------------
 
     @property
+    def decode_queue(self) -> list[Request]:
+        """The decoding requests in batch order, synced from their rows
+        (a fresh list)."""
+        self._sync_rows()
+        return list(self._rows.req)
+
+    @property
     def running_requests(self) -> int:
         """Requests occupying decode slots (decoding or mid-prefill)."""
-        return len(self.decode_queue) + len(self._inflight_prefills)
+        return self._rows.n + len(self._inflight_prefills)
 
     @property
     def free_decode_slots(self) -> int:
         return max(0, self.config.max_decode_slots - self.running_requests)
 
     def has_work(self) -> bool:
-        return bool(self.decode_queue) or self.scheduler.has_pending_prefill()
+        return self._rows.n > 0 or self.scheduler.has_pending_prefill()
 
     def holds(self, request: Request) -> bool:
         """Whether ``request`` is resident on this replica: decoding,
@@ -311,7 +449,7 @@ class ReplicaEngine:
         request_id = request.request_id
         return (
             request_id in self._inflight_prefills
-            or request in self.decode_queue
+            or request_id in self._rows.index
             or request in self._stalled_requests
             or request in self._pending_handoffs
             or any(
@@ -320,35 +458,47 @@ class ReplicaEngine:
             )
         )
 
+    def _sync_rows(self) -> None:
+        if not self._rows_dirty:
+            return
+        self._rows_dirty = False
+        rows = self._rows
+        for i in range(rows.n):
+            rows.sync_row(i)
+
     # --- decode set --------------------------------------------------------
     #
     # Every lifecycle transition moves requests into and out of the
-    # decode set through these three primitives; the array engine
-    # overrides only them to keep the set in its row store.
+    # decode rows through these three primitives.
 
     def _attach_decode(self, request: Request, context: int) -> None:
         """Append ``request`` (holding ``context`` KV tokens) to the
-        decode set."""
-        self.decode_queue.append(request)
+        decode rows; its KV holding becomes row-backed."""
+        tokens, blocks = self.kv_cache.attach_row(request.request_id)
+        self._rows.add(request, tokens, blocks)
         self._decode_context_total += context
 
     def _detach_decode(self, request: Request) -> int | None:
-        """Remove ``request`` from the decode set and release its KV.
+        """Remove ``request`` from the decode rows and release its KV.
 
         Returns the context it held, or None if it was not decoding
         (its KV, if any, is then left alone).
         """
-        if request not in self.decode_queue:
+        rows = self._rows
+        i = rows.index.get(request.request_id)
+        if i is None:
             return None
-        context = request.context_length
+        rows.sync_row(i)
+        context = int(rows.ctx[i])
+        # The row-backed holding must be released while its row lives.
         self.kv_cache.release(request.request_id)
-        self.decode_queue.remove(request)
+        rows.remove_at(i)
         self._decode_context_total -= context
         return context
 
     def _clear_decodes(self) -> None:
-        """Empty the decode set (crash; KV already released)."""
-        self.decode_queue.clear()
+        """Empty the decode rows (crash; KV already released)."""
+        self._rows.clear()
         self._decode_context_total = 0
 
     # --- iteration loop ----------------------------------------------------
@@ -359,30 +509,34 @@ class ReplicaEngine:
         if self.has_work():
             self._start_iteration()
 
-    @timed("engine.start_iteration")
     def _start_iteration(self) -> None:
         now = self.simulator.now
+        observed = self.observer is not NULL_OBSERVER
+        rows = self._rows
+        # (num_decodes, decode_context_total) of the decode-only batch
+        # time probed for the stretch, reused below when the iteration
+        # turns out to be exactly that batch.
+        probe = None
+        if (
+            rows.n > 0
+            and not observed
+            and self.token_hook is None
+            and not self.config.record_iterations
+            and not self._inflight_prefills
+            and not self.scheduler.has_pending_prefill()
+        ):
+            probe = (rows.n, self._decode_context_total)
+            probe_time = self.execution_model.batch_time_flat((), *probe)
+            now = self._decode_stretch(now, probe_time)
         self._reserve_decode_growth()
-        # One snapshot serves both the scheduler's view and the batch
-        # plan: plan_prefill never mutates the decode queue (the view
-        # is read-only by contract), so the lists would be identical.
-        decode_snapshot = list(self.decode_queue)
+        n_live = rows.n
         decode_context_total = self._decode_context_total
-        view = EngineView(
-            now=now,
-            decode_requests=decode_snapshot,
-            kv_cache=self.kv_cache,
-            execution_model=self.execution_model,
-            max_decode_slots=self.config.max_decode_slots,
-            inflight_prefill_ids=frozenset(self._inflight_prefills),
-            decode_context_total=decode_context_total,
+        assignments = (
+            self._plan_qoserve_fast(now, n_live)
+            if self.scheduler.has_pending_prefill()
+            else []
         )
-        assignments = self.scheduler.plan_prefill(view)
-        plan = BatchPlan(
-            prefill_assignments=assignments,
-            decode_requests=decode_snapshot,
-        )
-        if plan.is_empty:
+        if not assignments and n_live == 0:
             # Nothing is decoding and the prefill queue is blocked
             # (e.g. on KV memory): free KV by evicting a partial
             # prefill and plan again, or idle until the next arrival
@@ -390,14 +544,20 @@ class ReplicaEngine:
             if self._recover_prefill_stall():
                 self._start_iteration()
             return
-        self._start_prefills(assignments, now)
-
-        # Token counts of snapshot members cannot change while the
-        # batch is in flight (they only move in _finish_iteration), so
-        # the shape computed here is also the one _finish_iteration
-        # records.
-        shape = plan.to_shape(decode_context_total)
-        exec_time = self.execution_model.batch_time(shape)
+        # Chunk shapes are read before the prefills start; token counts
+        # of batch members only move in _finish_iteration, so this is
+        # also the batch _finish_iteration records.
+        chunks = [(a.tokens, a.request.prefill_done) for a in assignments]
+        prefill_tokens = 0
+        if assignments:
+            self._start_prefills(assignments, now)
+            prefill_tokens = sum(tokens for tokens, _ in chunks)
+        if not chunks and probe == (n_live, decode_context_total):
+            exec_time = probe_time
+        else:
+            exec_time = self.execution_model.batch_time_flat(
+                chunks, n_live, decode_context_total
+            )
         if self.slowdown_factor != 1.0:
             # Transient straggler (fault injection): the replica runs,
             # just slower.  Guarded so the nominal path stays
@@ -405,17 +565,23 @@ class ReplicaEngine:
             exec_time *= self.slowdown_factor
         self._busy = True
         self.busy_time += exec_time
-        if plan.prefill_tokens > 0:
+        if prefill_tokens > 0:
             # Decode-only iterations carry no chunk; counting their
             # zeros would drown the histogram's smallest bucket.
-            self.chunk_tokens_hist[plan.prefill_tokens] += 1
-        self.observer.on_iteration_start(
-            self.replica_id, now, exec_time, plan, self.iterations_run,
-            queue_depth=self.scheduler.queue_length(),
-        )
+            self.chunk_tokens_hist[prefill_tokens] += 1
+        if observed:
+            self.observer.on_iteration_start(
+                self.replica_id, now, exec_time, assignments, n_live,
+                decode_context_total, self.iterations_run,
+                queue_depth=self.scheduler.queue_length(),
+            )
+        rows.batch_n = n_live
         self._inflight_event = self.simulator.schedule_after(
             exec_time,
-            lambda: self._finish_iteration(plan, shape, exec_time, now),
+            lambda: self._finish_iteration(
+                assignments, n_live, decode_context_total,
+                prefill_tokens, exec_time, now, observed,
+            ),
         )
 
     def _start_prefills(
@@ -458,25 +624,372 @@ class ReplicaEngine:
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
 
+    def _finish_iteration(
+        self,
+        assignments: list[PrefillAssignment],
+        num_decodes: int,
+        decode_context_total: int,
+        prefill_tokens: int,
+        exec_time: float,
+        start_time: float,
+        observed: bool,
+    ) -> None:
+        now = self.simulator.now
+        self._inflight_event = None
+        self.iterations_run += 1
+        if self.config.record_iterations:
+            self.iteration_records.append(
+                IterationRecord(
+                    start_time=start_time,
+                    exec_time=exec_time,
+                    prefill_tokens=prefill_tokens,
+                    num_decodes=num_decodes,
+                    decode_context_total=decode_context_total,
+                    kv_utilization=self.kv_cache.utilization,
+                )
+            )
+        # Decode side: every row of the batch emits one token (rows
+        # evicted or cancelled mid-flight already left the prefix).
+        m = self._rows.batch_n
+        if m:
+            if self.token_hook is not None:
+                self._advance_hooked(now, m)
+            elif m < _SMALL_BATCH:
+                self._advance_scalar(now, m)
+            else:
+                self._advance_vector(now, m)
+        if assignments:
+            self._credit_prefills(assignments, now)
+        if observed:
+            self.observer.on_iteration_end(
+                self.replica_id, now, start_time, exec_time, self.kv_cache
+            )
+        self._busy = False
+        self._maybe_start()
+
+    def _decode_stretch(self, now: float, first_time: float) -> float:
+        """Collapse a run of pure-decode iterations into one advance.
+
+        Preconditions (checked by the caller): no observer, no token
+        hook, no iteration recording, no pending or in-flight prefill
+        work.  ``first_time`` is the unscaled batch time of the next
+        iteration, the decode-only batch of the current rows.  Finds
+        the longest run of ``k >= 2`` future iterations that provably
+        (a) complete no request, (b) fit their KV growth without
+        eviction, and (c) finish strictly before the next simulator
+        event and within the simulator's run bound — then applies the
+        ``k`` per-token advances as closed-form vector updates and
+        fast-forwards the clock to the last finish time.  Falls back
+        to the per-iteration path (returning ``now`` unchanged)
+        whenever any bound trims the run below 2.
+
+        Cheap rejection: at fleet scale the next event is almost
+        always another replica's iteration, so (c) fails nearly every
+        time.  Before any array work, the run is rejected when
+        ``(now + e0) + e0`` already reaches the next event or passes
+        the run bound, ``e0`` being ``first_time`` times the slowdown
+        factor.  This is exact, not a heuristic: a decode-only batch
+        time is monotone non-decreasing in the decode context total
+        (every term is a positive-constant product or sum of it,
+        ``max`` and ``+ overhead`` preserve order, and IEEE rounding
+        is monotone), and the context only grows, so the second
+        iteration's time ``e1 >= e0`` and its finish ``c[2] = (now +
+        e0) + e1 >= (now + e0) + e0``.  Step (c) needs ``c[2] <
+        next_event`` and ``c[2] <= run_bound`` for ``k >= 2``, so the
+        cheap bound rejects only runs the full computation rejects.
+
+        Bit-exactness: finish times are the left-associated cumulative
+        sum ``((now + e_1) + e_2) + ...`` (``np.add.accumulate``),
+        matching the simulator's sequential clock; per-iteration gaps
+        are differences of those cumulative times (level-synchronous,
+        so shared by every row); deadline misses evaluate the exact
+        Eq. 2 expression ``ttft_base + (decoded + j) * tbt`` per
+        token.  The one divergence from running the ``k`` iterations
+        one by one is ``Simulator.events_processed``/``max_events``
+        accounting: the collapsed finish events are never enqueued
+        (the safety valve sees fewer events; no other consumer
+        exists).
+        """
+        self.stretch_attempts += 1
+        if self.slowdown_factor != 1.0:
+            first_time *= self.slowdown_factor
+        second_floor = (now + first_time) + first_time
+        next_event = self.simulator.next_event_time()
+        bound = self.simulator.run_bound
+        if (next_event is not None and second_floor >= next_event) or (
+            bound is not None and second_floor > bound
+        ):
+            self.stretch_rejected_cheap += 1
+            return now
+        rows = self._rows
+        n = rows.n
+        # (a) the iteration emitting a request's final token must run
+        # on the normal path (completion side effects).
+        k_cap = int((rows.target[:n] - rows.decoded[:n]).min()) - 1
+        if k_cap < 2:
+            return now
+        # (b) largest run whose cumulative block demand fits; the
+        # demand is monotone in k, so bisect on it.
+        ledger = self.kv_cache
+        free = ledger.free_blocks
+        if ledger.stretch_need(n, k_cap) > free:
+            lo, hi = 0, k_cap  # invariant: need(lo) <= free < need(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if ledger.stretch_need(n, mid) <= free:
+                    lo = mid
+                else:
+                    hi = mid
+            k_cap = lo
+            if k_cap < 2:
+                return now
+        # (c) cumulative finish times of the candidate run; iteration
+        # j (0-based) sees the decode context grown j times.
+        exec_times = self.execution_model.decode_batch_times_flat(
+            n,
+            self._decode_context_total
+            + np.arange(k_cap, dtype=np.int64) * n,
+        )
+        if self.slowdown_factor != 1.0:
+            exec_times = exec_times * self.slowdown_factor
+        c = np.add.accumulate(np.concatenate(((now,), exec_times)))
+        k = k_cap
+        if next_event is not None:
+            # Strictly before: at equal timestamps the pending event
+            # (lower heap seq) fires before an iteration's finish.
+            k = min(k, int(np.searchsorted(c[1:], next_event, side="left")))
+        if bound is not None:
+            k = min(k, int(np.searchsorted(c[1:], bound, side="right")))
+        if k < 2:
+            return now
+
+        self.stretch_hits += 1
+        self.stretch_iterations += k
+        times = c[1 : k + 1]
+        self._rows_dirty = True
+        self.iterations_run += k
+        self.busy_time = float(
+            np.add.accumulate(
+                np.concatenate(((self.busy_time,), exec_times[:k]))
+            )[-1]
+        )
+        d0 = rows.decoded[:n].copy()
+        rows.decoded[:n] = d0 + k
+        t0 = times[0]
+        fresh = d0 == 0
+        rows.first[:n][fresh] = t0
+        # Gaps: every row shares the k-1 in-window gaps (level-
+        # synchronous batch); each row adds one private gap across the
+        # window boundary (its previous last-token time), except fresh
+        # rows whose first token opens the window.
+        shared = times[1:] - times[:-1]
+        shared_max = float(shared.max())
+        cross = np.where(fresh, -np.inf, t0 - rows.last[:n])
+        cand = np.maximum(shared_max, cross)
+        np.maximum(rows.max_tbt[:n], cand, out=rows.max_tbt[:n])
+        inter = rows.inter[:n]
+        inter_rows = np.flatnonzero(inter)
+        if inter_rows.size:
+            tbt = rows.tbt[:n]
+            # Strict gap > tbt count via sorted shared gaps.
+            sg = np.sort(shared)
+            over = (k - 1) - np.searchsorted(sg, tbt, side="right")
+            over = over + (cross > tbt)
+            rows.gap_miss[inter_rows] += over[inter_rows]
+            # Eq. 2 deadline misses: token j (0-based) of the stretch
+            # lands at times[j] against deadline ttft_base +
+            # (decoded + j) * tbt — Request.token_deadline's expression.
+            base = rows.ttft_base[inter_rows][:, None]
+            steps = d0[inter_rows][:, None] + np.arange(k)[None, :]
+            deadlines = base + steps * tbt[inter_rows][:, None]
+            rows.ddl_miss[inter_rows] += (
+                times[None, :] > deadlines
+            ).sum(axis=1)
+        rows.last[:n] = times[-1]
+        rows.ctx[:n] += k
+        ledger.stretch_grow(n, k)
+        self._decode_context_total += n * k
+        end = float(c[k])
+        self.simulator.fast_forward(end)
+        return end
+
+    # --- decode advance kernels -------------------------------------------
+    #
+    # Each kernel advances the in-flight batch, rows [0, m).  The two
+    # whole-batch kernels apply completions after the sweep: their side
+    # effects touch no state the remaining advances read, so the
+    # interleaving is equivalent to advancing and completing row by
+    # row.
+
+    def _advance_scalar(self, now: float, m: int) -> None:
+        """Per-row advance mirroring ``Request.record_output_token``.
+
+        For small batches, where the loop beats NumPy kernel launches;
+        same float operations as :meth:`_advance_vector`.
+        """
+        rows = self._rows
+        self._rows_dirty = True
+        decoded = rows.decoded
+        first = rows.first
+        last = rows.last
+        max_tbt = rows.max_tbt
+        gap_miss = rows.gap_miss
+        ddl_miss = rows.ddl_miss
+        inter = rows.inter
+        ttft_base = rows.ttft_base
+        tbt = rows.tbt
+        ctx = rows.ctx
+        target = rows.target
+        finished_rows = None
+        for i in range(m):
+            d0 = decoded.item(i)
+            decoded[i] = d0 + 1
+            it = inter.item(i)
+            if d0 == 0:
+                first[i] = now
+            else:
+                gap = now - last.item(i)
+                if gap > max_tbt.item(i):
+                    max_tbt[i] = gap
+                if it and gap > tbt.item(i):
+                    gap_miss[i] += 1
+            if it and now > ttft_base.item(i) + d0 * tbt.item(i):
+                ddl_miss[i] += 1
+            last[i] = now
+            ctx[i] += 1
+            if d0 + 1 >= target.item(i):
+                if finished_rows is None:
+                    finished_rows = []
+                finished_rows.append(i)
+        self._decode_context_total += m
+        if finished_rows is not None:
+            self._complete_rows(finished_rows, now)
+
+    def _advance_vector(self, now: float, m: int) -> None:
+        """Level-synchronous advance in a handful of slice operations."""
+        rows = self._rows
+        self._rows_dirty = True
+        d0 = rows.decoded[:m].copy()
+        rows.decoded[:m] = d0 + 1
+        fresh = d0 == 0
+        rows.first[:m][fresh] = now
+        gap_rows = np.flatnonzero(~fresh)
+        if gap_rows.size:
+            gaps = now - rows.last[gap_rows]
+            worse = gaps > rows.max_tbt[gap_rows]
+            rows.max_tbt[gap_rows[worse]] = gaps[worse]
+            missed = rows.inter[gap_rows] & (gaps > rows.tbt[gap_rows])
+            rows.gap_miss[gap_rows[missed]] += 1
+        deadline = rows.ttft_base[:m] + d0 * rows.tbt[:m]
+        late = rows.inter[:m] & (now > deadline)
+        rows.ddl_miss[:m][late] += 1
+        rows.last[:m] = now
+        rows.ctx[:m] += 1
+        self._decode_context_total += m
+        done = np.flatnonzero(rows.decoded[:m] >= rows.target[:m])
+        if done.size:
+            self._complete_rows(done.tolist(), now)
+
+    def _complete_rows(self, finished_rows: list[int], now: float) -> None:
+        """Complete the rows a sweep finished, in row order.
+
+        Resolves every request before the first completion, because
+        each removal shifts the rows behind it.
+        """
+        rows = self._rows
+        finished = []
+        for i in finished_rows:
+            rows.sync_row(i)
+            request = rows.req[i]
+            request.completion_time = now
+            finished.append(request)
+        for request in finished:
+            self._complete(request, now)
+
+    def _advance_hooked(self, now: float, m: int) -> None:
+        """Per-row advance firing the token hook.
+
+        Advances and completes row by row: each row's hook sees its
+        synced object, and a finished row completes before the next
+        row advances.  Iterates a copy of the batch because inline
+        completions shift the rows.
+        """
+        rows = self._rows
+        self._rows_dirty = True
+        hook = self.token_hook
+        index = rows.index
+        decoded = rows.decoded
+        first = rows.first
+        last = rows.last
+        max_tbt = rows.max_tbt
+        gap_miss = rows.gap_miss
+        ddl_miss = rows.ddl_miss
+        inter = rows.inter
+        ttft_base = rows.ttft_base
+        tbt = rows.tbt
+        ctx = rows.ctx
+        target = rows.target
+        for request in rows.req[:m]:
+            i = index.get(request.request_id)
+            if i is None:
+                continue  # removed by an earlier row's completion
+            d0 = int(decoded[i])
+            d1 = d0 + 1
+            decoded[i] = d1
+            if d0 == 0:
+                first[i] = now
+            else:
+                gap = now - float(last[i])
+                if gap > float(max_tbt[i]):
+                    max_tbt[i] = gap
+                if inter[i] and gap > float(tbt[i]):
+                    gap_miss[i] += 1
+            if inter[i] and now > float(ttft_base[i]) + d0 * float(tbt[i]):
+                ddl_miss[i] += 1
+            last[i] = now
+            finished = d1 >= int(target[i])
+            self._decode_context_total += 1
+            ctx[i] += 1
+            rows.sync_row(i)
+            if finished:
+                request.completion_time = now
+            hook(request, now)
+            if finished:
+                self._complete(request, now)
+
+    # --- KV reservation / eviction ----------------------------------------
+
     def _reserve_decode_growth(self) -> None:
-        """Grow KV by one token per decode request, evicting on pressure.
+        """Grow KV by one token per decode row, evicting on pressure.
 
         Eviction victims are the decode requests with the largest
-        next-token slack (they can best afford recompute); evicted
+        next-token deadline (they can best afford recompute); evicted
         requests return to the prefill queue with recompute pending.
         """
-        for request in list(self.decode_queue):
-            if self.kv_cache.can_grow(request.request_id, 1):
-                self.kv_cache.grow(request.request_id, 1)
+        rows = self._rows
+        n = rows.n
+        if n == 0:
+            return
+        if self.kv_cache.bulk_decode_grow(n):
+            return
+        # Pressure: grow row by row over a snapshot of the batch,
+        # re-selecting the victim after every eviction.  With a radix
+        # reclaimer attached this path can run on most iterations, so
+        # it reads ``rows.req`` rather than syncing ``decode_queue``.
+        kv_cache = self.kv_cache
+        for request in list(rows.req):
+            request_id = request.request_id
+            if kv_cache.can_grow(request_id, 1):
+                kv_cache.grow(request_id, 1)
                 continue
             victim = self._pick_eviction_victim(exclude=request)
-            while victim is not None and not self.kv_cache.can_grow(
-                request.request_id, 1
+            while victim is not None and not kv_cache.can_grow(
+                request_id, 1
             ):
                 self._evict_decode(victim)
                 victim = self._pick_eviction_victim(exclude=request)
-            if self.kv_cache.can_grow(request.request_id, 1):
-                self.kv_cache.grow(request.request_id, 1)
+            if kv_cache.can_grow(request_id, 1):
+                kv_cache.grow(request_id, 1)
             else:
                 # Last resort: evict this request itself.
                 self._evict_decode(request)
@@ -523,10 +1036,23 @@ class ReplicaEngine:
         return True
 
     def _pick_eviction_victim(self, exclude: Request) -> Request | None:
-        candidates = [r for r in self.decode_queue if r is not exclude]
-        if not candidates:
+        rows = self._rows
+        n = rows.n
+        if n == 0:
             return None
-        return max(candidates, key=lambda r: r.next_token_deadline)
+        deadline = np.where(
+            rows.inter[:n],
+            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n],
+            rows.ni_ddl[:n],
+        )
+        excluded = rows.index.get(exclude.request_id)
+        if excluded is not None:
+            if n == 1:
+                return None
+            deadline[excluded] = -np.inf
+        # argmax returns the first maximum: ties go to the earliest
+        # row, i.e. the longest-resident decode.
+        return rows.req[int(np.argmax(deadline))]
 
     def _evict_decode(self, request: Request) -> None:
         context_lost = self._detach_decode(request)
@@ -538,47 +1064,6 @@ class ReplicaEngine:
             self.replica_id, request, self.simulator.now, context_lost
         )
         self.scheduler.enqueue(request, self.simulator.now)
-
-    @timed("engine.finish_iteration")
-    def _finish_iteration(
-        self,
-        plan: BatchPlan,
-        shape: BatchShape,
-        exec_time: float,
-        start_time: float,
-    ) -> None:
-        now = self.simulator.now
-        self._inflight_event = None
-        self.iterations_run += 1
-        if self.config.record_iterations:
-            self.iteration_records.append(
-                IterationRecord(
-                    start_time=start_time,
-                    exec_time=exec_time,
-                    prefill_tokens=shape.prefill_tokens,
-                    num_decodes=shape.num_decodes,
-                    decode_context_total=shape.decode_context_total,
-                    kv_utilization=self.kv_cache.utilization,
-                )
-            )
-
-        # Decode side: every running request emitted one token.
-        for request in plan.decode_requests:
-            if request not in self.decode_queue:
-                continue  # evicted while this iteration was in flight
-            request.record_output_token(now)
-            self._decode_context_total += 1
-            if self.token_hook is not None:
-                self.token_hook(request, now)
-            if request.is_finished:
-                self._complete(request, now)
-
-        self._credit_prefills(plan.prefill_assignments, now)
-        self.observer.on_iteration_end(
-            self.replica_id, now, start_time, exec_time, plan, self.kv_cache
-        )
-        self._busy = False
-        self._maybe_start()
 
     def _on_prefill_finished(self, request: Request, now: float) -> None:
         self._inflight_prefills.discard(request.request_id)
@@ -683,8 +1168,8 @@ class ReplicaEngine:
         kv_blocks_dropped = 0
         for request in lost:
             self.scheduler.remove(request, now)
-            # Before the decode set is cleared: the array engine's
-            # decode holdings live in its rows.
+            # Before the decode rows are cleared: decode holdings live
+            # in them.
             kv_blocks_dropped += self.kv_cache.release(request.request_id)
             request.evict()
         self._clear_decodes()
@@ -768,6 +1253,7 @@ class ReplicaEngine:
     def run_until_drained(self, max_events: int | None = None) -> float:
         """Run the simulator until all submitted work completes."""
         self.simulator.run(max_events=max_events)
+        self._sync_rows()
         return self.simulator.now
 
     def advance(
@@ -779,8 +1265,26 @@ class ReplicaEngine:
         :meth:`run_until_drained`, the engine stays mid-flight and more
         requests may be injected (:meth:`submit_now`) between calls.
         """
-        return self.simulator.run(until=until, max_events=max_events)
+        result = self.simulator.run(until=until, max_events=max_events)
+        self._sync_rows()
+        return result
 
     def next_event_time(self) -> float | None:
         """When this replica's simulator fires next (None if idle)."""
         return self.simulator.next_event_time()
+
+    # --- planning ---------------------------------------------------------
+
+    def _plan_qoserve_fast(
+        self, now: float, n_live: int
+    ) -> list[PrefillAssignment]:
+        """Plan the iteration's prefill chunks: any scheduler, one view.
+
+        The scheduler's own ``plan_prefill`` runs on a row-backed
+        :class:`_RowView`, so QoServe's chunk sizing reads the decode
+        slack from the row columns.  The caller skips this when no
+        prefill is pending (every in-tree scheduler plans nothing
+        then, before touching any state).  The name is fixed by the
+        span table of ``simbench/spans.py``, which patches it.
+        """
+        return self.scheduler.plan_prefill(_RowView(self, now, n_live))

@@ -10,10 +10,9 @@ id and answers three questions a single-run dashboard cannot:
 * **Where did the runs first disagree?**  The earliest trace event at
   which the two streams diverge, with the shared pre-context ring
   (the flight-recorder pattern from :mod:`repro.obs.recorder`) and a
-  few following events from each side.  For the arrays/objects
-  engine-parity path this pinpoints the first diverging decision when
-  byte-identity breaks; for two schedulers it shows the first choice
-  they made differently.
+  few following events from each side.  For two runs that should be
+  byte-identical this pinpoints the first diverging decision; for two
+  schedulers it shows the first choice they made differently.
 * **Who got better, who got worse, and why?**  Per aligned request:
   deltas over the auditor's attribution phases
   (:data:`repro.obs.audit.PHASES`), TTFT/TTLT deltas, governing
@@ -164,8 +163,8 @@ def find_first_divergence(
     """First position where the two event streams disagree.
 
     Events compare by canonical JSON (sorted keys), so agreement means
-    byte-identity after normalization — the same bar the engine-parity
-    CI job holds the arrays engine to.  Returns ``None`` for fully
+    byte-identity after normalization — the same bar the engine's
+    trace pins hold it to.  Returns ``None`` for fully
     identical streams.  A bounded ring (the flight-recorder pattern)
     keeps the shared pre-context without buffering either stream.
     """

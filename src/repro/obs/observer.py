@@ -58,18 +58,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.chunking import ChunkDecision
     from repro.core.relegation import RelegationPlan
     from repro.core.request import Request
-    from repro.engine.batch import BatchPlan
-    from repro.engine.kvcache import KVCacheManager
+    from repro.engine.batch import PrefillAssignment
+    from repro.engine.interface import KVLedger
 
 
 class Observer:
     """No-op observability hooks; subclass and override what you need.
 
     Hooks fire *after* the decision they describe.  Implementations
-    must not mutate any argument: requests, plans and the KV manager
-    are the engine's live state, shared for cheapness, and tracing is
-    required to be side-effect-free (the determinism regression test
-    pins this).
+    must not mutate any argument: requests, prefill assignments and
+    the KV ledger are the engine's live state, shared for cheapness,
+    and tracing is required to be side-effect-free (the determinism
+    regression test pins this).
     """
 
     def on_iteration_start(
@@ -77,14 +77,18 @@ class Observer:
         replica_id: int,
         now: float,
         exec_time: float,
-        plan: "BatchPlan",
+        assignments: "list[PrefillAssignment]",
+        num_decodes: int,
+        decode_context_total: int,
         iteration: int,
         queue_depth: int = -1,
     ) -> None:
         """An iteration was planned; it will finish at ``now + exec_time``.
 
-        ``queue_depth`` is the scheduler backlog at dispatch (-1 when
-        the caller does not know it).
+        It runs the prefill chunks ``assignments`` next to
+        ``num_decodes`` decodes holding ``decode_context_total`` KV
+        tokens.  ``queue_depth`` is the scheduler backlog at dispatch
+        (-1 when the caller does not know it).
         """
 
     def on_iteration_end(
@@ -93,8 +97,7 @@ class Observer:
         now: float,
         start_time: float,
         exec_time: float,
-        plan: "BatchPlan",
-        kv_cache: "KVCacheManager",
+        kv_cache: "KVLedger",
     ) -> None:
         """The iteration dispatched at ``start_time`` completed."""
 
@@ -520,12 +523,10 @@ class TracingObserver(Observer):
     # --- engine hooks ----------------------------------------------------
 
     def on_iteration_start(
-        self, replica_id, now, exec_time, plan, iteration,
-        queue_depth: int = -1,
+        self, replica_id, now, exec_time, assignments, num_decodes,
+        decode_context_total, iteration, queue_depth: int = -1,
     ) -> None:
-        assignments = plan.prefill_assignments
-        decodes = plan.decode_requests
-        prefill_tokens = plan.prefill_tokens
+        prefill_tokens = sum(a.tokens for a in assignments)
         self.recorder.emit(IterationScheduled(
             ts=now,
             replica_id=replica_id,
@@ -533,8 +534,8 @@ class TracingObserver(Observer):
             dur=exec_time,
             prefill_tokens=prefill_tokens,
             num_prefills=len(assignments),
-            num_decodes=len(decodes),
-            decode_context_tokens=sum(r.context_length for r in decodes),
+            num_decodes=num_decodes,
+            decode_context_tokens=decode_context_total,
             prefill_request_ids=tuple(
                 a.request.request_id for a in assignments
             ),
@@ -542,12 +543,12 @@ class TracingObserver(Observer):
         ))
         self._iterations[replica_id].inc()
         self._prefill_tokens[replica_id].inc(prefill_tokens)
-        self._decode_tokens[replica_id].inc(len(decodes))
+        self._decode_tokens[replica_id].inc(num_decodes)
         self._exec_seconds[()].observe(exec_time)
         self._chunk_hist[()].observe(prefill_tokens)
 
     def on_iteration_end(
-        self, replica_id, now, start_time, exec_time, plan, kv_cache
+        self, replica_id, now, start_time, exec_time, kv_cache
     ) -> None:
         utilization = kv_cache.utilization
         self._kv_utilization[replica_id].set(utilization)

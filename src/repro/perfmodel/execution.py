@@ -207,7 +207,7 @@ class ExecutionModel:
     ) -> float:
         """:meth:`batch_time` over ``(tokens, context_before)`` pairs.
 
-        The struct-of-arrays engine calls this on its hot path to skip
+        The engine calls this on its hot path to skip
         constructing :class:`PrefillChunk`/:class:`BatchShape` objects
         per iteration.  The float operation sequence mirrors
         :meth:`batch_time` exactly, so the two are bit-identical for
@@ -262,7 +262,7 @@ class ExecutionModel:
         float64 exec-time array.  Each element reproduces the exact
         float operation sequence of :meth:`batch_time` for the
         equivalent decode-only :class:`BatchShape` (``num_decodes``
-        must be positive), so the array engine's level-synchronous
+        must be positive), so the engine's level-synchronous
         decode stretches stay bit-identical to per-iteration calls.
         """
         compute = (

@@ -48,7 +48,7 @@ class Simulator:
         """The ``until`` limit of the in-progress :meth:`run`, if any.
 
         Lets a component executing inside an event callback (the
-        array engine's level-synchronous decode stretches) avoid
+        engine's level-synchronous decode stretches) avoid
         advancing the clock past the driver's requested stop time.
         """
         return self._run_until
@@ -59,7 +59,7 @@ class Simulator:
         Only legal while no pending event (and no ``until`` bound of
         an in-progress :meth:`run`) falls before ``time`` — i.e. when
         the caller has proven the skipped interval is silent.  Used by
-        the array engine to collapse a run of pure-decode iterations
+        the engine to collapse a run of pure-decode iterations
         into one batched advance.
         """
         if time < self._now:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.api import (
-    ENGINE_KINDS,
     ROUTING_STRATEGIES,
     ServeConfig,
     Session,
@@ -46,6 +45,19 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="num_replicas"):
             ServeConfig(num_replicas=0)
 
+    def test_engine_accepts_only_arrays(self):
+        from repro.engine import ReplicaEngine
+        from repro.engine.arrays import ArrayReplicaEngine
+
+        assert ServeConfig().engine == "arrays"
+        assert ArrayReplicaEngine is ReplicaEngine
+        for config in (ServeConfig(), ServeConfig(num_replicas=3)):
+            engines = Session(config).engines
+            assert all(type(e) is ReplicaEngine for e in engines)
+        for engine in ("objects", "turbo"):
+            with pytest.raises(ValueError, match="object engine was removed"):
+                ServeConfig(engine=engine)
+
     def test_bad_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
             ServeConfig(chunk_size=-1)
@@ -70,13 +82,12 @@ class TestBuildTrace:
 
 
 class TestSimulateGolden:
-    @pytest.mark.parametrize("engine", ENGINE_KINDS)
-    def test_matches_bare_engine(self, engine, execution_model):
+    def test_matches_bare_engine(self, execution_model):
         """A one-replica session (a pool of one) is byte-identical to a
         bare engine driven directly: summary, scheduler stats and the
         traced event stream."""
-        from repro.api import engine_scheduler_stats, resolve_engine_cls
-        from repro.engine.replica import ReplicaConfig
+        from repro.api import engine_scheduler_stats
+        from repro.engine.replica import ReplicaConfig, ReplicaEngine
         from repro.metrics.summary import summarize_run
         from repro.obs import ListSink, TraceRecorder, TracingObserver
         from repro.simcore.simulator import Simulator
@@ -88,7 +99,7 @@ class TestSimulateGolden:
 
         bare_sink = ListSink()
         simulator = Simulator()
-        bare = resolve_engine_cls(engine)(
+        bare = ReplicaEngine(
             simulator,
             execution_model,
             make_scheduler("qoserve", execution_model),
@@ -109,7 +120,7 @@ class TestSimulateGolden:
 
         session_sink = ListSink()
         facade = simulate(
-            config=ServeConfig(scheduler="qoserve", engine=engine),
+            config=ServeConfig(scheduler="qoserve"),
             trace=fresh_trace(),
             observer=TracingObserver(TraceRecorder([session_sink])),
         )
@@ -180,10 +191,9 @@ class TestSession:
         assert request.cancelled
         assert request.cancel_reason == "test_cancel"
 
-    @pytest.mark.parametrize("engine", ["objects", "arrays"])
-    def test_cancel_parked_by_stall_recovery(self, engine):
+    def test_cancel_parked_by_stall_recovery(self):
         session = Session(
-            ServeConfig(scheduler="qoserve-oracle", engine=engine),
+            ServeConfig(scheduler="qoserve-oracle"),
             execution_model=small_memory_model(),
         )
         for request in stall_requests(seed=2):
@@ -198,10 +208,9 @@ class TestSession:
         assert parked.cancelled
         assert not replica._stalled_requests
 
-    @pytest.mark.parametrize("engine", ["objects", "arrays"])
-    def test_cancel_queued_handoff(self, engine):
+    def test_cancel_queued_handoff(self):
         session = Session(
-            ServeConfig(scheduler="fcfs", engine=engine),
+            ServeConfig(scheduler="fcfs"),
             execution_model=small_memory_model(),
         )
         (replica,) = session.engines

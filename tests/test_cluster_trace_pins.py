@@ -4,8 +4,8 @@ Determinism tests elsewhere compare two runs of the *same* code.  These
 checksums were recorded before the static, fault-tolerant and elastic
 deployments were merged into one :class:`ClusterDeployment`, so any
 refactor that adds, drops or reorders a routing decision, fault, retry,
-watchdog or resize event breaks them.  Both engine cores must produce
-the same bytes.
+watchdog or resize event breaks them.  They were recorded while two
+engine cores still ran side by side and produced the same bytes.
 
 Canonical JSONL: one ``json.dumps(event, sort_keys=True,
 separators=(",", ":"))`` line per recorded trace event, in emission
@@ -20,13 +20,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.api import (
-    ServeConfig,
-    Session,
-    build_trace,
-    make_scheduler,
-    resolve_engine_cls,
-)
+from repro.api import ServeConfig, Session, build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.fleet import parse_fleet_spec
 from repro.experiments.configs import get_execution_model
@@ -82,18 +76,18 @@ def _chaos_trace():
     )
 
 
-def _static(routing: str, engine: str) -> str:
+def _static(routing: str) -> str:
     sink, observer = _recording()
     cluster = ClusterDeployment(
         EXEC, partial(make_scheduler, "qoserve", EXEC), 4, routing=routing,
-        observer=observer, engine_cls=resolve_engine_cls(engine),
+        observer=observer,
     )
     cluster.submit_trace(_chaos_trace())
     cluster.run(max_events=50_000_000)
     return _digest(sink)
 
 
-def _resilient(engine: str) -> str:
+def _resilient() -> str:
     trace = _chaos_trace()
     times = [r.arrival_time for r in trace]
     lo, span = min(times), max(times) - min(times)
@@ -106,15 +100,14 @@ def _resilient(engine: str) -> str:
     sink, observer = _recording()
     cluster = ClusterDeployment(
         EXEC, partial(make_scheduler, "qoserve", EXEC), 4,
-        observer=observer, engine_cls=resolve_engine_cls(engine),
-        fault_plan=plan, resilience=ResilienceConfig(shed_free_below=0.8),
+        observer=observer, fault_plan=plan, resilience=ResilienceConfig(shed_free_below=0.8),
     )
     cluster.submit_trace(trace)
     cluster.run(max_events=50_000_000)
     return _digest(sink)
 
 
-def _fleet_chaos(autoscaler: str, engine: str) -> str:
+def _fleet_chaos(autoscaler: str) -> str:
     """The CI fleet-chaos smoke run: diurnal AzCode replay plus a
     Poisson crash plan on an ``a100:1,h100:1`` fleet bounded at 4,
     perf-aware routed as ``repro serve --fleet`` does."""
@@ -131,7 +124,7 @@ def _fleet_chaos(autoscaler: str, engine: str) -> str:
     session = Session(
         ServeConfig(
             fleet=parse_fleet_spec("a100:1,h100:1", max_replicas=4),
-            fleet_autoscaler=autoscaler, fault_plan=plan, engine=engine,
+            fleet_autoscaler=autoscaler, fault_plan=plan,
             routing="perf-aware",
         ),
         observer=observer,
@@ -143,16 +136,15 @@ def _fleet_chaos(autoscaler: str, engine: str) -> str:
 
 
 RUNS = {
-    "static-least-loaded": lambda e: _static("least-loaded", e),
-    "static-perf-aware": lambda e: _static("perf-aware", e),
-    "static-power-of-two": lambda e: _static("power-of-two", e),
+    "static-least-loaded": lambda: _static("least-loaded"),
+    "static-perf-aware": lambda: _static("perf-aware"),
+    "static-power-of-two": lambda: _static("power-of-two"),
     "resilient-crash-slowdown": _resilient,
-    "fleet-chaos-burn-rate": lambda e: _fleet_chaos("burn-rate", e),
-    "fleet-chaos-busy-fraction": lambda e: _fleet_chaos("busy-fraction", e),
+    "fleet-chaos-burn-rate": lambda: _fleet_chaos("burn-rate"),
+    "fleet-chaos-busy-fraction": lambda: _fleet_chaos("busy-fraction"),
 }
 
 
-@pytest.mark.parametrize("engine", ["objects", "arrays"])
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_trace_checksum_pinned(run, engine):
-    assert RUNS[run](engine) == PINS[run]
+def test_trace_checksum_pinned(run):
+    assert RUNS[run]() == PINS[run]

@@ -1,8 +1,8 @@
-"""Unit tests for batch plan types."""
+"""Unit tests for the prefill-assignment type."""
 
 import pytest
 
-from repro.engine.batch import BatchPlan, PrefillAssignment
+from repro.engine.batch import PrefillAssignment
 from tests.conftest import make_request
 
 
@@ -26,42 +26,3 @@ class TestPrefillAssignment:
         r = make_request(prompt_tokens=100)
         r.prefill_done = 80
         assert PrefillAssignment(r, 20).tokens == 20
-
-
-class TestBatchPlan:
-    def test_empty(self):
-        assert BatchPlan().is_empty
-
-    def test_prefill_tokens_total(self):
-        plan = BatchPlan(
-            prefill_assignments=[
-                PrefillAssignment(make_request(request_id=1), 100),
-                PrefillAssignment(make_request(request_id=2), 56),
-            ]
-        )
-        assert plan.prefill_tokens == 156
-        assert not plan.is_empty
-
-    def test_to_shape_projects_correctly(self):
-        prefill_req = make_request(request_id=1, prompt_tokens=500)
-        prefill_req.prefill_done = 200
-        decode_req = make_request(request_id=2, prompt_tokens=300,
-                                  decode_tokens=50)
-        decode_req.prefill_done = 300
-        decode_req.decoded = 10
-        plan = BatchPlan(
-            prefill_assignments=[PrefillAssignment(prefill_req, 128)],
-            decode_requests=[decode_req],
-        )
-        shape = plan.to_shape()
-        assert shape.prefill_tokens == 128
-        assert shape.prefill_chunks[0].context_before == 200
-        assert shape.num_decodes == 1
-        assert shape.decode_context_total == 310
-
-    def test_decode_only_plan(self):
-        decode_req = make_request(prompt_tokens=10, decode_tokens=5)
-        decode_req.prefill_done = 10
-        plan = BatchPlan(decode_requests=[decode_req])
-        assert not plan.is_empty
-        assert plan.to_shape().num_decodes == 1

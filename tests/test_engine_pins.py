@@ -6,8 +6,9 @@ cancellations, the engine's counters, trace event streams, rendered
 metric registries and per-request latency attribution.  The checksums
 were recorded while two engine cores (an object loop and the
 struct-of-arrays loop) still ran side by side and agreed on every
-byte, so they are the behaviour oracle for any rewrite of the
-iteration loop, the KV ledger or the decode stretch.
+byte; with the struct-of-arrays loop now the only engine, they are the
+behaviour oracle for any rewrite of the iteration loop, the KV ledger
+or the decode stretch.
 
 The cases cover every scheduler kind, QoServe's fixed-chunk and
 no-pinning variants, stepped ``run(until=...)`` driving, traced runs,
@@ -36,7 +37,7 @@ from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
 from repro.core.qos import Q2_RELAXED
 from repro.core.request import Request
-from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
+from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
 from repro.metrics.export import summary_to_dict
 from repro.obs.audit import audit_events
@@ -170,14 +171,6 @@ PINS = {
     ),
 }
 
-ENGINES = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
-
-
-@pytest.fixture(params=sorted(ENGINES))
-def engine_cls(request):
-    return ENGINES[request.param]
-
-
 def _digest(value) -> str:
     text = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -258,14 +251,13 @@ SCHEDULERS = (
 )
 
 
-def _untraced(engine_cls, model, dataset, scheduler, num_requests, seed,
-              compress):
+def _untraced(model, dataset, scheduler, num_requests, seed, compress):
     trace = build_trace(dataset, qps=1.0, num_requests=num_requests,
                         seed=seed)
     requests = clone(trace.requests, compress)
     kind, config = SCHEDULER_VARIANTS.get(scheduler, (scheduler, None))
     sim = Simulator()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler(kind, model, qoserve_config=config),
         ReplicaConfig(),
     )
@@ -275,13 +267,13 @@ def _untraced(engine_cls, model, dataset, scheduler, num_requests, seed,
     return fingerprint(engine, requests)
 
 
-def _stepped(engine_cls, model):
+def _stepped(model):
     """Gateway-style incremental ``run(until=...)`` driving: the
     decode-stretch fast-forward must respect every run bound."""
     trace = build_trace(AZURE_CONV, qps=1.0, num_requests=60, seed=11)
     requests = clone(trace.requests, 5.0)
     sim = Simulator()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler("qoserve", model), ReplicaConfig()
     )
     for r in requests:
@@ -296,12 +288,12 @@ def _stepped(engine_cls, model):
     return fingerprint(engine, requests)
 
 
-def _traced(engine_cls, model, dataset, scheduler, num_requests, compress):
+def _traced(model, dataset, scheduler, num_requests, compress):
     trace = build_trace(dataset, qps=1.0, num_requests=num_requests, seed=3)
     requests = clone(trace.requests, compress)
     sim = Simulator()
     sink, observer = _recording()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler(scheduler, model), ReplicaConfig(),
         observer=observer,
     )
@@ -311,7 +303,7 @@ def _traced(engine_cls, model, dataset, scheduler, num_requests, compress):
     return _traced_outputs(sink, observer)
 
 
-def _mid_flight(engine_cls, model, traced, hooked):
+def _mid_flight(model, traced, hooked):
     """Change the decode batch while iterations are in flight.
 
     At 7 s one row of the running batch is cancelled; at 8 s two
@@ -322,7 +314,7 @@ def _mid_flight(engine_cls, model, traced, hooked):
     requests = clone(trace.requests, 12.0)
     sim = Simulator()
     sink, observer = _recording()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler("qoserve", model), ReplicaConfig(),
         observer=observer if traced else None,
     )
@@ -370,13 +362,12 @@ def _mid_flight(engine_cls, model, traced, hooked):
     }
 
 
-def _cluster(engine_cls, model, dataset, num_requests, num_replicas,
+def _cluster(model, dataset, num_requests, num_replicas,
              plan, **kwargs):
     trace = build_trace(dataset, qps=8.0, num_requests=num_requests, seed=7)
     cluster = ClusterDeployment(
         model, partial(make_scheduler, "qoserve", model),
-        num_replicas=num_replicas, fault_plan=plan,
-        engine_cls=engine_cls, **kwargs,
+        num_replicas=num_replicas, fault_plan=plan, **kwargs,
     )
     requests = clone(trace.requests)
     for r in requests:
@@ -397,17 +388,17 @@ def _cluster(engine_cls, model, dataset, num_requests, num_replicas,
     }
 
 
-def _resilient(engine_cls, model):
+def _resilient(model):
     """Crash + slowdown plan on a resilient pool of two."""
     plan = FaultPlan(events=(
         ReplicaCrash(time=2.0, replica_id=0, recover_after=6.0),
         ReplicaSlowdownFault(time=1.0, replica_id=1, factor=1.7,
                              duration=8.0),
     ))
-    return _cluster(engine_cls, model, AZURE_CODE, 100, 2, plan)[2]
+    return _cluster(model, AZURE_CODE, 100, 2, plan)[2]
 
 
-def _fleet_run(engine_cls, model):
+def _fleet_run(model):
     """Eight least-loaded replicas under faults, untraced: a replica's
     stretch bound is almost always another replica's event."""
     plan = FaultPlan(events=(
@@ -415,12 +406,12 @@ def _fleet_run(engine_cls, model):
         ReplicaSlowdownFault(time=2.0, replica_id=5, factor=1.6,
                              duration=10.0),
     ))
-    return _cluster(engine_cls, model, AZURE_CONV, 300, 8, plan,
+    return _cluster(model, AZURE_CONV, 300, 8, plan,
                     routing="least-loaded")
 
 
-def _fleet(engine_cls, model):
-    pinned = _fleet_run(engine_cls, model)[2]
+def _fleet(model):
+    pinned = _fleet_run(model)[2]
     assert pinned["faults"]["crashes"] == 1
     return pinned
 
@@ -434,8 +425,8 @@ def _stretch_counters(engines):
     }
 
 
-def _stretch_fleet(engine_cls, model):
-    cluster, _, _ = _fleet_run(engine_cls, model)
+def _stretch_fleet(model):
+    cluster, _, _ = _fleet_run(model)
     counters = _stretch_counters(cluster.replicas)
     # The full computation at the cheap bound's introduction fired 7
     # stretches collapsing 3,172 iterations on this fleet.
@@ -443,10 +434,10 @@ def _stretch_fleet(engine_cls, model):
     return counters
 
 
-def _stretch_single(engine_cls, model):
+def _stretch_single(model):
     trace = build_trace(AZURE_CONV, qps=1.0, num_requests=40, seed=3)
     sim = Simulator()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler("qoserve", model), ReplicaConfig()
     )
     for r in trace.fresh_copy().scaled_arrivals(2.0):
@@ -476,7 +467,7 @@ PRESSURE = {
 }
 
 
-def _pressure(engine_cls, case, traced):
+def _pressure(case, traced):
     """Serve a case's requests on a 4,096-token KV cache to drain."""
     make_requests, scheduler, prefill_only = PRESSURE[case]
     requests = make_requests()
@@ -484,7 +475,7 @@ def _pressure(engine_cls, case, traced):
     sim = Simulator()
     sink, observer = _recording()
     handoffs = []
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler(scheduler, model),
         ReplicaConfig(prefill_only=prefill_only),
         prefill_sink=(
@@ -512,7 +503,7 @@ def _pressure(engine_cls, case, traced):
     }
 
 
-def _randomized(engine_cls, model):
+def _randomized(model):
     """Seeded 500-request randomized run: completion order and
     per-request latency attribution totals."""
     rng = np.random.default_rng(0xA77A)
@@ -526,7 +517,7 @@ def _randomized(engine_cls, model):
     requests = clone(trace.requests, scale)
     sim = Simulator()
     sink, observer = _recording()
-    engine = engine_cls(
+    engine = ReplicaEngine(
         sim, model, make_scheduler("qoserve", model), ReplicaConfig(),
         observer=observer,
     )
@@ -579,9 +570,7 @@ CASES = {
     "faults-fleet": _fleet,
     **{
         f"pressure-{case}-{t}": (
-            lambda engine_cls, model, case=case, t=t: _pressure(
-                engine_cls, case, t == "traced"
-            )
+            lambda model, case=case, t=t: _pressure(case, t == "traced")
         )
         for case in PRESSURE
         for t in ("untraced", "traced")
@@ -591,12 +580,6 @@ CASES = {
     "stretch-fleet": _stretch_fleet,
 }
 
-#: Cases that read counters only the struct-of-arrays loop keeps.
-ARRAYS_ONLY = {"stretch-single", "stretch-fleet"}
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_engine_behaviour_pinned(case, engine_cls, execution_model):
-    if case in ARRAYS_ONLY and engine_cls is not ArrayReplicaEngine:
-        pytest.skip("stretch counters exist on the array engine only")
-    assert _digest(CASES[case](engine_cls, execution_model)) == PINS[case]
+def test_engine_behaviour_pinned(case, execution_model):
+    assert _digest(CASES[case](execution_model)) == PINS[case]

@@ -4,20 +4,19 @@ inputs (fault injection)."""
 import pytest
 
 from repro.engine import ReplicaConfig, ReplicaEngine
-from repro.engine.kvcache import KVCacheManager
 from repro.schedulers import FCFSScheduler
 from repro.simcore import Simulator
-from tests.conftest import Q1, Q2, make_request
+from tests.conftest import Q1, Q2, make_request, small_memory_model
 
 
 def make_engine(execution_model, max_slots=256, kv_tokens=None):
+    if kv_tokens is not None:
+        execution_model = small_memory_model(kv_tokens)
     sim = Simulator()
     engine = ReplicaEngine(
         sim, execution_model, FCFSScheduler(),
         ReplicaConfig(max_decode_slots=max_slots),
     )
-    if kv_tokens is not None:
-        engine.kv_cache = KVCacheManager(capacity_tokens=kv_tokens)
     return engine, sim
 
 

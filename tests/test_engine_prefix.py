@@ -7,7 +7,7 @@ cancel against a deliberately tiny KV ledger, with the tree and ledger
 invariants re-derived from scratch after every step.  The byte-identity
 pin carries event-stream checksums captured from the pre-prefix-cache
 code: ``kv_reuse="off"`` must keep producing exactly those streams
-across qoserve/medha x objects/arrays.
+for qoserve and medha.
 """
 
 import hashlib
@@ -21,10 +21,9 @@ import pytest
 from repro.api import ServeConfig, Session, build_trace
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
-from repro.engine.arrays import ArrayKVLedger, ArrayReplicaEngine
 from repro.engine.interface import KVLedger
-from repro.engine.kvcache import KVCacheManager
 from repro.engine.prefix import RadixPrefixCache
+from repro.engine.rows import ArrayKVLedger
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
 from repro.schedulers import FCFSScheduler
@@ -39,15 +38,13 @@ from tests.conftest import Q2, make_request
 
 BS = 16
 
-ENGINES = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
-
 
 def ids(n, base=0):
     return tuple(range(base, base + n))
 
 
 def make_cache(capacity_tokens=1600):
-    ledger = KVCacheManager(capacity_tokens=capacity_tokens, block_size=BS)
+    ledger = ArrayKVLedger(capacity_tokens=capacity_tokens, block_size=BS)
     cache = RadixPrefixCache(ledger)
     ledger.set_reclaimer(cache)
     return cache, ledger
@@ -55,10 +52,7 @@ def make_cache(capacity_tokens=1600):
 
 class TestRadixUnit:
     def test_protocol_conformance(self):
-        assert isinstance(KVCacheManager(160), KVLedger)
-        from repro.engine.arrays import _RowStore
-
-        assert isinstance(ArrayKVLedger(160, 16, _RowStore()), KVLedger)
+        assert isinstance(ArrayKVLedger(160), KVLedger)
 
     def test_miss_then_insert_then_hit(self):
         cache, ledger = make_cache()
@@ -277,9 +271,9 @@ class TestUsedTokensCounter:
     def brute_force(ledger):
         return sum(ledger.holding(h) for h in ledger.holders())
 
-    def test_object_ledger_exact_under_churn(self):
+    def test_array_ledger_exact_under_churn(self):
         rng = np.random.default_rng(7)
-        kv = KVCacheManager(capacity_tokens=100_000, block_size=BS)
+        kv = ArrayKVLedger(capacity_tokens=100_000, block_size=BS)
         live = set()
         for step in range(400):
             op = rng.integers(0, 10)
@@ -301,26 +295,6 @@ class TestUsedTokensCounter:
         for rid in sorted(live):
             kv.release(rid)
         assert kv.used_tokens == 0
-
-    def test_array_ledger_exact_under_churn(self):
-        from repro.engine.arrays import _RowStore
-
-        rng = np.random.default_rng(11)
-        rows = _RowStore()
-        kv = ArrayKVLedger(100_000, BS, rows)
-        live = set()
-        for step in range(300):
-            op = rng.integers(0, 10)
-            rid = int(rng.integers(0, 12))
-            if op < 6:
-                tokens = int(rng.integers(1, 300))
-                if kv.can_grow(rid, tokens):
-                    kv.grow(rid, tokens)
-                    live.add(rid)
-            elif rid in live:
-                kv.release(rid)
-                live.discard(rid)
-            assert kv.used_tokens == self.brute_force(kv)
 
     def test_engine_cancel_keeps_counter_exact(self, execution_model):
         sim = Simulator()
@@ -375,16 +349,15 @@ def _tree_invariants(engine):
     )
 
 
-@pytest.mark.parametrize("engine_kind", sorted(ENGINES))
 @pytest.mark.parametrize("seed", [3, 17])
-def test_refcounts_never_leak_property(engine_kind, seed):
+def test_refcounts_never_leak_property(seed):
     """Random admit/relegate/evict/crash/cancel interleavings: the
     radix tree must never leak a reference or a ledger block."""
     execution_model = ExecutionModel(LLAMA3_8B, A100_80GB)
     # Tiny KV so eviction, stall relegation and reclaim all fire.
     execution_model._kv_capacity_tokens = 8 * 1024
     sim = Simulator()
-    engine = ENGINES[engine_kind](
+    engine = ReplicaEngine(
         sim, execution_model, FCFSScheduler(chunk_size=256),
         ReplicaConfig(kv_reuse="radix"),
     )
@@ -475,11 +448,11 @@ def _event_checksum(events) -> str:
     return digest.hexdigest()
 
 
-def _run_off_mode(requests, scheduler, engine):
+def _run_off_mode(requests, scheduler):
     sink = ListSink()
     observer = TracingObserver(TraceRecorder([sink]))
     session = Session(
-        ServeConfig(scheduler=scheduler, engine=engine, kv_reuse="off"),
+        ServeConfig(scheduler=scheduler, kv_reuse="off"),
         observer=observer,
     )
     for request in requests:
@@ -504,14 +477,11 @@ class TestOffModeByteIdentity:
     @pytest.mark.parametrize("workload", ["azure", "sessions"])
     def test_matches_pre_pr_trace(self, workloads, workload, scheduler):
         expected = PRE_PR_CHECKSUMS[(workload, scheduler)]
-        for engine in sorted(ENGINES):
-            events = _run_off_mode(
-                workloads[workload], scheduler, engine
-            )
-            assert _event_checksum(events) == expected, (
-                f"kv_reuse='off' diverged from the pre-PR event "
-                f"stream ({workload}/{scheduler}/{engine})"
-            )
+        events = _run_off_mode(workloads[workload], scheduler)
+        assert _event_checksum(events) == expected, (
+            f"kv_reuse='off' diverged from the pre-PR event "
+            f"stream ({workload}/{scheduler})"
+        )
 
 
 class TestPrefixReuseEndToEnd:
@@ -519,25 +489,23 @@ class TestPrefixReuseEndToEnd:
         trace = list(SessionWorkload(
             AGENT_PROFILE, session_qps=0.5, seed=7
         ).build(15))
-        stats = {}
-        for engine in sorted(ENGINES):
-            session = Session(ServeConfig(
-                scheduler="qoserve", engine=engine, kv_reuse="radix"
-            ))
-            requests = [r.clone_fresh() for r in trace]
-            for request in requests:
-                session.submit(request)
-            session.drain()
-            cache = session.engines[0].prefix_cache
-            assert cache is not None
-            assert cache.total_refs() == 0
-            assert all(r.is_finished for r in requests)
-            stats[engine] = (
-                cache.hits, cache.misses, cache.hit_tokens,
-                cache.evictions, session.engines[0].kv_cache.used_blocks,
-            )
-        assert stats["objects"] == stats["arrays"]
-        hits, misses, hit_tokens, _, _ = stats["objects"]
+        session = Session(ServeConfig(scheduler="qoserve", kv_reuse="radix"))
+        requests = [r.clone_fresh() for r in trace]
+        for request in requests:
+            session.submit(request)
+        session.drain()
+        cache = session.engines[0].prefix_cache
+        assert cache is not None
+        assert cache.total_refs() == 0
+        assert all(r.is_finished for r in requests)
+        stats = (
+            cache.hits, cache.misses, cache.hit_tokens, cache.evictions,
+            session.engines[0].kv_cache.used_blocks,
+        )
+        # What the object and array engine cores both produced while
+        # they ran side by side.
+        assert stats == (79, 1, 223408, 0, 2360)
+        hits, misses, hit_tokens, _, _ = stats
         assert hits > misses  # multi-turn traffic is hit-dominated
         assert hit_tokens > 0
 

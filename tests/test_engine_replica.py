@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import make_scheduler
-from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
+from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.schedulers import FCFSScheduler
 from repro.simcore import Simulator
 from tests.conftest import (
@@ -196,19 +196,12 @@ class TestPrefillOnlyMode:
 class TestKVEviction:
     def test_eviction_recovers_and_completes(self):
         """Force KV exhaustion with a tiny cache and check recompute."""
-        from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
-
-        execution_model = ExecutionModel(LLAMA3_8B, A100_80GB)
         sim = Simulator()
         engine = ReplicaEngine(
-            sim, execution_model,
+            sim, small_memory_model(2048),
             FCFSScheduler(chunk_size=256, kv_start_watermark=1.0),
             ReplicaConfig(max_decode_slots=64),
         )
-        # Shrink the cache drastically after construction.
-        from repro.engine.kvcache import KVCacheManager
-
-        engine.kv_cache = KVCacheManager(capacity_tokens=2048, block_size=16)
         requests = [
             make_request(request_id=i, prompt_tokens=400,
                          decode_tokens=300, qos=Q2)
@@ -240,7 +233,8 @@ class TestKVEviction:
             r.prefill_done = r.prompt_tokens  # mid-decode
             r.decoded = 1
             requests.append(r)
-        engine.decode_queue.extend(requests)
+        for r in requests:
+            engine._attach_decode(r, r.context_length)
         sim.schedule(1000.0, lambda: None)
         sim.run()
         assert all(r.next_token_deadline < sim.now for r in requests)
@@ -265,14 +259,10 @@ class TestStallRecoveryLiveness:
     """
 
     @pytest.mark.parametrize("seed", [2, 5, 11])
-    @pytest.mark.parametrize(
-        "engine_cls", [ReplicaEngine, ArrayReplicaEngine],
-        ids=["objects", "arrays"],
-    )
-    def test_drain_finishes_every_request(self, engine_cls, seed):
+    def test_drain_finishes_every_request(self, seed):
         model = small_memory_model()
         sim = Simulator()
-        engine = engine_cls(
+        engine = ReplicaEngine(
             sim, model, make_scheduler("qoserve-oracle", model),
             ReplicaConfig(),
         )
@@ -329,18 +319,12 @@ class TestIncrementalDecodeAccounting:
         assert engine._decode_context_total == 0  # queue drained
 
     def test_invariant_through_eviction(self):
-        from repro.engine.kvcache import KVCacheManager
-        from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
-
-        execution_model = ExecutionModel(LLAMA3_8B, A100_80GB)
         sim = Simulator()
         engine = ReplicaEngine(
-            sim, execution_model,
+            sim, small_memory_model(2048),
             FCFSScheduler(chunk_size=256, kv_start_watermark=1.0),
             ReplicaConfig(max_decode_slots=64),
         )
-        engine.kv_cache = KVCacheManager(capacity_tokens=2048,
-                                         block_size=16)
         observed = self._instrument(engine)
         requests = [
             make_request(request_id=i, prompt_tokens=400,

@@ -1,7 +1,6 @@
 """Differential run forensics: repro.obs.diff and the repro diff CLI.
 
-The two acceptance pins live here: diffing a run against itself (or
-the arrays engine against the objects engine on the same workload) is
+The two acceptance pins live here: diffing a run against itself is
 an empty delta, and diffing two schedulers reports the first
 diverging event plus cause deltas that sum exactly to the goodput
 gap, byte-identically across recomputation.
@@ -25,15 +24,14 @@ from repro.obs import (
 from repro.obs.diff import ATTRIBUTION_TOL
 
 SCHEDULERS = ("qoserve", "medha", "fcfs", "edf")
-ENGINES = ("objects", "arrays")
 
 
-def capture_events(scheduler, engine="objects", qps=3.0,
-                   num_requests=40, seed=7, dataset="AzCode"):
+def capture_events(scheduler, qps=3.0, num_requests=40, seed=7,
+                   dataset="AzCode"):
     """Run one traced simulation, return its serialized events."""
     sink = ListSink()
     session = Session(
-        ServeConfig(scheduler=scheduler, engine=engine),
+        ServeConfig(scheduler=scheduler),
         observer=TracingObserver(TraceRecorder([sink])),
     )
     trace = build_trace(
@@ -56,15 +54,12 @@ def medha_events():
 
 
 class TestSelfDiffDeterminism:
-    """Satellite: self-diff is empty for every scheduler and engine."""
+    """Satellite: self-diff is empty for every scheduler."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_self_diff_is_empty(self, scheduler, engine):
-        first = capture_events(scheduler, engine=engine,
-                               num_requests=25)
-        second = capture_events(scheduler, engine=engine,
-                                num_requests=25)
+    def test_self_diff_is_empty(self, scheduler):
+        first = capture_events(scheduler, num_requests=25)
+        second = capture_events(scheduler, num_requests=25)
         diff = diff_runs(first, second)
         assert diff.identical
         assert diff.first_divergence is None
@@ -83,15 +78,6 @@ class TestSelfDiffDeterminism:
             for totals in diff.phase_total_deltas.values()
             for value in totals.values()
         )
-
-    def test_arrays_vs_objects_zero_divergence(self):
-        """Acceptance: the engine-parity pinned trace diffs empty."""
-        objects = capture_events("qoserve", engine="objects")
-        arrays = capture_events("qoserve", engine="arrays")
-        diff = diff_runs(objects, arrays, base_label="objects",
-                         other_label="arrays")
-        assert diff.identical
-        assert diff.first_divergence is None
 
 
 class TestSchedulerDiff:

@@ -1,4 +1,4 @@
-"""Property-based tests for the KV-cache manager."""
+"""Property-based tests for the paged KV ledger."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine.kvcache import KVCacheManager
+from repro.engine.rows import ArrayKVLedger
 
 
 @given(
@@ -19,7 +19,7 @@ from repro.engine.kvcache import KVCacheManager
     ),
 )
 def test_accounting_never_negative_and_bounded(block_size, grows):
-    kv = KVCacheManager(capacity_tokens=64 * 200, block_size=block_size)
+    kv = ArrayKVLedger(capacity_tokens=64 * 200, block_size=block_size)
     for rid, tokens in grows:
         if kv.can_grow(rid, tokens):
             kv.grow(rid, tokens)
@@ -33,7 +33,7 @@ def test_accounting_never_negative_and_bounded(block_size, grows):
 )
 def test_block_rounding_tight(tokens, block_size):
     """A single holding uses exactly ceil(tokens / block) blocks."""
-    kv = KVCacheManager(capacity_tokens=100_000, block_size=block_size)
+    kv = ArrayKVLedger(capacity_tokens=100_000, block_size=block_size)
     kv.grow(1, tokens)
     assert kv.used_blocks == -(-tokens // block_size)
 
@@ -43,10 +43,10 @@ def test_block_rounding_tight(tokens, block_size):
 )
 def test_incremental_growth_equals_bulk(pieces):
     """Growing in pieces uses the same blocks as growing at once."""
-    incremental = KVCacheManager(capacity_tokens=100_000, block_size=16)
+    incremental = ArrayKVLedger(capacity_tokens=100_000, block_size=16)
     for piece in pieces:
         incremental.grow(1, piece)
-    bulk = KVCacheManager(capacity_tokens=100_000, block_size=16)
+    bulk = ArrayKVLedger(capacity_tokens=100_000, block_size=16)
     bulk.grow(1, sum(pieces))
     assert incremental.used_blocks == bulk.used_blocks
     assert incremental.holding(1) == bulk.holding(1)
@@ -57,7 +57,7 @@ class KVCacheMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.kv = KVCacheManager(capacity_tokens=4096, block_size=16)
+        self.kv = ArrayKVLedger(capacity_tokens=4096, block_size=16)
         self.shadow: dict[int, int] = {}
 
     @rule(rid=st.integers(0, 5), tokens=st.integers(0, 300))

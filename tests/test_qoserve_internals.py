@@ -69,7 +69,7 @@ class TestReplanCache:
 
     def test_replan_counts_down(self, em):
         from repro.engine.interface import EngineView
-        from repro.engine.kvcache import KVCacheManager
+        from repro.engine.rows import ArrayKVLedger
 
         scheduler = QoServeScheduler(
             em,
@@ -82,7 +82,7 @@ class TestReplanCache:
             )
         view = EngineView(
             now=0.0, decode_requests=[],
-            kv_cache=KVCacheManager(capacity_tokens=400_000),
+            kv_cache=ArrayKVLedger(capacity_tokens=400_000),
             execution_model=em, max_decode_slots=256,
             inflight_prefill_ids=frozenset(),
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.interface import EngineView
-from repro.engine.kvcache import KVCacheManager
+from repro.engine.rows import ArrayKVLedger
 from repro.schedulers.base import pack_prefill_assignments
 from repro.schedulers.classic import FCFSScheduler
 from tests.conftest import make_request
@@ -14,7 +14,7 @@ def make_view(execution_model, decode_requests=(), kv_tokens=100_000,
     return EngineView(
         now=0.0,
         decode_requests=list(decode_requests),
-        kv_cache=KVCacheManager(capacity_tokens=kv_tokens),
+        kv_cache=ArrayKVLedger(capacity_tokens=kv_tokens),
         execution_model=execution_model,
         max_decode_slots=max_slots,
         inflight_prefill_ids=inflight,
