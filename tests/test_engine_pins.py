@@ -362,8 +362,7 @@ def _mid_flight(model, traced, hooked):
     }
 
 
-def _cluster(model, dataset, num_requests, num_replicas,
-             plan, **kwargs):
+def _cluster(model, dataset, num_requests, num_replicas, plan, **kwargs):
     trace = build_trace(dataset, qps=8.0, num_requests=num_requests, seed=7)
     cluster = ClusterDeployment(
         model, partial(make_scheduler, "qoserve", model),
@@ -373,7 +372,7 @@ def _cluster(model, dataset, num_requests, num_replicas,
     for r in requests:
         cluster.submit(r)
     cluster.run(max_events=5_000_000)
-    return cluster, requests, {
+    return cluster, {
         "summary": summary_to_dict(cluster.summarize()),
         "faults": cluster.fault_stats(),
         "requests": [
@@ -395,7 +394,7 @@ def _resilient(model):
         ReplicaSlowdownFault(time=1.0, replica_id=1, factor=1.7,
                              duration=8.0),
     ))
-    return _cluster(model, AZURE_CODE, 100, 2, plan)[2]
+    return _cluster(model, AZURE_CODE, 100, 2, plan)[1]
 
 
 def _fleet_run(model):
@@ -411,7 +410,7 @@ def _fleet_run(model):
 
 
 def _fleet(model):
-    pinned = _fleet_run(model)[2]
+    pinned = _fleet_run(model)[1]
     assert pinned["faults"]["crashes"] == 1
     return pinned
 
@@ -426,7 +425,7 @@ def _stretch_counters(engines):
 
 
 def _stretch_fleet(model):
-    cluster, _, _ = _fleet_run(model)
+    cluster = _fleet_run(model)[0]
     counters = _stretch_counters(cluster.replicas)
     # The full computation at the cheap bound's introduction fired 7
     # stretches collapsing 3,172 iterations on this fleet.
