@@ -10,7 +10,8 @@ for bit:
   objects, in every clamp regime, on the scalar and the vector branch;
 * the flat batch-time kernels vs :meth:`ExecutionModel.batch_time`;
 * the KV ledger vs a plain model of paged block math at block sizes 1
-  and 16 with off-by-one token counts.
+  and 16 with off-by-one token counts;
+* the ``ServeConfig.engine`` field, which accepts only the one core.
 
 Whole-run behaviour is pinned by checksums in
 ``tests/test_engine_pins.py``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import make_scheduler
+from repro.api import ServeConfig, Session, make_scheduler
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaEngine
@@ -181,3 +182,21 @@ class TestFlatBatchTime:
                     decode_context_total=int(dct),
                 )
                 assert flat[i] == execution_model.batch_time(shape)
+
+
+class TestEngineSwitch:
+    """``ServeConfig.engine`` names the one engine core."""
+
+    def test_serve_config_validation(self):
+        assert ServeConfig().engine == "arrays"
+        for engine in ("objects", "turbo"):
+            with pytest.raises(ValueError, match="object engine was removed"):
+                ServeConfig(engine=engine)
+
+    def test_session_builds_chosen_engine(self):
+        from repro.engine.arrays import ArrayReplicaEngine
+
+        assert ArrayReplicaEngine is ReplicaEngine
+        for config in (ServeConfig(), ServeConfig(num_replicas=3)):
+            engines = Session(config).engines
+            assert all(type(e) is ReplicaEngine for e in engines)

@@ -56,7 +56,10 @@ def medha_events():
 class TestSelfDiffDeterminism:
     """Satellite: self-diff is empty for every scheduler."""
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    # The "arrays-" prefix keeps the ids from when both engine cores
+    # ran this check; the struct-of-arrays core is the one left.
+    @pytest.mark.parametrize("scheduler", SCHEDULERS,
+                             ids=lambda scheduler: f"arrays-{scheduler}")
     def test_self_diff_is_empty(self, scheduler):
         first = capture_events(scheduler, num_requests=25)
         second = capture_events(scheduler, num_requests=25)
