@@ -15,7 +15,7 @@ no-pinning variants, stepped ``run(until=...)`` driving, traced runs,
 batch changes while an iteration is in flight (cancel, prefilled
 handoff, token hook), a resilient pool and an 8-replica fleet under
 faults, KV pressure (decode eviction, prefill stall recovery,
-prefill-only handoff), a seeded 500-request randomized run and the
+prefill-only handoff, radix reuse on a full pool), a seeded 500-request randomized run and the
 decode-stretch counters.
 
 Canonical form: ``json.dumps(value, sort_keys=True, separators=(",",
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -46,6 +47,8 @@ from repro.obs.trace import ListSink, TraceRecorder
 from repro.schedulers.qoserve import QoServeConfig
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
+from repro.workload.distributions import LognormalLengths
+from repro.workload.sessions import AGENT_PROFILE, SessionWorkload
 from tests.conftest import small_memory_model, stall_requests
 
 PINS = {
@@ -84,6 +87,12 @@ PINS = {
     ),
     "pressure-stall-untraced": (
         "19a4ff6ee98760c7897d0ccd72b5a81dab20adeb510601a8e91688c3117b7f63"
+    ),
+    "radix-pressure-traced": (
+        "545e33c0290f613dcd97b157a54769503c20825f134045af005e02698448fa13"
+    ),
+    "radix-pressure-untraced": (
+        "92a8589de7caed44ab639bb71dfc83e4ca2badc20616fa850aedb122aa034bcc"
     ),
     "randomized-500": (
         "4340685a6e32af97b691a76839c579974114ddea338ec6749e4b2c02c703efcf"
@@ -502,6 +511,70 @@ def _pressure(case, traced):
     }
 
 
+def _radix_requests():
+    """Eight agent sessions (57 turns) whose histories outgrow an
+    8,192-token cache: unreferenced prefix blocks fill the pool, so
+    decode growth reclaims them and, when the locked rest still does
+    not fit, evicts decodes."""
+    profile = replace(
+        AGENT_PROFILE,
+        first_prompt=LognormalLengths(p50=400, p90=1200, max_tokens=1600),
+        user_turn=LognormalLengths(p50=60, p90=200, max_tokens=400),
+        completion=LognormalLengths(p50=300, p90=900, max_tokens=1200),
+        think_time_mean=8.0,
+        max_context=2048,
+        shared_prefix_tokens=256,
+    )
+    workload = SessionWorkload(profile, session_qps=0.5, seed=1)
+    return [r.clone_fresh() for r in workload.build(8)]
+
+
+def _radix_pressure(traced):
+    """Radix reuse on a full KV pool, served to drain.
+
+    The fingerprint leaves out the decode-stretch counters: how many
+    iterations one stretch collapses is an engine mechanic, not
+    behaviour.
+    """
+    requests = _radix_requests()
+    model = small_memory_model(8192)
+    sim = Simulator()
+    sink, observer = _recording()
+    engine = ReplicaEngine(
+        sim, model, make_scheduler("qoserve-oracle", model),
+        ReplicaConfig(kv_reuse="radix"),
+        observer=observer if traced else None,
+    )
+    for r in requests:
+        engine.submit(r)
+    sim.run(max_events=1_000_000)
+    cache = engine.prefix_cache
+    assert not sim.pending_events
+    assert all(r.is_finished for r in requests)
+    assert cache.evictions > 0 and engine.decode_evictions > 0
+    if traced:
+        return {
+            "events": sink.events,
+            "metrics": observer.registry.to_prometheus_text(),
+        }
+    return {
+        "requests": [
+            (
+                r.request_id, r.first_token_time, r.completion_time,
+                r.violated_deadline,
+            )
+            for r in requests
+        ],
+        "cache": (
+            cache.hits, cache.misses, cache.hit_tokens, cache.evictions,
+        ),
+        "decode_evictions": engine.decode_evictions,
+        "iterations_run": engine.iterations_run,
+        "used_blocks": engine.kv_cache.used_blocks,
+        "high_water_blocks": engine.kv_cache.high_water_blocks,
+    }
+
+
 def _randomized(model):
     """Seeded 500-request randomized run: completion order and
     per-request latency attribution totals."""
@@ -574,6 +647,8 @@ CASES = {
         for case in PRESSURE
         for t in ("untraced", "traced")
     },
+    "radix-pressure-untraced": lambda model: _radix_pressure(False),
+    "radix-pressure-traced": lambda model: _radix_pressure(True),
     "randomized-500": _randomized,
     "stretch-single": _stretch_single,
     "stretch-fleet": _stretch_fleet,
