@@ -238,7 +238,7 @@ class QoSSharedDecodePool:
         return self.default_tbt
 
     def _can_admit(self, replica: ReplicaEngine, request: Request) -> bool:
-        residents = replica.decode_queue
+        residents, context = replica.decode_load()
         if not residents:
             # An empty replica always accepts: a request that cannot
             # meet its TBT even alone must still be served best-effort
@@ -247,10 +247,7 @@ class QoSSharedDecodePool:
         budget = min(
             [self._tbt_of(r) for r in residents] + [self._tbt_of(request)]
         )
-        context = (
-            sum(r.context_length for r in residents)
-            + request.context_length
-        )
+        context += request.context_length
         predicted = self.execution_model.decode_batch_time(
             len(residents) + 1, context
         )

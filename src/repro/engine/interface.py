@@ -214,6 +214,17 @@ class Scheduler(ABC):
         """Requests currently waiting in the prefill queue (any order)."""
         return []
 
+    def is_pending(self, request: Request) -> bool:
+        """Whether ``request`` waits in the prefill queue.
+
+        The default scans :meth:`pending_requests`; subclasses with
+        membership tracking override it with an O(1) lookup.
+        """
+        request_id = request.request_id
+        return any(
+            r.request_id == request_id for r in self.pending_requests()
+        )
+
     def queue_length(self) -> int:
         """Number of requests waiting in the prefill queue.
 

@@ -27,11 +27,11 @@ prefix blocks live under node owners.  Block conservation is exact:
   incrementing every node's reference count root->deepest.  No blocks
   move.
 * **Insert** (prefill finish): each full prompt block either transfers
-  ownership of a privately-held block to a new node
-  (``shrink(request)`` then ``grow(node)`` — shrink-first, so the pair
-  can never raise), or frees a duplicate block some earlier request
-  already shares (``shrink`` alone).  The inserting request then holds
-  a lock on its own prompt path until it completes.
+  ownership of a privately-held block to a new node, or frees a
+  duplicate block some earlier request already shares.  One
+  ``shrink(request)`` covers every walked block before any
+  ``grow(node)`` — shrink-first, so no grow can raise.  The inserting
+  request then holds a lock on its own prompt path until it completes.
 * **Unlock** (complete / evict / stall-recovery / cancel): decrements
   the path.  Nodes at zero references become eviction candidates but
   stay resident — a relegated victim's pages remain reusable until
@@ -249,29 +249,29 @@ class RadixPrefixCache:
         cur = self._root if locked is None else locked
         raw = token_array(token_ids)[locked_depth * bs : full * bs].tobytes()
         width = bs * _TOKEN_BYTES
+        ledger = self.ledger
+        # Every walked block leaves the request's private holding: it
+        # moves to a new node or is freed as a duplicate of an existing
+        # one.  Shrinking them all first means each node's grow below
+        # reuses a block just freed, so it can never raise.
+        walked = len(raw) // width
+        if walked:
+            ledger.shrink(request_id, walked * bs, walked)
         created = 0
-        deduped = 0
         for start in range(0, len(raw), width):
             block = raw[start : start + width]
             child = cur.children.get(block)
             if child is None:
                 child = _RadixNode(block, cur, owner_id=self._next_owner)
                 self._next_owner -= 1
-                # Ownership transfer: shrink first so the paired grow
-                # always has a free block and can never raise.
-                self.ledger.shrink(request_id, bs, 1)
-                self.ledger.grow(child.owner_id, bs)
+                ledger.grow(child.owner_id, bs)
                 cur.children[block] = child
-                self._node_count += 1
-                self._evictable += 1  # ref 0 until locked below
                 created += 1
-            else:
-                # The request privately recomputed a block an earlier
-                # request already shares; free the duplicate.
-                self.ledger.shrink(request_id, bs, 1)
-                deduped += 1
             path.append(child)
             cur = child
+        self._node_count += created
+        self._evictable += created  # ref 0 until locked below
+        deduped = walked - created
         if path:
             self._lock_path(request_id, path, locked_depth)
         return created, deduped
@@ -283,9 +283,24 @@ class RadixPrefixCache:
         but stay resident until memory pressure reclaims them.
         """
         node = self._locked.pop(request_id, None)
-        while node is not None and node.parent is not None:
-            self._decref(node)
+        if node is None:
+            return
+        clock = self._clock
+        evictable = self._evictable
+        heap = self._heap
+        seq = self._seq
+        push = heapq.heappush
+        while node.parent is not None:
+            refs = node.ref_count - 1
+            node.ref_count = refs
+            if refs == 0:
+                evictable += 1
+                clock += 1
+                node.last_access = clock
+                push(heap, (clock, next(seq), node))
             node = node.parent
+        self._clock = clock
+        self._evictable = evictable
 
     # --- eviction -------------------------------------------------------
 
@@ -325,10 +340,6 @@ class RadixPrefixCache:
 
     # --- internals ------------------------------------------------------
 
-    def _touch(self, node: _RadixNode) -> None:
-        self._clock += 1
-        node.last_access = self._clock
-
     def _lock_path(
         self, request_id: int, path: list[_RadixNode], held: int
     ) -> None:
@@ -345,15 +356,6 @@ class RadixPrefixCache:
             node.last_access = clock
         self._clock = clock
         self._locked[request_id] = path[-1]
-
-    def _decref(self, node: _RadixNode) -> None:
-        node.ref_count -= 1
-        if node.ref_count == 0:
-            self._evictable += 1
-            self._touch(node)
-            heapq.heappush(
-                self._heap, (node.last_access, next(self._seq), node)
-            )
 
     def _evict_node(self, node: _RadixNode) -> None:
         self.ledger.release(node.owner_id)

@@ -272,6 +272,10 @@ class ReplicaEngine:
         #: occurrence) feeding ``RunSummary.scheduler_stats`` without
         #: requiring a tracing observer.
         self.decode_evictions = 0
+        #: Iterations whose decode growth took the per-row pressure
+        #: path: the batch needed more blocks than free plus
+        #: reclaimable, so a decode had to be evicted.
+        self.kv_pressure_iterations = 0
         self.stall_preemptions = 0
         self.chunk_tokens_hist: Counter[int] = Counter()
         #: Relegated requests already reported served (each request
@@ -430,6 +434,13 @@ class ReplicaEngine:
         self._sync_rows()
         return list(self._rows.req)
 
+    def decode_load(self) -> tuple[list[Request], int]:
+        """The decoding requests and their summed context length,
+        read without syncing rows: the request objects may lag their
+        rows, so callers read only what decoding never changes (QoS)."""
+        rows = self._rows
+        return rows.req[: rows.n], self._decode_context_total
+
     @property
     def running_requests(self) -> int:
         """Requests occupying decode slots (decoding or mid-prefill)."""
@@ -452,10 +463,7 @@ class ReplicaEngine:
             or request_id in self._rows.index
             or request in self._stalled_requests
             or request in self._pending_handoffs
-            or any(
-                r.request_id == request_id
-                for r in self.scheduler.pending_requests()
-            )
+            or self.scheduler.is_pending(request)
         )
 
     def _sync_rows(self) -> None:
@@ -675,13 +683,20 @@ class ReplicaEngine:
         work.  ``first_time`` is the unscaled batch time of the next
         iteration, the decode-only batch of the current rows.  Finds
         the longest run of ``k >= 2`` future iterations that provably
-        (a) complete no request, (b) fit their KV growth without
-        eviction, and (c) finish strictly before the next simulator
-        event and within the simulator's run bound — then applies the
-        ``k`` per-token advances as closed-form vector updates and
-        fast-forwards the clock to the last finish time.  Falls back
-        to the per-iteration path (returning ``now`` unchanged)
-        whenever any bound trims the run below 2.
+        (a) complete no request, (b) fit their KV growth in the free
+        plus reclaimable blocks, so no decode is evicted, and (c)
+        finish strictly before the next simulator event and within
+        the simulator's run bound — then applies the ``k`` per-token
+        advances as closed-form vector updates and fast-forwards the
+        clock to the last finish time.  Falls back to the
+        per-iteration path (returning ``now`` unchanged) whenever any
+        bound trims the run below 2.
+
+        For (b), the window's growth reclaims its shortfall from the
+        prefix cache in one call (:meth:`ArrayKVLedger.stretch_grow`).
+        Nothing else touches the tree inside the window (no prefill,
+        no completion), so that evicts the same LRU leaves, in the
+        same order, as the per-iteration reclaims it replaces.
 
         Cheap rejection: at fleet scale the next event is almost
         always another replica's iteration, so (c) fails nearly every
@@ -728,10 +743,11 @@ class ReplicaEngine:
         k_cap = int((rows.target[:n] - rows.decoded[:n]).min()) - 1
         if k_cap < 2:
             return now
-        # (b) largest run whose cumulative block demand fits; the
-        # demand is monotone in k, so bisect on it.
+        # (b) largest run whose cumulative block demand fits in the
+        # free plus reclaimable blocks; the demand is monotone in k,
+        # so bisect on it.
         ledger = self.kv_cache
-        free = ledger.free_blocks
+        free = ledger.free_blocks + ledger.reclaimable_blocks
         if ledger.stretch_need(n, k_cap) > free:
             lo, hi = 0, k_cap  # invariant: need(lo) <= free < need(hi)
             while hi - lo > 1:
@@ -972,10 +988,10 @@ class ReplicaEngine:
             return
         if self.kv_cache.bulk_decode_grow(n):
             return
-        # Pressure: grow row by row over a snapshot of the batch,
-        # re-selecting the victim after every eviction.  With a radix
-        # reclaimer attached this path can run on most iterations, so
-        # it reads ``rows.req`` rather than syncing ``decode_queue``.
+        # Pressure: the batch does not fit even after reclaiming every
+        # unreferenced prefix block.  Grow row by row over a snapshot
+        # of the batch, re-selecting the victim after every eviction.
+        self.kv_pressure_iterations += 1
         kv_cache = self.kv_cache
         for request in list(rows.req):
             request_id = request.request_id

@@ -242,7 +242,8 @@ class ArrayKVLedger:
         """Install a prefix cache to raid when allocation would fail.
 
         With a reclaimer installed, :meth:`can_grow` counts its
-        evictable blocks as available and :meth:`grow` evicts from it
+        evictable blocks as available, and :meth:`grow`,
+        :meth:`bulk_decode_grow` and :meth:`stretch_grow` evict from it
         before declaring the cache exhausted.  ``None`` (the default)
         leaves every path byte-identical to the reclaimer-free ledger.
         """
@@ -388,13 +389,34 @@ class ArrayKVLedger:
         self._holdings[request_id] = _ROW_BACKED
         return tokens, blocks
 
+    def _reclaim_shortfall(self, shortfall: int) -> bool:
+        """Free ``shortfall`` blocks from the prefix cache in one call.
+
+        False (nothing evicted) when there is no reclaimer or it holds
+        fewer unreferenced blocks than the shortfall: then a decode
+        must be evicted, which only the per-row path decides.
+        """
+        reclaimer = self._reclaimer
+        if reclaimer is None or shortfall > reclaimer.reclaimable_blocks():
+            return False
+        if reclaimer.reclaim(shortfall) < shortfall:
+            raise MemoryError(
+                f"prefix cache freed fewer than the {shortfall} "
+                "reclaimable blocks it reported"
+            )
+        return True
+
     def bulk_decode_grow(self, n: int) -> bool:
         """Grow every decode row by one token in one vectorized pass.
 
-        Only commits when the whole batch fits (total blocks needed <=
-        free), where the result is state-identical to growing the rows
-        one by one with :meth:`grow`; returns False (untouched state)
-        otherwise so the caller can run the per-row pressure path.
+        When the batch needs more blocks than are free, the shortfall
+        is reclaimed from the prefix cache in one call first.  That
+        equals the per-row path's one-block reclaims: nothing touches
+        the tree between them, so they pop the same LRU leaves in the
+        same order, and the ledger ends in the same state.  Returns
+        False (untouched state) only when the need exceeds free plus
+        reclaimable blocks, where a decode must be evicted and the
+        caller runs the per-row pressure path.
         """
         rows = self._rows
         bs = self.block_size
@@ -406,7 +428,8 @@ class ArrayKVLedger:
             for i in range(n):
                 if kv_tokens.item(i) % bs == 0:
                     total += 1
-            if total > self.free_blocks:
+            free = self.free_blocks
+            if total > free and not self._reclaim_shortfall(total - free):
                 return False
             kv_blocks = rows.kv_blocks
             for i in range(n):
@@ -425,7 +448,8 @@ class ArrayKVLedger:
         # grow needs a new block iff the holding is block-aligned.
         boundary = kv_tokens % bs == 0
         total = int(np.count_nonzero(boundary))
-        if total > self.free_blocks:
+        free = self.free_blocks
+        if total > free and not self._reclaim_shortfall(total - free):
             return False
         kv_tokens += 1
         self._used_tokens += n
@@ -441,9 +465,10 @@ class ArrayKVLedger:
 
         Equals the total over ``k`` sequential
         +1-token grows of the whole batch (ceil-difference per row),
-        and is monotone in ``k``: ``stretch_need(n, k) <= free``
-        therefore proves every intermediate per-iteration grow of a
-        ``k``-iteration decode stretch fits without eviction.
+        and is monotone in ``k``: ``stretch_need(n, k) <= free +
+        reclaimable`` therefore proves every intermediate
+        per-iteration grow of a ``k``-iteration decode stretch fits
+        without evicting a decode.
         """
         rows = self._rows
         bs = self.block_size
@@ -453,16 +478,26 @@ class ArrayKVLedger:
     def stretch_grow(self, n: int, k: int) -> None:
         """Commit a ``k``-token growth of every decode row.
 
-        Caller must have proven it fits via :meth:`stretch_need`.
-        Because a stretch window has no releases, ``used_blocks`` is
-        monotone across its iterations, so taking the high-water mark
-        once at the end matches per-iteration updates.
+        Caller must have proven it fits via :meth:`stretch_need`.  A
+        shortfall beyond the free blocks is reclaimed from the prefix
+        cache in one call first: nothing else touches the tree inside
+        a stretch window, so that evicts the same leaves, in the same
+        order, as the window's per-iteration reclaims.  Apart from
+        those reclaims the window has no releases, so once the pool is
+        full it stays full, and taking the high-water mark once at the
+        end matches per-iteration updates.
         """
         rows = self._rows
         bs = self.block_size
         t = rows.kv_tokens[:n]
         added = (t + (k + bs - 1)) // bs - (t + (bs - 1)) // bs
         need = int(added.sum())
+        free = self.free_blocks
+        if need > free and not self._reclaim_shortfall(need - free):
+            raise MemoryError(
+                f"KV cache exhausted: stretch needs {need} blocks, "
+                f"{free} free"
+            )
         t += k
         rows.kv_blocks[:n] += added
         self._used_blocks += need

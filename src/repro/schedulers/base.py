@@ -152,6 +152,9 @@ class FixedChunkScheduler(Scheduler):
     def pending_requests(self) -> list[Request]:
         return list(self._member.values())
 
+    def is_pending(self, request: Request) -> bool:
+        return request.request_id in self._member
+
     def queue_length(self) -> int:
         return len(self._member)
 

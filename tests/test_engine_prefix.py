@@ -176,6 +176,124 @@ class TestRadixUnit:
         cache.unlock(2)
 
 
+def _pressured_twin(seed, rows_n, spare_blocks=2, aligned=False):
+    """A ledger whose pool is full of decode rows and unreferenced
+    prefix blocks, with ``spare_blocks`` free.
+
+    Deterministic in ``seed``, so two calls build twins.  Returns
+    ``(cache, ledger, evicted)``: ``evicted`` collects ``(owner id,
+    block key)`` of every node the cache evicts, in order.
+    """
+    rng = np.random.default_rng(seed)
+    cache, ledger = make_cache(capacity_tokens=400 * BS)
+    evicted = []
+    evict_node = cache._evict_node
+
+    def record(node):
+        evicted.append((node.owner_id, node.key))
+        evict_node(node)
+
+    cache._evict_node = record
+    # Prompts from six streams share prefixes, so the tree branches.
+    prompts = []
+    for k in range(32):
+        stream = int(rng.integers(0, 6))
+        n = int(rng.integers(2, 13)) * BS + int(rng.integers(0, BS))
+        tokens = ids(n, stream * 100_000)
+        rid = 10_000 + k
+        hit = cache.match_and_lock(rid, tokens, n - 1)
+        ledger.grow(rid, n - hit)
+        cache.insert_and_lock(rid, tokens)
+        ledger.release(rid)  # the unshared remainder
+        prompts.append(rid)
+    # Unlock in a seeded order: recency, and so LRU order, is mixed.
+    for i in rng.permutation(len(prompts)):
+        cache.unlock(prompts[int(i)])
+    rows = ledger._rows
+    for rid in range(rows_n):
+        tokens = int(rng.integers(1, 4)) * BS
+        if not aligned:
+            tokens -= int(rng.integers(0, BS))
+        ledger.grow(rid, tokens)
+        held_tokens, held_blocks = ledger.attach_row(rid)
+        rows.add(make_request(request_id=rid), held_tokens, held_blocks)
+    # A filler holding leaves exactly ``spare_blocks`` free.
+    ledger.grow(99_999, (ledger.free_blocks - spare_blocks) * BS)
+    assert cache.reclaimable_blocks() == cache.cached_blocks > 0
+    return cache, ledger, evicted
+
+
+def _ledger_state(cache, ledger, evicted):
+    n = ledger._rows.n
+    return (
+        ledger.used_blocks,
+        ledger.used_tokens,
+        ledger.high_water_blocks,
+        ledger.reclaimable_blocks,
+        cache.evictions,
+        cache.cached_blocks,
+        ledger._rows.kv_tokens[:n].tolist(),
+        ledger._rows.kv_blocks[:n].tolist(),
+        list(evicted),
+    )
+
+
+class TestReclaimAwareGrowth:
+    """One reclaim of the whole shortfall equals the per-row path's
+    one-block reclaims: same leaves evicted in the same order, same
+    ledger afterwards."""
+
+    # 12 rows take the scalar sweep, 40 the vector pass.
+    @pytest.mark.parametrize("rows_n", [12, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bulk_grow_matches_per_row_loop(self, seed, rows_n):
+        bulk = _pressured_twin(seed, rows_n, aligned=True)
+        per_row = _pressured_twin(seed, rows_n, aligned=True)
+        cache, ledger, evicted = per_row
+        assert ledger.free_blocks < rows_n <= (
+            ledger.free_blocks + ledger.reclaimable_blocks
+        )
+        for request in list(ledger._rows.req):
+            assert ledger.can_grow(request.request_id, 1)
+            ledger.grow(request.request_id, 1)
+        assert evicted, "the twin never reclaimed"
+        assert bulk[1].bulk_decode_grow(rows_n)
+        assert _ledger_state(*bulk) == _ledger_state(*per_row)
+
+    @pytest.mark.parametrize("rows_n", [12, 40])
+    def test_bulk_grow_refuses_what_needs_a_decode_eviction(self, rows_n):
+        cache, ledger, evicted = _pressured_twin(
+            4, rows_n, spare_blocks=0, aligned=True
+        )
+        # Every row is block-aligned, so the batch needs rows_n blocks:
+        # leave one fewer reclaimable and none free.
+        cache.reclaim(cache.reclaimable_blocks() - rows_n + 1)
+        ledger.grow(99_998, ledger.free_blocks * BS)
+        evicted.clear()
+        assert ledger.free_blocks == 0
+        assert ledger.reclaimable_blocks == rows_n - 1
+        before = _ledger_state(cache, ledger, evicted)
+        assert not ledger.bulk_decode_grow(rows_n)
+        assert _ledger_state(cache, ledger, evicted) == before
+        assert not evicted
+
+    @pytest.mark.parametrize("k", [2, 5, 17])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_stretch_grow_matches_successive_bulk_grows(self, seed, k):
+        rows_n = 24
+        stretch = _pressured_twin(seed, rows_n)
+        steps = _pressured_twin(seed, rows_n)
+        cache, ledger, _ = stretch
+        need = ledger.stretch_need(rows_n, k)
+        assert ledger.free_blocks < need
+        assert need <= ledger.free_blocks + ledger.reclaimable_blocks
+        ledger.stretch_grow(rows_n, k)
+        for _ in range(k):
+            assert steps[1].bulk_decode_grow(rows_n)
+        assert steps[2], "the twin never reclaimed"
+        assert _ledger_state(*stretch) == _ledger_state(*steps)
+
+
 def _drive_cache(convert, seed):
     """A seeded admit (match) / prefill-finish (insert) / release
     (unlock) sequence against a small ledger; returns every outcome."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.interface import EngineView
+from repro.engine.interface import EngineView, Scheduler
 from repro.engine.rows import ArrayKVLedger
 from repro.schedulers.base import pack_prefill_assignments
 from repro.schedulers.classic import FCFSScheduler
@@ -109,6 +109,11 @@ class TestHeapQueue:
         assert scheduler.has_pending_prefill()
         assert scheduler.pending_requests() == [r]
         assert scheduler.queue_length() == 1
+        other = make_request(request_id=2)
+        # The membership override agrees with the default list scan.
+        for is_pending in (scheduler.is_pending,
+                           lambda q: Scheduler.is_pending(scheduler, q)):
+            assert is_pending(r) and not is_pending(other)
 
     def test_prefill_complete_removes(self):
         scheduler = FCFSScheduler()
@@ -116,6 +121,8 @@ class TestHeapQueue:
         scheduler.enqueue(r, 0.0)
         scheduler.on_prefill_complete(r, 1.0)
         assert not scheduler.has_pending_prefill()
+        assert not scheduler.is_pending(r)
+        assert not Scheduler.is_pending(scheduler, r)
 
     def test_plan_orders_by_priority(self, execution_model):
         scheduler = FCFSScheduler(chunk_size=128)
