@@ -15,8 +15,9 @@ no-pinning variants, stepped ``run(until=...)`` driving, traced runs,
 batch changes while an iteration is in flight (cancel, prefilled
 handoff, token hook), a resilient pool and an 8-replica fleet under
 faults, KV pressure (decode eviction, prefill stall recovery,
-prefill-only handoff, radix reuse on a full pool), a seeded 500-request randomized run and the
-decode-stretch counters.
+prefill-only handoff, radix reuse on a full pool), a disaggregated
+prefill tier feeding the fixed-pace decode pool, a seeded 500-request
+randomized run and the decode-stretch counters.
 
 Canonical form: ``json.dumps(value, sort_keys=True, separators=(",",
 ":"))`` (floats print as their shortest round-trip repr).  If a
@@ -36,13 +37,14 @@ import pytest
 
 from repro.api import build_trace, make_scheduler
 from repro.cluster.deployment import ClusterDeployment
+from repro.cluster.disagg import DecodePool, DisaggregatedDeployment
 from repro.core.qos import Q2_RELAXED
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.faults import FaultPlan, ReplicaCrash, ReplicaSlowdownFault
 from repro.metrics.export import summary_to_dict
 from repro.obs.audit import audit_events
-from repro.obs.observer import TracingObserver
+from repro.obs.observer import TracingObserver, default_observer
 from repro.obs.trace import ListSink, TraceRecorder
 from repro.schedulers.qoserve import QoServeConfig
 from repro.simcore import Simulator
@@ -52,6 +54,12 @@ from repro.workload.sessions import AGENT_PROFILE, SessionWorkload
 from tests.conftest import small_memory_model, stall_requests
 
 PINS = {
+    "disagg-traced": (
+        "708f4d1b431fd148c7cdb47f93e7e11ddd1e3d08947708a367f5197538331d31"
+    ),
+    "disagg-untraced": (
+        "32e1340519ef8f379c88394b49274b42a8c18e8f3761932e99f9774501cc32de"
+    ),
     "faults-fleet": (
         "20b5661045ad23e65a16860a47c0006355abe75e58f34002a104a6483abf5acf"
     ),
@@ -575,6 +583,76 @@ def _radix_pressure(traced):
     }
 
 
+class _HandoffPool(DecodePool):
+    """Fixed-pace decode pool that also records each handoff."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.handoffs: list[tuple[int, float]] = []
+
+    def accept(self, request: Request, handoff_time: float) -> None:
+        self.handoffs.append((request.request_id, handoff_time))
+        super().accept(request, handoff_time)
+
+
+def _disagg_run(model):
+    """Two round-robin prefill replicas (8K chunk) feeding the pool."""
+    trace = build_trace(AZURE_CONV, qps=1.0, num_requests=40, seed=5)
+    requests = clone(trace.requests, 24.0)
+    pool = _HandoffPool()
+    deployment = DisaggregatedDeployment(
+        model,
+        partial(
+            make_scheduler, "qoserve-oracle", model,
+            qoserve_config=QoServeConfig(
+                max_chunk_size=8192, fixed_chunk_size=8192
+            ),
+        ),
+        num_prefill_replicas=2,
+    )
+    for replica in deployment.replicas:
+        replica.prefill_sink = pool.accept
+    for r in requests:
+        deployment.submit(r)
+    deployment.run(max_events=1_000_000)
+    assert all(r.is_finished for r in requests)
+    return deployment, pool, requests
+
+
+def _disagg(model, traced):
+    """A disaggregated prefill tier served to drain.
+
+    Traced, the run is built under the process-default observer, which
+    every prefill replica adopts.
+    """
+    if not traced:
+        deployment, pool, requests = _disagg_run(model)
+        serving = {
+            r.request_id: replica.replica_id
+            for replica in deployment.replicas
+            for r in replica.submitted
+        }
+        handoff = dict(pool.handoffs)
+        return {
+            "requests": [
+                (
+                    r.request_id, serving[r.request_id],
+                    handoff[r.request_id], r.first_token_time,
+                    r.completion_time, r.violated_deadline,
+                )
+                for r in requests
+            ],
+            "decode_order": [r.request_id for r in pool.completed],
+        }
+    sink, observer = _recording()
+    with default_observer(observer):
+        _disagg_run(model)
+    return {
+        "events": sink.events,
+        "metrics": observer.registry.to_prometheus_text(),
+    }
+
+
 def _randomized(model):
     """Seeded 500-request randomized run: completion order and
     per-request latency attribution totals."""
@@ -649,6 +727,8 @@ CASES = {
     },
     "radix-pressure-untraced": lambda model: _radix_pressure(False),
     "radix-pressure-traced": lambda model: _radix_pressure(True),
+    "disagg-untraced": partial(_disagg, traced=False),
+    "disagg-traced": partial(_disagg, traced=True),
     "randomized-500": _randomized,
     "stretch-single": _stretch_single,
     "stretch-fleet": _stretch_fleet,
