@@ -13,8 +13,9 @@ Run:
 
 from functools import partial
 
-from repro import AZURE_CONV, DisaggregatedDeployment, QoServeConfig
+from repro import AZURE_CONV, ClusterDeployment, QoServeConfig, ReplicaConfig
 from repro.api import build_trace, make_scheduler
+from repro.cluster import DecodePool
 from repro.cluster.capacity import find_max_goodput, stable_drain
 from repro.experiments.configs import get_execution_model
 
@@ -33,9 +34,11 @@ def prefill_goodput(scheme: str, execution_model) -> float:
         kwargs = {"chunk_size": CHUNK}
 
     def evaluate(qps):
-        deployment = DisaggregatedDeployment(
+        deployment = ClusterDeployment(
             execution_model,
             partial(make_scheduler, scheme, execution_model, **kwargs),
+            num_replicas=1,
+            replica_config=ReplicaConfig(prefill_sink=DecodePool().accept),
         )
         trace = base.scaled_arrivals(qps)
         deployment.submit_trace(trace)

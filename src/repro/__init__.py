@@ -82,7 +82,6 @@ from repro.schedulers import (
 )
 from repro.cluster import (
     ClusterDeployment,
-    DisaggregatedDeployment,
     SiloedDeployment,
     SiloSpec,
     find_max_goodput,
@@ -134,7 +133,6 @@ __all__ = [
     "SJFScheduler",
     "SRPFScheduler",
     "ClusterDeployment",
-    "DisaggregatedDeployment",
     "SiloedDeployment",
     "SiloSpec",
     "find_max_goodput",

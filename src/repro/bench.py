@@ -79,7 +79,11 @@ from typing import Any, Callable
 #: conv row's own rep count (15 under ``--quick``), and each row's
 #: ``host_s`` is the median of its per-rep scaled times instead of the
 #: best.
-SCHEMA_VERSION = 9
+#: 10 — ``span_overhead``'s three ``*_overhead`` ratios are the median
+#: over reps of each rep's paired ratio (its configurations run back to
+#: back) instead of a ratio of best times, and ``--quick`` runs 21 reps
+#: instead of 7; the ``*_s`` times stay each configuration's best.
+SCHEMA_VERSION = 10
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -589,9 +593,11 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
     otherwise-identical tracing run — the quantity the "<= 5%" bound in
     ``docs/OBSERVABILITY.md`` refers to; ``tracing_overhead`` is the
     long-standing cost of full event tracing vs no observer at all.
-    Repetitions are interleaved across configurations (so transient
-    host load penalizes them equally) and each reports its best run,
-    the micro-benchmark noise filter.
+    Each rep runs the configurations back to back, and each ratio is
+    the median over reps of that rep's paired ratio: the host changes
+    speed within a second, so a ratio of two best times, taken from
+    different reps, compares runs that saw different hosts.  The
+    ``*_s`` times are each configuration's best run.
     """
     from repro.api import ServeConfig, build_trace, simulate
     from repro.obs import RingSink, TraceRecorder, TracingObserver
@@ -608,7 +614,7 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
     base = build_trace(
         AZURE_CODE, qps=1.0, num_requests=num_requests, seed=42
     )
-    reps = 7 if quick else 11
+    reps = 21 if quick else 11
 
     def run_once(observer) -> float:
         trace = base.fresh_copy()
@@ -627,11 +633,17 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
         lambda: tracing(TracingObserver),
     ]
     run_once(None)  # warm-up: model tables and allocator caches
-    best = [math.inf] * len(configs)
-    for _ in range(reps):
-        for i, make_observer in enumerate(configs):
-            best[i] = min(best[i], run_once(make_observer()))
-    baseline_s, null_s, no_span_s, spans_s = best
+    runs = [
+        [run_once(make_observer()) for make_observer in configs]
+        for _ in range(reps)
+    ]
+
+    def overhead(numerator: int, denominator: int) -> float:
+        return statistics.median(
+            run[numerator] / run[denominator] - 1.0 for run in runs
+        )
+
+    baseline_s, null_s, no_span_s, spans_s = map(min, zip(*runs))
     return {
         "workload": "AzCode qps=1.0 qoserve",
         "num_requests": num_requests,
@@ -640,9 +652,9 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
         "null_observer_s": null_s,
         "tracing_no_spans_s": no_span_s,
         "spans_on_s": spans_s,
-        "null_observer_overhead": null_s / baseline_s - 1.0,
-        "tracing_overhead": no_span_s / baseline_s - 1.0,
-        "spans_overhead": spans_s / no_span_s - 1.0,
+        "null_observer_overhead": overhead(1, 0),
+        "tracing_overhead": overhead(2, 0),
+        "spans_overhead": overhead(3, 2),
     }
 
 

@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", type=Path, help="fault-plan JSON file",
     )
     validate_parser.add_argument(
-        "--num-replicas", "--replicas", type=int, default=None,
+        "--num-replicas", type=int, default=None,
         metavar="N",
         help="also range-check replica indices against a deployment "
              "of N replicas (the same check FaultInjector.arm applies "

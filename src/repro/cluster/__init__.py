@@ -12,8 +12,8 @@ from repro.cluster.capacity import (
     find_max_goodput,
     replicas_needed,
 )
-from repro.cluster.disagg import DecodePool, DisaggregatedDeployment
 from repro.cluster.decode_pool import (
+    DecodePool,
     PartitionedDecodePool,
     QoSSharedDecodePool,
     StrictSharedDecodePool,
@@ -42,7 +42,6 @@ __all__ = [
     "find_max_goodput",
     "replicas_needed",
     "DecodePool",
-    "DisaggregatedDeployment",
     "PartitionedDecodePool",
     "QoSSharedDecodePool",
     "StrictSharedDecodePool",

@@ -1,10 +1,24 @@
-"""QoS-aware decode nodes for PD disaggregation (paper future work).
+"""Decode nodes for PD disaggregation (Section 4.1.3).
 
-Section 4.1.3 holds the decode side constant: "the number of decode
+A disaggregated prefill tier is a
+:class:`~repro.cluster.deployment.ClusterDeployment` whose
+:class:`~repro.engine.replica.ReplicaConfig` carries a
+``prefill_sink``: the prefill replicas run QoServe's hybrid
+prioritization and eager relegation (with a large 8K chunk budget,
+since no colocated decodes constrain them) and hand each prefilled
+request to a decode pool's ``accept(request, now)``.
+
+The paper holds the decode side constant: "the number of decode
 replicas and their SLO attainment is identical as they work with a
-maximum batch size that meets the strictest TBT.  Efficiently
-supporting different TBT SLOs in the decode nodes is left to future
-work."  This module implements that future work in three flavours:
+maximum batch size that meets the strictest TBT."
+:class:`DecodePool` models that as a fixed-pace token generator (one
+token per ``token_pace`` seconds per request, the strictest-TBT
+iteration time) with unconstrained parallelism, so every scheme under
+test sees the same decode service.
+
+"Efficiently supporting different TBT SLOs in the decode nodes is left
+to future work."  The other pools implement that future work in three
+flavours:
 
 * :class:`StrictSharedDecodePool` — the paper's status quo: every
   replica caps its batch by the *strictest* TBT class, regardless of
@@ -18,20 +32,45 @@ work."  This module implements that future work in three flavours:
   A replica full of relaxed-TBT requests batches deep; admitting a
   strict request dynamically tightens its budget.
 
-All pools expose ``accept(request, now)`` (pluggable as a prefill
-sink) and route to real :class:`ReplicaEngine` instances running in
-decode-only mode via :meth:`ReplicaEngine.submit_prefilled`.
+These three route to real :class:`ReplicaEngine` instances running
+in decode-only mode via :meth:`ReplicaEngine.submit_prefilled`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from repro.cluster.deployment import ClusterDeployment
 from repro.core.request import Request
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers.classic import FCFSScheduler
 from repro.simcore.simulator import Simulator
+
+
+class DecodePool:
+    """Fixed-pace decode service shared by all schemes under test.
+
+    Generates each handed-off request's tokens at ``token_pace``
+    intervals starting one pace after the handoff.  Token timestamps
+    are materialized directly (no events) because the pool is
+    explicitly unconstrained — its capacity is identical across the
+    schemes being compared, so it cancels out of the comparison.
+    """
+
+    def __init__(self, token_pace: float = 0.025) -> None:
+        if token_pace <= 0:
+            raise ValueError("token_pace must be positive")
+        self.token_pace = float(token_pace)
+        self.completed: list[Request] = []
+
+    def accept(self, request: Request, handoff_time: float) -> None:
+        """Receive a prefilled request and synthesize its decode."""
+        for i in range(request.remaining_decode):
+            request.record_output_token(
+                handoff_time + (i + 1) * self.token_pace
+            )
+        self.completed.append(request)
 
 
 def max_batch_for_tbt(
@@ -71,20 +110,14 @@ class _DecodeReplicaGroup:
         num_replicas: int,
         max_decode_slots: int,
     ) -> None:
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
         self.simulator = simulator
-        self.execution_model = execution_model
-        self.replicas = [
-            ReplicaEngine(
-                simulator,
-                execution_model,
-                FCFSScheduler(),  # never used: no prefill work arrives
-                ReplicaConfig(max_decode_slots=max_decode_slots),
-                replica_id=i,
-            )
-            for i in range(num_replicas)
-        ]
+        self.replicas = ClusterDeployment(
+            execution_model,
+            FCFSScheduler,  # never used: no prefill work arrives
+            num_replicas,
+            ReplicaConfig(max_decode_slots=max_decode_slots),
+            simulator,
+        ).replicas
         self.pending: deque[Request] = deque()
         self._retry_scheduled = False
 

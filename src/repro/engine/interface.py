@@ -11,84 +11,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perfmodel.execution import ExecutionModel
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.prefix import PrefixReclaimer
-
-
-@runtime_checkable
-class KVLedger(Protocol):
-    """Block-granular KV accounting as schedulers see it.
-
-    :class:`repro.engine.rows.ArrayKVLedger` implements this contract;
-    schedulers, admission control and the prefix cache program against
-    it rather than the concrete class.  Allocations round up to
-    ``block_size`` and ``blocks == ceil(tokens / block_size)`` holds
-    for every holding.
-    """
-
-    block_size: int
-    capacity_blocks: int
-    high_water_blocks: int
-
-    @property
-    def used_blocks(self) -> int: ...
-
-    @property
-    def free_blocks(self) -> int: ...
-
-    @property
-    def capacity_tokens(self) -> int:
-        """Usable token capacity (whole blocks only)."""
-        ...
-
-    @property
-    def used_tokens(self) -> int: ...
-
-    @property
-    def reclaimable_blocks(self) -> int:
-        """Blocks a registered reclaimer could free on demand (0 when
-        no prefix cache is installed).  Planners treat these as
-        spendable: :meth:`grow` raids the reclaimer before failing."""
-        ...
-
-    @property
-    def utilization(self) -> float: ...
-
-    @property
-    def high_water_utilization(self) -> float: ...
-
-    def holding(self, request_id: int) -> int:
-        """Tokens currently cached for ``request_id`` (0 if none)."""
-        ...
-
-    def holders(self) -> list[int]:
-        """Request ids with a live holding, in insertion order."""
-        ...
-
-    def blocks_needed(self, request_id: int, extra_tokens: int) -> int: ...
-
-    def can_grow(self, request_id: int, extra_tokens: int) -> bool: ...
-
-    def grow(self, request_id: int, extra_tokens: int) -> None: ...
-
-    def shrink(self, request_id: int, tokens: int, blocks: int) -> None:
-        """Give back part of a holding (prefix dedupe / ownership moves)."""
-        ...
-
-    def release(self, request_id: int) -> int:
-        """Free a request's entire holding; returns blocks released."""
-        ...
-
-    def set_reclaimer(self, reclaimer: PrefixReclaimer | None) -> None:
-        """Install a prefix cache to raid when allocation would fail."""
-        ...
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.rows import ArrayKVLedger
 
 
 def decode_slack(
@@ -142,7 +73,7 @@ class EngineView:
 
     now: float
     decode_requests: list[Request]
-    kv_cache: KVLedger
+    kv_cache: ArrayKVLedger
     execution_model: ExecutionModel
     max_decode_slots: int
     inflight_prefill_ids: frozenset[int] = frozenset()

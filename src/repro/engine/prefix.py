@@ -54,29 +54,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro.core.request import token_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.interface import KVLedger
+    from repro.engine.rows import ArrayKVLedger
 
 
 #: Bytes per token id in a block key.
 _TOKEN_BYTES = token_array(()).itemsize
-
-
-@runtime_checkable
-class PrefixReclaimer(Protocol):
-    """What a KV ledger needs from a prefix cache under memory pressure."""
-
-    def reclaimable_blocks(self) -> int:
-        """Blocks that :meth:`reclaim` could free right now."""
-        ...
-
-    def reclaim(self, blocks: int) -> int:
-        """Evict up to ``blocks`` unreferenced blocks; returns freed."""
-        ...
 
 
 class _RadixNode:
@@ -130,7 +117,7 @@ class RadixPrefixCache:
             observer.
     """
 
-    def __init__(self, ledger: "KVLedger") -> None:
+    def __init__(self, ledger: "ArrayKVLedger") -> None:
         self.ledger = ledger
         self.block_size = ledger.block_size
         self._root = _RadixNode(b"", None, owner_id=0)

@@ -27,10 +27,10 @@ Runs of pure-decode iterations that no event can interrupt collapse
 into one closed-form advance (:meth:`ReplicaEngine._decode_stretch`)
 when nothing observes individual iterations.
 
-In ``prefill_only`` mode (PD disaggregation, Section 4.1.3) completed
-prefills are handed to a caller-provided sink instead of entering the
-local decode queue, and their KV is released (shipped to the decode
-node).
+A replica whose :class:`ReplicaConfig` carries a ``prefill_sink`` is
+a prefill-only node (PD disaggregation, Section 4.1.3): completed
+prefills are handed to the sink instead of entering the local decode
+queue, and their KV is released (shipped to the decode node).
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ class ReplicaConfig:
         kv_block_size: Paged-attention block size in tokens.
         record_iterations: Keep an :class:`IterationRecord` per batch
             (Figure 9 telemetry); off by default to save memory.
-        prefill_only: PD-disaggregation prefill-node mode.
+        prefill_sink: Makes the replica a PD-disaggregation prefill
+            node when set: receives ``(request, now)`` when a prompt
+            finishes prefilling, e.g.
+            :meth:`repro.cluster.decode_pool.DecodePool.accept`.
         kv_reuse: Prefix-aware KV reuse policy — ``"radix"`` shares
             prompt-prefix blocks across requests via
             :class:`repro.engine.prefix.RadixPrefixCache`; ``"off"``
@@ -77,7 +80,7 @@ class ReplicaConfig:
     max_decode_slots: int = 256
     kv_block_size: int = 16
     record_iterations: bool = False
-    prefill_only: bool = False
+    prefill_sink: Callable[[Request, float], None] | None = None
     kv_reuse: str = "off"
 
     def __post_init__(self) -> None:
@@ -202,7 +205,6 @@ class ReplicaEngine:
         scheduler: Scheduler,
         config: ReplicaConfig | None = None,
         replica_id: int = 0,
-        prefill_sink: Callable[[Request, float], None] | None = None,
         observer: Observer | None = None,
     ) -> None:
         """Args:
@@ -211,8 +213,6 @@ class ReplicaEngine:
         scheduler: Prefill-selection policy.
         config: Engine knobs; defaults to :class:`ReplicaConfig`.
         replica_id: Identifier used in multi-replica deployments.
-        prefill_sink: Required in ``prefill_only`` mode — receives
-            ``(request, now)`` when a prompt finishes prefilling.
         observer: Observability hooks (tracing/metrics); ``None``
             adopts the process default (no-op unless the CLI enabled
             tracing).  Installed on the scheduler too, so scheduler
@@ -223,9 +223,6 @@ class ReplicaEngine:
         self.scheduler = scheduler
         self.config = config or ReplicaConfig()
         self.replica_id = replica_id
-        if self.config.prefill_only and prefill_sink is None:
-            raise ValueError("prefill_only mode requires a prefill_sink")
-        self.prefill_sink = prefill_sink
         self.observer = (
             observer if observer is not None else get_default_observer()
         )
@@ -248,7 +245,10 @@ class ReplicaEngine:
         #: Prefill-only nodes ship their KV away at prefill finish, so
         #: they never populate (and therefore never consult) a tree.
         self.prefix_cache: RadixPrefixCache | None = None
-        if self.config.kv_reuse == "radix" and not self.config.prefill_only:
+        if (
+            self.config.kv_reuse == "radix"
+            and self.config.prefill_sink is None
+        ):
             self.prefix_cache = RadixPrefixCache(self.kv_cache)
             self.kv_cache.set_reclaimer(self.prefix_cache)
             self.prefix_cache.on_evict = self._notify_prefix_evicted
@@ -1087,12 +1087,12 @@ class ReplicaEngine:
         self.observer.on_span_end(
             "prefill", request, now, self.replica_id
         )
-        if self.config.prefill_only:
+        sink = self.config.prefill_sink
+        if sink is not None:
             # First token is produced by the decode node after handoff;
             # the prefill node's job (and its KV holding) ends here.
             self.kv_cache.release(request.request_id)
-            assert self.prefill_sink is not None
-            self.prefill_sink(request, now)
+            sink(request, now)
             return
         if self.prefix_cache is not None and request.token_ids is not None:
             # Publish the finished prompt's blocks: privately-held

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.prefix import PrefixReclaimer
+    from repro.engine.prefix import RadixPrefixCache
 
 #: Ledger marker: the holding's (tokens, blocks) live in the row store.
 _ROW_BACKED = None
@@ -199,9 +199,9 @@ class ArrayKVLedger:
         # Optional prefix-cache hook consulted when allocation would
         # otherwise fail; None keeps every code path byte-identical to
         # a reclaimer-free ledger.
-        self._reclaimer: PrefixReclaimer | None = None
+        self._reclaimer: RadixPrefixCache | None = None
 
-    # --- ledger interface (repro.engine.interface.KVLedger) ---------------
+    # --- ledger interface -------------------------------------------------
 
     @property
     def used_blocks(self) -> int:
@@ -238,7 +238,7 @@ class ArrayKVLedger:
             return 0
         return self._reclaimer.reclaimable_blocks()
 
-    def set_reclaimer(self, reclaimer: PrefixReclaimer | None) -> None:
+    def set_reclaimer(self, reclaimer: RadixPrefixCache | None) -> None:
         """Install a prefix cache to raid when allocation would fail.
 
         With a reclaimer installed, :meth:`can_grow` counts its

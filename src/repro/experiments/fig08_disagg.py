@@ -12,8 +12,10 @@ from __future__ import annotations
 from functools import partial
 
 from repro.api import build_trace, make_scheduler
-from repro.cluster.disagg import DisaggregatedDeployment
 from repro.cluster.capacity import find_max_goodput, CapacityResult
+from repro.cluster.decode_pool import DecodePool
+from repro.cluster.deployment import ClusterDeployment
+from repro.engine.replica import ReplicaConfig
 from repro.experiments.cache import cached_cell
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.parallel import pmap
@@ -57,10 +59,11 @@ def _disagg_goodput(
         kwargs = {"chunk_size": DISAGG_CHUNK}
 
     def evaluate(qps: float) -> RunSummary:
-        deployment = DisaggregatedDeployment(
+        deployment = ClusterDeployment(
             execution_model,
             partial(make_scheduler, scheme, execution_model, **kwargs),
-            num_prefill_replicas=1,
+            num_replicas=1,
+            replica_config=ReplicaConfig(prefill_sink=DecodePool().accept),
         )
         needed = max(num_requests, int(qps * MIN_PROBE_DURATION))
         trace = base.scaled_arrivals(qps)

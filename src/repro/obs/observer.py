@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.relegation import RelegationPlan
     from repro.core.request import Request
     from repro.engine.batch import PrefillAssignment
-    from repro.engine.interface import KVLedger
+    from repro.engine.rows import ArrayKVLedger
 
 
 class Observer:
@@ -97,7 +97,7 @@ class Observer:
         now: float,
         start_time: float,
         exec_time: float,
-        kv_cache: "KVLedger",
+        kv_cache: "ArrayKVLedger",
     ) -> None:
         """The iteration dispatched at ``start_time`` completed."""
 

@@ -250,6 +250,14 @@ class TestHiddenAliases:
             flag = next(a for a in argv if a.startswith("--"))
             self._rejected(capsys, argv, flag)
 
+    def test_replicas_spelling_rejected(self, capsys):
+        """``--num-replicas`` is the one spelling, as on every other
+        subcommand."""
+        self._rejected(
+            capsys, ["faults", "validate", "p.json", "--replicas", "3"],
+            "--replicas",
+        )
+
     def test_aliases_hidden_from_help(self, capsys):
         for command in ("run", "serve", "dashboard"):
             with pytest.raises(SystemExit):

@@ -1,11 +1,15 @@
-"""Unit tests for PD disaggregation."""
+"""Unit tests for PD disaggregation: a prefill tier is a
+:class:`ClusterDeployment` whose replicas hand prefilled requests to a
+:class:`DecodePool`."""
 
 from functools import partial
 
 import pytest
 
 from repro.api import make_scheduler
-from repro.cluster.disagg import DecodePool, DisaggregatedDeployment
+from repro.cluster.decode_pool import DecodePool
+from repro.cluster.deployment import ClusterDeployment
+from repro.engine.replica import ReplicaConfig
 from repro.workload import PoissonArrivals, TierAssigner, TraceBuilder
 from repro.workload.datasets import AZURE_CONV
 from tests.conftest import Q1, make_request
@@ -34,13 +38,20 @@ class TestDecodePool:
             DecodePool(token_pace=0.0)
 
 
+def prefill_tier(execution_model, pool, num_replicas=1):
+    """FCFS prefill replicas (8K chunk) feeding ``pool``."""
+    return ClusterDeployment(
+        execution_model,
+        partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
+        num_replicas=num_replicas,
+        replica_config=ReplicaConfig(prefill_sink=pool.accept),
+    )
+
+
 class TestDisaggregatedDeployment:
     def test_end_to_end(self, execution_model):
-        deployment = DisaggregatedDeployment(
-            execution_model,
-            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
-            num_prefill_replicas=2,
-        )
+        pool = DecodePool()
+        deployment = prefill_tier(execution_model, pool, num_replicas=2)
         trace = TraceBuilder(
             AZURE_CONV, arrivals=PoissonArrivals(2.0),
             tier_assigner=TierAssigner(), seed=1,
@@ -48,36 +59,22 @@ class TestDisaggregatedDeployment:
         deployment.submit_trace(trace)
         deployment.run()
         assert all(r.is_finished for r in deployment.all_requests())
-        assert len(deployment.decode_pool.completed) == 40
+        assert len(pool.completed) == 40
 
     def test_large_chunk_prefill(self, execution_model):
         """With an 8K budget, a mid-size prompt prefills in a single
         iteration on the prefill node."""
-        deployment = DisaggregatedDeployment(
-            execution_model,
-            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
-        )
+        deployment = prefill_tier(execution_model, DecodePool())
         r = make_request(prompt_tokens=4000, decode_tokens=5)
         deployment.submit(r)
         deployment.run()
         assert deployment.replicas[0].iterations_run == 1
 
     def test_summary_includes_decode_latency(self, execution_model):
-        deployment = DisaggregatedDeployment(
-            execution_model,
-            partial(make_scheduler, "fcfs", execution_model, chunk_size=8192),
-        )
+        deployment = prefill_tier(execution_model, DecodePool())
         r = make_request(prompt_tokens=1000, decode_tokens=10, qos=Q1)
         deployment.submit(r)
         deployment.run()
         summary = deployment.summarize()
         assert summary.finished == 1
         assert r.ttlt > r.ttft
-
-    def test_validation(self, execution_model):
-        with pytest.raises(ValueError):
-            DisaggregatedDeployment(
-                execution_model,
-                partial(make_scheduler, "fcfs", execution_model),
-                num_prefill_replicas=0,
-            )

@@ -36,8 +36,8 @@ import numpy as np
 import pytest
 
 from repro.api import build_trace, make_scheduler
+from repro.cluster.decode_pool import DecodePool
 from repro.cluster.deployment import ClusterDeployment
-from repro.cluster.disagg import DecodePool, DisaggregatedDeployment
 from repro.core.qos import Q2_RELAXED
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
@@ -493,11 +493,10 @@ def _pressure(case, traced):
     handoffs = []
     engine = ReplicaEngine(
         sim, model, make_scheduler(scheduler, model),
-        ReplicaConfig(prefill_only=prefill_only),
-        prefill_sink=(
+        ReplicaConfig(prefill_sink=(
             (lambda r, now: handoffs.append((r.request_id, now)))
             if prefill_only else None
-        ),
+        )),
         observer=observer if traced else None,
     )
     for r in requests:
@@ -600,7 +599,7 @@ def _disagg_run(model):
     trace = build_trace(AZURE_CONV, qps=1.0, num_requests=40, seed=5)
     requests = clone(trace.requests, 24.0)
     pool = _HandoffPool()
-    deployment = DisaggregatedDeployment(
+    deployment = ClusterDeployment(
         model,
         partial(
             make_scheduler, "qoserve-oracle", model,
@@ -608,10 +607,9 @@ def _disagg_run(model):
                 max_chunk_size=8192, fixed_chunk_size=8192
             ),
         ),
-        num_prefill_replicas=2,
+        num_replicas=2,
+        replica_config=ReplicaConfig(prefill_sink=pool.accept),
     )
-    for replica in deployment.replicas:
-        replica.prefill_sink = pool.accept
     for r in requests:
         deployment.submit(r)
     deployment.run(max_events=1_000_000)

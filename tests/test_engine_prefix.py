@@ -21,7 +21,6 @@ import pytest
 from repro.api import ServeConfig, Session, build_trace
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
-from repro.engine.interface import KVLedger
 from repro.engine.prefix import RadixPrefixCache
 from repro.engine.rows import ArrayKVLedger
 from repro.obs import ListSink, TraceRecorder, TracingObserver
@@ -51,9 +50,6 @@ def make_cache(capacity_tokens=1600):
 
 
 class TestRadixUnit:
-    def test_protocol_conformance(self):
-        assert isinstance(ArrayKVLedger(160), KVLedger)
-
     def test_miss_then_insert_then_hit(self):
         cache, ledger = make_cache()
         assert cache.match_and_lock(1, ids(100), 99) == 0
@@ -637,8 +633,9 @@ class TestPrefixReuseEndToEnd:
         sim = Simulator()
         engine = ReplicaEngine(
             sim, execution_model, FCFSScheduler(chunk_size=256),
-            ReplicaConfig(kv_reuse="radix", prefill_only=True),
-            prefill_sink=lambda request, now: None,
+            ReplicaConfig(
+                kv_reuse="radix", prefill_sink=lambda request, now: None
+            ),
         )
         assert engine.prefix_cache is None
 

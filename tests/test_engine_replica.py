@@ -15,15 +15,13 @@ from tests.conftest import (
 )
 
 
-def run_engine(requests, execution_model, scheduler=None, config=None,
-               prefill_sink=None):
+def run_engine(requests, execution_model, scheduler=None, config=None):
     sim = Simulator()
     engine = ReplicaEngine(
         sim,
         execution_model,
         scheduler or FCFSScheduler(chunk_size=256),
         config or ReplicaConfig(),
-        prefill_sink=prefill_sink,
     )
     for r in requests:
         engine.submit(r)
@@ -172,11 +170,10 @@ class TestPrefillOnlyMode:
     def test_handoff_to_sink(self, execution_model):
         handed = []
         r = make_request(prompt_tokens=700, decode_tokens=20)
-        config = ReplicaConfig(prefill_only=True)
-        engine, sim = run_engine(
-            [r], execution_model, config=config,
-            prefill_sink=lambda req, t: handed.append((req, t)),
+        config = ReplicaConfig(
+            prefill_sink=lambda req, t: handed.append((req, t))
         )
+        engine, sim = run_engine([r], execution_model, config=config)
         assert len(handed) == 1
         assert handed[0][0] is r
         assert r.prefill_done == r.prompt_tokens
@@ -184,13 +181,6 @@ class TestPrefillOnlyMode:
         assert engine.kv_cache.used_blocks == 0
         # The prefill node does not emit tokens.
         assert r.decoded == 0
-
-    def test_prefill_only_requires_sink(self, execution_model):
-        with pytest.raises(ValueError):
-            ReplicaEngine(
-                Simulator(), execution_model, FCFSScheduler(),
-                ReplicaConfig(prefill_only=True),
-            )
 
 
 class TestKVEviction:

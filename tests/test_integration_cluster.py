@@ -5,8 +5,9 @@ from functools import partial
 import pytest
 
 from repro.api import build_trace, make_scheduler
+from repro.cluster.decode_pool import DecodePool
 from repro.cluster.deployment import ClusterDeployment, SiloedDeployment, SiloSpec
-from repro.cluster.disagg import DisaggregatedDeployment
+from repro.engine.replica import ReplicaConfig
 from repro.experiments.configs import get_execution_model
 from repro.schedulers import QoServeConfig
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
@@ -78,7 +79,7 @@ class TestSiloVsSharedAtEqualGpus:
 class TestDisaggQoServeConfig:
     def test_qoserve_uses_large_chunk_on_prefill_nodes(self):
         em = get_execution_model("llama3-8b")
-        deployment = DisaggregatedDeployment(
+        deployment = ClusterDeployment(
             em,
             partial(make_scheduler, 
                 "qoserve-oracle", em,
@@ -87,6 +88,8 @@ class TestDisaggQoServeConfig:
                     use_forest_predictor=False,
                 ),
             ),
+            num_replicas=1,
+            replica_config=ReplicaConfig(prefill_sink=DecodePool().accept),
         )
         from tests.conftest import make_request
 
@@ -99,13 +102,15 @@ class TestDisaggQoServeConfig:
 
     def test_disagg_multireplica_round_robin(self):
         em = get_execution_model("llama3-8b")
-        deployment = DisaggregatedDeployment(
+        pool = DecodePool()
+        deployment = ClusterDeployment(
             em, partial(make_scheduler, "edf", em, chunk_size=8192),
-            num_prefill_replicas=3,
+            num_replicas=3,
+            replica_config=ReplicaConfig(prefill_sink=pool.accept),
         )
         trace = build_trace(AZURE_CONV, qps=3.0, num_requests=30, seed=9)
         deployment.submit_trace(trace)
         deployment.run()
         counts = [len(r.submitted) for r in deployment.replicas]
         assert counts == [10, 10, 10]
-        assert len(deployment.decode_pool.completed) == 30
+        assert len(pool.completed) == 30
