@@ -12,6 +12,7 @@ for qoserve and medha.
 
 import hashlib
 import json
+import random
 import tracemalloc
 from array import array
 
@@ -34,6 +35,7 @@ from repro.workload.sessions import (
     session_turn_index,
 )
 from tests.conftest import Q2, make_request
+from tests.radix_reference import RadixPrefixCache as ReferenceRadixCache
 
 BS = 16
 
@@ -336,6 +338,151 @@ def test_tuple_and_array_inputs_agree(seed):
     assert any(created for created, _ in inserts)
     assert any(deduped for _, deduped in inserts)
     assert cache.hits > 0 and cache.evictions > 0
+
+
+def _record_evictions(cache, out):
+    """Append ``(block depth, block bytes)`` to ``out`` for every block
+    ``cache`` evicts, in eviction order."""
+    evict_node = cache._evict_node
+
+    def record(node):
+        out.append((node.depth, node.key))
+        evict_node(node)
+
+    cache._evict_node = record
+
+
+class _DifferentialTwin:
+    """One cache on its own ledger, recording what it evicts."""
+
+    def __init__(self, cache_cls, record, capacity_blocks=96):
+        self.ledger = ArrayKVLedger(
+            capacity_tokens=capacity_blocks * BS, block_size=BS
+        )
+        self.cache = cache_cls(self.ledger)
+        self.ledger.set_reclaimer(self.cache)
+        self.evicted = []
+        record(self.cache, self.evicted)
+        self.on_evict = []
+        self.cache.on_evict = self.on_evict.append
+
+    def state(self):
+        cache, ledger = self.cache, self.ledger
+        return (
+            cache.cached_blocks,
+            cache.cached_tokens,
+            cache.total_refs(),
+            cache.reclaimable_blocks(),
+            sorted(cache.locked_requests),
+            ledger.used_blocks,
+            ledger.used_tokens,
+            ledger.high_water_blocks,
+            ledger.reclaimable_blocks,
+            cache.evictions,
+            cache.hits,
+            cache.misses,
+            cache.hit_tokens,
+            len(self.evicted),
+            len(self.on_evict),
+        )
+
+
+def _differential_prompt(rng):
+    """A prompt from one of four streams that forks onto one of three
+    branches at a random token, so prompts share prefixes and diverge
+    inside runs of blocks other prompts share."""
+    base = rng.randrange(4) * 1_000_000
+    n = rng.randrange(1, 24 * BS)
+    fork = rng.randrange(n + 1)
+    branch = base + 100_000 * (1 + rng.randrange(3))
+    return tuple(range(base, base + fork)) + tuple(
+        range(branch + fork, branch + n)
+    )
+
+
+def _drive_twins(seed, reference, candidate, ops=600):
+    """Apply one seeded operation sequence to both twins; after every
+    operation their outcomes, ledgers and evicted blocks must agree."""
+    rng = random.Random(seed)
+    matched: dict[int, tuple[tuple[int, ...], int]] = {}
+    inserted: set[int] = set()
+    seen = 0
+
+    def both(call):
+        outcome = call(reference)
+        assert call(candidate) == outcome, (seed, rid, op)
+        return outcome
+
+    for rid in range(ops):
+        op = rng.randrange(20)
+        if op < 7:
+            tokens = _differential_prompt(rng)
+            cap = (
+                len(tokens) - 1 if rng.random() < 0.5
+                else rng.randrange(len(tokens) + 1)
+            )
+            hit = both(lambda t: t.cache.match_and_lock(rid, tokens, cap))
+            matched[rid] = (tokens, hit)
+        elif op < 11 and matched:
+            done = sorted(matched)[rng.randrange(len(matched))]
+            tokens, hit = matched.pop(done)
+            extra = len(tokens) - hit
+            if both(lambda t: t.ledger.can_grow(done, extra)):
+                both(lambda t: (
+                    t.ledger.grow(done, extra),
+                    t.cache.insert_and_lock(done, tokens),
+                ))
+                inserted.add(done)
+            else:  # stall recovery gives the admission lock back
+                both(lambda t: t.cache.unlock(done))
+        elif op < 13 and inserted:
+            # Decode growth, reclaiming prefix blocks under pressure.
+            grower = sorted(inserted)[rng.randrange(len(inserted))]
+            extra = rng.randrange(1, 4 * BS)
+            if both(lambda t: t.ledger.can_grow(grower, extra)):
+                both(lambda t: t.ledger.grow(grower, extra))
+        elif op < 16 and inserted:
+            done = sorted(inserted)[rng.randrange(len(inserted))]
+            inserted.discard(done)
+            both(lambda t: (t.cache.unlock(done), t.ledger.release(done)))
+        elif op < 17 and matched:  # cancelled while queued
+            done = sorted(matched)[rng.randrange(len(matched))]
+            del matched[done]
+            both(lambda t: t.cache.unlock(done))
+        elif op < 19:
+            want = rng.randrange(13)
+            both(lambda t: t.cache.reclaim(want))
+        elif rng.random() < 0.1:  # replica crash
+            both(lambda t: t.cache.flush())
+            for held in inserted:
+                both(lambda t: t.ledger.release(held))
+            matched.clear()
+            inserted.clear()
+        assert reference.state() == candidate.state(), (seed, rid, op)
+        assert reference.evicted[seen:] == candidate.evicted[seen:], (
+            seed, rid, op,
+        )
+        assert reference.on_evict == candidate.on_evict, (seed, rid, op)
+        seen = len(reference.evicted)
+    return reference
+
+
+@pytest.mark.parametrize("first_seed", range(0, 50, 10))
+def test_matches_per_block_reference(first_seed):
+    """The cache matches the per-block reference tree op for op: same
+    match / insert / reclaim outcomes, same ledger, and the same blocks
+    evicted in the same order."""
+    evictions = hits = 0
+    for seed in range(first_seed, first_seed + 10):
+        reference = _drive_twins(
+            seed,
+            _DifferentialTwin(ReferenceRadixCache, _record_evictions),
+            _DifferentialTwin(RadixPrefixCache, _record_evictions),
+        )
+        evictions += reference.cache.evictions
+        hits += reference.cache.hits
+    # The sequences exercise reuse and reclaim, not only cold misses.
+    assert hits > 0 and evictions > 0
 
 
 class TestCompactTokenIdentity:
