@@ -83,7 +83,11 @@ from typing import Any, Callable
 #: over reps of each rep's paired ratio (its configurations run back to
 #: back) instead of a ratio of best times, and ``--quick`` runs 21 reps
 #: instead of 7; the ``*_s`` times stay each configuration's best.
-SCHEMA_VERSION = 10
+#: 11 — ``prefix_reuse`` grew a ``radix_pressure`` row (120 agent
+#: sessions at 0.2 sessions/s, radix reuse, the same in ``--quick``)
+#: whose prefix cache fills the KV pool, so its ``evictions`` count the
+#: tree's LRU reclaim; every radix row reports ``cached_blocks``.
+SCHEMA_VERSION = 11
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -669,6 +673,11 @@ def _prefix_reuse_benchmark(quick: bool) -> dict[str, Any]:
     deterministic for the pinned seed — the ``prefix-smoke`` CI job
     gates on it staying >= 1.2.  Wall-clock times ride along like
     every other section but carry no gate.
+
+    That trace never fills the KV pool, so ``radix_pressure`` serves
+    a longer one (120 sessions at 0.2 sessions/s, ``--quick`` too) whose
+    prefix cache does: its ``evictions`` and ``cached_blocks`` pin the
+    radix tree's LRU reclaim.
     """
     from dataclasses import replace
 
@@ -682,13 +691,17 @@ def _prefix_reuse_benchmark(quick: bool) -> dict[str, Any]:
     )
     num_sessions = 30 if quick else 60
     load = 0.8
-    base = list(
-        SessionWorkload(profile, session_qps=load, seed=42).build(
-            num_sessions
-        )
-    )
 
-    def run_once(kv_reuse: str) -> dict[str, Any]:
+    def build(sessions: int, session_qps: float) -> list:
+        return list(
+            SessionWorkload(profile, session_qps=session_qps, seed=42).build(
+                sessions
+            )
+        )
+
+    base = build(num_sessions, load)
+
+    def run_once(kv_reuse: str, base: list) -> dict[str, Any]:
         session = Session(ServeConfig(
             scheduler="qoserve", kv_reuse=kv_reuse,
         ))
@@ -720,10 +733,12 @@ def _prefix_reuse_benchmark(quick: bool) -> dict[str, Any]:
             out["prefill_saved_tokens"] = cache.hit_tokens
             out["evictions"] = cache.evictions
             out["kv_pressure_iterations"] = engine.kv_pressure_iterations
+            out["cached_blocks"] = cache.cached_blocks
         return out
 
-    off = run_once("off")
-    radix = run_once("radix")
+    off = run_once("off", base)
+    radix = run_once("radix", base)
+    radix_pressure = run_once("radix", build(120, 0.2))
     return {
         "workload": (
             f"agent sessions x{num_sessions} qps={load} qoserve "
@@ -732,6 +747,7 @@ def _prefix_reuse_benchmark(quick: bool) -> dict[str, Any]:
         "num_requests": len(base),
         "off": off,
         "radix": radix,
+        "radix_pressure": radix_pressure,
         "goodput_x": (
             radix["goodput_rps"] / off["goodput_rps"]
             if off["goodput_rps"] else float("inf")

@@ -3,50 +3,72 @@
 Every request today prefills its prompt from scratch, yet multi-turn
 conversations and shared-system-prompt agent/RAG traffic resubmit the
 same leading tokens on every turn.  :class:`RadixPrefixCache` keeps a
-block-granular radix tree over concrete prompt token ids (sglang's
-RadixCache, adapted to the simulator's accounting-only KV ledger).  A
-new request whose prompt shares a prefix with resident KV locks that
-path and skips the prefix's prefill work — the execution model only
-ever sees the uncached suffix.
+path-compressed radix tree over concrete prompt token ids (sglang's
+RadixAttention tree, kept block-granular for the simulator's
+accounting-only KV ledger).  A new request whose prompt shares a prefix
+with resident KV locks that path and skips the prefix's prefill work —
+the execution model only ever sees the uncached suffix.
 
-Each child is keyed by its block's raw ``array('q')`` bytes, as vLLM's
-automatic prefix caching keys whole blocks: a walk is one dict lookup
-per block, and since keys are the exact token bytes two different
-blocks can never collide.
+Each tree node is an *edge*: a run of one or more whole KV blocks, its
+``key`` the run's token ids as raw ``array('q')`` bytes.  A parent's
+children are keyed by their first block's bytes, as vLLM's automatic
+prefix caching keys whole blocks, so two different blocks can never
+collide.  A walk takes one dict lookup per edge and then compares the
+whole edge in one ``bytes.startswith``; only where a prompt diverges
+inside an edge, or a match cap ends inside one, is that edge split so
+that the shared part becomes its own edge.  Splitting keeps the lower
+part in the original object, so locks and heap entries that point at it
+stay valid.
 
 Accounting model
 ----------------
 
-Each tree node owns exactly one KV block, held in the ledger under a
-unique *negative* owner id (request ids are >= 0, so the two can never
-collide and the ledger needs no special cases).  A request's private
-holding covers only its uncached suffix plus decode growth; shared
-prefix blocks live under node owners.  Block conservation is exact:
+Every block in the tree is held in the ledger under one owner id,
+:data:`TREE_OWNER` (negative; request ids are >= 0, so the two can
+never collide).  A request's private holding covers only its uncached
+suffix plus decode growth.  Block conservation is exact:
 
 * **Match** (arrival): walking the tree locks the matched path by
-  incrementing every node's reference count root->deepest.  No blocks
-  move.
-* **Insert** (prefill finish): each full prompt block either transfers
-  ownership of a privately-held block to a new node, or frees a
-  duplicate block some earlier request already shares.  One
-  ``shrink(request)`` covers every walked block before any
-  ``grow(node)`` — shrink-first, so no grow can raise.  The inserting
-  request then holds a lock on its own prompt path until it completes.
+  incrementing every edge's reference count root->deepest.  A lock
+  always ends on an edge boundary, so an edge's blocks share one
+  reference count.  No blocks move.
+* **Insert** (prefill finish): each full prompt block either moves from
+  the request's private holding into the tree or is freed as a
+  duplicate of a block some earlier request already shares.  One
+  ``shrink(request)`` covers every walked block before the one
+  ``grow(TREE_OWNER)`` for the new edge — shrink-first, so the grow can
+  never raise.  The inserting request then holds a lock on its own
+  prompt path until it completes.
 * **Unlock** (complete / evict / stall-recovery / cancel): decrements
-  the path.  Nodes at zero references become eviction candidates but
+  the path.  Edges at zero references become eviction candidates but
   stay resident — a relegated victim's pages remain reusable until
   memory pressure actually reclaims them.
-* **Reclaim**: LRU over unreferenced leaves, driven by the ledger
+* **Reclaim**: LRU over unreferenced blocks, driven by the ledger
   itself when an allocation would otherwise fail (the cache registers
   as the ledger's *reclaimer*).  Locking increments every ancestor, so
-  a zero-reference node implies a zero-reference subtree and leaves
-  can always be peeled innermost-first.
-* **Flush** (replica crash): releases every node's block
+  a zero-reference edge implies a zero-reference subtree, and blocks
+  are peeled off leaf edges' tails, deepest first.
+* **Flush** (replica crash): releases the tree's holding
   unconditionally so the engine's no-leak crash assertion holds.
 
-Determinism: recency is a monotonic integer clock, never wall time,
-and ties break on node creation order, so eviction order is a pure
-function of the event sequence.
+Eviction order is the per-block tree's
+--------------------------------------
+
+Recency is a monotonic integer clock, never wall time.  Conceptually
+every block carries a clock value: when an unlock takes a block to zero
+references it gets the next value, deepest block first, and the
+evictable block with the smallest value among unreferenced leaves goes
+first.  An edge's blocks share one reference count, so they all reach
+zero in the same unlock and take consecutive values — the deepest
+``clock``, the ones above ``clock + 1`` … ``clock + n - 1`` — and no
+other block's value falls between them.  The edge therefore needs only
+the value of its deepest block.  Reclaim pops the unreferenced leaf
+edge with the smallest ``clock`` and trims blocks off its tail: each
+trimmed block is the smallest value left, the next one up is exactly
+the next value, and trimming never makes another edge a leaf until the
+edge is gone.  So the tree evicts exactly the blocks, in exactly the
+order, that a tree of one node per block would.  Eviction order is a
+pure function of the event sequence.
 """
 
 from __future__ import annotations
@@ -65,11 +87,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bytes per token id in a block key.
 _TOKEN_BYTES = token_array(()).itemsize
 
+#: The ledger owner id holding every block in the tree.
+TREE_OWNER = -1
 
-class _RadixNode:
-    """One KV block's worth of tokens in the prefix tree.
 
-    ``key`` is the block's token ids as raw ``array('q')`` bytes.
+class _Edge:
+    """A run of whole KV blocks in the prefix tree.
+
+    ``key`` is the run's token ids as raw ``array('q')`` bytes; its
+    parent's ``children`` dict is keyed by the first block's bytes.
+    ``depth`` is the block depth of the deepest block, ``ref_count`` is
+    shared by every block on the edge, and ``clock`` is the recency of
+    the deepest block (the blocks above it are ``clock + 1`` onwards).
     """
 
     __slots__ = (
@@ -78,33 +107,28 @@ class _RadixNode:
         "children",
         "depth",
         "ref_count",
-        "last_access",
-        "owner_id",
+        "clock",
         "alive",
     )
 
     def __init__(
-        self,
-        key: bytes,
-        parent: "_RadixNode | None",
-        owner_id: int,
+        self, key: bytes, parent: "_Edge | None", depth: int
     ) -> None:
         self.key = key
         self.parent = parent
-        self.children: dict[bytes, _RadixNode] = {}
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.children: dict[bytes, _Edge] = {}
+        self.depth = depth
         self.ref_count = 0
-        self.last_access = 0
-        self.owner_id = owner_id
+        self.clock = 0
         self.alive = True
 
 
 class RadixPrefixCache:
-    """Reference-counted radix tree over token-id blocks.
+    """Reference-counted, path-compressed radix tree over token blocks.
 
     Args:
-        ledger: The replica's KV ledger; node blocks are held in it
-            under negative owner ids.
+        ledger: The replica's KV ledger; every tree block is held in it
+            under :data:`TREE_OWNER`.
 
     Attributes:
         hits / misses: Lookup outcomes (a lookup that matches zero
@@ -120,17 +144,17 @@ class RadixPrefixCache:
     def __init__(self, ledger: "ArrayKVLedger") -> None:
         self.ledger = ledger
         self.block_size = ledger.block_size
-        self._root = _RadixNode(b"", None, owner_id=0)
-        # request_id -> deepest locked node of that request's path
-        self._locked: dict[int, _RadixNode] = {}
+        self._width = self.block_size * _TOKEN_BYTES
+        self._root = _Edge(b"", None, 0)
+        # request_id -> deepest locked edge of that request's path
+        self._locked: dict[int, _Edge] = {}
         self._clock = 0
         self._seq = itertools.count()
-        self._next_owner = -1
-        self._node_count = 0
+        self._blocks = 0
         self._evictable = 0
-        # lazy min-heap of (last_access, tiebreak, node); entries whose
-        # recorded access no longer matches the node are stale
-        self._heap: list[tuple[int, int, _RadixNode]] = []
+        # lazy min-heap of (clock, tiebreak, edge); entries whose
+        # recorded clock no longer matches the edge are stale
+        self._heap: list[tuple[int, int, _Edge]] = []
         self.hits = 0
         self.misses = 0
         self.hit_tokens = 0
@@ -142,12 +166,12 @@ class RadixPrefixCache:
     @property
     def cached_blocks(self) -> int:
         """Blocks resident in the tree (referenced or not)."""
-        return self._node_count
+        return self._blocks
 
     @property
     def cached_tokens(self) -> int:
         """Tokens resident in the tree (always whole blocks)."""
-        return self._node_count * self.block_size
+        return self._blocks * self.block_size
 
     @property
     def locked_requests(self) -> list[int]:
@@ -155,13 +179,14 @@ class RadixPrefixCache:
         return list(self._locked)
 
     def total_refs(self) -> int:
-        """Sum of all node reference counts (0 when no paths locked)."""
+        """Sum of every block's reference count (0 when no paths
+        locked)."""
         total = 0
         stack = list(self._root.children.values())
         while stack:
-            node = stack.pop()
-            total += node.ref_count
-            stack.extend(node.children.values())
+            edge = stack.pop()
+            total += edge.ref_count * (edge.depth - edge.parent.depth)
+            stack.extend(edge.children.values())
         return total
 
     def reclaimable_blocks(self) -> int:
@@ -191,20 +216,13 @@ class RadixPrefixCache:
         bs = self.block_size
         limit = min(len(token_ids), max_tokens) // bs
         raw = token_array(token_ids)[: limit * bs].tobytes()
-        width = bs * _TOKEN_BYTES
-        cur = self._root
-        path: list[_RadixNode] = []
-        for start in range(0, limit * width, width):
-            child = cur.children.get(raw[start : start + width])
-            if child is None:
-                break
-            path.append(child)
-            cur = child
-        if not path:
+        cur = self._walk(self._root, raw)[0]
+        if cur is self._root:
             self.misses += 1
             return 0
-        self._lock_path(request_id, path, 0)
-        matched = len(path) * bs
+        self._lock(cur, self._root)
+        self._locked[request_id] = cur
+        matched = cur.depth * bs
         self.hits += 1
         self.hit_tokens += matched
         return matched
@@ -218,146 +236,179 @@ class RadixPrefixCache:
         prompt block beyond the path it locked at admission, if any.
         That path is what :meth:`match_and_lock` matched on these same
         ``token_ids``, so the walk resumes below it.  Each private
-        block is either transferred to a new node or freed as a
-        duplicate of an existing one.  On return the request's lock
-        covers its full prompt path (released via :meth:`unlock`).
+        block is either moved into the tree or freed as a duplicate of
+        a resident one.  On return the request's lock covers its full
+        prompt path (released via :meth:`unlock`).
         Returns ``(new_blocks, deduped_blocks)``.
         """
         bs = self.block_size
         full = len(token_ids) // bs
         locked = self._locked.get(request_id)
-        path: list[_RadixNode] = []
-        node = locked
-        while node is not None and node.parent is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        locked_depth = len(path)
-        cur = self._root if locked is None else locked
-        raw = token_array(token_ids)[locked_depth * bs : full * bs].tobytes()
-        width = bs * _TOKEN_BYTES
-        ledger = self.ledger
+        held = self._root if locked is None else locked
+        raw = token_array(token_ids)[held.depth * bs : full * bs].tobytes()
+        walked = len(raw) // self._width
+        if not walked:
+            return 0, 0
         # Every walked block leaves the request's private holding: it
-        # moves to a new node or is freed as a duplicate of an existing
-        # one.  Shrinking them all first means each node's grow below
-        # reuses a block just freed, so it can never raise.
-        walked = len(raw) // width
-        if walked:
-            ledger.shrink(request_id, walked * bs, walked)
-        created = 0
-        for start in range(0, len(raw), width):
-            block = raw[start : start + width]
-            child = cur.children.get(block)
-            if child is None:
-                child = _RadixNode(block, cur, owner_id=self._next_owner)
-                self._next_owner -= 1
-                ledger.grow(child.owner_id, bs)
-                cur.children[block] = child
-                created += 1
-            path.append(child)
-            cur = child
-        self._node_count += created
-        self._evictable += created  # ref 0 until locked below
-        deduped = walked - created
-        if path:
-            self._lock_path(request_id, path, locked_depth)
-        return created, deduped
+        # moves into the tree or is freed as a duplicate of a resident
+        # one.  Shrinking them all first means the tree's grow below
+        # reuses blocks just freed, so it can never raise.
+        ledger = self.ledger
+        ledger.shrink(request_id, walked * bs, walked)
+        cur, pos = self._walk(held, raw)
+        created = (len(raw) - pos) // self._width
+        deepest = cur
+        if created:
+            deepest = _Edge(raw[pos:], cur, cur.depth + created)
+            deepest.ref_count = 1
+            cur.children[raw[pos : pos + self._width]] = deepest
+            ledger.grow(TREE_OWNER, created * bs)
+            self._blocks += created
+        self._lock(cur, held)
+        self._locked[request_id] = deepest
+        return created, walked - created
 
     def unlock(self, request_id: int) -> None:
         """Drop ``request_id``'s path locks (idempotent).
 
-        Nodes reaching zero references become LRU eviction candidates
+        Edges reaching zero references become LRU eviction candidates
         but stay resident until memory pressure reclaims them.
         """
-        node = self._locked.pop(request_id, None)
-        if node is None:
+        edge = self._locked.pop(request_id, None)
+        if edge is None:
             return
         clock = self._clock
         evictable = self._evictable
         heap = self._heap
-        seq = self._seq
-        push = heapq.heappush
-        while node.parent is not None:
-            refs = node.ref_count - 1
-            node.ref_count = refs
+        while edge.parent is not None:
+            refs = edge.ref_count - 1
+            edge.ref_count = refs
             if refs == 0:
-                evictable += 1
-                clock += 1
-                node.last_access = clock
-                push(heap, (clock, next(seq), node))
-            node = node.parent
+                # Its blocks take the next values, deepest first.
+                blocks = edge.depth - edge.parent.depth
+                evictable += blocks
+                edge.clock = clock + 1
+                clock += blocks
+                if not edge.children:
+                    heapq.heappush(heap, (edge.clock, next(self._seq), edge))
+            edge = edge.parent
         self._clock = clock
         self._evictable = evictable
 
     # --- eviction -------------------------------------------------------
 
     def reclaim(self, blocks: int) -> int:
-        """Evict up to ``blocks`` unreferenced leaves, LRU-first."""
+        """Evict up to ``blocks`` unreferenced blocks, LRU-first."""
         freed = 0
-        while freed < blocks and self._heap:
-            access, _, node = heapq.heappop(self._heap)
+        heap = self._heap
+        while freed < blocks and heap:
+            clock, _, edge = heapq.heappop(heap)
             if (
-                not node.alive
-                or node.ref_count != 0
-                or node.children
-                or node.last_access != access
+                not edge.alive
+                or edge.ref_count != 0
+                or edge.children
+                or edge.clock != clock
             ):
                 continue  # stale entry
-            self._evict_node(node)
-            freed += 1
+            take = min(edge.depth - edge.parent.depth, blocks - freed)
+            self._trim(edge, take)
+            freed += take
         if freed and self.on_evict is not None:
             self.on_evict(freed)
         return freed
 
     def flush(self) -> int:
-        """Release every node's block (replica crash); returns blocks."""
-        freed = self._node_count
-        stack = list(self._root.children.values())
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children.values())
-            self.ledger.release(node.owner_id)
-            node.alive = False
+        """Release every block in the tree (replica crash); returns
+        blocks."""
+        freed = self._blocks
+        self.ledger.release(TREE_OWNER)
         self._root.children.clear()
         self._locked.clear()
         self._heap.clear()
         self._evictable = 0
-        self._node_count = 0
+        self._blocks = 0
         return freed
 
     # --- internals ------------------------------------------------------
 
-    def _lock_path(
-        self, request_id: int, path: list[_RadixNode], held: int
-    ) -> None:
-        """Lock ``path`` (root first) for ``request_id``: reference
-        every node past the ``held`` ones the request already locks,
-        and touch the whole path, deepest most recent."""
-        for node in path[held:]:
-            if node.ref_count == 0:
-                self._evictable -= 1
-            node.ref_count += 1
-        clock = self._clock
-        for node in path:
-            clock += 1
-            node.last_access = clock
-        self._clock = clock
-        self._locked[request_id] = path[-1]
+    def _lock(self, edge: _Edge, stop: _Edge) -> None:
+        """Reference every edge from ``edge`` up to, not including, its
+        ancestor ``stop``."""
+        evictable = self._evictable
+        while edge is not stop:
+            if edge.ref_count == 0:
+                evictable -= edge.depth - edge.parent.depth
+            edge.ref_count += 1
+            edge = edge.parent
+        self._evictable = evictable
 
-    def _evict_node(self, node: _RadixNode) -> None:
-        self.ledger.release(node.owner_id)
-        parent = node.parent
-        assert parent is not None
-        del parent.children[node.key]
-        node.alive = False
-        self._node_count -= 1
-        self._evictable -= 1
-        self.evictions += 1
+    def _walk(self, cur: _Edge, raw: bytes) -> tuple[_Edge, int]:
+        """Follow ``raw`` (whole blocks) down from ``cur``.
+
+        Returns the deepest edge the walk ends on and the bytes of
+        ``raw`` it consumed.  Where ``raw`` diverges or ends inside an
+        edge, that edge is split so the walk ends on an edge boundary.
+        """
+        width = self._width
+        pos = 0
+        end = len(raw)
+        while pos < end:
+            child = cur.children.get(raw[pos : pos + width])
+            if child is None:
+                break
+            key = child.key
+            if raw.startswith(key, pos):
+                pos += len(key)
+                cur = child
+                continue
+            # The first block matched; count the rest that do.
+            shared = width
+            stop = min(len(key), end - pos)
+            while shared < stop and raw.startswith(
+                key[shared : shared + width], pos + shared
+            ):
+                shared += width
+            return self._split(child, shared), pos + shared
+        return cur, pos
+
+    def _split(self, edge: _Edge, cut: int) -> _Edge:
+        """Move the first ``cut`` bytes of ``edge`` into a new parent
+        edge and return it; ``edge`` keeps its lower part.  Every
+        caller locks the returned edge, so its ``clock`` is set when
+        that lock is dropped."""
+        width = self._width
+        parent = edge.parent
+        below = (len(edge.key) - cut) // width
+        top = _Edge(edge.key[:cut], parent, edge.depth - below)
+        top.ref_count = edge.ref_count
+        parent.children[edge.key[:width]] = top
+        edge.key = edge.key[cut:]
+        edge.parent = top
+        top.children[edge.key[:width]] = edge
+        return top
+
+    def _trim(self, edge: _Edge, take: int) -> None:
+        """Evict the ``take`` deepest blocks of an unreferenced leaf
+        edge, deleting the edge once it has none left."""
+        bs = self.block_size
+        self.ledger.shrink(TREE_OWNER, take * bs, take)
+        self._blocks -= take
+        self._evictable -= take
+        self.evictions += take
+        if take < edge.depth - edge.parent.depth:
+            edge.key = edge.key[: -take * self._width]
+            edge.depth -= take
+            edge.clock += take
+            heapq.heappush(self._heap, (edge.clock, next(self._seq), edge))
+            return
+        parent = edge.parent
+        del parent.children[edge.key[: self._width]]
+        edge.alive = False
         if (
             parent.parent is not None
             and parent.ref_count == 0
             and not parent.children
         ):
             heapq.heappush(
-                self._heap, (parent.last_access, next(self._seq), parent)
+                self._heap, (parent.clock, next(self._seq), parent)
             )

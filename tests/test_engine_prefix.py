@@ -22,7 +22,7 @@ import pytest
 from repro.api import ServeConfig, Session, build_trace
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
-from repro.engine.prefix import RadixPrefixCache
+from repro.engine.prefix import TREE_OWNER, RadixPrefixCache
 from repro.engine.rows import ArrayKVLedger
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
@@ -34,7 +34,7 @@ from repro.workload.sessions import (
     SessionWorkload,
     session_turn_index,
 )
-from tests.conftest import Q2, make_request
+from tests.conftest import Q2, make_request, small_memory_model
 from tests.radix_reference import RadixPrefixCache as ReferenceRadixCache
 
 BS = 16
@@ -179,19 +179,13 @@ def _pressured_twin(seed, rows_n, spare_blocks=2, aligned=False):
     prefix blocks, with ``spare_blocks`` free.
 
     Deterministic in ``seed``, so two calls build twins.  Returns
-    ``(cache, ledger, evicted)``: ``evicted`` collects ``(owner id,
-    block key)`` of every node the cache evicts, in order.
+    ``(cache, ledger, evicted)``: ``evicted`` collects ``(block depth,
+    block bytes)`` of every block the cache evicts, in order.
     """
     rng = np.random.default_rng(seed)
     cache, ledger = make_cache(capacity_tokens=400 * BS)
     evicted = []
-    evict_node = cache._evict_node
-
-    def record(node):
-        evicted.append((node.owner_id, node.key))
-        evict_node(node)
-
-    cache._evict_node = record
+    _record_evictions(cache, evicted)
     # Prompts from six streams share prefixes, so the tree branches.
     prompts = []
     for k in range(32):
@@ -342,7 +336,23 @@ def test_tuple_and_array_inputs_agree(seed):
 
 def _record_evictions(cache, out):
     """Append ``(block depth, block bytes)`` to ``out`` for every block
-    ``cache`` evicts, in eviction order."""
+    ``cache`` evicts, in eviction order: a trim peels an edge's blocks
+    deepest first."""
+    trim = cache._trim
+    width = BS * array("q").itemsize
+
+    def record(edge, take):
+        key = edge.key
+        for i in range(1, take + 1):
+            block = key[len(key) - i * width : len(key) - (i - 1) * width]
+            out.append((edge.depth - i + 1, block))
+        trim(edge, take)
+
+    cache._trim = record
+
+
+def _record_reference_evictions(cache, out):
+    """:func:`_record_evictions` for the per-block reference tree."""
     evict_node = cache._evict_node
 
     def record(node):
@@ -377,7 +387,6 @@ class _DifferentialTwin:
             ledger.used_blocks,
             ledger.used_tokens,
             ledger.high_water_blocks,
-            ledger.reclaimable_blocks,
             cache.evictions,
             cache.hits,
             cache.misses,
@@ -476,7 +485,9 @@ def test_matches_per_block_reference(first_seed):
     for seed in range(first_seed, first_seed + 10):
         reference = _drive_twins(
             seed,
-            _DifferentialTwin(ReferenceRadixCache, _record_evictions),
+            _DifferentialTwin(
+                ReferenceRadixCache, _record_reference_evictions
+            ),
             _DifferentialTwin(RadixPrefixCache, _record_evictions),
         )
         evictions += reference.cache.evictions
@@ -583,26 +594,34 @@ def _tree_invariants(engine):
     """Re-derive every tree/ledger invariant from scratch."""
     cache = engine.prefix_cache
     ledger = engine.kv_cache
-    nodes = []
+    width = ledger.block_size * array("q").itemsize
+    edges = []
     stack = list(cache._root.children.values())
     while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children.values())
-        for child in node.children.values():
+        edge = stack.pop()
+        edges.append(edge)
+        stack.extend(edge.children.values())
+        for child in edge.children.values():
             # Locking increments every ancestor.
-            assert node.ref_count >= child.ref_count
-        # Every resident node owns exactly one ledger block.
-        assert node.alive
-        assert node.owner_id < 0
-        assert ledger.holding(node.owner_id) == ledger.block_size
-    assert len(nodes) == cache.cached_blocks
+            assert edge.ref_count >= child.ref_count
+        # Every resident edge holds a non-empty run of whole blocks.
+        assert edge.alive
+        assert edge.key and len(edge.key) % width == 0
+        assert edge.depth - edge.parent.depth == len(edge.key) // width
+    blocks = {id(edge): len(edge.key) // width for edge in edges}
+    assert sum(blocks.values()) == cache.cached_blocks
+    # One ledger holding, under a negative owner id, covers every
+    # resident block.
+    assert TREE_OWNER < 0
+    assert ledger.holding(TREE_OWNER) == (
+        cache.cached_blocks * ledger.block_size
+    )
     assert cache.reclaimable_blocks() == sum(
-        1 for n in nodes if n.ref_count == 0
+        blocks[id(e)] for e in edges if e.ref_count == 0
     )
     # Locked paths account for every reference in the tree.
     assert cache.total_refs() == sum(
-        node.depth for node in cache._locked.values()
+        edge.depth for edge in cache._locked.values()
     )
     # Ledger conservation: the running token counter is exact.
     assert ledger.used_tokens == sum(
@@ -811,6 +830,33 @@ class TestPrefixReuseEndToEnd:
         assert second.is_finished
         cache = engine.prefix_cache
         assert cache.hits == 1 and cache.hit_tokens == 496
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "CHANGES.md FOUND on replica.py _on_arrival / "
+            "_recover_prefill_stall: queued requests lock their matched "
+            "radix paths at arrival, fill the pool with nothing "
+            "reclaimable and strand the queue (ROADMAP item 9)"
+        ),
+    )
+    def test_radix_queue_drains_on_a_small_cache(self):
+        sim = Simulator()
+        engine = ReplicaEngine(
+            sim, small_memory_model(8192), FCFSScheduler(chunk_size=256),
+            ReplicaConfig(kv_reuse="radix"),
+        )
+        requests = SessionWorkload(AGENT_PROFILE, seed=0).build(8)
+        for request in requests:
+            engine.submit(request)
+        sim.run(max_events=200_000)  # hang guard
+        stranded = [
+            r.request_id for r in requests
+            if not r.is_finished and r not in engine.rejected
+        ]
+        # Today: 6 of 34 finish, none is rejected, and the replica
+        # idles with all 512 blocks held and no event pending.
+        assert not stranded, stranded
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="kv_reuse"):
