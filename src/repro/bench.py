@@ -701,11 +701,11 @@ def _prefix_reuse_benchmark(quick: bool) -> dict[str, Any]:
 
     base = build(num_sessions, load)
 
-    def run_once(kv_reuse: str, base: list) -> dict[str, Any]:
+    def run_once(kv_reuse: str, trace: list) -> dict[str, Any]:
         session = Session(ServeConfig(
             scheduler="qoserve", kv_reuse=kv_reuse,
         ))
-        requests = [r.clone_fresh() for r in base]
+        requests = [r.clone_fresh() for r in trace]
         started = time.perf_counter()
         for request in requests:
             session.submit(request)
