@@ -27,8 +27,8 @@ from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaEngine
 from repro.engine.interface import decode_slack
-from repro.engine.replica import _RowView
-from repro.engine.rows import ArrayKVLedger
+from repro.engine.replica import ReplicaEngine as _Engine, _RowView
+from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.simcore import Simulator
 
@@ -100,6 +100,149 @@ class TestLedgerBlockMath:
         with pytest.raises(MemoryError) as error:
             ledger.grow(2, 16)
         assert str(error.value) == "KV cache exhausted: need 1 blocks, 0 free"
+
+
+#: Iteration finish time of the kernel tests: dyadic, so a gap of
+#: exactly ``tbt`` and a token exactly on its Eq. 2 deadline are
+#: representable without rounding.
+NOW = 3.0
+DYADIC_TBTS = (0.0625, 0.125, 0.25)
+
+
+class _KernelHarness:
+    """Just enough engine state for the decode-advance kernels.
+
+    Row ``j`` of the batch is built by kind ``j % 6``: fresh (no token
+    yet), non-interactive, last gap exactly ``tbt``, token exactly on
+    its deadline, finishing at this token, or random.  Completions
+    remove the row and are recorded in order; the token hook records
+    ``(id, decoded, completion_time, completions so far)``.
+    """
+
+    _advance_scalar = _Engine._advance_scalar
+    _advance_vector = _Engine._advance_vector
+    _advance_hooked = _Engine._advance_hooked
+    _complete_rows = _Engine._complete_rows
+
+    def __init__(self, seed, n, hooked=False):
+        rng = np.random.default_rng(seed)
+        self._rows = rows = _RowStore()
+        self._rows_dirty = False
+        self._decode_context_total = 0
+        self.completed = []
+        self.hook_log = []
+        self.token_hook = self._record_token if hooked else None
+        #: Rows this iteration finishes, by request id, in row order.
+        self.finishing = []
+        for j in range(n):
+            kind = j % 6
+            d0 = 0 if kind == 0 else int(rng.integers(1, 40))
+            target = d0 + (1 if kind == 4 else int(rng.integers(2, 60)))
+            request = Request(
+                request_id=100 + j,
+                arrival_time=0.0,
+                prompt_tokens=int(rng.integers(1, 900)),
+                decode_tokens=target,
+                qos=DEFAULT_TIERS[j % 3],
+            )
+            request.prefill_done = request.prompt_tokens
+            request.decoded = d0
+            context = request.context_length
+            i = rows.add(request, context, -(-context // 16))
+            self._decode_context_total += context
+            tbt = float(rng.choice(DYADIC_TBTS))
+            rows.inter[i] = kind != 1
+            rows.tbt[i] = tbt if kind != 1 else 0.0
+            rows.ttft_base[i] = (
+                np.nan if kind == 1 else float(rng.uniform(0.5, 4.0))
+            )
+            if kind == 3:
+                rows.ttft_base[i] = NOW - d0 * tbt
+            if d0:
+                rows.first[i] = float(rng.uniform(0.0, 1.0))
+                rows.last[i] = (
+                    NOW - tbt if kind == 2 else float(rng.uniform(2.5, NOW))
+                )
+                rows.max_tbt[i] = float(rng.choice((0.0, tbt, 0.2)))
+                rows.gap_miss[i] = int(rng.integers(0, 5))
+                rows.ddl_miss[i] = int(rng.integers(0, 5))
+            if j < n - 3 and d0 + 1 >= target:
+                self.finishing.append(request.request_id)
+
+    def _record_token(self, request, now):
+        self.hook_log.append(
+            (
+                request.request_id,
+                request.decoded,
+                request.completion_time,
+                len(self.completed),
+            )
+        )
+
+    def _complete(self, request, now):
+        rows = self._rows
+        i = rows.index[request.request_id]
+        rows.sync_row(i)
+        self._decode_context_total -= int(rows.ctx[i])
+        rows.remove_at(i)
+        self.completed.append((request.request_id, request.completion_time))
+
+    def state(self):
+        rows = self._rows
+        n = rows.n
+        return (
+            [r.request_id for r in rows.req],
+            {name: getattr(rows, name)[:n] for name in rows._ARRAY_NAMES},
+            self._decode_context_total,
+            self.completed,
+        )
+
+
+def _assert_same_state(a, b):
+    ids_a, cols_a, total_a, done_a = a.state()
+    ids_b, cols_b, total_b, done_b = b.state()
+    assert ids_a == ids_b
+    for name, column in cols_a.items():
+        np.testing.assert_array_equal(column, cols_b[name], err_msg=name)
+    assert total_a == total_b
+    assert done_a == done_b
+
+
+class TestAdvanceKernels:
+    """The decode-advance kernels agree bit for bit on a batch that
+    mixes fresh and non-interactive rows, a gap exactly equal to
+    ``tbt``, a token exactly on its deadline and rows finishing at
+    this token, with three rows behind the batch (joined mid-flight)
+    that must not advance."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [31, 32, 48])
+    def test_scalar_vector_and_hooked_agree(self, m, seed):
+        n = m + 3
+        scalar = _KernelHarness(seed, n)
+        vector = _KernelHarness(seed, n)
+        hooked = _KernelHarness(seed, n, hooked=True)
+        d0 = {r.request_id: r.decoded for r in scalar._rows.req}
+        batch = [r.request_id for r in scalar._rows.req[:m]]
+        scalar._advance_scalar(NOW, m)
+        vector._advance_vector(NOW, m)
+        hooked._advance_hooked(NOW, m)
+        finishing = scalar.finishing
+        assert finishing
+        assert scalar.completed == [(rid, NOW) for rid in finishing]
+        _assert_same_state(scalar, vector)
+        _assert_same_state(scalar, hooked)
+        # Every batch row's hook fires in row order, and a finished row
+        # completes right after its own hook.
+        expected = []
+        completions = 0
+        for rid in batch:
+            done = rid in finishing
+            expected.append(
+                (rid, d0[rid] + 1, NOW if done else None, completions)
+            )
+            completions += done
+        assert hooked.hook_log == expected
 
 
 class TestDecodeSlackParity:
