@@ -159,3 +159,29 @@ class TestQoSSharedPool:
         # Step a little: admissions happen immediately at accept time.
         replica = pool.group.replicas[0]
         assert len(replica.decode_queue) > strict_cap
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "DecodePool.accept materializes the handed-off decode with "
+        "record_output_token and calls no observer hook, so a traced "
+        "disaggregated run records no request_completed event "
+        "(CHANGES.md FOUND line on DecodePool.accept)"
+    ),
+)
+def test_decode_pool_reports_each_completion(execution_model):
+    from repro.obs.observer import default_observer
+    from tests.test_engine_pins import _disagg_run, _recording
+
+    sink, observer = _recording()
+    with default_observer(observer):
+        _, pool, requests = _disagg_run(execution_model)
+    finished = sorted(r.request_id for r in requests if r.is_finished)
+    assert len(finished) == len(pool.completed) == 40
+    completed = sorted(
+        event["request_id"]
+        for event in sink.events
+        if event["kind"] == "request_completed"
+    )
+    assert completed == finished
