@@ -203,8 +203,9 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     semantics so the ratio is a pure dispatch/layout comparison:
 
     * ``advance`` — one level-synchronous decode advance
-      (:meth:`ReplicaEngine._advance_vector` vs 48
-      :meth:`Request.record_output_token` calls);
+      (:meth:`ReplicaEngine._advance_vector` with one token time, the
+      kernel iterations of 32 rows or more and decode stretches share,
+      vs 48 :meth:`Request.record_output_token` calls);
     * ``kv_grow`` — the whole batch grows one token
       (:meth:`ArrayKVLedger.bulk_decode_grow` vs 48 per-row
       :meth:`ArrayKVLedger.grow` calls on the same ledger, the path
@@ -271,7 +272,7 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
     def soa_advance() -> None:
         clock["now"] += 0.01
-        harness._advance_vector(clock["now"], num_rows)
+        harness._advance_vector(np.array((clock["now"],)), num_rows)
 
     results["soa_advance"] = _timeit(soa_advance, reps=reps, loops=loops)
 

@@ -13,8 +13,11 @@ The decode batch is struct-of-arrays: it lives in a
 the iteration loop touches), and KV accounting in an
 :class:`~repro.engine.rows.ArrayKVLedger` whose decode holdings are
 row columns too.  Every per-token decode advance (timestamps, TBT
-gap and deadline misses, context growth, completion detection) is a
-handful of array operations instead of per-object method dispatch.
+gap and deadline misses, context growth) runs in one of two kernels:
+a scalar sweep for one token of a batch below 32 rows, and a vector
+kernel that advances the batch by ``k`` tokens in a handful of array
+operations (``k = 1`` for an iteration).  Completions and token hooks
+follow the sweep, in row order.
 Request objects are synced from their rows lazily: when a row leaves
 the batch, when a caller reads ``decode_queue``, when a scheduler
 iterates the view's decode requests, and when a run returns.  The
@@ -24,8 +27,9 @@ as a scalar ``ttft_base`` so the vector form performs the same IEEE
 operations), and ``tests/test_engine_pins.py`` pins the results.
 
 Runs of pure-decode iterations that no event can interrupt collapse
-into one closed-form advance (:meth:`ReplicaEngine._decode_stretch`)
-when nothing observes individual iterations.
+into one ``k``-token vector advance
+(:meth:`ReplicaEngine._decode_stretch`) when nothing observes
+individual iterations.
 
 A replica whose :class:`ReplicaConfig` carries a ``prefill_sink`` is
 a prefill-only node (PD disaggregation, Section 4.1.3): completed
@@ -658,14 +662,20 @@ class ReplicaEngine:
             )
         # Decode side: every row of the batch emits one token (rows
         # evicted or cancelled mid-flight already left the prefix).
-        m = self._rows.batch_n
+        rows = self._rows
+        m = rows.batch_n
         if m:
-            if self.token_hook is not None:
-                self._advance_hooked(now, m)
-            elif m < _SMALL_BATCH:
-                self._advance_scalar(now, m)
+            if m < _SMALL_BATCH:
+                finished_rows = self._advance_scalar(now, m)
             else:
-                self._advance_vector(now, m)
+                self._advance_vector((now,), m)
+                finished_rows = np.flatnonzero(
+                    rows.decoded[:m] >= rows.target[:m]
+                ).tolist()
+            if self.token_hook is not None:
+                self._fire_token_hooks(now, m)
+            elif finished_rows:
+                self._complete_rows(finished_rows, now)
         if assignments:
             self._credit_prefills(assignments, now)
         if observed:
@@ -686,9 +696,9 @@ class ReplicaEngine:
         (a) complete no request, (b) fit their KV growth in the free
         plus reclaimable blocks, so no decode is evicted, and (c)
         finish strictly before the next simulator event and within
-        the simulator's run bound — then applies the ``k`` per-token
-        advances as closed-form vector updates and fast-forwards the
-        clock to the last finish time.  Falls back to the
+        the simulator's run bound — then advances every row ``k``
+        tokens in one :meth:`_advance_vector` call and fast-forwards
+        the clock to the last finish time.  Falls back to the
         per-iteration path (returning ``now`` unchanged) whenever any
         bound trims the run below 2.
 
@@ -715,11 +725,9 @@ class ReplicaEngine:
 
         Bit-exactness: finish times are the left-associated cumulative
         sum ``((now + e_1) + e_2) + ...`` (``np.add.accumulate``),
-        matching the simulator's sequential clock; per-iteration gaps
-        are differences of those cumulative times (level-synchronous,
-        so shared by every row); deadline misses evaluate the exact
-        Eq. 2 expression ``ttft_base + (decoded + j) * tbt`` per
-        token.  The one divergence from running the ``k`` iterations
+        matching the simulator's sequential clock, and the kernel
+        performs the float operations of ``k`` one-token advances.
+        The one divergence from running the ``k`` iterations
         one by one is ``Simulator.events_processed``/``max_events``
         accounting: the collapsed finish events are never enqueued
         (the safety valve sees fewer events; no other consumer
@@ -781,67 +789,57 @@ class ReplicaEngine:
 
         self.stretch_hits += 1
         self.stretch_iterations += k
-        times = c[1 : k + 1]
-        self._rows_dirty = True
         self.iterations_run += k
         self.busy_time = float(
             np.add.accumulate(
                 np.concatenate(((self.busy_time,), exec_times[:k]))
             )[-1]
         )
-        d0 = rows.decoded[:n].copy()
-        rows.decoded[:n] = d0 + k
-        t0 = times[0]
-        fresh = d0 == 0
-        rows.first[:n][fresh] = t0
-        # Gaps: every row shares the k-1 in-window gaps (level-
-        # synchronous batch); each row adds one private gap across the
-        # window boundary (its previous last-token time), except fresh
-        # rows whose first token opens the window.
-        shared = times[1:] - times[:-1]
-        shared_max = float(shared.max())
-        cross = np.where(fresh, -np.inf, t0 - rows.last[:n])
-        cand = np.maximum(shared_max, cross)
-        np.maximum(rows.max_tbt[:n], cand, out=rows.max_tbt[:n])
-        inter = rows.inter[:n]
-        inter_rows = np.flatnonzero(inter)
-        if inter_rows.size:
-            tbt = rows.tbt[:n]
-            # Strict gap > tbt count via sorted shared gaps.
-            sg = np.sort(shared)
-            over = (k - 1) - np.searchsorted(sg, tbt, side="right")
-            over = over + (cross > tbt)
-            rows.gap_miss[inter_rows] += over[inter_rows]
-            # Eq. 2 deadline misses: token j (0-based) of the stretch
-            # lands at times[j] against deadline ttft_base +
-            # (decoded + j) * tbt — Request.token_deadline's expression.
-            base = rows.ttft_base[inter_rows][:, None]
-            steps = d0[inter_rows][:, None] + np.arange(k)[None, :]
-            deadlines = base + steps * tbt[inter_rows][:, None]
-            rows.ddl_miss[inter_rows] += (
-                times[None, :] > deadlines
-            ).sum(axis=1)
-        rows.last[:n] = times[-1]
-        rows.ctx[:n] += k
+        self._advance_vector(c[1 : k + 1], n)
         ledger.stretch_grow(n, k)
-        self._decode_context_total += n * k
         end = float(c[k])
         self.simulator.fast_forward(end)
         return end
 
     # --- decode advance kernels -------------------------------------------
     #
-    # Each kernel advances the in-flight batch, rows [0, m).  The two
-    # whole-batch kernels apply completions after the sweep: their side
-    # effects touch no state the remaining advances read, so the
-    # interleaving is equivalent to advancing and completing row by
-    # row.
+    # Two kernels advance rows [0, m): a scalar sweep for one token
+    # of a small batch, and the vector kernel for one token per entry
+    # of ``times`` (an iteration passes one time, a decode stretch its
+    # window).  Both leave completion to the caller: an iteration
+    # completes the finished rows after the sweep, or, with a token
+    # hook, fires the hooks after it.
 
-    def _advance_scalar(self, now: float, m: int) -> None:
-        """Per-row advance mirroring ``Request.record_output_token``.
+    def _fire_token_hooks(self, now: float, m: int) -> None:
+        """Fire the token hook for every row of the advanced batch.
+
+        Row by row in batch order, each on its synced object; a
+        finished row completes before the next row's hook.  Completion
+        side effects touch no state a row's advance reads, so this
+        equals advancing and completing row by row.
+        """
+        rows = self._rows
+        index = rows.index
+        hook = self.token_hook
+        # A copy of the batch: completions shift the rows.
+        for request in rows.req[:m]:
+            i = index.get(request.request_id)
+            if i is None:
+                continue  # removed by an earlier row's completion
+            rows.sync_row(i)
+            finished = rows.decoded.item(i) >= rows.target.item(i)
+            if finished:
+                request.completion_time = now
+            hook(request, now)
+            if finished:
+                self._complete(request, now)
+
+    def _advance_scalar(self, now: float, m: int) -> list[int]:
+        """One-token advance mirroring ``Request.record_output_token``.
 
         For small batches, where the loop beats NumPy kernel launches;
-        same float operations as :meth:`_advance_vector`.
+        same float operations as :meth:`_advance_vector`.  Returns the
+        rows that reached their target, in row order.
         """
         rows = self._rows
         self._rows_dirty = True
@@ -856,7 +854,7 @@ class ReplicaEngine:
         tbt = rows.tbt
         ctx = rows.ctx
         target = rows.target
-        finished_rows = None
+        finished_rows = []
         for i in range(m):
             d0 = decoded.item(i)
             decoded[i] = d0 + 1
@@ -874,37 +872,58 @@ class ReplicaEngine:
             last[i] = now
             ctx[i] += 1
             if d0 + 1 >= target.item(i):
-                if finished_rows is None:
-                    finished_rows = []
                 finished_rows.append(i)
         self._decode_context_total += m
-        if finished_rows is not None:
-            self._complete_rows(finished_rows, now)
+        return finished_rows
 
-    def _advance_vector(self, now: float, m: int) -> None:
-        """Level-synchronous advance in a handful of slice operations."""
+    def _advance_vector(
+        self, times: np.ndarray | tuple[float], m: int
+    ) -> None:
+        """Level-synchronous advance by ``k = len(times)`` tokens.
+
+        Token ``j`` (0-based) of every row lands at ``times[j]``.
+        Every row shares the ``k - 1`` in-window gaps (differences of
+        the same finish times) and adds one private gap across the
+        window boundary from its previous last-token time, except a
+        fresh row, whose first token opens the window.  Token ``j``
+        meets the Eq. 2 deadline ``ttft_base + (decoded + j) * tbt``,
+        ``Request.token_deadline``'s expression.  With ``k = 1`` there
+        are no in-window gaps.
+        """
         rows = self._rows
         self._rows_dirty = True
+        k = len(times)
+        t0 = times[0]
         d0 = rows.decoded[:m].copy()
-        rows.decoded[:m] = d0 + 1
+        rows.decoded[:m] = d0 + k
         fresh = d0 == 0
-        rows.first[:m][fresh] = now
-        gap_rows = np.flatnonzero(~fresh)
-        if gap_rows.size:
-            gaps = now - rows.last[gap_rows]
-            worse = gaps > rows.max_tbt[gap_rows]
-            rows.max_tbt[gap_rows[worse]] = gaps[worse]
-            missed = rows.inter[gap_rows] & (gaps > rows.tbt[gap_rows])
-            rows.gap_miss[gap_rows[missed]] += 1
-        deadline = rows.ttft_base[:m] + d0 * rows.tbt[:m]
-        late = rows.inter[:m] & (now > deadline)
-        rows.ddl_miss[:m][late] += 1
-        rows.last[:m] = now
-        rows.ctx[:m] += 1
-        self._decode_context_total += m
-        done = np.flatnonzero(rows.decoded[:m] >= rows.target[:m])
-        if done.size:
-            self._complete_rows(done.tolist(), now)
+        rows.first[:m][fresh] = t0
+        cross = np.where(fresh, -np.inf, t0 - rows.last[:m])
+        if k > 1:
+            shared = times[1:] - times[:-1]
+            cand = np.maximum(float(shared.max()), cross)
+        else:
+            cand = cross
+        np.maximum(rows.max_tbt[:m], cand, out=rows.max_tbt[:m])
+        inter_rows = np.flatnonzero(rows.inter[:m])
+        if inter_rows.size:
+            tbt = rows.tbt[inter_rows]
+            over = cross[inter_rows] > tbt
+            if k > 1:
+                # Strict gap > tbt count via the sorted shared gaps.
+                over = over + (
+                    (k - 1)
+                    - np.searchsorted(np.sort(shared), tbt, side="right")
+                )
+            rows.gap_miss[inter_rows] += over
+            steps = d0[inter_rows][:, None] + np.arange(k)
+            deadlines = rows.ttft_base[inter_rows][:, None] + (
+                steps * tbt[:, None]
+            )
+            rows.ddl_miss[inter_rows] += (times > deadlines).sum(axis=1)
+        rows.last[:m] = times[-1]
+        rows.ctx[:m] += k
+        self._decode_context_total += m * k
 
     def _complete_rows(self, finished_rows: list[int], now: float) -> None:
         """Complete the rows a sweep finished, in row order.
@@ -921,57 +940,6 @@ class ReplicaEngine:
             finished.append(request)
         for request in finished:
             self._complete(request, now)
-
-    def _advance_hooked(self, now: float, m: int) -> None:
-        """Per-row advance firing the token hook.
-
-        Advances and completes row by row: each row's hook sees its
-        synced object, and a finished row completes before the next
-        row advances.  Iterates a copy of the batch because inline
-        completions shift the rows.
-        """
-        rows = self._rows
-        self._rows_dirty = True
-        hook = self.token_hook
-        index = rows.index
-        decoded = rows.decoded
-        first = rows.first
-        last = rows.last
-        max_tbt = rows.max_tbt
-        gap_miss = rows.gap_miss
-        ddl_miss = rows.ddl_miss
-        inter = rows.inter
-        ttft_base = rows.ttft_base
-        tbt = rows.tbt
-        ctx = rows.ctx
-        target = rows.target
-        for request in rows.req[:m]:
-            i = index.get(request.request_id)
-            if i is None:
-                continue  # removed by an earlier row's completion
-            d0 = int(decoded[i])
-            d1 = d0 + 1
-            decoded[i] = d1
-            if d0 == 0:
-                first[i] = now
-            else:
-                gap = now - float(last[i])
-                if gap > float(max_tbt[i]):
-                    max_tbt[i] = gap
-                if inter[i] and gap > float(tbt[i]):
-                    gap_miss[i] += 1
-            if inter[i] and now > float(ttft_base[i]) + d0 * float(tbt[i]):
-                ddl_miss[i] += 1
-            last[i] = now
-            finished = d1 >= int(target[i])
-            self._decode_context_total += 1
-            ctx[i] += 1
-            rows.sync_row(i)
-            if finished:
-                request.completion_time = now
-            hook(request, now)
-            if finished:
-                self._complete(request, now)
 
     # --- KV reservation / eviction ----------------------------------------
 

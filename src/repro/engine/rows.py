@@ -407,7 +407,7 @@ class ArrayKVLedger:
         return True
 
     def bulk_decode_grow(self, n: int) -> bool:
-        """Grow every decode row by one token in one vectorized pass.
+        """Grow every decode row by one token.
 
         When the batch needs more blocks than are free, the shortfall
         is reclaimed from the prefix cache in one call first.  That
@@ -416,76 +416,45 @@ class ArrayKVLedger:
         same order, and the ledger ends in the same state.  Returns
         False (untouched state) only when the need exceeds free plus
         reclaimable blocks, where a decode must be evicted and the
-        caller runs the per-row pressure path.
+        caller runs the per-row pressure path.  From 16 rows on it is
+        :meth:`stretch_grow`'s vector pass with ``k = 1``.
         """
+        if n >= 16:
+            return self._grow_rows(n, 1)
+        # Scalar sweep: below ~16 rows the item reads beat NumPy kernel
+        # launches.  A +1-token grow needs a new block iff the holding
+        # is block-aligned (blocks == ceil(tokens / block_size)).
         rows = self._rows
         bs = self.block_size
-        if n < 16:
-            # Scalar sweep: below ~16 rows the item reads beat NumPy
-            # kernel launches.  Same integer math as the vector path.
-            kv_tokens = rows.kv_tokens
-            total = 0
-            for i in range(n):
-                if kv_tokens.item(i) % bs == 0:
-                    total += 1
-            free = self.free_blocks
-            if total > free and not self._reclaim_shortfall(total - free):
-                return False
-            kv_blocks = rows.kv_blocks
-            for i in range(n):
-                t = kv_tokens.item(i)
-                kv_tokens[i] = t + 1
-                if t % bs == 0:
-                    kv_blocks[i] += 1
-            self._used_tokens += n
-            if total:
-                self._used_blocks += total
-                if self._used_blocks > self.high_water_blocks:
-                    self.high_water_blocks = self._used_blocks
-            return True
-        kv_tokens = rows.kv_tokens[:n]
-        # blocks == ceil(tokens / block_size) invariant: a +1-token
-        # grow needs a new block iff the holding is block-aligned.
-        boundary = kv_tokens % bs == 0
-        total = int(np.count_nonzero(boundary))
+        kv_tokens = rows.kv_tokens
+        total = 0
+        for i in range(n):
+            if kv_tokens.item(i) % bs == 0:
+                total += 1
         free = self.free_blocks
         if total > free and not self._reclaim_shortfall(total - free):
             return False
-        kv_tokens += 1
+        kv_blocks = rows.kv_blocks
+        for i in range(n):
+            t = kv_tokens.item(i)
+            kv_tokens[i] = t + 1
+            if t % bs == 0:
+                kv_blocks[i] += 1
         self._used_tokens += n
         if total:
-            rows.kv_blocks[:n][boundary] += 1
             self._used_blocks += total
             if self._used_blocks > self.high_water_blocks:
                 self.high_water_blocks = self._used_blocks
         return True
 
-    def stretch_need(self, n: int, k: int) -> int:
-        """Blocks needed to grow every decode row by ``k`` tokens.
+    def _grow_rows(self, n: int, k: int) -> bool:
+        """Grow rows ``[0, n)`` by ``k`` tokens each in one vector pass.
 
-        Equals the total over ``k`` sequential
-        +1-token grows of the whole batch (ceil-difference per row),
-        and is monotone in ``k``: ``stretch_need(n, k) <= free +
-        reclaimable`` therefore proves every intermediate
-        per-iteration grow of a ``k``-iteration decode stretch fits
-        without evicting a decode.
-        """
-        rows = self._rows
-        bs = self.block_size
-        t = rows.kv_tokens[:n]
-        return int(((t + (k + bs - 1)) // bs - (t + (bs - 1)) // bs).sum())
-
-    def stretch_grow(self, n: int, k: int) -> None:
-        """Commit a ``k``-token growth of every decode row.
-
-        Caller must have proven it fits via :meth:`stretch_need`.  A
-        shortfall beyond the free blocks is reclaimed from the prefix
-        cache in one call first: nothing else touches the tree inside
-        a stretch window, so that evicts the same leaves, in the same
-        order, as the window's per-iteration reclaims.  Apart from
-        those reclaims the window has no releases, so once the pool is
-        full it stays full, and taking the high-water mark once at the
-        end matches per-iteration updates.
+        Each row needs the ceil difference ``(t + k + bs - 1) // bs -
+        (t + bs - 1) // bs`` new blocks.  A shortfall beyond the free
+        blocks is reclaimed from the prefix cache in one call first.
+        Returns False with nothing changed when the need exceeds free
+        plus reclaimable blocks.
         """
         rows = self._rows
         bs = self.block_size
@@ -494,14 +463,44 @@ class ArrayKVLedger:
         need = int(added.sum())
         free = self.free_blocks
         if need > free and not self._reclaim_shortfall(need - free):
-            raise MemoryError(
-                f"KV cache exhausted: stretch needs {need} blocks, "
-                f"{free} free"
-            )
+            return False
         t += k
         rows.kv_blocks[:n] += added
         self._used_blocks += need
         self._used_tokens += n * k
         if self._used_blocks > self.high_water_blocks:
             self.high_water_blocks = self._used_blocks
+        return True
 
+    def stretch_need(self, n: int, k: int) -> int:
+        """Blocks needed to grow every decode row by ``k`` tokens: the
+        sum of :meth:`_grow_rows`' per-row ceil differences.
+
+        It equals the total over ``k`` sequential +1-token grows of the
+        whole batch and is monotone in ``k``, so ``stretch_need(n, k)
+        <= free + reclaimable`` proves every intermediate per-iteration
+        grow of a ``k``-iteration decode stretch fits without evicting
+        a decode.
+        """
+        bs = self.block_size
+        t = self._rows.kv_tokens[:n]
+        return int(((t + (k + bs - 1)) // bs - (t + (bs - 1)) // bs).sum())
+
+    def stretch_grow(self, n: int, k: int) -> None:
+        """Commit a ``k``-token growth of every decode row; raises
+        ``MemoryError`` unless the caller proved it fits via
+        :meth:`stretch_need`.
+
+        The window's shortfall beyond the free blocks is reclaimed from
+        the prefix cache in one call: nothing else touches the tree
+        inside a stretch window, so that evicts the same leaves, in the
+        same order, as the window's per-iteration reclaims.  Apart from
+        those reclaims the window has no releases, so once the pool is
+        full it stays full, and taking the high-water mark once at the
+        end matches per-iteration updates.
+        """
+        if not self._grow_rows(n, k):
+            raise MemoryError(
+                f"KV cache exhausted: stretch needs "
+                f"{self.stretch_need(n, k)} blocks, {self.free_blocks} free"
+            )

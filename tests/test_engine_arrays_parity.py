@@ -9,6 +9,12 @@ for bit:
   :func:`repro.engine.interface.decode_slack` over the request
   objects, in every clamp regime, on the scalar and the vector branch;
 * the flat batch-time kernels vs :meth:`ExecutionModel.batch_time`;
+* the decode-advance kernels against each other: the scalar sweep vs
+  a one-token vector advance, and one ``k``-token vector advance (a
+  decode stretch's window) vs ``k`` one-token advances, on rows that
+  sit exactly on a gap or deadline boundary; token hooks fire after
+  the sweep, in row order, each finished row completing right after
+  its own hook;
 * the KV ledger vs a plain model of paged block math at block sizes 1
   and 16 with off-by-one token counts;
 * the ``ServeConfig.engine`` field, which accepts only the one core.
@@ -27,7 +33,7 @@ from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaEngine
 from repro.engine.interface import decode_slack
-from repro.engine.replica import ReplicaEngine as _Engine, _RowView
+from repro.engine.replica import _RowView
 from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.simcore import Simulator
@@ -114,17 +120,18 @@ class _KernelHarness:
 
     Row ``j`` of the batch is built by kind ``j % 6``: fresh (no token
     yet), non-interactive, last gap exactly ``tbt``, token exactly on
-    its deadline, finishing at this token, or random.  Completions
-    remove the row and are recorded in order; the token hook records
-    ``(id, decoded, completion_time, completions so far)``.
+    its deadline, finishing at this token (unless ``reachable`` is
+    False: then no target is in reach), or random.  Completions remove
+    the row and are recorded in order; the token hook records ``(id,
+    decoded, completion_time, completions so far)``.
     """
 
-    _advance_scalar = _Engine._advance_scalar
-    _advance_vector = _Engine._advance_vector
-    _advance_hooked = _Engine._advance_hooked
-    _complete_rows = _Engine._complete_rows
+    _advance_scalar = ReplicaEngine._advance_scalar
+    _advance_vector = ReplicaEngine._advance_vector
+    _complete_rows = ReplicaEngine._complete_rows
+    _fire_token_hooks = ReplicaEngine._fire_token_hooks
 
-    def __init__(self, seed, n, hooked=False):
+    def __init__(self, seed, n, hooked=False, reachable=True):
         rng = np.random.default_rng(seed)
         self._rows = rows = _RowStore()
         self._rows_dirty = False
@@ -138,6 +145,8 @@ class _KernelHarness:
             kind = j % 6
             d0 = 0 if kind == 0 else int(rng.integers(1, 40))
             target = d0 + (1 if kind == 4 else int(rng.integers(2, 60)))
+            if not reachable:
+                target = 1 << 40
             request = Request(
                 request_id=100 + j,
                 arrival_time=0.0,
@@ -217,21 +226,34 @@ class TestAdvanceKernels:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("m", [31, 32, 48])
-    def test_scalar_vector_and_hooked_agree(self, m, seed):
-        n = m + 3
-        scalar = _KernelHarness(seed, n)
-        vector = _KernelHarness(seed, n)
-        hooked = _KernelHarness(seed, n, hooked=True)
-        d0 = {r.request_id: r.decoded for r in scalar._rows.req}
-        batch = [r.request_id for r in scalar._rows.req[:m]]
-        scalar._advance_scalar(NOW, m)
-        vector._advance_vector(NOW, m)
-        hooked._advance_hooked(NOW, m)
-        finishing = scalar.finishing
-        assert finishing
-        assert scalar.completed == [(rid, NOW) for rid in finishing]
+    def test_scalar_equals_one_token_vector(self, m, seed):
+        scalar = _KernelHarness(seed, m + 3)
+        vector = _KernelHarness(seed, m + 3)
+        finished_rows = scalar._advance_scalar(NOW, m)
+        vector._advance_vector((NOW,), m)
+        rows = vector._rows
+        assert finished_rows == np.flatnonzero(
+            rows.decoded[:m] >= rows.target[:m]
+        ).tolist()
+        assert finished_rows == [
+            rows.index[rid] for rid in scalar.finishing
+        ]
         _assert_same_state(scalar, vector)
-        _assert_same_state(scalar, hooked)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [31, 32, 48])
+    def test_token_hooks_fire_after_the_sweep(self, m, seed):
+        plain = _KernelHarness(seed, m + 3)
+        hooked = _KernelHarness(seed, m + 3, hooked=True)
+        d0 = {r.request_id: r.decoded for r in plain._rows.req}
+        batch = [r.request_id for r in plain._rows.req[:m]]
+        plain._complete_rows(plain._advance_scalar(NOW, m), NOW)
+        hooked._advance_vector((NOW,), m)
+        hooked._fire_token_hooks(NOW, m)
+        finishing = plain.finishing
+        assert finishing
+        assert plain.completed == [(rid, NOW) for rid in finishing]
+        _assert_same_state(plain, hooked)
         # Every batch row's hook fires in row order, and a finished row
         # completes right after its own hook.
         expected = []
@@ -243,6 +265,26 @@ class TestAdvanceKernels:
             )
             completions += done
         assert hooked.hook_log == expected
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("k", [2, 5, 17])
+    @pytest.mark.parametrize("m", [5, 48])
+    def test_window_equals_one_token_steps(self, m, k, seed):
+        """One ``k``-token advance equals ``k`` one-token advances.
+
+        The window's gaps are dyadic ``tbt`` values, so shared gaps
+        exactly equal to a row's ``tbt`` occur and finish times are
+        exact sums.
+        """
+        rng = np.random.default_rng(1000 + seed)
+        gaps = rng.choice(DYADIC_TBTS, size=k - 1)
+        times = np.add.accumulate(np.concatenate(((NOW,), gaps)))
+        window = _KernelHarness(seed, m + 3, reachable=False)
+        steps = _KernelHarness(seed, m + 3, reachable=False)
+        window._advance_vector(times, m)
+        for t in times:
+            steps._advance_vector((float(t),), m)
+        _assert_same_state(window, steps)
 
 
 class TestDecodeSlackParity:
