@@ -233,6 +233,11 @@ def aggregate_scheduler_stats(engines: Iterable[ReplicaEngine]) -> dict:
 class ServeConfig:
     """Keyword-only description of one serving stack.
 
+    Per-iteration telemetry comes from the ``observer`` a
+    :class:`Session` is given (``iteration_scheduled`` and
+    ``kv_cache_snapshot`` events from a
+    :class:`~repro.obs.observer.TracingObserver`), not from a field.
+
     Attributes:
         deployment: Named (model, hardware, TP) row of Table 1; see
             :data:`repro.experiments.configs.DEPLOYMENTS`.
@@ -256,7 +261,6 @@ class ServeConfig:
         fault_plan: Chaos plan armed on the fleet
             (:class:`repro.faults.plan.FaultPlan`; fleet-backed
             sessions only).
-        record_iterations: Keep per-batch iteration records.
         audit: Attribute per-request latency to named phases
             (:mod:`repro.obs.audit`); lands in ``summary.attribution``.
         max_events: Safety valve on simulator events per run.
@@ -282,7 +286,6 @@ class ServeConfig:
     fleet: FleetConfig | None = None
     fleet_autoscaler: str = "burn-rate"
     fault_plan: FaultPlan | None = None
-    record_iterations: bool = False
     audit: bool = False
     max_events: int = 50_000_000
     engine: str = "arrays"
@@ -393,10 +396,7 @@ class Session:
             )
             observer = MultiObserver([collector, effective])
 
-        replica_config = ReplicaConfig(
-            record_iterations=config.record_iterations,
-            kv_reuse=config.kv_reuse,
-        )
+        replica_config = ReplicaConfig(kv_reuse=config.kv_reuse)
         self.deployment = ClusterDeployment(
             self.execution_model,
             self._scheduler if scheduler is None else lambda: scheduler,

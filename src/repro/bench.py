@@ -1,7 +1,7 @@
 """Perf-trajectory harness: pinned workloads timed release over release.
 
 ``repro bench`` times a fixed set of hot paths — the ones the fast-path
-engine work optimizes — plus one end-to-end replica trace and a tiny
+engine work optimizes — plus the pinned traces end to end and a tiny
 figure-10/11 sweep, and writes the measurements to ``BENCH_<n>.json``
 at the repository root.  Committing one report per perf-focused change
 turns the repo history into a performance trajectory: any regression
@@ -87,7 +87,12 @@ from typing import Any, Callable
 #: sessions at 0.2 sessions/s, radix reuse, the same in ``--quick``)
 #: whose prefix cache fills the KV pool, so its ``evictions`` count the
 #: tree's LRU reclaim; every radix row reports ``cached_blocks``.
-SCHEMA_VERSION = 11
+#: 12 — the ``end_to_end`` section is gone: its workload (AzCode, 60
+#: or 150 requests at qps 1.0 x3, one qoserve replica) is exactly the
+#: ``engine_e2e`` ``code`` row, and its ``profile`` came from the
+#: deleted ``obs.timed`` profiler (``simbench/run.py --trace 1`` times
+#: the same scheduler sections).
+SCHEMA_VERSION = 12
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -464,45 +469,11 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
     return report
 
 
-def _end_to_end_benchmark(quick: bool) -> dict[str, Any]:
-    """One full replica trace under the QoServe scheduler.
-
-    The run executes with the :data:`repro.obs.PROFILER` enabled, so
-    the report breaks ``wall_s`` down into the ``obs.timed`` hot-path
-    sections (scheduler planning, chunker, relegation planner).
-    """
-    from repro.api import ServeConfig, build_trace, simulate
-    from repro.obs import PROFILER
-    from repro.workload.datasets import AZURE_CODE
-
-    num_requests = 60 if quick else 150
-    base = build_trace(
-        AZURE_CODE, qps=1.0, num_requests=num_requests, seed=42
-    )
-    trace = base.scaled_arrivals(3.0)
-
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        started = time.perf_counter()
-        summary = simulate(config=ServeConfig(), trace=trace)
-        elapsed = time.perf_counter() - started
-    finally:
-        PROFILER.disable()
-    return {
-        "workload": "AzCode qps=3.0 qoserve",
-        "num_requests": num_requests,
-        "wall_s": elapsed,
-        "completed": summary.finished,
-        "profile": PROFILER.report(),
-    }
-
-
 def _capture_pinned_trace(quick: bool) -> list[dict[str, Any]]:
-    """Record the end-to-end benchmark's pinned workload as events.
+    """Record the pinned AzCode workload as events.
 
-    Exactly the workload of :func:`_end_to_end_benchmark` (AzCode,
-    qps=3.0, qoserve), run once with full tracing — the event stream
+    Exactly the workload of the ``engine_e2e`` ``code`` row (AzCode,
+    qps=1.0 x3, qoserve), run once with full tracing — the event stream
     is deterministic, so any change between two captures is a real
     behavior change, not noise.
     """
@@ -810,7 +781,6 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
     micro = _micro_benchmarks(quick)
     engine_soa = _engine_soa_micro_benchmarks(quick)
     engine_e2e = _engine_e2e_benchmark(quick)
-    end_to_end = _end_to_end_benchmark(quick)
     span_overhead = _span_overhead_benchmark(quick)
     sweep = _sweep_benchmark(quick, jobs)
     prefix_reuse = _prefix_reuse_benchmark(quick)
@@ -848,7 +818,6 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         "engine_soa": engine_soa,
         "engine_e2e": engine_e2e,
         "derived": derived,
-        "end_to_end": end_to_end,
         "span_overhead": span_overhead,
         "sweep": sweep,
         "prefix_reuse": prefix_reuse,

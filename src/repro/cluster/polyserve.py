@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.qos import QoSSpec
-
 
 @dataclass(frozen=True)
 class PolyServePlan:
@@ -98,8 +96,3 @@ class PolyServePlanner:
             gpus=sum(replicas.values()) * self.tp_degree,
             per_class_load_qps=loads,
         )
-
-    @staticmethod
-    def class_name(tier: QoSSpec) -> str:
-        """Canonical class key for a tier (its name)."""
-        return tier.name

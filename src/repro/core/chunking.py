@@ -18,7 +18,6 @@ from repro.core.predictor import BatchLatencyPredictor
 from repro.core.request import Request
 from repro.engine.interface import decode_slack
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.timing import timed
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ class DynamicChunker:
         non-interactive pace floored at ``ni_pace_floor``."""
         return decode_slack(now, decode_requests, self.ni_pace_floor)
 
-    @timed("chunker.prefill_budget")
     def prefill_budget(
         self,
         now: float,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.core.decode_estimator import DecodeLengthEstimator
 from repro.core.request import Request
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.timing import timed
 
 
 class ViolationChecker:
@@ -122,7 +121,6 @@ class RelegationPolicy:
         #: :meth:`Observer.on_relegation_scan` (no-op by default).
         self.observer: Observer = NULL_OBSERVER
 
-    @timed("relegation.plan")
     def plan(self, queue: list[Request], now: float) -> RelegationPlan:
         """Select the requests to demote from a priority-ordered queue.
 

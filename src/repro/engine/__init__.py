@@ -7,14 +7,13 @@ batch when their prompt completes, and emit one token per iteration
 until done — all gated by a paged KV-cache ledger.
 """
 
-from repro.engine.batch import IterationRecord, PrefillAssignment
+from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.engine.rows import ArrayKVLedger
 
 __all__ = [
     "ArrayKVLedger",
-    "IterationRecord",
     "PrefillAssignment",
     "EngineView",
     "Scheduler",

@@ -1,5 +1,4 @@
-"""Prefill-assignment and iteration-record types shared by engine and
-schedulers."""
+"""The prefill-assignment type shared by engine and schedulers."""
 
 from __future__ import annotations
 
@@ -24,15 +23,3 @@ class PrefillAssignment:
                 f"{self.tokens} exceeds remaining prefill "
                 f"{self.request.remaining_prefill}"
             )
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Telemetry for one executed iteration (Figure 9's raw data)."""
-
-    start_time: float
-    exec_time: float
-    prefill_tokens: int
-    num_decodes: int
-    decode_context_total: int
-    kv_utilization: float

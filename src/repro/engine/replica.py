@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.request import Request
-from repro.engine.batch import IterationRecord, PrefillAssignment
+from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.prefix import RadixPrefixCache
 from repro.engine.rows import ArrayKVLedger, _RowStore
@@ -63,12 +63,16 @@ _SMALL_BATCH = 32
 class ReplicaConfig:
     """Engine knobs.
 
+    Per-iteration telemetry (Figure 9's chunk sizes and batch times) is
+    not a knob: an attached observer sees every iteration through
+    ``on_iteration_start``/``on_iteration_end``, which a
+    :class:`~repro.obs.observer.TracingObserver` records as
+    ``iteration_scheduled`` and ``kv_cache_snapshot`` events.
+
     Attributes:
         max_decode_slots: Cap on concurrently running requests
             (vLLM's ``max_num_seqs``); prefill admission respects it.
         kv_block_size: Paged-attention block size in tokens.
-        record_iterations: Keep an :class:`IterationRecord` per batch
-            (Figure 9 telemetry); off by default to save memory.
         prefill_sink: Makes the replica a PD-disaggregation prefill
             node when set: receives ``(request, now)`` when a prompt
             finishes prefilling, e.g.
@@ -83,7 +87,6 @@ class ReplicaConfig:
 
     max_decode_slots: int = 256
     kv_block_size: int = 16
-    record_iterations: bool = False
     prefill_sink: Callable[[Request, float], None] | None = None
     kv_reuse: str = "off"
 
@@ -269,7 +272,6 @@ class ReplicaEngine:
         #: Arrivals that found the replica crashed (bare-engine use
         #: only; a cluster router never dispatches to a down replica).
         self.dropped: list[Request] = []
-        self.iteration_records: list[IterationRecord] = []
         self.iterations_run = 0
         self.busy_time = 0.0
         #: Always-on cheap decision counters (one int/dict bump per
@@ -450,10 +452,6 @@ class ReplicaEngine:
         """Requests occupying decode slots (decoding or mid-prefill)."""
         return self._rows.n + len(self._inflight_prefills)
 
-    @property
-    def free_decode_slots(self) -> int:
-        return max(0, self.config.max_decode_slots - self.running_requests)
-
     def has_work(self) -> bool:
         return self._rows.n > 0 or self.scheduler.has_pending_prefill()
 
@@ -533,7 +531,6 @@ class ReplicaEngine:
             rows.n > 0
             and not observed
             and self.token_hook is None
-            and not self.config.record_iterations
             and not self._inflight_prefills
             and not self.scheduler.has_pending_prefill()
         ):
@@ -556,9 +553,8 @@ class ReplicaEngine:
             if self._recover_prefill_stall():
                 self._start_iteration()
             return
-        # Chunk shapes are read before the prefills start; token counts
-        # of batch members only move in _finish_iteration, so this is
-        # also the batch _finish_iteration records.
+        # Chunk shapes (tokens, prompt offset) price the batch; offsets
+        # only move when _finish_iteration credits the chunks.
         chunks = [(a.tokens, a.request.prefill_done) for a in assignments]
         prefill_tokens = 0
         if assignments:
@@ -591,8 +587,7 @@ class ReplicaEngine:
         self._inflight_event = self.simulator.schedule_after(
             exec_time,
             lambda: self._finish_iteration(
-                assignments, n_live, decode_context_total,
-                prefill_tokens, exec_time, now, observed,
+                assignments, exec_time, now, observed
             ),
         )
 
@@ -639,9 +634,6 @@ class ReplicaEngine:
     def _finish_iteration(
         self,
         assignments: list[PrefillAssignment],
-        num_decodes: int,
-        decode_context_total: int,
-        prefill_tokens: int,
         exec_time: float,
         start_time: float,
         observed: bool,
@@ -649,17 +641,6 @@ class ReplicaEngine:
         now = self.simulator.now
         self._inflight_event = None
         self.iterations_run += 1
-        if self.config.record_iterations:
-            self.iteration_records.append(
-                IterationRecord(
-                    start_time=start_time,
-                    exec_time=exec_time,
-                    prefill_tokens=prefill_tokens,
-                    num_decodes=num_decodes,
-                    decode_context_total=decode_context_total,
-                    kv_utilization=self.kv_cache.utilization,
-                )
-            )
         # Decode side: every row of the batch emits one token (rows
         # evicted or cancelled mid-flight already left the prefix).
         rows = self._rows
@@ -689,9 +670,9 @@ class ReplicaEngine:
         """Collapse a run of pure-decode iterations into one advance.
 
         Preconditions (checked by the caller): no observer, no token
-        hook, no iteration recording, no pending or in-flight prefill
-        work.  ``first_time`` is the unscaled batch time of the next
-        iteration, the decode-only batch of the current rows.  Finds
+        hook, no pending or in-flight prefill work.  ``first_time`` is
+        the unscaled batch time of the next iteration, the decode-only
+        batch of the current rows.  Finds
         the longest run of ``k >= 2`` future iterations that provably
         (a) complete no request, (b) fit their KV growth in the free
         plus reclaimable blocks, so no decode is evicted, and (c)

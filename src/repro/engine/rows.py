@@ -447,24 +447,32 @@ class ArrayKVLedger:
                 self.high_water_blocks = self._used_blocks
         return True
 
+    def _row_need(self, n: int, k: int) -> np.ndarray:
+        """New blocks each of rows ``[0, n)`` needs to grow ``k`` tokens.
+
+        ``(k + bs - 1 - (-t) % bs) // bs``: the ``k`` tokens beyond the
+        ``(-t) % bs`` free slots of the row's last block, in whole
+        blocks.  For ``t, k >= 0`` it equals the ceil difference
+        ``ceil((t + k) / bs) - ceil(t / bs)`` in one division.
+        """
+        bs = self.block_size
+        return (k + bs - 1 - (-self._rows.kv_tokens[:n]) % bs) // bs
+
     def _grow_rows(self, n: int, k: int) -> bool:
         """Grow rows ``[0, n)`` by ``k`` tokens each in one vector pass.
 
-        Each row needs the ceil difference ``(t + k + bs - 1) // bs -
-        (t + bs - 1) // bs`` new blocks.  A shortfall beyond the free
-        blocks is reclaimed from the prefix cache in one call first.
-        Returns False with nothing changed when the need exceeds free
-        plus reclaimable blocks.
+        Each row takes :meth:`_row_need` new blocks.  A shortfall beyond
+        the free blocks is reclaimed from the prefix cache in one call
+        first.  Returns False with nothing changed when the need exceeds
+        free plus reclaimable blocks.
         """
         rows = self._rows
-        bs = self.block_size
-        t = rows.kv_tokens[:n]
-        added = (t + (k + bs - 1)) // bs - (t + (bs - 1)) // bs
+        added = self._row_need(n, k)
         need = int(added.sum())
         free = self.free_blocks
         if need > free and not self._reclaim_shortfall(need - free):
             return False
-        t += k
+        rows.kv_tokens[:n] += k
         rows.kv_blocks[:n] += added
         self._used_blocks += need
         self._used_tokens += n * k
@@ -474,7 +482,7 @@ class ArrayKVLedger:
 
     def stretch_need(self, n: int, k: int) -> int:
         """Blocks needed to grow every decode row by ``k`` tokens: the
-        sum of :meth:`_grow_rows`' per-row ceil differences.
+        sum of :meth:`_row_need`, as :meth:`_grow_rows` commits it.
 
         It equals the total over ``k`` sequential +1-token grows of the
         whole batch and is monotone in ``k``, so ``stretch_need(n, k)
@@ -482,9 +490,7 @@ class ArrayKVLedger:
         grow of a ``k``-iteration decode stretch fits without evicting
         a decode.
         """
-        bs = self.block_size
-        t = self._rows.kv_tokens[:n]
-        return int(((t + (k + bs - 1)) // bs - (t + (bs - 1)) // bs).sum())
+        return int(self._row_need(n, k).sum())
 
     def stretch_grow(self, n: int, k: int) -> None:
         """Commit a ``k``-token growth of every decode row; raises

@@ -1,10 +1,11 @@
 """Figure 9: dynamic chunk sizes over consecutive batches.
 
-Runs QoServe with iteration telemetry on the Azure Conv trace and
-extracts a window of consecutive iterations: chunk size chosen and
-batch execution time per iteration.  When slack accumulates, chunk
-sizes rise toward the 2500 saturation point; with strict interactive
-decodes in flight they fall back toward the small-chunk regime.
+Runs QoServe on the Azure Conv trace under a tracing observer and
+extracts a window of consecutive ``iteration_scheduled`` events: chunk
+size chosen and batch execution time per iteration.  When slack
+accumulates, chunk sizes rise toward the 2500 saturation point; with
+strict interactive decodes in flight they fall back toward the
+small-chunk regime.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from repro.api import ServeConfig, Session, build_trace
 from repro.experiments.configs import BENCH, Scale
 from repro.experiments.result import ExperimentResult
+from repro.obs import ListSink, TraceRecorder, TracingObserver, audit_events
 from repro.workload.datasets import AZURE_CONV
 
 
@@ -25,21 +27,26 @@ def run(
     trace = build_trace(
         AZURE_CONV, qps=qps, num_requests=scale.num_requests, seed=scale.seed
     )
+    sink = ListSink()
     session = Session(
-        ServeConfig(deployment=deployment, record_iterations=True, audit=True)
+        ServeConfig(deployment=deployment),
+        observer=TracingObserver(TraceRecorder([sink])),
     )
     for request in trace:
         session.submit(request)
     session.drain()
     summary = session.summary(requests=list(trace))
-    records = session.engines[0].iteration_records
+    events = sink.events
+    records = [e for e in events if e["kind"] == "iteration_scheduled"]
     # Pick the window showing the most chunk-size dynamics — Figure 9's
     # point is the scheduler swinging between small (strict decode in
     # flight) and large (slack available) chunks, so score windows by
     # prefill activity times the chunk-size range they exhibit.
     def score(start: int) -> float:
         slice_ = records[start : start + window]
-        chunks = [r.prefill_tokens for r in slice_ if r.prefill_tokens > 0]
+        chunks = [
+            r["prefill_tokens"] for r in slice_ if r["prefill_tokens"] > 0
+        ]
         if not chunks:
             return 0.0
         return len(chunks) * (max(chunks) - min(chunks) + 1)
@@ -67,15 +74,16 @@ def run(
         result.rows.append(
             {
                 "batch_id": start + i,
-                "chunk_size": record.prefill_tokens,
-                "exec_time_ms": record.exec_time * 1e3,
-                "num_decodes": record.num_decodes,
+                "chunk_size": record["prefill_tokens"],
+                "exec_time_ms": record["dur"] * 1e3,
+                "num_decodes": record["num_decodes"],
             }
         )
     # Dynamic chunking's cost side: how much of total latency the
     # chunked prefills spent waiting between their slices.
-    share = summary.attribution.phase_share()
-    result.extras["attribution"] = summary.attribution
+    attribution = audit_events(events)
+    share = attribution.phase_share()
+    result.extras["attribution"] = attribution
     result.notes.append(
         f"latency attribution across the run: "
         f"chunk_stall={share['chunk_stall']:.1%}, "

@@ -21,6 +21,7 @@ from repro.core.qos import QoSClass, QoSSpec
 from repro.core.request import Request
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
+from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.schedulers import QoServeConfig
 from repro.simcore.rng import RngStreams
 from repro.workload.datasets import AZURE_CONV
@@ -89,26 +90,29 @@ def run_medha_comparison(
         ("QoServe", "qoserve", DC_ONLY),
     ):
         trace = synthetic_trace(num_requests, qps, seed=scale.seed)
+        sink = ListSink()
         session = Session(
             ServeConfig(
                 deployment=deployment,
                 scheduler=kind,
                 qoserve_config=qoserve_config,
-                record_iterations=True,
-            )
+            ),
+            observer=TracingObserver(TraceRecorder([sink])),
         )
         for request in trace:
             session.submit(request)
         session.drain()
-        records = session.engines[0].iteration_records
+        records = [
+            e for e in sink.events if e["kind"] == "iteration_scheduled"
+        ]
         for i, record in enumerate(records[:window]):
-            if record.prefill_tokens <= 0:
+            if record["prefill_tokens"] <= 0:
                 continue
             result.rows.append(
                 {
                     "scheme": name,
                     "batch_index": i,
-                    "chunk_size": record.prefill_tokens,
+                    "chunk_size": record["prefill_tokens"],
                 }
             )
     return result

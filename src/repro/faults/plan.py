@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -321,7 +321,3 @@ def set_default_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
     previous = _DEFAULT_PLAN
     _DEFAULT_PLAN = plan
     return previous
-
-
-def _iter_events(plan: FaultPlan) -> Iterable[FaultEvent]:
-    return iter(plan.events)

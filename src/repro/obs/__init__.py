@@ -26,9 +26,7 @@ The subsystem's legs (see ``docs/OBSERVABILITY.md``):
   first-divergence detection with flight-recorder-style context;
 * :mod:`repro.obs.chrome` — a Chrome trace-event exporter
   (``chrome://tracing`` / Perfetto): replicas as processes, batch
-  slots as tracks;
-* :mod:`repro.obs.timing` — the ``obs.timed`` wall-clock profiler for
-  scheduler hot paths.
+  slots as tracks.
 
 Everything hangs off the :class:`Observer` protocol, whose no-op
 default (:data:`NULL_OBSERVER`) keeps instrumentation free when
@@ -131,7 +129,6 @@ from repro.obs.spans import (
     spans_to_otlp,
     write_spans,
 )
-from repro.obs.timing import PROFILER, WallClockProfiler, timed
 from repro.obs.trace import (
     JSONLSink,
     ListSink,
@@ -211,9 +208,6 @@ __all__ = [
     "default_observer",
     "get_default_observer",
     "set_default_observer",
-    "PROFILER",
-    "WallClockProfiler",
-    "timed",
     "JSONLSink",
     "ListSink",
     "RingSink",

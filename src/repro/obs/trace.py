@@ -128,9 +128,6 @@ class TraceRecorder:
         self.sinks: list[TraceSink] = list(sinks)
         self.counts: Counter[str] = Counter()
 
-    def add_sink(self, sink: TraceSink) -> None:
-        self.sinks.append(sink)
-
     def emit(self, event: TraceEvent) -> None:
         self.counts[event.kind] += 1
         for sink in self.sinks:

@@ -23,7 +23,6 @@ from abc import abstractmethod
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
-from repro.obs.timing import timed
 
 
 def pack_prefill_assignments(
@@ -174,7 +173,6 @@ class FixedChunkScheduler(Scheduler):
         """Prompt tokens allowed this iteration under the fixed chunk."""
         return max(0, self.chunk_size - len(view.decode_requests))
 
-    @timed("scheduler.plan_prefill")
     def plan_prefill(self, view: EngineView) -> list[PrefillAssignment]:
         budget = self.prefill_token_budget(view)
         if budget <= 0 or not self._member:

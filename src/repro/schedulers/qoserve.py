@@ -40,7 +40,6 @@ from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView
 from repro.obs.observer import Observer
-from repro.obs.timing import timed
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers.base import FixedChunkScheduler, pack_prefill_assignments
 
@@ -217,7 +216,6 @@ class QoServeScheduler(FixedChunkScheduler):
         self._member.pop(request.request_id, None)
         self._order_dirty = True
 
-    @timed("qoserve.plan_prefill")
     def plan_prefill(self, view: EngineView) -> list[PrefillAssignment]:
         now = view.now
         if not self._member:

@@ -33,6 +33,7 @@ from repro.core.relegation import ViolationChecker
 from repro.core.request import Request
 from repro.engine.replica import ReplicaEngine
 from repro.metrics.summary import RunSummary
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import (
     REASON_BACKPRESSURE,
     AdmissionConfig,
@@ -113,6 +114,31 @@ class GatewayStats:
             "tokens_streamed": dict(sorted(self.tokens_streamed.items())),
             "tokens_streamed_total": self.tokens_streamed_total,
         }
+
+    def to_registry(self) -> MetricsRegistry:
+        """The counters as a fresh registry, under the series names and
+        help strings the tracing observer uses."""
+        registry = MetricsRegistry()
+        admitted = registry.counter(
+            "repro_gateway_admitted_total",
+            "Requests admitted by the serving gateway", ("tier",),
+        )
+        for tier, count in self.admitted.items():
+            admitted.labels(tier).inc(count)
+        shed = registry.counter(
+            "repro_gateway_shed_total",
+            "Requests refused or evicted by the serving gateway",
+            ("tier", "reason"),
+        )
+        for (tier, reason), count in self.shed.items():
+            shed.labels(tier, reason).inc(count)
+        streamed = registry.counter(
+            "repro_gateway_tokens_streamed_total",
+            "Output tokens delivered to streaming consumers", ("tier",),
+        )
+        for tier, count in self.tokens_streamed.items():
+            streamed.labels(tier).inc(count)
+        return registry
 
 
 class _Ticket:
@@ -481,113 +507,46 @@ class ServeGateway:
     def prometheus_text(self) -> str:
         """Prometheus exposition for ``/metrics``.
 
-        Served from the observer's registry when one is attached (the
-        CLI wires a :class:`~repro.obs.observer.TracingObserver`);
-        otherwise rendered from the always-on plain counters so the
-        gateway series are never absent.
+        Rendered from the observer's registry when one is attached (the
+        CLI wires a :class:`~repro.obs.observer.TracingObserver`, whose
+        hooks count the gateway series); otherwise from a fresh registry
+        filled from the always-on :class:`GatewayStats`, so the gateway
+        series are never absent.  The scrape-time gauges are set here.
         """
-        now = self.session.now
-        depth = self.session.queue_depth()
-        fills = self.admission.fill_levels(now)
-        fleet = self._fleet_snapshot()
         registry = getattr(self._observer, "registry", None)
-        if registry is not None:
-            registry.gauge(
-                "repro_gateway_queue_depth",
-                "Cluster-wide prefill backlog seen by admission",
-            ).set(depth)
-            if fills:
-                fill_gauge = registry.gauge(
-                    "repro_gateway_token_bucket_fill",
-                    "Admission token-bucket fill per tier",
-                    labelnames=("tier",),
-                )
-                for tier, level in fills.items():
-                    fill_gauge.labels(tier=tier).set(level)
-            if fleet is not None:
-                registry.gauge(
-                    "repro_fleet_size",
-                    "Provisioned (non-released) fleet replicas",
-                ).set(fleet["size"])
-                hw_gauge = registry.gauge(
-                    "repro_fleet_replicas",
-                    "Provisioned fleet replicas per hardware class",
-                    labelnames=("hardware",),
-                )
-                for name, count in fleet["by_hardware"].items():
-                    hw_gauge.labels(hardware=name).set(count)
-                registry.gauge(
-                    "repro_fleet_burn_rate",
-                    "Recent SLO error-budget burn rate of the fleet",
-                ).set(fleet["burn_rate"])
-            return registry.to_prometheus_text()
-        lines = [
-            "# HELP repro_gateway_queue_depth Cluster-wide prefill "
-            "backlog seen by admission",
-            "# TYPE repro_gateway_queue_depth gauge",
-            f"repro_gateway_queue_depth {depth}",
-        ]
+        if registry is None:
+            registry = self.stats.to_registry()
+        registry.gauge(
+            "repro_gateway_queue_depth",
+            "Cluster-wide prefill backlog seen by admission",
+        ).set(self.session.queue_depth())
+        fills = self.admission.fill_levels(self.session.now)
         if fills:
-            lines += [
-                "# HELP repro_gateway_token_bucket_fill Admission "
-                "token-bucket fill per tier",
-                "# TYPE repro_gateway_token_bucket_fill gauge",
-            ]
+            fill_gauge = registry.gauge(
+                "repro_gateway_token_bucket_fill",
+                "Admission token-bucket fill per tier",
+                labelnames=("tier",),
+            )
             for tier, level in fills.items():
-                lines.append(
-                    "repro_gateway_token_bucket_fill"
-                    f'{{tier="{tier}"}} {level}'
-                )
-        lines += [
-            "# HELP repro_gateway_admitted_total Requests admitted "
-            "by the serving gateway",
-            "# TYPE repro_gateway_admitted_total counter",
-        ]
-        for tier, count in sorted(self.stats.admitted.items()):
-            lines.append(
-                f'repro_gateway_admitted_total{{tier="{tier}"}} {count}'
-            )
-        lines += [
-            "# HELP repro_gateway_shed_total Requests refused or "
-            "evicted by the serving gateway",
-            "# TYPE repro_gateway_shed_total counter",
-        ]
-        for (tier, reason), count in sorted(self.stats.shed.items()):
-            lines.append(
-                f'repro_gateway_shed_total{{tier="{tier}",'
-                f'reason="{reason}"}} {count}'
-            )
-        lines += [
-            "# HELP repro_gateway_tokens_streamed_total Output tokens "
-            "delivered to streaming consumers",
-            "# TYPE repro_gateway_tokens_streamed_total counter",
-        ]
-        for tier, count in sorted(self.stats.tokens_streamed.items()):
-            lines.append(
-                "repro_gateway_tokens_streamed_total"
-                f'{{tier="{tier}"}} {count}'
-            )
+                fill_gauge.labels(tier=tier).set(level)
+        fleet = self._fleet_snapshot()
         if fleet is not None:
-            lines += [
-                "# HELP repro_fleet_size Provisioned (non-released) "
-                "fleet replicas",
-                "# TYPE repro_fleet_size gauge",
-                f"repro_fleet_size {fleet['size']}",
-                "# HELP repro_fleet_replicas Provisioned fleet "
-                "replicas per hardware class",
-                "# TYPE repro_fleet_replicas gauge",
-            ]
-            for name, count in sorted(fleet["by_hardware"].items()):
-                lines.append(
-                    f'repro_fleet_replicas{{hardware="{name}"}} {count}'
-                )
-            lines += [
-                "# HELP repro_fleet_burn_rate Recent SLO error-budget "
-                "burn rate of the fleet",
-                "# TYPE repro_fleet_burn_rate gauge",
-                f"repro_fleet_burn_rate {fleet['burn_rate']}",
-            ]
-        return "\n".join(lines) + "\n"
+            registry.gauge(
+                "repro_fleet_size",
+                "Provisioned (non-released) fleet replicas",
+            ).set(fleet["size"])
+            hw_gauge = registry.gauge(
+                "repro_fleet_replicas",
+                "Provisioned fleet replicas per hardware class",
+                labelnames=("hardware",),
+            )
+            for name, count in fleet["by_hardware"].items():
+                hw_gauge.labels(hardware=name).set(count)
+            registry.gauge(
+                "repro_fleet_burn_rate",
+                "Recent SLO error-budget burn rate of the fleet",
+            ).set(fleet["burn_rate"])
+        return registry.to_prometheus_text()
 
     def _fleet_snapshot(self) -> dict | None:
         """Fleet gauges for ``/metrics`` and ``/v1/live`` (None when

@@ -12,6 +12,7 @@ from repro.api import ServeConfig, Session
 from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.core.request import Request
+from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
 from repro.simcore import Simulator
 
@@ -106,7 +107,7 @@ def drain_trace(execution_model, scheduler, trace, *, observer=None,
                 **config):
     """Run ``trace`` to drain on one replica driven by a pre-built
     ``scheduler`` under ``execution_model``; ``config`` forwards to
-    :class:`ServeConfig` (e.g. ``record_iterations``, ``audit``).
+    :class:`ServeConfig` (e.g. ``audit``, ``kv_reuse``).
     Returns ``(summary, engine)``."""
     session = Session(
         ServeConfig(**config),
@@ -118,6 +119,18 @@ def drain_trace(execution_model, scheduler, trace, *, observer=None,
         session.submit(request)
     session.drain()
     return session.summary(requests=list(trace)), session.engines[0]
+
+
+def traced() -> tuple[TracingObserver, ListSink]:
+    """A tracing observer over an in-memory sink, for tests that read
+    the engine's per-iteration events; returns ``(observer, sink)``."""
+    sink = ListSink()
+    return TracingObserver(TraceRecorder([sink])), sink
+
+
+def events_of(sink: ListSink, kind: str) -> list[dict]:
+    """The ``kind`` events recorded in ``sink``, in emission order."""
+    return [event for event in sink.events if event["kind"] == kind]
 
 
 # Re-export tier presets so tests can import them from one place.

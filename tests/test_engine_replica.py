@@ -9,19 +9,23 @@ from repro.simcore import Simulator
 from tests.conftest import (
     Q1,
     Q2,
+    events_of,
     make_request,
     small_memory_model,
     stall_requests,
+    traced,
 )
 
 
-def run_engine(requests, execution_model, scheduler=None, config=None):
+def run_engine(requests, execution_model, scheduler=None, config=None,
+               observer=None):
     sim = Simulator()
     engine = ReplicaEngine(
         sim,
         execution_model,
         scheduler or FCFSScheduler(chunk_size=256),
         config or ReplicaConfig(),
+        observer=observer,
     )
     for r in requests:
         engine.submit(r)
@@ -110,11 +114,11 @@ class TestMultipleRequests:
 
     def test_iteration_records(self, execution_model):
         r = make_request(prompt_tokens=600, decode_tokens=5)
-        engine, _ = run_engine(
-            [r], execution_model, config=ReplicaConfig(record_iterations=True)
-        )
-        assert len(engine.iteration_records) == engine.iterations_run
-        assert engine.iteration_records[0].prefill_tokens > 0
+        observer, sink = traced()
+        engine, _ = run_engine([r], execution_model, observer=observer)
+        iterations = events_of(sink, "iteration_scheduled")
+        assert len(iterations) == engine.iterations_run
+        assert iterations[0]["prefill_tokens"] > 0
 
 
 class TestChunkedPrefill:
@@ -133,17 +137,15 @@ class TestChunkedPrefill:
         ]
         prefill = make_request(request_id=99, arrival_time=2.0,
                                prompt_tokens=512, decode_tokens=1)
-        engine, _ = run_engine(
-            decodes + [prefill], execution_model,
-            config=ReplicaConfig(record_iterations=True),
-        )
+        observer, sink = traced()
+        run_engine(decodes + [prefill], execution_model, observer=observer)
         loaded = [
-            rec for rec in engine.iteration_records
-            if rec.num_decodes >= 30 and rec.prefill_tokens > 0
+            rec for rec in events_of(sink, "iteration_scheduled")
+            if rec["num_decodes"] >= 30 and rec["prefill_tokens"] > 0
         ]
         assert loaded, "expected mixed batches"
         for rec in loaded:
-            assert rec.prefill_tokens + rec.num_decodes <= 256
+            assert rec["prefill_tokens"] + rec["num_decodes"] <= 256
 
 
 class TestDecodeSlots:

@@ -10,7 +10,7 @@ import pytest
 from repro.api import build_trace, make_scheduler
 from repro.experiments.configs import get_execution_model
 from repro.workload.datasets import SHAREGPT
-from tests.conftest import drain_trace
+from tests.conftest import drain_trace, events_of, traced
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,14 @@ class TestDecodeHeavyRegime:
         """ShareGPT's long decodes keep many requests resident — the
         mixed batches the execution model's decode terms exist for."""
         scaled = trace.scaled_arrivals(2.0)
-        _, engine = drain_trace(
+        observer, sink = traced()
+        drain_trace(
             em, make_scheduler("qoserve-oracle", em), scaled,
-            record_iterations=True,
+            observer=observer,
         )
-        peak_decodes = max(r.num_decodes for r in engine.iteration_records)
+        peak_decodes = max(
+            r["num_decodes"] for r in events_of(sink, "iteration_scheduled")
+        )
         assert peak_decodes >= 20
 
     def test_qoserve_tbt_clean_under_decode_pressure(self, em, trace):
@@ -69,14 +72,16 @@ class TestDecodeHeavyRegime:
         from repro.simcore import Simulator
 
         sim = Simulator()
+        observer, sink = traced()
         engine = ReplicaEngine(
             sim, em, make_scheduler("edf", em),
-            ReplicaConfig(max_decode_slots=24, record_iterations=True),
+            ReplicaConfig(max_decode_slots=24), observer=observer,
         )
         for r in trace.scaled_arrivals(2.0):
             engine.submit(r)
         sim.run(max_events=30_000_000)
         assert all(r.is_finished for r in engine.submitted)
         assert max(
-            rec.num_decodes for rec in engine.iteration_records
+            rec["num_decodes"]
+            for rec in events_of(sink, "iteration_scheduled")
         ) <= 24

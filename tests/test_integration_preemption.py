@@ -12,7 +12,7 @@ from repro.api import make_scheduler
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
 from repro.simcore import Simulator
-from tests.conftest import Q1, Q2, make_request
+from tests.conftest import Q1, Q2, events_of, make_request, traced
 
 
 @pytest.fixture(scope="module")
@@ -20,10 +20,10 @@ def em():
     return get_execution_model("llama3-8b")
 
 
-def run_requests(em, scheduler, requests, record=True):
+def run_requests(em, scheduler, requests, observer=None):
     sim = Simulator()
     engine = ReplicaEngine(
-        sim, em, scheduler, ReplicaConfig(record_iterations=record)
+        sim, em, scheduler, ReplicaConfig(), observer=observer
     )
     for r in requests:
         engine.submit(r)
@@ -99,10 +99,11 @@ class TestIterationTelemetry:
                          prompt_tokens=500 + 100 * i, decode_tokens=5)
             for i in range(10)
         ]
+        observer, sink = traced()
         engine, _ = run_requests(
-            em, make_scheduler("edf", em), requests
+            em, make_scheduler("edf", em), requests, observer
         )
-        total = sum(r.exec_time for r in engine.iteration_records)
+        total = sum(r["dur"] for r in events_of(sink, "iteration_scheduled"))
         assert engine.busy_time == pytest.approx(total)
 
     def test_kv_utilization_recorded_in_unit_interval(self, em):
@@ -111,8 +112,11 @@ class TestIterationTelemetry:
                          decode_tokens=20)
             for i in range(5)
         ]
+        observer, sink = traced()
         engine, _ = run_requests(
-            em, make_scheduler("edf", em), requests
+            em, make_scheduler("edf", em), requests, observer
         )
-        for record in engine.iteration_records:
-            assert 0.0 <= record.kv_utilization <= 1.0
+        snapshots = events_of(sink, "kv_cache_snapshot")
+        assert len(snapshots) == engine.iterations_run
+        for record in snapshots:
+            assert 0.0 <= record["utilization"] <= 1.0

@@ -21,7 +21,6 @@ from repro.obs.observer import (
     get_default_observer,
     set_default_observer,
 )
-from repro.obs.timing import WallClockProfiler, timed
 from repro.obs.trace import ListSink, TraceRecorder
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE
@@ -195,51 +194,6 @@ class TestSchedulerStats:
         stats = engine_scheduler_stats(FakeEngine([r1, r2]))
         assert stats["relegations_by_tier"] == {Q1.name: 2}
         assert stats["relegations_total"] == 2
-
-
-class TestTimed:
-    def test_decorator_records_only_when_enabled(self):
-        profiler = WallClockProfiler()
-
-        @timed("work", profiler)
-        def work(x):
-            return x * 2
-
-        assert work(2) == 4
-        assert profiler.totals == {}
-        profiler.enable()
-        assert work(3) == 6
-        assert profiler.counts["work"] == 1
-        assert profiler.totals["work"] >= 0.0
-
-    def test_context_manager_form(self):
-        profiler = WallClockProfiler()
-        profiler.enable()
-        with timed("section", profiler):
-            pass
-        assert profiler.counts["section"] == 1
-
-    def test_report_sorted_by_total(self):
-        profiler = WallClockProfiler()
-        profiler.record("slow", 2.0)
-        profiler.record("fast", 0.5)
-        report = profiler.report()
-        assert list(report) == ["slow", "fast"]
-        assert report["slow"]["calls"] == 1
-        text = profiler.report_text()
-        assert "slow" in text and "fast" in text
-
-    def test_exceptions_still_recorded(self):
-        profiler = WallClockProfiler()
-        profiler.enable()
-
-        @timed("boom", profiler)
-        def boom():
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            boom()
-        assert profiler.counts["boom"] == 1
 
 
 class TestMultiObserver:

@@ -16,6 +16,7 @@ from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
 from repro.experiments.configs import get_execution_model
 from repro.simcore import Simulator
+from tests.conftest import events_of, traced
 
 EM = get_execution_model("llama3-8b")
 
@@ -86,16 +87,17 @@ def test_fixed_chunk_bounds_iteration_latency(requests):
     bounded regardless of workload shape."""
     requests = unique_ids(requests)
     simulator = Simulator()
+    observer, sink = traced()
     engine = ReplicaEngine(
         simulator, EM, make_scheduler("edf", EM, chunk_size=256),
-        ReplicaConfig(record_iterations=True),
+        ReplicaConfig(), observer=observer,
     )
     for r in requests:
         engine.submit(r)
     simulator.run(max_events=2_000_000)
-    for record in engine.iteration_records:
-        assert record.prefill_tokens + record.num_decodes <= 256
-        assert record.exec_time < 0.25  # generous static bound
+    for record in events_of(sink, "iteration_scheduled"):
+        assert record["prefill_tokens"] + record["num_decodes"] <= 256
+        assert record["dur"] < 0.25  # generous static bound
 
 
 @given(seed=st.integers(0, 10_000))

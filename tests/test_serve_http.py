@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import random
 
 import pytest
 
@@ -46,6 +47,15 @@ def _request(server, method, path, body=None, timeout=60):
         return response.status, response.read()
     finally:
         connection.close()
+
+
+def _assert_still_serving(server):
+    status, body = _request(
+        server, "POST", "/v1/completions",
+        {"prompt_tokens": 16, "max_tokens": 2}, timeout=10,
+    )
+    assert status == 200
+    assert json.loads(body)["finished"] is True
 
 
 class TestEndpoints:
@@ -287,14 +297,6 @@ class TestBoundaryRejections:
     """Input the gateway cannot serve gets a prompt 400, and the next
     well-formed request is still served."""
 
-    def _assert_still_serving(self, server):
-        status, body = _request(
-            server, "POST", "/v1/completions",
-            {"prompt_tokens": 16, "max_tokens": 2}, timeout=10,
-        )
-        assert status == 200
-        assert json.loads(body)["finished"] is True
-
     @pytest.mark.parametrize(
         "field", ["prompt_tokens", "max_tokens", "parent_request_id",
                   "token_ids"],
@@ -310,7 +312,7 @@ class TestBoundaryRejections:
         )
         assert status == 400
         assert json.loads(reply)["error"] == "bad_request"
-        self._assert_still_serving(server)
+        _assert_still_serving(server)
 
     def test_request_no_replica_can_hold(self, served):
         gateway, server = served
@@ -322,7 +324,7 @@ class TestBoundaryRejections:
         assert status == 400
         assert b"KV capacity" in body
         assert gateway.offered == []
-        self._assert_still_serving(server)
+        _assert_still_serving(server)
 
     @pytest.mark.parametrize("token", [2**63, -(2**63) - 1])
     def test_token_id_outside_int64(self, served, token):
@@ -335,7 +337,76 @@ class TestBoundaryRejections:
         assert status == 400
         assert json.loads(body)["error"] == "bad_request"
         assert gateway.offered == []
-        self._assert_still_serving(server)
+        _assert_still_serving(server)
+
+
+class TestCompletionBodyFuzz:
+    """Seeded mutations of a valid ``POST /v1/completions`` body: each
+    is served (200) or refused as a 4xx ``bad_request``, never a 5xx or
+    a dropped connection, and the server keeps serving."""
+
+    VALID = {
+        "prompt_tokens": 8, "max_tokens": 2, "tier": "Q2",
+        "token_ids": list(range(8)), "session_id": "fuzz",
+        "parent_request_id": 0, "important": True, "stream": False,
+        "app_id": "fuzz",
+    }
+    #: Replacement values: negative, zero, huge and non-finite numbers
+    #: and every JSON type.  JSON has no NaN or infinity; Python's
+    #: decoder accepts the ``NaN``/``Infinity`` tokens ``json.dumps``
+    #: writes for them, and ``1e400`` overflows to infinity.
+    VALUES = (
+        -1, 0, 1, -(10**6), 10**30, 2**63, 1.5, -0.0, 1e300,
+        float("nan"), float("inf"), float("-inf"), "1e400",
+        "", "8", "abc", None, True, False, [], [1], {}, {"a": 1},
+    )
+    TIERS = ("Q9", "", "q1", "Q1 ", 5, None, ["Q1"])
+
+    @classmethod
+    def _mutations(cls, rng, count):
+        fields = list(cls.VALID)
+        for _ in range(count):
+            body = json.loads(json.dumps(cls.VALID))
+            kind = rng.randrange(6)
+            if kind == 0:
+                for field in rng.sample(fields, rng.randint(1, 3)):
+                    del body[field]
+            elif kind == 1:
+                body[rng.choice(fields)] = rng.choice(cls.VALUES)
+            elif kind == 2:
+                # token_ids whose length disagrees with prompt_tokens.
+                size = rng.choice((0, 1, 7, 9, 64))
+                body["token_ids"] = list(range(size))
+                if rng.random() < 0.5:
+                    body["prompt_tokens"] = rng.choice((1, 7, 9, 64))
+            elif kind == 3:
+                body["token_ids"][rng.randrange(8)] = rng.choice(cls.VALUES)
+            elif kind == 4:
+                body["tier"] = rng.choice(cls.TIERS)
+            else:
+                body = rng.choice((
+                    [], "text", 7, None, [body], {"body": body},
+                ))
+            text = json.dumps(body).replace('"1e400"', "1e400")
+            if kind == 5 and rng.random() < 0.3:
+                text = text[: rng.randrange(len(text))]  # truncated
+            yield text
+
+    def test_mutated_bodies(self, served):
+        _, server = served
+        served_ok = refused = 0
+        for body in self._mutations(random.Random(27), 200):
+            status, reply = _request(
+                server, "POST", "/v1/completions", body, timeout=10
+            )
+            if status == 200:
+                served_ok += 1
+                continue
+            assert 400 <= status < 500, (status, body, reply)
+            assert json.loads(reply)["error"] == "bad_request", body
+            refused += 1
+        assert served_ok and refused
+        _assert_still_serving(server)
 
 
 class TestAdmissionOverHTTP:
