@@ -9,6 +9,8 @@ shows up as two adjacent files disagreeing on the same pinned workload.
 
 The pinned micro workloads:
 
+* ``forest_fit``              — cold :class:`ForestBatchPredictor`
+  training (profile + 16-tree fit), best of N
 * ``forest_predict_pertree``  — reference per-tree scalar prediction
 * ``forest_predict_fused``    — fused flat-array scalar prediction
 * ``forest_predict_batch``    — vectorized batch prediction (per row)
@@ -92,7 +94,10 @@ from typing import Any, Callable
 #: ``engine_e2e`` ``code`` row, and its ``profile`` came from the
 #: deleted ``obs.timed`` profiler (``simbench/run.py --trace 1`` times
 #: the same scheduler sections).
-SCHEMA_VERSION = 12
+#: 13 — ``micro_us`` grew a ``forest_fit`` row: one cold
+#: ``ForestBatchPredictor.train`` on llama3-8b (profiling plus the
+#: 16-tree fit that every cold ``Session`` pays), best of N.
+SCHEMA_VERSION = 13
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -126,7 +131,10 @@ def _timeit(
 def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     import numpy as np
 
-    from repro.core.predictor import cached_forest_predictor
+    from repro.core.predictor import (
+        ForestBatchPredictor,
+        cached_forest_predictor,
+    )
     from repro.core.chunking import DynamicChunker
     from repro.experiments.configs import get_execution_model
     from repro.perfmodel.execution import BatchShape, PrefillChunk
@@ -152,6 +160,11 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     rows = np.asarray([features] * 256, dtype=np.float64)
 
     results: dict[str, dict[str, float]] = {}
+    # Training bypasses the predictor cache: every rep fits from scratch.
+    results["forest_fit"] = _timeit(
+        lambda: ForestBatchPredictor.train(execution_model),
+        reps=reps, loops=1,
+    )
     results["forest_predict_pertree"] = _timeit(
         lambda: forest.predict_one_pertree(features, quantile=quantile),
         reps=reps, loops=loops,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from repro.forest.fused import FusedForest
-from repro.forest.tree import DecisionTreeRegressor
+from repro.forest.tree import DecisionTreeRegressor, fit_trees, training_set
 
 
 class RandomForestRegressor:
@@ -24,22 +24,19 @@ class RandomForestRegressor:
         n_trees: int = 20,
         max_depth: int = 12,
         min_samples_leaf: int = 2,
-        max_features: int | None = None,
         seed: int = 0,
     ) -> None:
         """Args:
         n_trees: Number of bootstrap trees.
         max_depth: Depth limit per tree.
         min_samples_leaf: Leaf-size minimum per tree.
-        max_features: Features sampled per split (``None`` = all).
-        seed: Seed for bootstrap sampling and feature sub-sampling.
+        seed: Seed for bootstrap sampling.
         """
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
         self.seed = seed
         self._trees: list[DecisionTreeRegressor] = []
         self._fused: FusedForest | None = None
@@ -49,26 +46,25 @@ class RandomForestRegressor:
         return bool(self._trees)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        """Fit ``n_trees`` trees on bootstrap resamples of (x, y)."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if len(x) != len(y):
-            raise ValueError("x and y must have the same length")
-        if len(x) == 0:
-            raise ValueError("cannot fit a forest on zero samples")
+        """Fit ``n_trees`` trees on bootstrap resamples of (x, y).
+
+        The trees grow together, level by level (see
+        :func:`~repro.forest.tree.fit_trees`); each is the tree a
+        :class:`DecisionTreeRegressor` fitted on its resample alone
+        would be.
+        """
+        x, y = training_set(x, y, "forest")
         rng = np.random.default_rng(self.seed)
         n = len(x)
-        self._trees = []
-        for _ in range(self.n_trees):
-            sample = rng.integers(0, n, size=n)
-            tree = DecisionTreeRegressor(
+        samples = [rng.integers(0, n, size=n) for _ in range(self.n_trees)]
+        self._trees = [
+            DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                rng=rng,
             )
-            tree.fit(x[sample], y[sample])
-            self._trees.append(tree)
+            for _ in samples
+        ]
+        fit_trees(self._trees, x, y, samples)
         self._fused = None  # stale node tables; rebuilt lazily
         return self
 

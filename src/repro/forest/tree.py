@@ -1,8 +1,15 @@
-"""CART regression tree with variance-reduction (MSE) splits.
+"""CART regression trees with variance-reduction (MSE) splits.
 
 Nodes are stored in flat arrays rather than linked objects so that
 prediction — which the scheduler performs many times per simulated
 iteration — is a tight iterative loop.
+
+Trees are grown level by level (:func:`fit_trees`): at each depth the
+open nodes of every tree being fitted are searched together, in padded
+``(features, nodes, samples)`` blocks, with one stable sort and two
+prefix sums per block instead of per node and feature.  The nodes are
+then numbered in depth-first order, so a tree is the same, byte for
+byte, as one grown a node at a time from a stack.
 """
 
 from __future__ import annotations
@@ -11,6 +18,10 @@ import numpy as np
 
 _NO_CHILD = -1
 
+#: Cap on the elements of one padded search block; it bounds the
+#: memory the search takes, whatever the number of trees.
+_BLOCK_ELEMENTS = 1 << 14
+
 
 class DecisionTreeRegressor:
     """A binary regression tree grown greedily to minimize MSE.
@@ -18,10 +29,8 @@ class DecisionTreeRegressor:
     Attributes:
         max_depth: Maximum tree depth (root is depth 0).
         min_samples_leaf: A split is rejected if it would create a leaf
-            smaller than this.
+            smaller than this (at least 1).
         min_samples_split: Nodes smaller than this become leaves.
-        max_features: Number of features considered per split; ``None``
-            considers all.
     """
 
     def __init__(
@@ -29,14 +38,14 @@ class DecisionTreeRegressor:
         max_depth: int = 12,
         min_samples_leaf: int = 2,
         min_samples_split: int = 4,
-        max_features: int | None = None,
-        rng: np.random.Generator | None = None,
     ) -> None:
+        if min_samples_leaf < 1:
+            raise ValueError(
+                f"min_samples_leaf must be >= 1, got {min_samples_leaf}"
+            )
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self._rng = rng or np.random.default_rng(0)
         # Flat node arrays, filled by fit().
         self._feature: np.ndarray | None = None
         self._threshold: np.ndarray | None = None
@@ -50,136 +59,9 @@ class DecisionTreeRegressor:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Grow the tree on training matrix ``x`` and targets ``y``."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got shape {x.shape}")
-        if len(x) != len(y):
-            raise ValueError("x and y must have the same length")
-        if len(x) == 0:
-            raise ValueError("cannot fit a tree on zero samples")
-
-        features: list[int] = []
-        thresholds: list[float] = []
-        lefts: list[int] = []
-        rights: list[int] = []
-        values: list[float] = []
-
-        def new_node() -> int:
-            features.append(_NO_CHILD)
-            thresholds.append(0.0)
-            lefts.append(_NO_CHILD)
-            rights.append(_NO_CHILD)
-            values.append(0.0)
-            return len(features) - 1
-
-        # Iterative depth-first growth with an explicit stack keeps us
-        # clear of Python's recursion limit on deep trees.
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [
-            (root, np.arange(len(x)), 0)
-        ]
-        while stack:
-            node, idx, depth = stack.pop()
-            y_node = y[idx]
-            values[node] = float(y_node.mean())
-            if (
-                depth >= self.max_depth
-                or len(idx) < self.min_samples_split
-                or float(y_node.max() - y_node.min()) == 0.0
-            ):
-                continue
-            split = self._best_split(x, y, idx)
-            if split is None:
-                continue
-            feat, thresh, left_idx, right_idx = split
-            left = new_node()
-            right = new_node()
-            features[node] = feat
-            thresholds[node] = thresh
-            lefts[node] = left
-            rights[node] = right
-            stack.append((left, left_idx, depth + 1))
-            stack.append((right, right_idx, depth + 1))
-
-        self._feature = np.array(features, dtype=np.int64)
-        self._threshold = np.array(thresholds, dtype=np.float64)
-        self._left = np.array(lefts, dtype=np.int64)
-        self._right = np.array(rights, dtype=np.int64)
-        self._value = np.array(values, dtype=np.float64)
+        x, y = training_set(x, y, "tree")
+        fit_trees([self], x, y, [np.arange(len(x))])
         return self
-
-    def _best_split(
-        self, x: np.ndarray, y: np.ndarray, idx: np.ndarray
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        """Return (feature, threshold, left_idx, right_idx) or None.
-
-        For each candidate feature the samples are sorted once and the
-        sum-of-squared-errors of every prefix/suffix pair is evaluated
-        with prefix sums, so the scan is O(n log n) per feature.
-        """
-        n_features = x.shape[1]
-        if self.max_features is not None and self.max_features < n_features:
-            candidates = self._rng.choice(
-                n_features, size=self.max_features, replace=False
-            )
-        else:
-            candidates = np.arange(n_features)
-
-        y_node = y[idx]
-        n = len(idx)
-        total_sum = y_node.sum()
-        total_sq = float(y_node @ y_node)
-        parent_sse = total_sq - total_sum * total_sum / n
-
-        best_gain = 1e-12  # require strictly positive improvement
-        best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-        min_leaf = self.min_samples_leaf
-        for feat in candidates:
-            col = x[idx, feat]
-            order = np.argsort(col, kind="stable")
-            col_sorted = col[order]
-            y_sorted = y_node[order]
-            prefix_sum = np.cumsum(y_sorted)
-            prefix_sq = np.cumsum(y_sorted * y_sorted)
-
-            # Valid split positions: between i-1 and i where the value
-            # changes and both sides satisfy the leaf-size minimum.
-            positions = np.arange(min_leaf, n - min_leaf + 1)
-            if len(positions) == 0:
-                continue
-            changed = col_sorted[positions] != col_sorted[positions - 1]
-            positions = positions[changed]
-            if len(positions) == 0:
-                continue
-
-            left_n = positions.astype(np.float64)
-            left_sum = prefix_sum[positions - 1]
-            left_sq = prefix_sq[positions - 1]
-            right_n = n - left_n
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-            sse = (
-                left_sq
-                - left_sum * left_sum / left_n
-                + right_sq
-                - right_sum * right_sum / right_n
-            )
-            gains = parent_sse - sse
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                pos = positions[k]
-                thresh = 0.5 * (col_sorted[pos - 1] + col_sorted[pos])
-                left_mask = order[:pos]
-                right_mask = order[pos:]
-                best = (
-                    int(feat),
-                    float(thresh),
-                    idx[left_mask],
-                    idx[right_mask],
-                )
-                best_gain = gains[k]
-        return best
 
     def predict_one(self, features: np.ndarray | tuple[float, ...]) -> float:
         """Predict a single sample; the scheduler's hot path."""
@@ -203,3 +85,227 @@ class DecisionTreeRegressor:
         if x.ndim == 1:
             x = x[None, :]
         return np.array([self.predict_one(row) for row in x])
+
+
+def training_set(
+    x: np.ndarray, y: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` as float64 arrays, checked for a ``what`` to fit on."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got shape {x.shape}")
+    if len(x) != len(y):
+        raise ValueError("x and y must have the same length")
+    if len(x) == 0:
+        raise ValueError(f"cannot fit a {what} on zero samples")
+    return x, y
+
+
+def fit_trees(
+    trees: list[DecisionTreeRegressor],
+    x: np.ndarray,
+    y: np.ndarray,
+    samples: list[np.ndarray],
+) -> None:
+    """Grow ``trees[i]`` on the rows ``samples[i]`` of ``(x, y)``.
+
+    Every tree takes the hyperparameters of ``trees[0]``.  The trees
+    grow together, one depth per pass.  A node's samples keep the order
+    its parent's split sorted them into, and its sum (pairwise) and
+    sum of squares (a dot product) are 1-D calls over them in that
+    order, so every float matches a node-at-a-time build.
+    """
+    spec = trees[0]
+    max_depth = spec.max_depth
+    min_split = spec.min_samples_split
+    x_t = np.ascontiguousarray(x.T)
+    n_features = len(x_t)
+    # The open nodes of one depth, all trees together: node i holds the
+    # rows[starts[i]:starts[i] + sizes[i]] of x, in its own order.
+    rows = np.concatenate(samples)
+    sizes = np.array([len(sample) for sample in samples])
+    tree_of = np.arange(len(samples))
+    levels: list[tuple[np.ndarray, ...]] = []
+    depth = 0
+    while len(sizes):
+        starts = np.cumsum(sizes) - sizes
+        y_level = y[rows]
+        bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
+        sums = np.array([y_level[a:b].sum() for a, b in bounds])
+        values = sums / sizes
+        feature = np.full(len(sizes), _NO_CHILD, dtype=np.int64)
+        threshold = np.zeros(len(sizes))
+        split_at = np.zeros(len(sizes), dtype=np.int64)
+        open_nodes = np.flatnonzero(
+            (depth < max_depth)
+            & (sizes >= min_split)
+            & (
+                np.maximum.reduceat(y_level, starts)
+                - np.minimum.reduceat(y_level, starts)
+                != 0.0
+            )
+        )
+        # Search the largest nodes first; a block holds nodes at least
+        # half as large as its first, so padding at most doubles it.
+        open_nodes = open_nodes[
+            np.argsort(-sizes[open_nodes], kind="stable")
+        ]
+        squares = np.array([
+            float(y_level[a:b] @ y_level[a:b])
+            for a, b in map(bounds.__getitem__, open_nodes.tolist())
+        ])
+        first = 0
+        while first < len(open_nodes):
+            width = int(sizes[open_nodes[first]])
+            stop = min(
+                len(open_nodes),
+                first + max(1, _BLOCK_ELEMENTS // (width * n_features)),
+                first
+                + int(
+                    np.searchsorted(
+                        -sizes[open_nodes[first:]], -(width // 2)
+                    )
+                ),
+            )
+            block = open_nodes[first:stop]
+            _search_block(
+                x_t, y_level, rows, starts[block], sizes[block],
+                sums[block], squares[first:stop], spec.min_samples_leaf,
+                block, feature, threshold, split_at,
+            )
+            first = stop
+        split = feature != _NO_CHILD
+        levels.append((tree_of, split, feature, threshold, values))
+        # Children of the k-th split node are next-depth nodes 2k
+        # (left) and 2k + 1 (right); each takes its side of the
+        # parent's rows in the sorted order.
+        rows = rows[np.repeat(split, sizes)]
+        sizes = np.stack(
+            [split_at[split], sizes[split] - split_at[split]], axis=1
+        ).ravel()
+        tree_of = np.repeat(tree_of[split], 2)
+        depth += 1
+    _store(trees, levels)
+
+
+def _search_block(
+    x_t, y_level, rows, starts, sizes, sums, squares, min_leaf,
+    nodes, feature, threshold, split_at,
+) -> None:
+    """Find the best split of each node in one padded block.
+
+    Writes each split node's feature, threshold and left size into the
+    level's tables at ``nodes``, and sorts its ``rows`` in place by the
+    split feature.  The first best position of each feature, and then
+    the first feature strictly above a running best that starts at
+    ``1e-12``, win, as in a per-node scan.
+    """
+    width = int(sizes[0])
+    inside = np.arange(width) < sizes[:, None]
+    at = np.where(inside, starts[:, None] + np.arange(width), 0)
+    # Padding sorts last: NaN is above every value, and a stable sort
+    # keeps a sample's own NaN ahead of the padding.
+    col = x_t[:, rows[at]]
+    col[:, ~inside] = np.nan
+    order = np.argsort(col, axis=-1, kind="stable")
+    col = np.take_along_axis(col, order, axis=-1)
+    y_block = np.where(inside, y_level[at], 0.0)
+    y_sorted = y_block[np.arange(len(sizes))[:, None], order]
+    # cumsum is sequential, so the zeros after a node's end leave its
+    # prefixes as they would be unpadded.
+    left_sum = np.cumsum(y_sorted, axis=-1)[..., :-1]
+    y_sorted *= y_sorted
+    left_sq = np.cumsum(y_sorted, axis=-1)[..., :-1]
+    n = sizes[:, None].astype(np.float64)
+    total_sum = sums[:, None]
+    total_sq = squares[:, None]
+    left_n = np.arange(1, width, dtype=np.float64)
+    right_sum = total_sum - left_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (
+            left_sq
+            - left_sum * left_sum / left_n
+            + (total_sq - left_sq)
+            - right_sum * right_sum / (n - left_n)
+        )
+        gains = (total_sq - total_sum * total_sum / n) - sse
+    valid = (
+        (left_n >= min_leaf)
+        & (left_n <= n - min_leaf)
+        & (col[..., 1:] != col[..., :-1])
+    )
+    gains[~valid] = -np.inf
+    best_at = np.argmax(gains, axis=-1)
+    best_gain = np.take_along_axis(gains, best_at[..., None], -1)[..., 0]
+    running = np.full(len(sizes), 1e-12)
+    chosen = np.full(len(sizes), _NO_CHILD, dtype=np.int64)
+    for f, gain in enumerate(best_gain):
+        better = gain > running
+        running = np.where(better, gain, running)
+        chosen[better] = f
+    won = np.flatnonzero(chosen != _NO_CHILD)
+    if not len(won):
+        return
+    f = chosen[won]
+    pos = best_at[f, won] + 1
+    feature[nodes[won]] = f
+    threshold[nodes[won]] = 0.5 * (col[f, won, pos - 1] + col[f, won, pos])
+    split_at[nodes[won]] = pos
+    keep = inside[won]
+    rows[at[won][keep]] = rows[(starts[won][:, None] + order[f, won])[keep]]
+
+
+def _store(
+    trees: list[DecisionTreeRegressor], levels: list[tuple[np.ndarray, ...]]
+) -> None:
+    """Number each tree's nodes depth-first and give it its arrays.
+
+    A node-at-a-time build pops a node from a stack, gives a split
+    node's children the next two ids, left then right, and pushes them,
+    so the right subtree is numbered first.  A child's id is therefore
+    ``1 + 2 * b + side``, ``b`` being the number of split nodes popped
+    before its parent; a right child's ``b`` is its parent's plus one,
+    and a left child's adds the split nodes of its right sibling.
+    """
+    # Split nodes in each node's subtree, from the deepest level up.
+    inner: list[np.ndarray] = []
+    below = None
+    for _, split, _, _, _ in reversed(levels):
+        count = split.astype(np.int64)
+        if below is not None:
+            count[split] += below[0::2] + below[1::2]
+        inner.append(count)
+        below = count
+    inner.reverse()
+    sizes = 1 + 2 * inner[0]
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    feature = np.full(total, _NO_CHILD, dtype=np.int64)
+    threshold = np.zeros(total)
+    left = np.full(total, _NO_CHILD, dtype=np.int64)
+    right = np.full(total, _NO_CHILD, dtype=np.int64)
+    value = np.zeros(total)
+    ids = np.zeros(len(sizes), dtype=np.int64)
+    before = np.zeros(len(sizes), dtype=np.int64)
+    for depth, (tree_of, split, feat, thresh, values) in enumerate(levels):
+        at = offsets[tree_of] + ids
+        feature[at] = feat
+        threshold[at] = thresh
+        value[at] = values
+        if depth + 1 == len(levels):
+            break
+        parent = before[split]
+        ids = np.stack([2 * parent + 1, 2 * parent + 2], axis=1).ravel()
+        before = np.stack(
+            [parent + 1 + inner[depth + 1][1::2], parent + 1], axis=1
+        ).ravel()
+        left[at[split]] = ids[0::2]
+        right[at[split]] = ids[1::2]
+    for tree, start, size in zip(trees, offsets.tolist(), sizes.tolist()):
+        stop = start + size
+        tree._feature = feature[start:stop]
+        tree._threshold = threshold[start:stop]
+        tree._left = left[start:stop]
+        tree._right = right[start:stop]
+        tree._value = value[start:stop]

@@ -49,6 +49,7 @@ from repro.obs.events import (
 from repro.obs.metrics import (
     DEFAULT_CHUNK_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
+    MetricFamily,
     MetricsRegistry,
 )
 from repro.obs.sketch import BurnRateTracker
@@ -298,6 +299,27 @@ class Observer:
 NULL_OBSERVER = Observer()
 
 
+def fleet_gauges(
+    registry: MetricsRegistry,
+) -> tuple[MetricFamily, MetricFamily]:
+    """``repro_fleet_size`` and ``repro_fleet_replicas`` in ``registry``.
+
+    The one registration of the two fleet gauges: the observer's hooks
+    and the gateway's scrape both set them, so a registry renders the
+    same HELP text whichever registers first.
+    """
+    return (
+        registry.gauge(
+            "repro_fleet_size",
+            "Replicas provisioned and not yet released",
+        ),
+        registry.gauge(
+            "repro_fleet_replicas",
+            "Provisioned replicas by hardware class", ("hardware",),
+        ),
+    )
+
+
 class _BoundSeries(dict):
     """One metric family's child series, keyed by raw label value(s).
 
@@ -486,14 +508,9 @@ class TracingObserver(Observer):
             "repro_fleet_resizes_total",
             "Fleet provisioning actions", ("action", "hardware"),
         ))
-        self._fleet_size_gauge = _BoundSeries(reg.gauge(
-            "repro_fleet_size",
-            "Replicas provisioned and not yet released",
-        ))
-        self._fleet_hardware_gauge = _BoundSeries(reg.gauge(
-            "repro_fleet_replicas",
-            "Provisioned replicas by hardware class", ("hardware",),
-        ))
+        size_gauge, hardware_gauge = fleet_gauges(reg)
+        self._fleet_size_gauge = _BoundSeries(size_gauge)
+        self._fleet_hardware_gauge = _BoundSeries(hardware_gauge)
         # Per-tier latency sketches: mergeable percentiles replacing
         # fixed-bucket histograms for the three governing latencies.
         self._ttft_sketch = _BoundSeries(reg.sketch(

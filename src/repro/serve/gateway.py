@@ -34,6 +34,7 @@ from repro.core.request import Request
 from repro.engine.replica import ReplicaEngine
 from repro.metrics.summary import RunSummary
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import fleet_gauges
 from repro.serve.admission import (
     REASON_BACKPRESSURE,
     AdmissionConfig,
@@ -531,15 +532,8 @@ class ServeGateway:
                 fill_gauge.labels(tier=tier).set(level)
         fleet = self._fleet_snapshot()
         if fleet is not None:
-            registry.gauge(
-                "repro_fleet_size",
-                "Provisioned (non-released) fleet replicas",
-            ).set(fleet["size"])
-            hw_gauge = registry.gauge(
-                "repro_fleet_replicas",
-                "Provisioned fleet replicas per hardware class",
-                labelnames=("hardware",),
-            )
+            size_gauge, hw_gauge = fleet_gauges(registry)
+            size_gauge.set(fleet["size"])
             for name, count in fleet["by_hardware"].items():
                 hw_gauge.labels(hardware=name).set(count)
             registry.gauge(

@@ -249,29 +249,38 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")
-            prompt_tokens = int(payload["prompt_tokens"])
-            decode_tokens = int(payload.get("max_tokens", 16))
-            tier = str(payload.get("tier", "Q1"))
+            prompt_tokens = _json_int(
+                payload["prompt_tokens"], "prompt_tokens"
+            )
+            decode_tokens = _json_int(
+                payload.get("max_tokens", 16), "max_tokens"
+            )
+            tier = _json_str(payload.get("tier", "Q1"), "tier")
             important = _json_bool(payload, "important", True)
             stream = _json_bool(payload, "stream", False)
-            app_id = str(payload.get("app_id", "api"))
+            app_id = _json_str(payload.get("app_id", "api"), "app_id")
             raw_ids = payload.get("token_ids")
+            if raw_ids is not None and not isinstance(raw_ids, list):
+                raise ValueError(
+                    f"token_ids must be a JSON array, got {raw_ids!r}"
+                )
             token_ids = (
-                token_array(int(t) for t in raw_ids)
+                token_array(_json_int(t, "token_ids entry") for t in raw_ids)
                 if raw_ids is not None else None
             )
             raw_session = payload.get("session_id")
             session_id = (
-                str(raw_session) if raw_session is not None else None
+                _json_str(raw_session, "session_id")
+                if raw_session is not None else None
             )
             raw_parent = payload.get("parent_request_id")
             parent_request_id = (
-                int(raw_parent) if raw_parent is not None else None
+                _json_int(raw_parent, "parent_request_id")
+                if raw_parent is not None else None
             )
         except (KeyError, ValueError, TypeError, OverflowError,
                 json.JSONDecodeError) as error:
-            # OverflowError: int() of a non-finite JSON number (1e400),
-            # or a token id outside the signed 64-bit range.
+            # OverflowError: a token id outside the signed 64-bit range.
             self._send_json(400, {"error": "bad_request",
                                   "detail": str(error)})
             return
@@ -348,6 +357,21 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream; nothing to clean up
+
+
+def _json_int(value: object, what: str) -> int:
+    """A JSON integer; a boolean, a float (``1.5``, ``1e400``, ``NaN``)
+    or a string (``"8"``) is a ``ValueError`` rather than a coercion."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_str(value: object, what: str) -> str:
+    """A JSON string; any other JSON type is a ``ValueError``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a JSON string, got {value!r}")
+    return value
 
 
 def _json_bool(payload: dict, key: str, default: bool) -> bool:

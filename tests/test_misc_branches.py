@@ -1,37 +1,6 @@
 """Coverage for less-travelled branches across modules."""
 
-import numpy as np
-import pytest
-
-from repro.forest import DecisionTreeRegressor, RandomForestRegressor
 from tests.conftest import Q2, make_request
-
-
-class TestForestFeatureSubsampling:
-    def test_max_features_limits_split_candidates(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, size=(200, 4))
-        y = x[:, 0] * 10  # only feature 0 is informative
-        # With max_features=1 the tree often splits on uninformative
-        # features; accuracy should be no better than the full tree.
-        sub = DecisionTreeRegressor(
-            max_depth=4, max_features=1,
-            rng=np.random.default_rng(1),
-        ).fit(x, y)
-        full = DecisionTreeRegressor(max_depth=4).fit(x, y)
-        err_sub = float(np.mean((sub.predict(x) - y) ** 2))
-        err_full = float(np.mean((full.predict(x) - y) ** 2))
-        assert err_full <= err_sub + 1e-9
-
-    def test_forest_with_feature_subsampling_fits(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 1, size=(150, 3))
-        y = x.sum(axis=1)
-        forest = RandomForestRegressor(
-            n_trees=5, max_depth=6, max_features=2, seed=3
-        ).fit(x, y)
-        err = forest.mean_relative_error(x, y)
-        assert err < 0.25
 
 
 class TestDecodePoolDefaults:

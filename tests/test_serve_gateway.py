@@ -435,6 +435,31 @@ class TestGatewayObservability:
         # Scraping twice must not perturb admission state.
         assert gateway.prometheus_text() == text
 
+    def test_fleet_gauge_help_same_with_and_without_observer(self):
+        from repro.cluster.fleet import parse_fleet_spec
+        from repro.obs import TracingObserver
+
+        def fleet_lines(observer):
+            session = Session(
+                ServeConfig(scheduler="fcfs",
+                            fleet=parse_fleet_spec("a100:1,h100:1")),
+                observer=observer,
+            )
+            gateway = ServeGateway(session)
+            gateway.replay(_fig10_style_trace(seed=9, num_requests=5))
+            return [
+                line for line in gateway.prometheus_text().splitlines()
+                if line.startswith(("# HELP repro_fleet_size",
+                                    "# HELP repro_fleet_replicas",
+                                    "repro_fleet_size",
+                                    "repro_fleet_replicas"))
+            ]
+
+        bare = fleet_lines(None)
+        assert "# HELP repro_fleet_size Replicas provisioned and not " \
+            "yet released" in bare
+        assert fleet_lines(TracingObserver()) == bare
+
 
 class TestOversizedRequest:
     def test_submit_refuses_request_no_replica_can_hold(self):

@@ -326,6 +326,40 @@ class TestBoundaryRejections:
         assert gateway.offered == []
         _assert_still_serving(server)
 
+    #: Each body field with values of another JSON type than its own.
+    WRONG_TYPES = (
+        [
+            (field, value)
+            for field in ("prompt_tokens", "max_tokens", "parent_request_id")
+            for value in (1.5, "8", True, 8.0)
+        ]
+        + [("token_ids", [0, value]) for value in (1.5, "8", True)]
+        + [("token_ids", "01"), ("token_ids", {"0": 1})]
+        + [
+            (field, value)
+            for field in ("tier", "app_id", "session_id")
+            for value in (float("nan"), 1, True, ["Q1"])
+        ]
+    )
+
+    def test_body_fields_of_wrong_json_type(self, served):
+        """Numbers and names are taken as the JSON types they are:
+        no ``int()`` or ``str()`` coercion of another type."""
+        gateway, server = served
+        for field, value in self.WRONG_TYPES:
+            payload = {"prompt_tokens": 2, "max_tokens": 2, field: value}
+            # json.dumps writes NaN as the token Python's decoder reads.
+            status, body = _request(
+                server, "POST", "/v1/completions", json.dumps(payload),
+                timeout=10,
+            )
+            assert status == 400, (field, value, body)
+            reply = json.loads(body)
+            assert reply["error"] == "bad_request"
+            assert field in reply["detail"]
+        assert gateway.offered == []
+        _assert_still_serving(server)
+
     @pytest.mark.parametrize("token", [2**63, -(2**63) - 1])
     def test_token_id_outside_int64(self, served, token):
         gateway, server = served
