@@ -15,11 +15,11 @@ from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
 from repro.core.chunking import DynamicChunker
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
-from repro.engine.interface import EngineView
 from repro.engine.rows import ArrayKVLedger
 from repro.experiments.configs import get_execution_model
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.schedulers import EDFScheduler, QoServeScheduler, QoServeConfig
+from tests.conftest import make_view
 
 EM = get_execution_model("llama3-8b")
 
@@ -40,8 +40,8 @@ def make_queue(n, seed=0):
     return requests
 
 
-def make_view(decodes=32):
-    decode_requests = []
+def make_decode_view(decodes=32):
+    requests = []
     for i in range(decodes):
         r = Request(
             request_id=10_000 + i, arrival_time=0.0,
@@ -50,15 +50,8 @@ def make_view(decodes=32):
         )
         r.prefill_done = 1000
         r.decoded = 5
-        decode_requests.append(r)
-    return EngineView(
-        now=50.0,
-        decode_requests=decode_requests,
-        kv_cache=ArrayKVLedger(capacity_tokens=400_000),
-        execution_model=EM,
-        max_decode_slots=256,
-        inflight_prefill_ids=frozenset(),
-    )
+        requests.append(r)
+    return make_view(EM, requests, now=50.0)
 
 
 def test_batch_time(benchmark):
@@ -113,11 +106,15 @@ def test_forest_predict_batch(benchmark):
 def test_dynamic_chunker_budget(benchmark):
     """Full chunk-size inversion against the oracle predictor."""
     chunker = DynamicChunker(OracleBatchPredictor(EM))
-    view = make_view(decodes=32)
+    view = make_decode_view(decodes=32)
 
     def budget():
         return chunker.prefill_budget(
-            50.0, view.decode_requests, prefill_context_before=1024
+            view.now,
+            view.num_decodes,
+            view.decode_context_total,
+            view.decode_slack(chunker.ni_pace_floor),
+            prefill_context_before=1024,
         )
 
     decision = benchmark(budget)
@@ -138,7 +135,7 @@ def test_qoserve_plan_with_queue(benchmark, queue_size):
     )
     for r in make_queue(queue_size):
         scheduler.enqueue(r, 0.0)
-    view = make_view(decodes=16)
+    view = make_decode_view(decodes=16)
 
     def plan():
         scheduler._order_dirty = True  # force the full replan path
@@ -154,7 +151,7 @@ def test_edf_heap_plan_with_queue(benchmark, queue_size):
     scheduler = EDFScheduler(chunk_size=256)
     for r in make_queue(queue_size):
         scheduler.enqueue(r, 0.0)
-    view = make_view(decodes=16)
+    view = make_decode_view(decodes=16)
     assignments = benchmark(scheduler.plan_prefill, view)
     assert assignments
 

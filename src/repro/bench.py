@@ -16,7 +16,7 @@ The pinned micro workloads:
 * ``forest_predict_batch``    — vectorized batch prediction (per row)
 * ``predictor_memo_hit``      — :class:`ForestBatchPredictor` memo path
 * ``chunker_prefill_budget``  — dynamic chunking incl. warm-started
-  budget inversion
+  budget inversion, its slack swept from an engine view's decode rows
 * ``execution_batch_time``    — analytical batch latency
 * ``execution_prefill_time``  — memoized prefill-time lookup
 
@@ -97,7 +97,10 @@ from typing import Any, Callable
 #: 13 — ``micro_us`` grew a ``forest_fit`` row: one cold
 #: ``ForestBatchPredictor.train`` on llama3-8b (profiling plus the
 #: 16-tree fit that every cold ``Session`` pays), best of N.
-SCHEMA_VERSION = 13
+#: 14 — ``chunker_prefill_budget`` takes its latency budget from the
+#: decode slack of an engine view over 16 decode rows, swept each
+#: call as QoServe plans, instead of from the request objects.
+SCHEMA_VERSION = 14
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -136,6 +139,8 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
         cached_forest_predictor,
     )
     from repro.core.chunking import DynamicChunker
+    from repro.engine.interface import EngineView
+    from repro.engine.rows import ArrayKVLedger, _RowStore
     from repro.experiments.configs import get_execution_model
     from repro.perfmodel.execution import BatchShape, PrefillChunk
     from repro.perfmodel.profiler import batch_features
@@ -183,22 +188,36 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
         lambda: predictor.predict(shape), reps=reps, loops=loops,
     )
 
-    # The chunker exercised the way the engine does: same decode pool,
-    # advancing clock, so the warm-started inversion path is active.
+    # The chunker exercised the way QoServe drives it: the slack of
+    # the same decode rows swept each call, advancing clock, so the
+    # warm-started inversion path is active.
     trace = build_trace(AZURE_CODE, qps=1.0, num_requests=40, seed=7)
-    decodes = []
+    decode_rows = _RowStore()
+    kv_cache = ArrayKVLedger(
+        execution_model.kv_capacity_tokens, rows=decode_rows
+    )
     for request in trace.requests[:16]:
         request.prefill_done = request.prompt_tokens
         request.first_token_time = request.arrival_time
-        decodes.append(request)
+        decode_rows.add(request, *kv_cache.attach_row(request.request_id))
+    view = EngineView(
+        0.0,
+        decode_rows,
+        sum(r.context_length for r in decode_rows.req),
+        kv_cache,
+        execution_model,
+        max_decode_slots=256,
+    )
     chunker = DynamicChunker(predictor)
-    clock = {"now": 0.0}
 
     def chunk_once() -> None:
-        clock["now"] += 0.001
+        view.now += 0.001
         chunker.prefill_budget(
-            clock["now"], decodes, prefill_context_before=256,
-            decode_context_total=sum(r.context_length for r in decodes),
+            view.now,
+            view.num_decodes,
+            view.decode_context_total,
+            view.decode_slack(chunker.ni_pace_floor),
+            prefill_context_before=256,
         )
 
     results["chunker_prefill_budget"] = _timeit(

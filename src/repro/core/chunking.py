@@ -7,16 +7,18 @@ the largest chunk whose predicted batch latency stays within budget.
 When slack accumulates (decodes finished ahead of their deadlines, or
 no strict-TBT request is active), the budget grows and throughput rises
 opportunistically — the behaviour of Figures 6 and 9.
+
+The chunker takes the iteration's decodes as numbers (their count,
+summed context and slack), never as request objects; the engine's
+:class:`~repro.engine.interface.EngineView` computes the slack as a
+sweep over its decode rows (``decode_slack(ni_pace_floor)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.predictor import BatchLatencyPredictor
-from repro.core.request import Request
-from repro.engine.interface import decode_slack
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 
@@ -75,54 +77,33 @@ class DynamicChunker:
         # bracket with two predictions and skip the search.
         self._warm_bracket: tuple[int, int] | None = None
 
-    def latency_budget(
-        self, now: float, decode_requests: Iterable[Request]
-    ) -> float:
-        """Decode slack of ``decode_requests`` (see
-        :func:`repro.engine.interface.decode_slack`), with
-        non-interactive pace floored at ``ni_pace_floor``."""
-        return decode_slack(now, decode_requests, self.ni_pace_floor)
-
     def prefill_budget(
         self,
         now: float,
-        decode_requests: list[Request],
+        num_decodes: int,
+        decode_context_total: int,
+        latency_budget: float,
         prefill_context_before: int = 0,
-        latency_budget: float | None = None,
-        decode_context_total: int | None = None,
     ) -> ChunkDecision:
         """Choose the prefill token budget for the next iteration.
 
         Args:
             now: Current simulated time.
-            decode_requests: Requests that will decode this iteration.
+            num_decodes: Requests that will decode this iteration.
+            decode_context_total: Sum of their context lengths.
+            latency_budget: Time budget of the iteration: the decode
+                slack (``EngineView.decode_slack(ni_pace_floor)``) for
+                QoServe, or Medha's fixed TBT target.
             prefill_context_before: Context already processed for the
                 prefill request that will consume the budget (affects
                 attention cost, hence the prediction).
-            latency_budget: Time budget of the iteration.  ``None``
-                derives it from the decodes' slack
-                (:meth:`latency_budget`); a number is used as given —
-                the engine view's precomputed slack, or Medha's fixed
-                TBT target.  Decode shapes inform the latency
-                prediction either way.
-            decode_context_total: Precomputed sum of the decode
-                requests' context lengths (the engine tracks it
-                incrementally); ``None`` recomputes it here.
 
         Returns:
             The chosen budget; ``prefill_budget`` is 0 only when even
             ``min_chunk`` does not fit the latency budget.
         """
-        if latency_budget is None:
-            latency_budget = self.latency_budget(now, decode_requests)
-        num_decodes = len(decode_requests)
-        decode_context = (
-            decode_context_total
-            if decode_context_total is not None
-            else sum(r.context_length for r in decode_requests)
-        )
         predict = self.predictor.chunk_predictor(
-            prefill_context_before, num_decodes, decode_context
+            prefill_context_before, num_decodes, decode_context_total
         )
         decision = self._decide(latency_budget, predict)
         self.observer.on_chunk_sized(now, decision, num_decodes)

@@ -11,79 +11,116 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
+from repro.engine.rows import _SMALL_BATCH, ArrayKVLedger, _RowStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perfmodel.execution import ExecutionModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.rows import ArrayKVLedger
-
-
-def decode_slack(
-    now: float, decode_requests: Iterable[Request], floor: float
-) -> float:
-    """Eq. 2-style slack: min over decodes of next-token headroom.
-
-    Interactive decodes contribute their next-token deadline minus
-    ``now``.  Non-interactive decodes contribute an even pace:
-    remaining TTLT slack divided by remaining tokens, floored at
-    ``floor``.  Returns ``inf`` when no decode constrains the
-    iteration.
-    """
-    budget = float("inf")
-    for request in decode_requests:
-        if request.is_interactive:
-            slack = request.next_token_deadline - now
-            if slack <= 0.0:
-                # Deadline already blown (e.g. a relegated request
-                # that finally reached decode): honouring it is
-                # impossible, so pace it best-effort at the floor
-                # instead of strangling the whole iteration.
-                slack = floor
-        else:
-            remaining = max(1, request.remaining_decode)
-            slack = (request.total_deadline - now) / remaining
-            slack = max(slack, floor)
-        if slack < budget:
-            budget = slack
-    return budget
 
 
 @dataclass
 class EngineView:
     """Read-only snapshot handed to the scheduler each iteration.
 
+    The decode batch is given as numbers, not request objects: its
+    rows, their count and their summed context.  Chunk sizing needs
+    nothing more (the decode count, context total and minimum slack
+    price an iteration), and the request objects may lag their rows.
+
     Attributes:
         now: Current simulated time.
-        decode_requests: Requests that will decode this iteration
-            (always the entire decode queue, per Section 3.1).
+        rows: The engine's decode rows (always the entire decode
+            queue, per Section 3.1); rows ``[0, rows.n)`` are live.
+            Treat as read-only.
+        decode_context_total: Sum of the decode rows' context lengths,
+            maintained incrementally by the engine.
         kv_cache: The replica's KV manager (for admission checks).
         execution_model: Ground-truth cost model of the replica.
         max_decode_slots: Engine cap on concurrently decoding requests.
         inflight_prefill_ids: Request ids whose prefill has started but
             not completed; they already hold a decode slot.  Treat as
             read-only.
-        decode_context_total: Sum of ``decode_requests`` context
-            lengths, maintained incrementally by the engine; ``None``
-            (bare views built in tests) means "compute it yourself".
     """
 
     now: float
-    decode_requests: list[Request]
+    rows: _RowStore
+    decode_context_total: int
     kv_cache: ArrayKVLedger
     execution_model: ExecutionModel
     max_decode_slots: int
-    inflight_prefill_ids: frozenset[int] = frozenset()
-    decode_context_total: int | None = None
+    inflight_prefill_ids: frozenset[int] | set[int] = frozenset()
+
+    @property
+    def num_decodes(self) -> int:
+        """Requests that decode this iteration."""
+        return self.rows.n
+
+    def has_interactive_decode(self) -> bool:
+        """Whether any decoding request is interactive."""
+        return bool(self.rows.inter[: self.rows.n].any())
 
     def decode_slack(self, floor: float) -> float:
-        """Smallest next-token headroom among ``decode_requests``
-        (:func:`decode_slack`); the engine's row-backed view overrides
-        this with an equivalent sweep over its columns."""
-        return decode_slack(self.now, self.decode_requests, floor)
+        """Eq. 2-style slack: min over decodes of next-token headroom.
+
+        Interactive rows contribute their next-token deadline minus
+        ``now``; a deadline already blown (e.g. a relegated request
+        that finally reached decode) is paced best-effort at ``floor``
+        instead of strangling the whole iteration.  Non-interactive
+        rows contribute an even pace: remaining TTLT slack divided by
+        remaining tokens, floored at ``floor``.  Returns ``inf`` when
+        no decode constrains the iteration.
+
+        Float-exact against the request objects: interactive slack is
+        ``(ttft_base + decoded*tbt) - now``
+        (``Request.next_token_deadline``'s association),
+        non-interactive pace is ``(total_deadline - now) / max(1,
+        remaining)`` floored.
+        """
+        rows = self.rows
+        now = self.now
+        n = rows.n
+        if n == 0:
+            return float("inf")
+        if n < _SMALL_BATCH:
+            # Scalar sweep: identical float ops, no kernel launches.
+            inter = rows.inter
+            decoded = rows.decoded
+            ttft_base = rows.ttft_base
+            tbt = rows.tbt
+            target = rows.target
+            ni_ddl = rows.ni_ddl
+            best = float("inf")
+            for i in range(n):
+                if inter.item(i):
+                    slack = (
+                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
+                    ) - now
+                    if slack <= 0.0:
+                        slack = floor
+                else:
+                    remaining = target.item(i) - decoded.item(i)
+                    if remaining < 1:
+                        remaining = 1
+                    slack = (ni_ddl.item(i) - now) / remaining
+                    if slack < floor:
+                        slack = floor
+                if slack < best:
+                    best = slack
+            return best
+        interactive_slack = (
+            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
+        ) - now
+        interactive_slack = np.where(
+            interactive_slack <= 0.0, floor, interactive_slack
+        )
+        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
+        pace = (rows.ni_ddl[:n] - now) / remaining
+        np.maximum(pace, floor, out=pace)
+        slack = np.where(rows.inter[:n], interactive_slack, pace)
+        return float(slack.min())
 
 
 class Scheduler(ABC):

@@ -19,8 +19,9 @@ kernel that advances the batch by ``k`` tokens in a handful of array
 operations (``k = 1`` for an iteration).  Completions and token hooks
 follow the sweep, in row order.
 Request objects are synced from their rows lazily: when a row leaves
-the batch, when a caller reads ``decode_queue``, when a scheduler
-iterates the view's decode requests, and when a run returns.  The
+the batch, when a caller reads ``decode_queue``, and when a run
+returns; schedulers read the rows themselves through the
+:class:`~repro.engine.interface.EngineView`.  The
 float expressions are those of :class:`~repro.core.request.Request`
 (e.g. the Eq. 2 token deadline ``(arrival + ttft) + k * tbt`` is kept
 as a scalar ``ttft_base`` so the vector form performs the same IEEE
@@ -49,14 +50,10 @@ from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.prefix import RadixPrefixCache
-from repro.engine.rows import ArrayKVLedger, _RowStore
+from repro.engine.rows import _SMALL_BATCH, ArrayKVLedger, _RowStore
 from repro.obs.observer import NULL_OBSERVER, Observer, get_default_observer
 from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.simulator import Simulator
-
-#: Below this batch size the per-row scalar loop beats NumPy kernel
-#: launch overhead; both paths execute the identical float operations.
-_SMALL_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -96,110 +93,6 @@ class ReplicaConfig:
                 f"kv_reuse must be one of {self.KV_REUSE_KINDS}, "
                 f"got {self.kv_reuse!r}"
             )
-
-
-class _LazyRequestList:
-    """Decode-request view that only syncs rows when iterated.
-
-    Schedulers that just need ``len(view.decode_requests)`` (QoServe's
-    and Medha's chunk sizing, the fixed-chunk budget) never pay the
-    object-sync cost.
-    """
-
-    __slots__ = ("_engine", "_n")
-
-    def __init__(self, engine: "ReplicaEngine", n: int) -> None:
-        self._engine = engine
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _materialize(self) -> list[Request]:
-        self._engine._sync_rows()
-        return self._engine._rows.req[: self._n]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, item):
-        return self._materialize()[item]
-
-
-class _RowView(EngineView):
-    """The scheduler's view of the engine.
-
-    ``decode_requests`` syncs rows only when iterated, the in-flight
-    prefill set is shared rather than copied, and the decode slack is
-    a sweep over the row columns instead of the request objects.
-    """
-
-    def __init__(
-        self, engine: "ReplicaEngine", now: float, n_live: int
-    ) -> None:
-        super().__init__(
-            now=now,
-            decode_requests=_LazyRequestList(engine, n_live),
-            kv_cache=engine.kv_cache,
-            execution_model=engine.execution_model,
-            max_decode_slots=engine.config.max_decode_slots,
-            inflight_prefill_ids=engine._inflight_prefills,
-            decode_context_total=engine._decode_context_total,
-        )
-        self._rows = engine._rows
-
-    def decode_slack(self, floor: float) -> float:
-        """Row sweep equivalent to
-        :func:`repro.engine.interface.decode_slack`.
-
-        Float-exact: interactive slack is ``(ttft_base + decoded*tbt)
-        - now`` (``Request.next_token_deadline``'s association),
-        non-interactive pace is ``(total_deadline - now) / max(1,
-        remaining)`` floored, and the min over rows equals the
-        function's running minimum.
-        """
-        rows = self._rows
-        now = self.now
-        n = rows.n
-        if n == 0:
-            return float("inf")
-        if n < _SMALL_BATCH:
-            # Scalar sweep: identical float ops, no kernel launches.
-            inter = rows.inter
-            decoded = rows.decoded
-            ttft_base = rows.ttft_base
-            tbt = rows.tbt
-            target = rows.target
-            ni_ddl = rows.ni_ddl
-            best = float("inf")
-            for i in range(n):
-                if inter.item(i):
-                    slack = (
-                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
-                    ) - now
-                    if slack <= 0.0:
-                        slack = floor
-                else:
-                    remaining = target.item(i) - decoded.item(i)
-                    if remaining < 1:
-                        remaining = 1
-                    slack = (ni_ddl.item(i) - now) / remaining
-                    if slack < floor:
-                        slack = floor
-                if slack < best:
-                    best = slack
-            return best
-        interactive_slack = (
-            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
-        ) - now
-        interactive_slack = np.where(
-            interactive_slack <= 0.0, floor, interactive_slack
-        )
-        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
-        pace = (rows.ni_ddl[:n] - now) / remaining
-        np.maximum(pace, floor, out=pace)
-        slack = np.where(rows.inter[:n], interactive_slack, pace)
-        return float(slack.min())
 
 
 class ReplicaEngine:
@@ -541,7 +434,7 @@ class ReplicaEngine:
         n_live = rows.n
         decode_context_total = self._decode_context_total
         assignments = (
-            self._plan_qoserve_fast(now, n_live)
+            self._plan_qoserve_fast(now)
             if self.scheduler.has_pending_prefill()
             else []
         )
@@ -1042,6 +935,13 @@ class ReplicaEngine:
             # the prefill node's job (and its KV holding) ends here.
             self.kv_cache.release(request.request_id)
             sink(request, now)
+            if request.is_finished:
+                # A synchronous sink (DecodePool) generated the whole
+                # decode inside the call; no engine of its own reports
+                # the completion, so this replica's observer does.
+                self.observer.on_request_completed(
+                    self.replica_id, request, request.completion_time
+                )
             return
         if self.prefix_cache is not None and request.token_ids is not None:
             # Publish the finished prompt's blocks: privately-held
@@ -1240,16 +1140,25 @@ class ReplicaEngine:
 
     # --- planning ---------------------------------------------------------
 
-    def _plan_qoserve_fast(
-        self, now: float, n_live: int
-    ) -> list[PrefillAssignment]:
+    def _plan_qoserve_fast(self, now: float) -> list[PrefillAssignment]:
         """Plan the iteration's prefill chunks: any scheduler, one view.
 
-        The scheduler's own ``plan_prefill`` runs on a row-backed
-        :class:`_RowView`, so QoServe's chunk sizing reads the decode
-        slack from the row columns.  The caller skips this when no
-        prefill is pending (every in-tree scheduler plans nothing
-        then, before touching any state).  The name is fixed by the
-        span table of ``simbench/spans.py``, which patches it.
+        The scheduler's own ``plan_prefill`` runs on an
+        :class:`EngineView` over the decode rows, so QoServe's chunk
+        sizing reads the decode slack from the row columns.  The
+        caller skips this when no prefill is pending (every in-tree
+        scheduler plans nothing then, before touching any state).
+        The name is fixed by the span table of ``simbench/spans.py``,
+        which patches it.
         """
-        return self.scheduler.plan_prefill(_RowView(self, now, n_live))
+        return self.scheduler.plan_prefill(
+            EngineView(
+                now,
+                self._rows,
+                self._decode_context_total,
+                self.kv_cache,
+                self.execution_model,
+                self.config.max_decode_slots,
+                self._inflight_prefills,
+            )
+        )

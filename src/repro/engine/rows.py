@@ -29,6 +29,11 @@ _ROW_BACKED = None
 
 _ABSENT = object()
 
+#: Below this batch size a per-row scalar loop beats NumPy kernel
+#: launch overhead; the scalar and vector paths over the rows execute
+#: the identical float operations.
+_SMALL_BATCH = 32
+
 
 class _RowStore:
     """Struct-of-arrays decode batch: one column per hot field.

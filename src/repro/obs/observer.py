@@ -351,23 +351,15 @@ class TracingObserver(Observer):
         recorder: Destination for trace events; a fresh recorder with
             no sinks is created when omitted (metrics-only mode).
         registry: Metrics registry; created when omitted.
-        kv_snapshot_every: Emit a :class:`KVCacheSnapshot` event every
-            Nth iteration per replica (1 = every iteration).  Metrics
-            gauges update every iteration regardless.
     """
 
     def __init__(
         self,
         recorder: TraceRecorder | None = None,
         registry: MetricsRegistry | None = None,
-        kv_snapshot_every: int = 1,
     ) -> None:
-        if kv_snapshot_every < 1:
-            raise ValueError("kv_snapshot_every must be >= 1")
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.kv_snapshot_every = int(kv_snapshot_every)
-        self._iters_since_snapshot: dict[int, int] = {}
 
         reg = self.registry
         self._iterations = _BoundSeries(reg.counter(
@@ -569,18 +561,13 @@ class TracingObserver(Observer):
     ) -> None:
         utilization = kv_cache.utilization
         self._kv_utilization[replica_id].set(utilization)
-        since = self._iters_since_snapshot.get(replica_id, 0) + 1
-        if since >= self.kv_snapshot_every:
-            self._iters_since_snapshot[replica_id] = 0
-            self.recorder.emit(KVCacheSnapshot(
-                ts=now,
-                replica_id=replica_id,
-                used_blocks=kv_cache.used_blocks,
-                capacity_blocks=kv_cache.capacity_blocks,
-                utilization=utilization,
-            ))
-        else:
-            self._iters_since_snapshot[replica_id] = since
+        self.recorder.emit(KVCacheSnapshot(
+            ts=now,
+            replica_id=replica_id,
+            used_blocks=kv_cache.used_blocks,
+            capacity_blocks=kv_cache.capacity_blocks,
+            utilization=utilization,
+        ))
 
     # --- scheduler / core hooks ------------------------------------------
 

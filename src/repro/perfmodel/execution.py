@@ -146,7 +146,25 @@ class ExecutionModel:
         return self._mfu_linear * t / (t + self.mfu_half_tokens)
 
     def batch_time(self, shape: BatchShape) -> float:
-        """Execution time in seconds for one iteration of ``shape``.
+        """Execution time in seconds for one iteration of ``shape``:
+        :meth:`batch_time_flat` over its ``(tokens, context_before)``
+        pairs."""
+        return self.batch_time_flat(
+            [(c.tokens, c.context_before) for c in shape.prefill_chunks],
+            shape.num_decodes,
+            shape.decode_context_total,
+        )
+
+    def batch_time_flat(
+        self,
+        prefill_chunks: "list[tuple[int, int]] | tuple[tuple[int, int], ...]",
+        num_decodes: int,
+        decode_context_total: int,
+    ) -> float:
+        """Execution time in seconds for one iteration of
+        ``prefill_chunks`` (``(tokens, context_before)`` pairs) batched
+        with ``num_decodes`` decodes holding ``decode_context_total``
+        context tokens.
 
         The linear-layer cost distinguishes the two regimes the
         scheduler lives between.  Prefill chunks run real GEMMs whose
@@ -155,63 +173,9 @@ class ExecutionModel:
         tokens piggyback on the same weight stream (Sarathi's fused
         prefill-decode batches); a decode-only batch is bandwidth
         bound, charged at the asymptotic MFU and dominated by the
-        weight/KV memory term.
-        """
-        total_tokens = shape.total_tokens
-        if total_tokens <= 0:
-            return 0.0
-
-        # --- compute path ---
-        prefill_tokens = shape.prefill_tokens
-        compute = (
-            self._linear_flops_per_token
-            * total_tokens
-            / (self._peak_flops * self._mfu_linear)
-        )
-        if prefill_tokens > 0:
-            compute_prefill = (
-                self._linear_flops_per_token
-                * prefill_tokens
-                / (
-                    self._peak_flops
-                    * self._gemm_efficiency(prefill_tokens)
-                )
-            )
-            compute = max(compute, compute_prefill)
-
-        attn_flops = 0.0
-        prefill_context_read = 0
-        for chunk in shape.prefill_chunks:
-            # Causal attention: query i attends to context_before + i keys.
-            avg_keys = chunk.context_before + (chunk.tokens + 1) / 2.0
-            attn_flops += self._attn_flops_scale * chunk.tokens * avg_keys
-            prefill_context_read += chunk.context_before
-        attn_flops += self._attn_flops_scale * shape.decode_context_total
-        compute += attn_flops / (self._peak_flops * self._mfu_attention)
-
-        # --- memory path ---
-        kv_read = self._kv_bytes_per_token * (
-            shape.decode_context_total + prefill_context_read
-        )
-        kv_write = self._kv_bytes_per_token * total_tokens
-        mem_bytes = self._weight_bytes + kv_read + kv_write
-        memory = mem_bytes / self._bandwidth
-
-        return max(compute, memory) + self._overhead
-
-    def batch_time_flat(
-        self,
-        prefill_chunks: "list[tuple[int, int]] | tuple[tuple[int, int], ...]",
-        num_decodes: int,
-        decode_context_total: int,
-    ) -> float:
-        """:meth:`batch_time` over ``(tokens, context_before)`` pairs.
-
-        The engine calls this on its hot path to skip
-        constructing :class:`PrefillChunk`/:class:`BatchShape` objects
-        per iteration.  The float operation sequence mirrors
-        :meth:`batch_time` exactly, so the two are bit-identical for
-        equivalent inputs (pinned by the equivalence test).
+        weight/KV memory term.  The engine calls this on its hot path
+        without building :class:`PrefillChunk`/:class:`BatchShape`
+        objects.
         """
         prefill_tokens = 0
         for tokens, _ in prefill_chunks:
@@ -220,6 +184,7 @@ class ExecutionModel:
         if total_tokens <= 0:
             return 0.0
 
+        # --- compute path ---
         compute = (
             self._linear_flops_per_token
             * total_tokens
@@ -239,12 +204,14 @@ class ExecutionModel:
         attn_flops = 0.0
         prefill_context_read = 0
         for tokens, context_before in prefill_chunks:
+            # Causal attention: query i attends to context_before + i keys.
             avg_keys = context_before + (tokens + 1) / 2.0
             attn_flops += self._attn_flops_scale * tokens * avg_keys
             prefill_context_read += context_before
         attn_flops += self._attn_flops_scale * decode_context_total
         compute += attn_flops / (self._peak_flops * self._mfu_attention)
 
+        # --- memory path ---
         kv_read = self._kv_bytes_per_token * (
             decode_context_total + prefill_context_read
         )
@@ -255,15 +222,15 @@ class ExecutionModel:
         return max(compute, memory) + self._overhead
 
     def decode_batch_times_flat(self, num_decodes: int, decode_context_totals):
-        """Vectorized :meth:`batch_time` for a pure-decode schedule.
+        """Vectorized :meth:`batch_time_flat` for a pure-decode schedule.
 
         ``decode_context_totals`` is a NumPy int array of context
         totals, one per future iteration; the return value is the
         float64 exec-time array.  Each element reproduces the exact
-        float operation sequence of :meth:`batch_time` for the
-        equivalent decode-only :class:`BatchShape` (``num_decodes``
-        must be positive), so the engine's level-synchronous
-        decode stretches stay bit-identical to per-iteration calls.
+        float operation sequence of :meth:`batch_time_flat` for the
+        equivalent decode-only batch (``num_decodes`` must be
+        positive), so the engine's level-synchronous decode stretches
+        stay bit-identical to per-iteration calls.
         """
         compute = (
             self._linear_flops_per_token
@@ -284,13 +251,7 @@ class ExecutionModel:
         self, num_decodes: int, decode_context_total: int
     ) -> float:
         """Iteration time for a pure decode batch (no prefill chunk)."""
-        return self.batch_time(
-            BatchShape(
-                prefill_chunks=[],
-                num_decodes=num_decodes,
-                decode_context_total=decode_context_total,
-            )
-        )
+        return self.batch_time_flat((), num_decodes, decode_context_total)
 
     def prefill_time(self, prompt_tokens: int, chunk_size: int) -> float:
         """Total time to prefill a prompt alone using fixed-size chunks.
@@ -308,9 +269,7 @@ class ExecutionModel:
         done = 0
         while done < prompt_tokens:
             tokens = min(chunk_size, prompt_tokens - done)
-            total += self.batch_time(
-                BatchShape(prefill_chunks=[PrefillChunk(tokens, done)])
-            )
+            total += self.batch_time_flat(((tokens, done),), 0, 0)
             done += tokens
         if len(self._prefill_time_cache) >= self._PREFILL_CACHE_LIMIT:
             self._prefill_time_cache.clear()
@@ -323,10 +282,8 @@ class ExecutionModel:
         A cheap linearization used by priority functions (Eqs. 4-5 use
         alpha in ms/token against remaining token counts).
         """
-        shape = BatchShape(prefill_chunks=[PrefillChunk(chunk_size, 0)])
-        return self.batch_time(shape) / chunk_size
+        return self.batch_time_flat(((chunk_size, 0),), 0, 0) / chunk_size
 
     def peak_prefill_throughput(self, chunk_size: int) -> float:
         """Prefill tokens/s when running chunks of ``chunk_size`` alone."""
-        shape = BatchShape(prefill_chunks=[PrefillChunk(chunk_size, 0)])
-        return chunk_size / self.batch_time(shape)
+        return chunk_size / self.batch_time_flat(((chunk_size, 0),), 0, 0)

@@ -48,7 +48,7 @@ def pack_prefill_assignments(
     free_slots = max(
         0,
         view.max_decode_slots
-        - len(view.decode_requests)
+        - view.num_decodes
         - len(view.inflight_prefill_ids),
     )
     watermark_blocks = int(kv_start_watermark * kv.capacity_blocks)
@@ -171,7 +171,7 @@ class FixedChunkScheduler(Scheduler):
 
     def prefill_token_budget(self, view: EngineView) -> int:
         """Prompt tokens allowed this iteration under the fixed chunk."""
-        return max(0, self.chunk_size - len(view.decode_requests))
+        return max(0, self.chunk_size - view.num_decodes)
 
     def plan_prefill(self, view: EngineView) -> list[PrefillAssignment]:
         budget = self.prefill_token_budget(view)

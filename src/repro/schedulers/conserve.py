@@ -65,7 +65,7 @@ class ConServeScheduler(FixedChunkScheduler):
         return cls * 1e12 + request.arrival_time
 
     def _interactive_active(self, view: EngineView) -> bool:
-        if any(r.is_interactive for r in view.decode_requests):
+        if view.has_interactive_decode():
             return True
         return any(r.is_interactive for r in self._member.values())
 
@@ -75,7 +75,7 @@ class ConServeScheduler(FixedChunkScheduler):
             if self._interactive_active(view)
             else self.offline_chunk_size
         )
-        return max(0, chunk - len(view.decode_requests))
+        return max(0, chunk - view.num_decodes)
 
     def plan_prefill(self, view: EngineView) -> list[PrefillAssignment]:
         # Latency-permitting admission: offline prefill is withheld

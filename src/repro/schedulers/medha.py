@@ -79,10 +79,10 @@ class MedhaScheduler(FixedChunkScheduler):
             head_context = ordered[0].prefill_done if ordered else 0
             decision = self._chunker.prefill_budget(
                 view.now,
-                decode_requests=view.decode_requests,
-                prefill_context_before=head_context,
+                view.num_decodes,
+                view.decode_context_total,
                 latency_budget=self.tbt_target,
-                decode_context_total=view.decode_context_total,
+                prefill_context_before=head_context,
             )
             # Medha ignores slack: cap the budget by the fixed target
             # even when the decode queue could tolerate more.

@@ -268,14 +268,14 @@ class QoServeScheduler(FixedChunkScheduler):
         self, view: EngineView, ordered: list[Request]
     ) -> int:
         if not self.config.dynamic_chunking:
-            return max(0, self.chunk_size - len(view.decode_requests))
+            return max(0, self.chunk_size - view.num_decodes)
         head_context = ordered[0].prefill_done if ordered else 0
         decision = self.chunker.prefill_budget(
             view.now,
-            view.decode_requests,
-            prefill_context_before=head_context,
+            view.num_decodes,
+            view.decode_context_total,
             latency_budget=view.decode_slack(self.chunker.ni_pace_floor),
-            decode_context_total=view.decode_context_total,
+            prefill_context_before=head_context,
         )
         self._last_iteration_estimate = decision.predicted_latency
         return decision.prefill_budget

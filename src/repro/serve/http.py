@@ -125,6 +125,10 @@ class GatewayHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
+    #: Seconds between the serve loop's shutdown checks; :meth:`stop`
+    #: waits up to one interval (the stdlib default is 0.5 s).
+    POLL_INTERVAL = 0.05
+
     def __init__(
         self,
         address: tuple[str, int],
@@ -144,7 +148,10 @@ class GatewayHTTPServer(ThreadingHTTPServer):
     def start_background(self) -> None:
         """Serve on a daemon thread (the CLI owns the main thread)."""
         self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
+            target=self.serve_forever,
+            args=(self.POLL_INTERVAL,),
+            name="repro-serve-http",
+            daemon=True,
         )
         self._serve_thread.start()
 

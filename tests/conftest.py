@@ -12,6 +12,8 @@ from repro.api import ServeConfig, Session
 from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.core.request import Request
+from repro.engine.interface import EngineView
+from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
 from repro.simcore import Simulator
@@ -68,6 +70,35 @@ def make_request(
 @pytest.fixture
 def request_factory():
     return make_request
+
+
+def make_view(
+    execution_model=None,
+    decodes=(),
+    *,
+    now: float = 0.0,
+    kv_tokens: int = 400_000,
+    max_slots: int = 256,
+    inflight=frozenset(),
+) -> EngineView:
+    """A scheduler's view of an engine whose decode rows hold
+    ``decodes`` (requests), attached through the KV ledger as the engine
+    attaches a finished prefill."""
+    rows = _RowStore()
+    kv_cache = ArrayKVLedger(capacity_tokens=kv_tokens, rows=rows)
+    context_total = 0
+    for request in decodes:
+        rows.add(request, *kv_cache.attach_row(request.request_id))
+        context_total += request.context_length
+    return EngineView(
+        now=now,
+        rows=rows,
+        decode_context_total=context_total,
+        kv_cache=kv_cache,
+        execution_model=execution_model,
+        max_decode_slots=max_slots,
+        inflight_prefill_ids=inflight,
+    )
 
 
 def small_memory_model(kv_tokens: int = 4096) -> ExecutionModel:

@@ -161,15 +161,6 @@ class TestQoSSharedPool:
         assert len(replica.decode_queue) > strict_cap
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "DecodePool.accept materializes the handed-off decode with "
-        "record_output_token and calls no observer hook, so a traced "
-        "disaggregated run records no request_completed event "
-        "(CHANGES.md FOUND line on DecodePool.accept)"
-    ),
-)
 def test_decode_pool_reports_each_completion(execution_model):
     from repro.obs.observer import default_observer
     from tests.test_engine_pins import _disagg_run, _recording

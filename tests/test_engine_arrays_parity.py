@@ -1,14 +1,16 @@
 """Fast paths against the reference functions they reimplement.
 
 The engine keeps its decode batch in struct-of-arrays rows and prices
-batches with flat kernels; the functions those paths replace on the
-hot path still exist, and these tests pin the fast paths to them bit
-for bit:
+batches with flat kernels; these tests pin the fast paths bit for bit
+to the functions they replaced (kept here as references) and to each
+other:
 
-* the row-backed view's decode slack vs
-  :func:`repro.engine.interface.decode_slack` over the request
-  objects, in every clamp regime, on the scalar and the vector branch;
-* the flat batch-time kernels vs :meth:`ExecutionModel.batch_time`;
+* the engine view's decode slack (a sweep over the decode rows) vs
+  the sweep over the request objects it replaced, kept below as
+  :func:`decode_slack`, in every clamp regime, on the scalar and the
+  vector branch;
+* the flat batch-time kernels vs the per-shape formula they replaced,
+  kept below as :func:`batch_time`;
 * the decode-advance kernels against each other: the scalar sweep vs
   a one-token vector advance, and one ``k``-token vector advance (a
   decode stretch's window) vs ``k`` one-token advances, on rows that
@@ -25,18 +27,108 @@ Whole-run behaviour is pinned by checksums in
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 import pytest
 
-from repro.api import ServeConfig, Session, make_scheduler
+from repro.api import ServeConfig, Session
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaEngine
-from repro.engine.interface import decode_slack
-from repro.engine.replica import _RowView
 from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.perfmodel.execution import BatchShape, PrefillChunk
-from repro.simcore import Simulator
+from tests.conftest import make_view
+
+
+# Reference: the Eq. 2 slack sweep over request objects that the
+# engine view's row sweep replaced.
+def decode_slack(
+    now: float, decode_requests: Iterable[Request], floor: float
+) -> float:
+    """Eq. 2-style slack: min over decodes of next-token headroom.
+
+    Interactive decodes contribute their next-token deadline minus
+    ``now``.  Non-interactive decodes contribute an even pace:
+    remaining TTLT slack divided by remaining tokens, floored at
+    ``floor``.  Returns ``inf`` when no decode constrains the
+    iteration.
+    """
+    budget = float("inf")
+    for request in decode_requests:
+        if request.is_interactive:
+            slack = request.next_token_deadline - now
+            if slack <= 0.0:
+                # Deadline already blown (e.g. a relegated request
+                # that finally reached decode): honouring it is
+                # impossible, so pace it best-effort at the floor
+                # instead of strangling the whole iteration.
+                slack = floor
+        else:
+            remaining = max(1, request.remaining_decode)
+            slack = (request.total_deadline - now) / remaining
+            slack = max(slack, floor)
+        if slack < budget:
+            budget = slack
+    return budget
+
+
+# Reference: the per-shape batch-time formula that
+# ExecutionModel.batch_time_flat replaced.
+def batch_time(self, shape: BatchShape) -> float:
+    """Execution time in seconds for one iteration of ``shape``.
+
+    The linear-layer cost distinguishes the two regimes the
+    scheduler lives between.  Prefill chunks run real GEMMs whose
+    utilization degrades at small M (the Figure 4 knee), so their
+    FLOPs are charged at a chunk-size-dependent MFU.  Decode
+    tokens piggyback on the same weight stream (Sarathi's fused
+    prefill-decode batches); a decode-only batch is bandwidth
+    bound, charged at the asymptotic MFU and dominated by the
+    weight/KV memory term.
+    """
+    total_tokens = shape.total_tokens
+    if total_tokens <= 0:
+        return 0.0
+
+    # --- compute path ---
+    prefill_tokens = shape.prefill_tokens
+    compute = (
+        self._linear_flops_per_token
+        * total_tokens
+        / (self._peak_flops * self._mfu_linear)
+    )
+    if prefill_tokens > 0:
+        compute_prefill = (
+            self._linear_flops_per_token
+            * prefill_tokens
+            / (
+                self._peak_flops
+                * self._gemm_efficiency(prefill_tokens)
+            )
+        )
+        compute = max(compute, compute_prefill)
+
+    attn_flops = 0.0
+    prefill_context_read = 0
+    for chunk in shape.prefill_chunks:
+        # Causal attention: query i attends to context_before + i keys.
+        avg_keys = chunk.context_before + (chunk.tokens + 1) / 2.0
+        attn_flops += self._attn_flops_scale * chunk.tokens * avg_keys
+        prefill_context_read += chunk.context_before
+    attn_flops += self._attn_flops_scale * shape.decode_context_total
+    compute += attn_flops / (self._peak_flops * self._mfu_attention)
+
+    # --- memory path ---
+    kv_read = self._kv_bytes_per_token * (
+        shape.decode_context_total + prefill_context_read
+    )
+    kv_write = self._kv_bytes_per_token * total_tokens
+    mem_bytes = self._weight_bytes + kv_read + kv_write
+    memory = mem_bytes / self._bandwidth
+
+    return max(compute, memory) + self._overhead
+
 
 
 class TestLedgerBlockMath:
@@ -296,10 +388,6 @@ class TestDecodeSlackParity:
     @pytest.mark.parametrize("num_rows", [7, 40], ids=["scalar", "vector"])
     def test_matches_object_sweep(self, execution_model, num_rows):
         rng = np.random.default_rng(num_rows)
-        engine = ReplicaEngine(
-            Simulator(), execution_model,
-            make_scheduler("fcfs", execution_model),
-        )
         requests = []
         for rid in range(num_rows):
             decode_tokens = int(rng.integers(2, 300))
@@ -312,18 +400,18 @@ class TestDecodeSlackParity:
             )
             request.prefill_done = request.prompt_tokens
             request.decoded = int(rng.integers(0, decode_tokens))
-            engine._attach_decode(request, request.context_length)
             requests.append(request)
+        view = make_view(execution_model, requests)
         floor = 0.025
         for now in (0.0, 7.5, 20.0, 599.0, 640.0, 1799.5, 1900.0):
-            view = _RowView(engine, now, num_rows)
+            view.now = now
             assert view.decode_slack(floor) == decode_slack(
                 now, requests, floor
             ), now
 
 
 class TestFlatBatchTime:
-    """The flat kernels reproduce batch_time bit for bit."""
+    """The flat kernels reproduce the per-shape formula bit for bit."""
 
     def test_batch_time_flat_matches(self, execution_model):
         rng = np.random.default_rng(99)
@@ -348,8 +436,8 @@ class TestFlatBatchTime:
                 num_decodes=num_decodes,
                 decode_context_total=dct,
             )
-            assert execution_model.batch_time(
-                shape
+            assert batch_time(
+                execution_model, shape
             ) == execution_model.batch_time_flat(chunks, num_decodes, dct)
 
     def test_decode_batch_times_flat_matches(self, execution_model):
@@ -366,7 +454,25 @@ class TestFlatBatchTime:
                     num_decodes=num_decodes,
                     decode_context_total=int(dct),
                 )
-                assert flat[i] == execution_model.batch_time(shape)
+                assert flat[i] == batch_time(execution_model, shape)
+
+    def test_pricing_helpers_match(self, execution_model):
+        """Every ``ExecutionModel`` price is the reference formula on
+        the equivalent shape."""
+        em = execution_model
+        shape = BatchShape([PrefillChunk(300, 700)], 9, 9 * 1100)
+        assert em.batch_time(shape) == batch_time(em, shape)
+        assert em.decode_batch_time(48, 48 * 1024) == batch_time(
+            em, BatchShape(num_decodes=48, decode_context_total=48 * 1024)
+        )
+        alone = batch_time(em, BatchShape([PrefillChunk(512, 0)]))
+        assert em.seconds_per_prefill_token(512) == alone / 512
+        assert em.peak_prefill_throughput(512) == 512 / alone
+        total = 0.0
+        for done in range(0, 1300, 512):
+            tokens = min(512, 1300 - done)
+            total += batch_time(em, BatchShape([PrefillChunk(tokens, done)]))
+        assert em.prefill_time(1300, 512) == total
 
 
 class TestEngineSwitch:

@@ -54,8 +54,11 @@ from repro.workload.sessions import AGENT_PROFILE, SessionWorkload
 from tests.conftest import small_memory_model, stall_requests
 
 PINS = {
+    # Re-recorded when the prefill replica began reporting the
+    # synchronous DecodePool's completions: the old event list plus
+    # one request_completed per request.
     "disagg-traced": (
-        "708f4d1b431fd148c7cdb47f93e7e11ddd1e3d08947708a367f5197538331d31"
+        "aa05c095c12e0a86a87a78f965e14acc0c383b1755e8265ff303927e15c08ee2"
     ),
     "disagg-untraced": (
         "32e1340519ef8f379c88394b49274b42a8c18e8f3761932e99f9774501cc32de"

@@ -8,7 +8,6 @@ tracing on and off.
 
 import json
 
-import pytest
 
 from repro.api import build_trace, make_scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
@@ -67,23 +66,6 @@ class TestTracingObserver:
             for s in families["repro_requests_completed_total"]["series"]
         )
         assert done == summary.finished
-
-    def test_kv_snapshot_downsampling(self, execution_model):
-        sink = ListSink()
-        every = TracingObserver(recorder=TraceRecorder([ListSink()]))
-        sampled = TracingObserver(
-            recorder=TraceRecorder([sink]), kv_snapshot_every=10
-        )
-        run_engine(execution_model, observer=every)
-        _, engine = run_engine(execution_model, observer=sampled)
-        snaps = [
-            e for e in sink.events if e["kind"] == "kv_cache_snapshot"
-        ]
-        assert 0 < len(snaps) <= engine.iterations_run // 10 + 1
-
-    def test_kv_snapshot_every_validation(self):
-        with pytest.raises(ValueError):
-            TracingObserver(kv_snapshot_every=0)
 
 
 class TestDeterminism:

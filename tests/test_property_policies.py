@@ -11,6 +11,7 @@ from repro.core.relegation import RelegationPolicy, ViolationChecker
 from repro.core.request import Request
 from repro.experiments.configs import get_execution_model
 from repro.schedulers.classic import EDFScheduler
+from tests.conftest import make_view
 
 EM = get_execution_model("llama3-8b")
 
@@ -103,8 +104,13 @@ def test_chunker_budget_always_in_bounds(num_decodes, context, now,
         r.prefill_done = context
         r.decoded = 1
         decodes.append(r)
+    view = make_view(EM, decodes, now=max(now, arrival))
     decision = chunker.prefill_budget(
-        max(now, arrival), decodes, prefill_context_before=context
+        view.now,
+        view.num_decodes,
+        view.decode_context_total,
+        view.decode_slack(chunker.ni_pace_floor),
+        prefill_context_before=context,
     )
     assert chunker.min_chunk <= decision.prefill_budget <= chunker.max_chunk
     assert decision.latency_budget > 0

@@ -9,7 +9,7 @@ from repro.core.priority import MS_PER_TOKEN
 from repro.experiments.configs import get_execution_model
 from repro.schedulers import QoServeConfig, QoServeScheduler
 from repro.workload.datasets import AZURE_CODE
-from tests.conftest import Q1, drain_trace, make_request
+from tests.conftest import Q1, drain_trace, make_request, make_view
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +68,6 @@ class TestReplanCache:
         assert keys == sorted(keys)
 
     def test_replan_counts_down(self, em):
-        from repro.engine.interface import EngineView
-        from repro.engine.rows import ArrayKVLedger
-
         scheduler = QoServeScheduler(
             em,
             QoServeConfig(use_forest_predictor=False, replan_interval=4),
@@ -80,12 +77,7 @@ class TestReplanCache:
                 make_request(request_id=i, prompt_tokens=30_000, qos=Q1),
                 0.0,
             )
-        view = EngineView(
-            now=0.0, decode_requests=[],
-            kv_cache=ArrayKVLedger(capacity_tokens=400_000),
-            execution_model=em, max_decode_slots=256,
-            inflight_prefill_ids=frozenset(),
-        )
+        view = make_view(em)
         scheduler.plan_prefill(view)  # dirty -> replans, counter resets
         assert scheduler._iterations_since_replan == 0
         scheduler.plan_prefill(view)  # clean -> counter advances

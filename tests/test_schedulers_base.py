@@ -2,23 +2,10 @@
 
 import pytest
 
-from repro.engine.interface import EngineView, Scheduler
-from repro.engine.rows import ArrayKVLedger
+from repro.engine.interface import Scheduler
 from repro.schedulers.base import pack_prefill_assignments
 from repro.schedulers.classic import FCFSScheduler
-from tests.conftest import make_request
-
-
-def make_view(execution_model, decode_requests=(), kv_tokens=100_000,
-              max_slots=16, inflight=frozenset()):
-    return EngineView(
-        now=0.0,
-        decode_requests=list(decode_requests),
-        kv_cache=ArrayKVLedger(capacity_tokens=kv_tokens),
-        execution_model=execution_model,
-        max_decode_slots=max_slots,
-        inflight_prefill_ids=inflight,
-    )
+from tests.conftest import make_request, make_view
 
 
 class TestPacking:
@@ -48,7 +35,7 @@ class TestPacking:
 
     def test_respects_decode_slots(self, execution_model):
         decodes = [make_request(request_id=i) for i in range(15)]
-        view = make_view(execution_model, decode_requests=decodes,
+        view = make_view(execution_model, decodes=decodes,
                          max_slots=16)
         new = [make_request(request_id=100 + i, prompt_tokens=50)
                for i in range(3)]
@@ -60,7 +47,7 @@ class TestPacking:
         inflight = make_request(request_id=50, prompt_tokens=600)
         inflight.prefill_done = 256
         view = make_view(
-            execution_model, decode_requests=decodes, max_slots=16,
+            execution_model, decodes=decodes, max_slots=16,
             inflight=frozenset({50, 99}),
         )
         # 15 decodes + 2 inflight = 17 > 16 slots: no new starts, but
@@ -157,7 +144,7 @@ class TestHeapQueue:
     def test_chunk_budget_shrinks_with_decodes(self, execution_model):
         scheduler = FCFSScheduler(chunk_size=256)
         decodes = [make_request(request_id=i) for i in range(100)]
-        view = make_view(execution_model, decode_requests=decodes,
+        view = make_view(execution_model, decodes=decodes,
                          max_slots=256)
         assert scheduler.prefill_token_budget(view) == 156
 

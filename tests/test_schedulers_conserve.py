@@ -2,21 +2,8 @@
 
 import pytest
 
-from repro.engine.interface import EngineView
-from repro.engine.rows import ArrayKVLedger
 from repro.schedulers import ConServeScheduler
-from tests.conftest import Q1, Q2, Q3, make_request
-
-
-def make_view(execution_model, decode_requests=()):
-    return EngineView(
-        now=0.0,
-        decode_requests=list(decode_requests),
-        kv_cache=ArrayKVLedger(capacity_tokens=400_000),
-        execution_model=execution_model,
-        max_decode_slots=256,
-        inflight_prefill_ids=frozenset(),
-    )
+from tests.conftest import Q1, Q2, Q3, make_request, make_view
 
 
 class TestBinaryClasses:

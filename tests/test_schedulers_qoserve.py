@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.engine.interface import EngineView
-from repro.engine.rows import ArrayKVLedger
 from repro.schedulers import QoServeConfig, QoServeScheduler
 from repro.schedulers.qoserve import make_ablation_config
-from tests.conftest import Q1, Q2, Q3, make_request
+from tests.conftest import Q1, Q2, Q3, make_request, make_view
 
 
 @pytest.fixture
@@ -14,17 +12,6 @@ def scheduler(execution_model):
     # Oracle predictor: deterministic and fast for unit tests.
     return QoServeScheduler(
         execution_model, QoServeConfig(use_forest_predictor=False)
-    )
-
-
-def make_view(execution_model, decode_requests=(), inflight=frozenset()):
-    return EngineView(
-        now=0.0,
-        decode_requests=list(decode_requests),
-        kv_cache=ArrayKVLedger(capacity_tokens=400_000),
-        execution_model=execution_model,
-        max_decode_slots=256,
-        inflight_prefill_ids=inflight,
     )
 
 
