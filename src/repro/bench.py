@@ -20,11 +20,11 @@ The pinned micro workloads:
 * ``execution_batch_time``    — analytical batch latency
 * ``execution_prefill_time``  — memoized prefill-time lookup
 
-plus the ``engine_soa`` kernel pairs (struct-of-arrays decode advance,
+plus the ``engine_soa`` pairs (an iteration's decode accounting,
 bulk KV growth and eviction-victim selection vs the per-request or
-per-row loops they replace) and the ``engine_e2e`` section driving
-the pinned traces through the engine end to end (see
-``docs/PERFORMANCE.md``).
+per-row loops they replace, and one iteration's accounting at three
+batch sizes) and the ``engine_e2e`` section driving the pinned traces
+through the engine end to end (see ``docs/PERFORMANCE.md``).
 
 All workloads are deterministic; wall-clock numbers obviously vary by
 host, which is why each report embeds the host fingerprint (CPU count,
@@ -100,7 +100,13 @@ from typing import Any, Callable
 #: 14 — ``chunker_prefill_budget`` takes its latency budget from the
 #: decode slack of an engine view over 16 decode rows, swept each
 #: call as QoServe plans, instead of from the request objects.
-SCHEMA_VERSION = 14
+#: 15 — decode rows derive from an iteration log: ``soa_advance`` times
+#: logging one finished iteration of 48 rows (their per-token stats
+#: are folded when read, not per iteration), ``engine_soa`` grew
+#: ``soa_iteration_8``/``_48``/``_512`` (one iteration's finish plus
+#: KV reservation at 8, 48 and 512 rows), and ``engine_e2e`` grew a
+#: ``fleet32`` row (AzConv at 64 QPS on 32 least-loaded replicas).
+SCHEMA_VERSION = 15
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -234,29 +240,30 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
 
 def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
-    """SoA engine kernels vs the per-request loops they replace.
+    """SoA engine accounting vs the per-request loops it replaces.
 
-    Three pinned 48-row workloads, each timed both ways with the same
-    semantics so the ratio is a pure dispatch/layout comparison:
+    Three pinned 48-row workloads, each timed both ways:
 
-    * ``advance`` — one level-synchronous decode advance
-      (:meth:`ReplicaEngine._advance_vector` with one token time, the
-      kernel iterations of 32 rows or more and decode stretches share,
-      vs 48 :meth:`Request.record_output_token` calls);
+    * ``advance`` — one finished iteration of the decode batch
+      (:meth:`_RowStore.finish_iteration`: log the finish time, pop the
+      completion bucket) vs 48 :meth:`Request.record_output_token`
+      calls.  The log defers each row's per-token stats to the read
+      that folds them, so this is what an iteration pays, not the
+      whole per-token cost;
     * ``kv_grow`` — the whole batch grows one token
-      (:meth:`ArrayKVLedger.bulk_decode_grow` vs 48 per-row
-      :meth:`ArrayKVLedger.grow` calls on the same ledger, the path
-      the engine falls back to under KV pressure);
+      (:meth:`ArrayKVLedger.bulk_decode_grow`, one phase-count lookup)
+      vs 48 per-row :meth:`ArrayKVLedger.grow` calls on the same
+      ledger, the path the engine falls back to under KV pressure;
     * ``victim_select`` — stall-recovery victim choice
       (``np.argmax`` over the deadline column vs ``max()`` over the
       decode queue).
 
-    Targets and capacity are set far out of reach so the timed loops
-    never complete a request or exhaust KV — every call exercises the
-    steady-state path.
+    ``soa_iteration_<n>`` times one iteration's accounting, finish plus
+    KV reservation, at 8, 48 and 512 rows: it should not grow with the
+    batch.  Targets and capacity are set far out of reach so the timed
+    loops never complete a request or exhaust KV — every call
+    exercises the steady-state path.
     """
-    import numpy as np
-
     from repro.core.qos import Q1_INTERACTIVE
     from repro.core.request import Request
     from repro.engine.replica import ReplicaEngine
@@ -267,9 +274,9 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     num_rows = 48
     block_size = 16
 
-    def make_requests() -> list[Request]:
+    def make_requests(count: int = num_rows) -> list[Request]:
         requests = []
-        for i in range(num_rows):
+        for i in range(count):
             request = Request(
                 request_id=i,
                 arrival_time=0.001 * i,
@@ -282,34 +289,26 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
             requests.append(request)
         return requests
 
-    def make_soa_state():
-        """A populated row store + ledger, detached from any engine."""
+    def make_soa_state(count: int = num_rows):
+        """A populated row store + ledger, detached from any engine,
+        with its batch stamped."""
         rows = _RowStore()
         ledger = ArrayKVLedger(10**8, block_size, rows)
-        for request in make_requests():
+        for request in make_requests(count):
             ledger.grow(request.request_id, request.context_length)
             rows.add(request, *ledger.attach_row(request.request_id))
+        rows.batch_n = rows.n
         return rows, ledger
 
     results: dict[str, dict[str, float]] = {}
 
     # --- advance: one decode token for every row --------------------
-    class _AdvanceHarness:
-        """Just enough engine state for the advance kernel."""
-
-        _advance_vector = ReplicaEngine._advance_vector
-
-        def __init__(self) -> None:
-            self._rows, _ = make_soa_state()
-            self._rows_dirty = False
-            self._decode_context_total = 0
-
-    harness = _AdvanceHarness()
+    rows, _ = make_soa_state()
     clock = {"now": 0.02}
 
     def soa_advance() -> None:
         clock["now"] += 0.01
-        harness._advance_vector(np.array((clock["now"],)), num_rows)
+        rows.finish_iteration(clock["now"])
 
     results["soa_advance"] = _timeit(soa_advance, reps=reps, loops=loops)
 
@@ -337,6 +336,22 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
             ledger.grow(request_id, 1)
 
     results["row_kv_grow"] = _timeit(row_kv_grow, reps=reps, loops=loops)
+
+    # --- iteration: finish plus reservation, by batch size ----------
+    for count in (8, 48, 512):
+        batch_rows, batch_ledger = make_soa_state(count)
+        batch_clock = {"now": 0.02}
+
+        def iteration(
+            rows=batch_rows, ledger=batch_ledger, clock=batch_clock, n=count
+        ) -> None:
+            clock["now"] += 0.01
+            rows.finish_iteration(clock["now"])
+            ledger.bulk_decode_grow(n)
+
+        results[f"soa_iteration_{count}"] = _timeit(
+            iteration, reps=reps, loops=loops
+        )
 
     # --- victim_select: stall-recovery eviction choice --------------
     class _VictimHarness:
@@ -387,13 +402,13 @@ def _host_speed():
 def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
     """The pinned traces through the engine end to end.
 
-    Three workloads: the decode-heavy conversational trace on one
-    replica (where the level-synchronous loop and decode-stretch
-    fast-forward dominate), the prefill-heavy code trace (where
-    scheduler planning dominates), and the conversational trace on an
-    8-replica least-loaded fleet (where a stretch is bounded by other
-    replicas' events, so nearly every attempt must be rejected
-    cheaply).  Engines are constructed outside the timed region.  Each
+    Four workloads: the decode-heavy conversational trace on one
+    replica (where the iteration loop and decode-stretch fast-forward
+    dominate), the prefill-heavy code trace (where scheduler planning
+    dominates), and the conversational trace on 8- and 32-replica
+    least-loaded fleets (where a stretch is bounded by other replicas'
+    events, so nearly every attempt must be rejected cheaply, and the
+    32-replica row runs the largest decode batches).  Engines are constructed outside the timed region.  Each
     row reports ``wall_s``, its best rep as measured, and ``host_s``,
     the median over reps of each rep scaled to simbench's reference
     host by the yardstick runs bracketing it, so a gate on it holds
@@ -415,6 +430,7 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
     execution_model = get_execution_model("llama3-8b")
     num_requests = 60 if quick else 150
     fleet_requests = 800 if quick else 2000
+    fleet32_requests = 3200 if quick else 8000
     reps = 3 if quick else 5
     # The quick conv row serves 60 requests in ~10 ms: the median of
     # three reps is too noisy for its CI-gated host_s to tell a
@@ -440,32 +456,36 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
 
         return f"{dataset.name} qps=1.0 x{scale} qoserve", build
 
-    def fleet():
-        base = build_trace(
-            AZURE_CONV, qps=16.0, num_requests=fleet_requests, seed=42
-        )
+    def fleet(qps, num_replicas, count):
+        base = build_trace(AZURE_CONV, qps=qps, num_requests=count, seed=42)
 
         def build():
             cluster = ClusterDeployment(
                 execution_model,
                 partial(make_scheduler, "qoserve", execution_model),
-                num_replicas=8,
+                num_replicas=num_replicas,
                 routing="least-loaded",
             )
             for request in base.fresh_copy():
                 cluster.submit(request)
             return cluster.run, cluster.replicas
 
-        return f"{AZURE_CONV.name} qps=16.0 8 replicas least-loaded", build
+        label = (
+            f"{AZURE_CONV.name} qps={qps} {num_replicas} replicas "
+            "least-loaded"
+        )
+        return label, build
 
     workloads = {
         "conv": (replica(AZURE_CONV, 5.0), conv_reps),
         "code": (replica(AZURE_CODE, 3.0), reps),
-        "fleet": (fleet(), reps),
+        "fleet": (fleet(16.0, 8, fleet_requests), reps),
+        "fleet32": (fleet(64.0, 32, fleet32_requests), reps),
     }
     report: dict[str, Any] = {
         "num_requests": num_requests,
         "fleet_requests": fleet_requests,
+        "fleet32_requests": fleet32_requests,
         "reps": reps,
         "conv_reps": conv_reps,
     }

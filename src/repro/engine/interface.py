@@ -16,9 +16,13 @@ import numpy as np
 
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
-from repro.engine.rows import _SMALL_BATCH, ArrayKVLedger, _RowStore
+from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perfmodel.execution import ExecutionModel
+
+#: Below this batch size a per-row scalar sweep beats NumPy kernel
+#: launch overhead; both forms execute the identical float operations.
+_SMALL_BATCH = 32
 
 
 @dataclass
@@ -84,24 +88,26 @@ class EngineView:
         n = rows.n
         if n == 0:
             return float("inf")
+        k = rows.iterations
         if n < _SMALL_BATCH:
             # Scalar sweep: identical float ops, no kernel launches.
             inter = rows.inter
-            decoded = rows.decoded
+            dec_off = rows.dec_off
             ttft_base = rows.ttft_base
             tbt = rows.tbt
             target = rows.target
             ni_ddl = rows.ni_ddl
             best = float("inf")
             for i in range(n):
+                decoded = dec_off.item(i) + k
                 if inter.item(i):
                     slack = (
-                        ttft_base.item(i) + decoded.item(i) * tbt.item(i)
+                        ttft_base.item(i) + decoded * tbt.item(i)
                     ) - now
                     if slack <= 0.0:
                         slack = floor
                 else:
-                    remaining = target.item(i) - decoded.item(i)
+                    remaining = target.item(i) - decoded
                     if remaining < 1:
                         remaining = 1
                     slack = (ni_ddl.item(i) - now) / remaining
@@ -110,13 +116,14 @@ class EngineView:
                 if slack < best:
                     best = slack
             return best
+        decoded = rows.dec_off[:n] + k
         interactive_slack = (
-            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n]
+            rows.ttft_base[:n] + decoded * rows.tbt[:n]
         ) - now
         interactive_slack = np.where(
             interactive_slack <= 0.0, floor, interactive_slack
         )
-        remaining = np.maximum(rows.target[:n] - rows.decoded[:n], 1)
+        remaining = np.maximum(rows.target[:n] - decoded, 1)
         pace = (rows.ni_ddl[:n] - now) / remaining
         np.maximum(pace, floor, out=pace)
         slack = np.where(rows.inter[:n], interactive_slack, pace)

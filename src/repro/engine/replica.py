@@ -9,28 +9,27 @@ engine preempts the decode request with the slackest deadline and
 recomputes it later, mirroring vLLM's recompute-on-eviction.
 
 The decode batch is struct-of-arrays: it lives in a
-:class:`~repro.engine.rows._RowStore` (one column per request field
-the iteration loop touches), and KV accounting in an
+:class:`~repro.engine.rows._RowStore`, and KV accounting in an
 :class:`~repro.engine.rows.ArrayKVLedger` whose decode holdings are
-row columns too.  Every per-token decode advance (timestamps, TBT
-gap and deadline misses, context growth) runs in one of two kernels:
-a scalar sweep for one token of a batch below 32 rows, and a vector
-kernel that advances the batch by ``k`` tokens in a handful of array
-operations (``k = 1`` for an iteration).  Completions and token hooks
-follow the sweep, in row order.
-Request objects are synced from their rows lazily: when a row leaves
-the batch, when a caller reads ``decode_queue``, and when a run
-returns; schedulers read the rows themselves through the
-:class:`~repro.engine.interface.EngineView`.  The
-float expressions are those of :class:`~repro.core.request.Request`
+row columns too.  No iteration touches every row.  Finishing one
+appends its finish time to the row store's iteration log and bumps
+its iteration counter, from which every row's ``decoded`` and ``ctx``
+follow; it completes only the rows in that iteration's completion
+bucket, in row order.  Reserving the batch's KV growth is one
+phase-count lookup.  A row's token timestamps and TBT gap and deadline
+misses are folded over the log when they are read: when a row leaves
+the batch, when a token hook fires, when a caller reads
+``decode_queue``, and when a run returns.  Schedulers read the rows
+themselves through the :class:`~repro.engine.interface.EngineView`.
+The float expressions are those of :class:`~repro.core.request.Request`
 (e.g. the Eq. 2 token deadline ``(arrival + ttft) + k * tbt`` is kept
-as a scalar ``ttft_base`` so the vector form performs the same IEEE
+as a scalar ``ttft_base`` so the vector fold performs the same IEEE
 operations), and ``tests/test_engine_pins.py`` pins the results.
 
 Runs of pure-decode iterations that no event can interrupt collapse
-into one ``k``-token vector advance
-(:meth:`ReplicaEngine._decode_stretch`) when nothing observes
-individual iterations.
+into one logged window (:meth:`ReplicaEngine._decode_stretch`) when
+nothing observes individual iterations, which saves their heap
+events.
 
 A replica whose :class:`ReplicaConfig` carries a ``prefill_sink`` is
 a prefill-only node (PD disaggregation, Section 4.1.3): completed
@@ -50,7 +49,7 @@ from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.prefix import RadixPrefixCache
-from repro.engine.rows import _SMALL_BATCH, ArrayKVLedger, _RowStore
+from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.obs.observer import NULL_OBSERVER, Observer, get_default_observer
 from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.simulator import Simulator
@@ -130,8 +129,8 @@ class ReplicaEngine:
             scheduler.set_observer(self.observer)
 
         self._rows = _RowStore()
-        # Request objects lag their rows after a decode advance until
-        # the rows are synced back (see _sync_rows).
+        # Request objects lag their rows after an iteration finishes
+        # until the rows are synced back (see _sync_rows).
         self._rows_dirty = False
 
         self.kv_cache = ArrayKVLedger(
@@ -152,10 +151,6 @@ class ReplicaEngine:
             self.prefix_cache = RadixPrefixCache(self.kv_cache)
             self.kv_cache.set_reclaimer(self.prefix_cache)
             self.prefix_cache.on_evict = self._notify_prefix_evicted
-        # Incremental mirror of the decode rows' summed context length:
-        # adjusted on admit/evict/finish and per advance, so the hot
-        # loop never re-aggregates the batch.
-        self._decode_context_total = 0
         self.completed: list[Request] = []
         self.submitted: list[Request] = []
         #: Requests refused at admission: their prompt plus decode
@@ -278,7 +273,7 @@ class ReplicaEngine:
             if not self.kv_cache.can_grow(request.request_id, context):
                 return
             self.kv_cache.grow(request.request_id, context)
-            self._attach_decode(request, context)
+            self._attach_decode(request)
             if request.scheduled_first_time is None:
                 request.scheduled_first_time = self.simulator.now
             self._pending_handoffs.popleft()
@@ -325,6 +320,11 @@ class ReplicaEngine:
         self._maybe_start()
 
     # --- derived state ----------------------------------------------------
+
+    @property
+    def _decode_context_total(self) -> int:
+        """The decode rows' summed context length, in O(1)."""
+        return self._rows.context_total
 
     @property
     def decode_queue(self) -> list[Request]:
@@ -374,12 +374,11 @@ class ReplicaEngine:
     # Every lifecycle transition moves requests into and out of the
     # decode rows through these three primitives.
 
-    def _attach_decode(self, request: Request, context: int) -> None:
-        """Append ``request`` (holding ``context`` KV tokens) to the
-        decode rows; its KV holding becomes row-backed."""
+    def _attach_decode(self, request: Request) -> None:
+        """Append ``request`` to the decode rows; its KV holding becomes
+        row-backed."""
         tokens, blocks = self.kv_cache.attach_row(request.request_id)
         self._rows.add(request, tokens, blocks)
-        self._decode_context_total += context
 
     def _detach_decode(self, request: Request) -> int | None:
         """Remove ``request`` from the decode rows and release its KV.
@@ -392,17 +391,15 @@ class ReplicaEngine:
         if i is None:
             return None
         rows.sync_row(i)
-        context = int(rows.ctx[i])
+        context = rows.context(i)
         # The row-backed holding must be released while its row lives.
         self.kv_cache.release(request.request_id)
         rows.remove_at(i)
-        self._decode_context_total -= context
         return context
 
     def _clear_decodes(self) -> None:
         """Empty the decode rows (crash; KV already released)."""
         self._rows.clear()
-        self._decode_context_total = 0
 
     # --- iteration loop ----------------------------------------------------
 
@@ -534,22 +531,7 @@ class ReplicaEngine:
         now = self.simulator.now
         self._inflight_event = None
         self.iterations_run += 1
-        # Decode side: every row of the batch emits one token (rows
-        # evicted or cancelled mid-flight already left the prefix).
-        rows = self._rows
-        m = rows.batch_n
-        if m:
-            if m < _SMALL_BATCH:
-                finished_rows = self._advance_scalar(now, m)
-            else:
-                self._advance_vector((now,), m)
-                finished_rows = np.flatnonzero(
-                    rows.decoded[:m] >= rows.target[:m]
-                ).tolist()
-            if self.token_hook is not None:
-                self._fire_token_hooks(now, m)
-            elif finished_rows:
-                self._complete_rows(finished_rows, now)
+        self._finish_decodes(now)
         if assignments:
             self._credit_prefills(assignments, now)
         if observed:
@@ -570,9 +552,10 @@ class ReplicaEngine:
         (a) complete no request, (b) fit their KV growth in the free
         plus reclaimable blocks, so no decode is evicted, and (c)
         finish strictly before the next simulator event and within
-        the simulator's run bound — then advances every row ``k``
-        tokens in one :meth:`_advance_vector` call and fast-forwards
-        the clock to the last finish time.  Falls back to the
+        the simulator's run bound — then logs the ``k`` finish times
+        as one window (:meth:`_RowStore.log_window`), grows the KV of
+        every row by ``k`` tokens and fast-forwards the clock to the
+        last finish time.  Falls back to the
         per-iteration path (returning ``now`` unchanged) whenever any
         bound trims the run below 2.
 
@@ -599,8 +582,8 @@ class ReplicaEngine:
 
         Bit-exactness: finish times are the left-associated cumulative
         sum ``((now + e_1) + e_2) + ...`` (``np.add.accumulate``),
-        matching the simulator's sequential clock, and the kernel
-        performs the float operations of ``k`` one-token advances.
+        matching the simulator's sequential clock, and the log holds
+        them exactly as ``k`` iterations would have appended them.
         The one divergence from running the ``k`` iterations
         one by one is ``Simulator.events_processed``/``max_events``
         accounting: the collapsed finish events are never enqueued
@@ -622,7 +605,11 @@ class ReplicaEngine:
         n = rows.n
         # (a) the iteration emitting a request's final token must run
         # on the normal path (completion side effects).
-        k_cap = int((rows.target[:n] - rows.decoded[:n]).min()) - 1
+        k_cap = (
+            int((rows.target[:n] - rows.dec_off[:n]).min())
+            - rows.iterations
+            - 1
+        )
         if k_cap < 2:
             return now
         # (b) largest run whose cumulative block demand fits in the
@@ -669,31 +656,44 @@ class ReplicaEngine:
                 np.concatenate(((self.busy_time,), exec_times[:k]))
             )[-1]
         )
-        self._advance_vector(c[1 : k + 1], n)
+        rows.log_window(c[1 : k + 1])
+        self._rows_dirty = True
         ledger.stretch_grow(n, k)
         end = float(c[k])
         self.simulator.fast_forward(end)
         return end
 
-    # --- decode advance kernels -------------------------------------------
-    #
-    # Two kernels advance rows [0, m): a scalar sweep for one token
-    # of a small batch, and the vector kernel for one token per entry
-    # of ``times`` (an iteration passes one time, a decode stretch its
-    # window).  Both leave completion to the caller: an iteration
-    # completes the finished rows after the sweep, or, with a token
-    # hook, fires the hooks after it.
+    # --- completion ----------------------------------------------------------
+
+    def _finish_decodes(self, now: float) -> None:
+        """The decode side of a finished iteration.
+
+        Every row of the batch emits one token (rows evicted or
+        cancelled mid-flight already left the prefix): the iteration is
+        logged, then its completion bucket's rows complete in row
+        order, or with a token hook every batch row's hook fires.
+        """
+        rows = self._rows
+        m = rows.batch_n
+        finished_rows = rows.finish_iteration(now)
+        if m:
+            self._rows_dirty = True
+            if self.token_hook is not None:
+                self._fire_token_hooks(now, m)
+            elif finished_rows:
+                self._complete_rows(finished_rows, now)
 
     def _fire_token_hooks(self, now: float, m: int) -> None:
-        """Fire the token hook for every row of the advanced batch.
+        """Fire the token hook for every row of the finished batch.
 
         Row by row in batch order, each on its synced object; a
         finished row completes before the next row's hook.  Completion
-        side effects touch no state a row's advance reads, so this
+        side effects touch no state a row's tokens depend on, so this
         equals advancing and completing row by row.
         """
         rows = self._rows
         index = rows.index
+        target = rows.target
         hook = self.token_hook
         # A copy of the batch: completions shift the rows.
         for request in rows.req[:m]:
@@ -701,106 +701,15 @@ class ReplicaEngine:
             if i is None:
                 continue  # removed by an earlier row's completion
             rows.sync_row(i)
-            finished = rows.decoded.item(i) >= rows.target.item(i)
+            finished = request.decoded >= target.item(i)
             if finished:
                 request.completion_time = now
             hook(request, now)
             if finished:
                 self._complete(request, now)
 
-    def _advance_scalar(self, now: float, m: int) -> list[int]:
-        """One-token advance mirroring ``Request.record_output_token``.
-
-        For small batches, where the loop beats NumPy kernel launches;
-        same float operations as :meth:`_advance_vector`.  Returns the
-        rows that reached their target, in row order.
-        """
-        rows = self._rows
-        self._rows_dirty = True
-        decoded = rows.decoded
-        first = rows.first
-        last = rows.last
-        max_tbt = rows.max_tbt
-        gap_miss = rows.gap_miss
-        ddl_miss = rows.ddl_miss
-        inter = rows.inter
-        ttft_base = rows.ttft_base
-        tbt = rows.tbt
-        ctx = rows.ctx
-        target = rows.target
-        finished_rows = []
-        for i in range(m):
-            d0 = decoded.item(i)
-            decoded[i] = d0 + 1
-            it = inter.item(i)
-            if d0 == 0:
-                first[i] = now
-            else:
-                gap = now - last.item(i)
-                if gap > max_tbt.item(i):
-                    max_tbt[i] = gap
-                if it and gap > tbt.item(i):
-                    gap_miss[i] += 1
-            if it and now > ttft_base.item(i) + d0 * tbt.item(i):
-                ddl_miss[i] += 1
-            last[i] = now
-            ctx[i] += 1
-            if d0 + 1 >= target.item(i):
-                finished_rows.append(i)
-        self._decode_context_total += m
-        return finished_rows
-
-    def _advance_vector(
-        self, times: np.ndarray | tuple[float], m: int
-    ) -> None:
-        """Level-synchronous advance by ``k = len(times)`` tokens.
-
-        Token ``j`` (0-based) of every row lands at ``times[j]``.
-        Every row shares the ``k - 1`` in-window gaps (differences of
-        the same finish times) and adds one private gap across the
-        window boundary from its previous last-token time, except a
-        fresh row, whose first token opens the window.  Token ``j``
-        meets the Eq. 2 deadline ``ttft_base + (decoded + j) * tbt``,
-        ``Request.token_deadline``'s expression.  With ``k = 1`` there
-        are no in-window gaps.
-        """
-        rows = self._rows
-        self._rows_dirty = True
-        k = len(times)
-        t0 = times[0]
-        d0 = rows.decoded[:m].copy()
-        rows.decoded[:m] = d0 + k
-        fresh = d0 == 0
-        rows.first[:m][fresh] = t0
-        cross = np.where(fresh, -np.inf, t0 - rows.last[:m])
-        if k > 1:
-            shared = times[1:] - times[:-1]
-            cand = np.maximum(float(shared.max()), cross)
-        else:
-            cand = cross
-        np.maximum(rows.max_tbt[:m], cand, out=rows.max_tbt[:m])
-        inter_rows = np.flatnonzero(rows.inter[:m])
-        if inter_rows.size:
-            tbt = rows.tbt[inter_rows]
-            over = cross[inter_rows] > tbt
-            if k > 1:
-                # Strict gap > tbt count via the sorted shared gaps.
-                over = over + (
-                    (k - 1)
-                    - np.searchsorted(np.sort(shared), tbt, side="right")
-                )
-            rows.gap_miss[inter_rows] += over
-            steps = d0[inter_rows][:, None] + np.arange(k)
-            deadlines = rows.ttft_base[inter_rows][:, None] + (
-                steps * tbt[:, None]
-            )
-            rows.ddl_miss[inter_rows] += (times > deadlines).sum(axis=1)
-        rows.last[:m] = times[-1]
-        rows.ctx[:m] += k
-        self._decode_context_total += m * k
-
     def _complete_rows(self, finished_rows: list[int], now: float) -> None:
-        """Complete the rows a sweep finished, in row order.
+        """Complete the rows an iteration finished, in row order.
 
         Resolves every request before the first completion, because
         each removal shifts the rows behind it.
@@ -898,9 +807,10 @@ class ReplicaEngine:
         n = rows.n
         if n == 0:
             return None
+        decoded = rows.dec_off[:n] + rows.iterations
         deadline = np.where(
             rows.inter[:n],
-            rows.ttft_base[:n] + rows.decoded[:n] * rows.tbt[:n],
+            rows.ttft_base[:n] + decoded * rows.tbt[:n],
             rows.ni_ddl[:n],
         )
         excluded = rows.index.get(exclude.request_id)
@@ -968,7 +878,7 @@ class ReplicaEngine:
         if request.is_finished:
             self._complete(request, now)
         else:
-            self._attach_decode(request, request.context_length)
+            self._attach_decode(request)
 
     def _complete(self, request: Request, now: float) -> None:
         if self._detach_decode(request) is None:

@@ -7,10 +7,25 @@ per iteration.  :class:`ArrayKVLedger` tracks block-granular usage
 exactly the way a paged allocator (vLLM's PagedAttention) would,
 including the block-rounding waste.
 
-:class:`_RowStore` is the engine's decode batch: one column per request
-field the iteration loop touches.  The ledger keeps the holdings of
-decode rows in the same columns, so the per-iteration +1-token growth
-of the whole batch is one pass over two arrays.
+:class:`_RowStore` is the engine's decode batch.  Every running decode
+joins every iteration (Sarathi-style iteration-level batching), so a
+row's per-token state follows from two per-replica counters and an
+iteration log instead of being advanced row by row:
+
+* ``iterations`` (``K``) counts finished iterations and ``reserved``
+  (``G``) batch-wide KV reservations.  A row stores offsets:
+  ``decoded = dec_off + K``, ``ctx = ctx_off + K`` and ``kv_tokens =
+  kv_off + G``, with ``kv_blocks = ceil(kv_tokens / block_size)``.
+* ``log`` holds one finish time per finished iteration; a row's token
+  timestamps, TBT gaps and deadline misses are folded over it when
+  read (:meth:`_RowStore.sync_row`).
+* A row finishes at iteration ``target - dec_off``, known at
+  admission, so it waits in that iteration's completion bucket.
+* A row needs a new KV block when ``kv_tokens % block_size == 0``; its
+  phase ``kv_off % block_size`` only moves on a per-row grow, so
+  ``phase_count`` makes a batch-wide reservation one lookup.
+
+An iteration thus costs the same for any batch size.
 """
 
 from __future__ import annotations
@@ -29,58 +44,119 @@ _ROW_BACKED = None
 
 _ABSENT = object()
 
-#: Below this batch size a per-row scalar loop beats NumPy kernel
-#: launch overhead; the scalar and vector paths over the rows execute
-#: the identical float operations.
-_SMALL_BATCH = 32
+#: Folds over at most this many log entries run as a scalar loop (a
+#: token hook folds one token per row per iteration); longer slices
+#: take NumPy passes with the same float operations.
+_FOLD_SCALAR = 8
+
+#: The iteration log is trimmed once it holds this many entries, or
+#: twice its length after the previous trim, whichever is larger.
+_TRIM_MIN = 1024
 
 
 class _RowStore:
-    """Struct-of-arrays decode batch: one column per hot field.
+    """Struct-of-arrays decode batch over an iteration log.
 
     Row order *is* the decode-queue order — removals shift rows down
-    (never swap), because the order drives per-token advance order,
-    completion order (and hence the decode-length estimator's
-    observation stream) and eviction-victim tie-breaking.  Rows are
-    only ever appended, so the batch stamped at iteration start stays
-    the prefix ``[0, batch_n)`` while it is in flight.
+    (never swap), because the order drives completion order (and hence
+    the decode-length estimator's observation stream), token-hook
+    order and eviction-victim tie-breaking.  Rows are only ever
+    appended, so the batch stamped at iteration start stays the prefix
+    ``[0, batch_n)`` while it is in flight; rows behind it joined
+    mid-flight and start with the next iteration.
+
+    A row's ``first``, ``last``, ``max_tbt``, ``gap_miss`` and
+    ``ddl_miss`` hold its state as of iteration ``fold``.
     """
 
     _ARRAY_NAMES = (
-        "ids", "decoded", "target", "ctx", "kv_tokens", "kv_blocks",
+        "ids", "dec_off", "target", "ctx_off", "kv_off", "fold",
         "first", "last", "max_tbt", "gap_miss", "ddl_miss", "inter",
         "ttft_base", "tbt", "ni_ddl",
     )
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = 64, block_size: int = 16) -> None:
         self.n = 0
         #: Rows of the in-flight batch: set when an iteration is
-        #: stamped, decremented when one of its rows is removed (later
-        #: rows joined mid-flight and must not emit a token).
+        #: stamped, decremented when one of its rows is removed.
         self.batch_n = 0
         #: Row-aligned request objects (synced lazily).
         self.req: list[Request] = []
         #: request_id -> row index.
         self.index: dict[int, int] = {}
+        #: Finished iterations (``K``) and batch-wide KV reservations
+        #: (``G``); both only grow.
+        self.iterations = 0
+        self.reserved = 0
+        #: ``log[j]`` is the finish time of iteration ``log_base + j +
+        #: 1``, so ``log_base + len(log) == iterations``.
+        self.log: list[float] = []
+        self.log_base = 0
+        #: Log length at which the next trim runs.
+        self.trim_at = _TRIM_MIN
+        #: Iteration -> ids of the live rows finishing in it, in row
+        #: order; a row's iteration is ``target - dec_off``.
+        self.done_at: dict[int, list[int]] = {}
+        #: Sum of ``ctx_off`` over the live rows.
+        self.ctx_off_total = 0
+        self.block_size = block_size
+        #: ``phase_count[p]``: live rows with ``kv_off % block_size ==
+        #: p``.
+        self.phase_count = [0] * block_size
         self.ids = np.zeros(capacity, np.int64)
-        self.decoded = np.zeros(capacity, np.int64)
+        self.dec_off = np.zeros(capacity, np.int64)
         self.target = np.zeros(capacity, np.int64)  # decode_tokens
-        self.ctx = np.zeros(capacity, np.int64)  # context_length mirror
-        self.kv_tokens = np.zeros(capacity, np.int64)
-        self.kv_blocks = np.zeros(capacity, np.int64)
+        self.ctx_off = np.zeros(capacity, np.int64)
+        self.kv_off = np.zeros(capacity, np.int64)
+        self.fold = np.zeros(capacity, np.int64)
         self.first = np.full(capacity, np.nan)  # first_token_time
         self.last = np.full(capacity, np.nan)  # last_token_time
         self.max_tbt = np.zeros(capacity)
         self.gap_miss = np.zeros(capacity, np.int64)
         self.ddl_miss = np.zeros(capacity, np.int64)
         self.inter = np.zeros(capacity, bool)
-        #: arrival + ttft_slo, precomputed scalar so the vectorized
-        #: Eq. 2 deadline reproduces the float association of
+        #: arrival + ttft_slo, precomputed scalar so the Eq. 2 deadline
+        #: ``ttft_base + d * tbt`` reproduces the float association of
         #: ``Request.token_deadline``.
         self.ttft_base = np.full(capacity, np.nan)
         self.tbt = np.zeros(capacity)
         #: total_deadline (== arrival + ttlt for non-interactive rows).
         self.ni_ddl = np.zeros(capacity)
+
+    def set_block_size(self, block_size: int) -> None:
+        """Key the phase counts by the owning ledger's block size."""
+        if self.n:
+            raise ValueError("block size of a non-empty row store")
+        self.block_size = block_size
+        self.phase_count = [0] * block_size
+
+    # --- derived columns (whole capacity; slice ``[:n]``) ------------------
+
+    @property
+    def decoded(self) -> np.ndarray:
+        return self.dec_off + self.iterations
+
+    @property
+    def ctx(self) -> np.ndarray:
+        return self.ctx_off + self.iterations
+
+    @property
+    def kv_tokens(self) -> np.ndarray:
+        return self.kv_off + self.reserved
+
+    @property
+    def kv_blocks(self) -> np.ndarray:
+        return -(-self.kv_tokens // self.block_size)
+
+    @property
+    def context_total(self) -> int:
+        """Summed context length of the live rows."""
+        return self.ctx_off_total + self.n * self.iterations
+
+    def context(self, i: int) -> int:
+        return self.ctx_off.item(i) + self.iterations
+
+    # --- membership ---------------------------------------------------------
 
     def _grow(self) -> None:
         for name in self._ARRAY_NAMES:
@@ -90,18 +166,38 @@ class _RowStore:
             setattr(self, name, new)
 
     def add(self, request: Request, kv_tokens: int, kv_blocks: int) -> int:
+        """Append a decoding request holding ``kv_tokens`` KV tokens.
+
+        Offsets are taken against the current counters.  A row added
+        while an iteration is in flight lands behind ``batch_n``, and
+        :meth:`finish_iteration` shifts it to start one iteration later.
+        """
+        bs = self.block_size
+        if kv_blocks != -(-kv_tokens // bs):
+            raise ValueError(
+                f"request {request.request_id}: {kv_blocks} blocks for "
+                f"{kv_tokens} tokens at block size {bs}"
+            )
         i = self.n
         if i == len(self.ids):
             self._grow()
         self.n = i + 1
         self.req.append(request)
-        self.index[request.request_id] = i
-        self.ids[i] = request.request_id
-        self.decoded[i] = request.decoded
-        self.target[i] = request.decode_tokens
-        self.ctx[i] = request.context_length
-        self.kv_tokens[i] = kv_tokens
-        self.kv_blocks[i] = kv_blocks
+        request_id = request.request_id
+        self.index[request_id] = i
+        self.ids[i] = request_id
+        k = self.iterations
+        decoded = request.decoded
+        target = request.decode_tokens
+        self.dec_off[i] = decoded - k
+        self.target[i] = target
+        ctx_off = request.context_length - k
+        self.ctx_off[i] = ctx_off
+        self.ctx_off_total += ctx_off
+        kv_off = kv_tokens - self.reserved
+        self.kv_off[i] = kv_off
+        self.phase_count[kv_off % bs] += 1
+        self.fold[i] = k
         ft = request.first_token_time
         self.first[i] = np.nan if ft is None else ft
         lt = request.last_token_time
@@ -119,13 +215,26 @@ class _RowStore:
             self.ttft_base[i] = np.nan
             self.tbt[i] = 0.0
         self.ni_ddl[i] = request.total_deadline
+        self.done_at.setdefault(k + target - decoded, []).append(request_id)
         return i
+
+    def _unexpect(self, request_id: int, iteration: int) -> None:
+        bucket = self.done_at.get(iteration)
+        if bucket is None:
+            return  # popped: the row completes in this iteration
+        bucket.remove(request_id)
+        if not bucket:
+            del self.done_at[iteration]
 
     def remove_at(self, i: int) -> None:
         if i < self.batch_n:
             self.batch_n -= 1
         n = self.n - 1
-        del self.index[self.req[i].request_id]
+        request_id = self.req[i].request_id
+        self._unexpect(request_id, self.target.item(i) - self.dec_off.item(i))
+        self.phase_count[self.kv_off.item(i) % self.block_size] -= 1
+        self.ctx_off_total -= self.ctx_off.item(i)
+        del self.index[request_id]
         del self.req[i]
         if i < n:
             for name in self._ARRAY_NAMES:
@@ -136,24 +245,159 @@ class _RowStore:
             for j in range(i, n):
                 index[req[j].request_id] = j
         self.n = n
+        if n == 0:
+            self._reset_log()
 
     def clear(self) -> None:
         self.n = 0
         self.batch_n = 0
         self.req.clear()
         self.index.clear()
+        self.ctx_off_total = 0
+        self.phase_count = [0] * self.block_size
+        self.done_at.clear()
+        self._reset_log()
+
+    def grow_row(self, i: int, extra_tokens: int) -> None:
+        """Grow one row's KV holding (the per-row pressure path)."""
+        old = self.kv_off.item(i)
+        new = old + extra_tokens
+        self.kv_off[i] = new
+        bs = self.block_size
+        self.phase_count[old % bs] -= 1
+        self.phase_count[new % bs] += 1
+
+    # --- the iteration log --------------------------------------------------
+
+    def finish_iteration(self, now: float) -> list[int]:
+        """Log an iteration finishing at ``now``.
+
+        Rows ``[0, batch_n)`` emit a token; rows behind them joined
+        mid-flight and are shifted to start with the next iteration.
+        Returns the rows that reach their target, in row order.
+        """
+        self.iterations = k = self.iterations + 1
+        n = self.n
+        if n == 0:
+            self.log_base = k
+            return []
+        self.log.append(now)
+        if self.batch_n < n:
+            self._defer_joiners()
+        if len(self.log) >= self.trim_at:
+            self._trim()
+        ids = self.done_at.pop(k, None)
+        if ids is None:
+            return []
+        index = self.index
+        return [index[request_id] for request_id in ids]
+
+    def _defer_joiners(self) -> None:
+        for i in range(self.batch_n, self.n):
+            request_id = self.ids.item(i)
+            due = self.target.item(i) - self.dec_off.item(i)
+            self._unexpect(request_id, due)
+            self.done_at.setdefault(due + 1, []).append(request_id)
+            self.dec_off[i] -= 1
+            self.ctx_off[i] -= 1
+            self.fold[i] += 1
+        self.ctx_off_total -= self.n - self.batch_n
+
+    def log_window(self, times: np.ndarray) -> None:
+        """Log ``len(times)`` iterations every row decodes in (a decode
+        stretch: the caller proved none of them completes a row)."""
+        self.log.extend(times.tolist())
+        self.iterations += len(times)
+        if len(self.log) >= self.trim_at:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop the log below the oldest live fold point."""
+        keep = int(self.fold[: self.n].min())
+        drop = keep - self.log_base
+        if drop > 0:
+            del self.log[:drop]
+            self.log_base = keep
+        self.trim_at = max(_TRIM_MIN, 2 * len(self.log))
+
+    def _reset_log(self) -> None:
+        self.log.clear()
+        self.log_base = self.iterations
+        self.trim_at = _TRIM_MIN
+
+    # --- reads --------------------------------------------------------------
 
     def sync_row(self, i: int) -> None:
-        """Write a row's array state back to its request object."""
+        """Fold a row's stats up to date and write them back to its
+        request object."""
+        k = self.iterations
+        if self.fold.item(i) < k:
+            self._fold(i, k)
         r = self.req[i]
-        r.decoded = int(self.decoded[i])
-        f = self.first[i]
-        r.first_token_time = None if f != f else float(f)
-        last = self.last[i]
-        r.last_token_time = None if last != last else float(last)
-        r.max_tbt = float(self.max_tbt[i])
-        r.tbt_gap_misses = int(self.gap_miss[i])
-        r.tbt_deadline_misses = int(self.ddl_miss[i])
+        r.decoded = self.dec_off.item(i) + k
+        f = self.first.item(i)
+        r.first_token_time = None if f != f else f
+        last = self.last.item(i)
+        r.last_token_time = None if last != last else last
+        r.max_tbt = self.max_tbt.item(i)
+        r.tbt_gap_misses = self.gap_miss.item(i)
+        r.tbt_deadline_misses = self.ddl_miss.item(i)
+
+    def _fold(self, i: int, k: int) -> None:
+        """Account row ``i``'s tokens of iterations ``(fold, k]``.
+
+        Mirrors ``Request.record_output_token`` token by token: a gap
+        is ``t - last`` (``np.diff`` over the slice), and the token
+        emitted with ``d`` tokens already decoded misses its Eq. 2
+        deadline when ``t > ttft_base + d * tbt``.
+        """
+        f = self.fold.item(i)
+        base = self.log_base
+        times = self.log[f - base : k - base]
+        d = self.dec_off.item(i) + f
+        last = self.last.item(i)
+        max_tbt = self.max_tbt.item(i)
+        inter = self.inter.item(i)
+        tbt = self.tbt.item(i)
+        ttft_base = self.ttft_base.item(i)
+        gap_miss = ddl_miss = 0
+        if len(times) <= _FOLD_SCALAR:
+            for now in times:
+                if d == 0:
+                    self.first[i] = now
+                else:
+                    gap = now - last
+                    if gap > max_tbt:
+                        max_tbt = gap
+                    if inter and gap > tbt:
+                        gap_miss += 1
+                if inter and now > ttft_base + d * tbt:
+                    ddl_miss += 1
+                last = now
+                d += 1
+        else:
+            ts = np.array(times)
+            if d == 0:
+                self.first[i] = times[0]
+                gaps = np.diff(ts)
+            else:
+                gaps = np.diff(ts, prepend=last)
+            if gaps.size:
+                peak = gaps.max().item()
+                if peak > max_tbt:
+                    max_tbt = peak
+            if inter:
+                gap_miss = int(np.count_nonzero(gaps > tbt))
+                deadlines = ttft_base + np.arange(d, d + len(times)) * tbt
+                ddl_miss = int(np.count_nonzero(ts > deadlines))
+            last = times[-1]
+        self.last[i] = last
+        self.max_tbt[i] = max_tbt
+        if gap_miss:
+            self.gap_miss[i] += gap_miss
+        if ddl_miss:
+            self.ddl_miss[i] += ddl_miss
+        self.fold[i] = k
 
 
 class ArrayKVLedger:
@@ -162,11 +406,12 @@ class ArrayKVLedger:
     Allocations round up to ``block_size`` and every holding keeps
     ``blocks == ceil(tokens / block_size)`` (``grow`` adds exactly
     ``blocks_needed`` and ``release`` is all-or-nothing).  Holdings of
-    decode-batch members are *row-backed*: their (tokens, blocks) live
-    in the row store's columns, so the per-iteration +1-token growth
-    of the whole batch is one pass (:meth:`bulk_decode_grow`), and the
-    invariant reduces each row's need to the boundary test ``tokens %
-    block_size == 0``.  Every other holding lives in a dict.
+    decode-batch members are *row-backed*: their tokens are the row
+    store's ``kv_off + reserved`` and their blocks follow from the
+    invariant, which reduces each row's need for a +1-token grow to
+    the boundary test ``tokens % block_size == 0``.  The per-iteration
+    growth of the whole batch is therefore one phase-count lookup
+    (:meth:`bulk_decode_grow`).  Every other holding lives in a dict.
     """
 
     def __init__(
@@ -201,6 +446,7 @@ class ArrayKVLedger:
         # release+regrow re-inserts at the end.
         self._holdings: dict[int, tuple[int, int] | None] = {}
         self._rows = rows if rows is not None else _RowStore()
+        self._rows.set_block_size(self.block_size)
         # Optional prefix-cache hook consulted when allocation would
         # otherwise fail; None keeps every code path byte-identical to
         # a reclaimer-free ledger.
@@ -269,10 +515,13 @@ class ArrayKVLedger:
         if entry is _ABSENT:
             return (0, 0)
         if entry is _ROW_BACKED:
-            rows = self._rows
-            i = rows.index[request_id]
-            return (int(rows.kv_tokens[i]), int(rows.kv_blocks[i]))
+            return self._row_entry(request_id)
         return entry
+
+    def _row_entry(self, request_id: int) -> tuple[int, int]:
+        rows = self._rows
+        tokens = rows.kv_off.item(rows.index[request_id]) + rows.reserved
+        return tokens, -(-tokens // self.block_size)
 
     def holding(self, request_id: int) -> int:
         """Tokens currently cached for ``request_id`` (0 if none)."""
@@ -317,9 +566,7 @@ class ArrayKVLedger:
         entry = self._holdings.get(request_id, _ABSENT)
         if entry is _ROW_BACKED:
             rows = self._rows
-            i = rows.index[request_id]
-            rows.kv_tokens[i] += extra_tokens
-            rows.kv_blocks[i] += need
+            rows.grow_row(rows.index[request_id], extra_tokens)
         else:
             tokens, blocks = (0, 0) if entry is _ABSENT else entry
             self._holdings[request_id] = (
@@ -365,10 +612,7 @@ class ArrayKVLedger:
         if entry is _ABSENT:
             return 0
         if entry is _ROW_BACKED:
-            rows = self._rows
-            i = rows.index[request_id]
-            tokens = int(rows.kv_tokens[i])
-            blocks = int(rows.kv_blocks[i])
+            tokens, blocks = self._row_entry(request_id)
         else:
             tokens, blocks = entry
         self._used_blocks -= blocks
@@ -412,8 +656,13 @@ class ArrayKVLedger:
         return True
 
     def bulk_decode_grow(self, n: int) -> bool:
-        """Grow every decode row by one token.
+        """Grow every decode row by one token: one batch-wide
+        reservation.
 
+        ``n`` is the number of decode rows (all of them).  A row needs
+        a new block when its holding is block-aligned, ``(kv_off + G)
+        % block_size == 0``, so the batch's need is one phase count,
+        ``phase_count[-G % block_size]``, whatever the batch size.
         When the batch needs more blocks than are free, the shortfall
         is reclaimed from the prefix cache in one call first.  That
         equals the per-row path's one-block reclaims: nothing touches
@@ -421,86 +670,55 @@ class ArrayKVLedger:
         same order, and the ledger ends in the same state.  Returns
         False (untouched state) only when the need exceeds free plus
         reclaimable blocks, where a decode must be evicted and the
-        caller runs the per-row pressure path.  From 16 rows on it is
-        :meth:`stretch_grow`'s vector pass with ``k = 1``.
-        """
-        if n >= 16:
-            return self._grow_rows(n, 1)
-        # Scalar sweep: below ~16 rows the item reads beat NumPy kernel
-        # launches.  A +1-token grow needs a new block iff the holding
-        # is block-aligned (blocks == ceil(tokens / block_size)).
-        rows = self._rows
-        bs = self.block_size
-        kv_tokens = rows.kv_tokens
-        total = 0
-        for i in range(n):
-            if kv_tokens.item(i) % bs == 0:
-                total += 1
-        free = self.free_blocks
-        if total > free and not self._reclaim_shortfall(total - free):
-            return False
-        kv_blocks = rows.kv_blocks
-        for i in range(n):
-            t = kv_tokens.item(i)
-            kv_tokens[i] = t + 1
-            if t % bs == 0:
-                kv_blocks[i] += 1
-        self._used_tokens += n
-        if total:
-            self._used_blocks += total
-            if self._used_blocks > self.high_water_blocks:
-                self.high_water_blocks = self._used_blocks
-        return True
-
-    def _row_need(self, n: int, k: int) -> np.ndarray:
-        """New blocks each of rows ``[0, n)`` needs to grow ``k`` tokens.
-
-        ``(k + bs - 1 - (-t) % bs) // bs``: the ``k`` tokens beyond the
-        ``(-t) % bs`` free slots of the row's last block, in whole
-        blocks.  For ``t, k >= 0`` it equals the ceil difference
-        ``ceil((t + k) / bs) - ceil(t / bs)`` in one division.
-        """
-        bs = self.block_size
-        return (k + bs - 1 - (-self._rows.kv_tokens[:n]) % bs) // bs
-
-    def _grow_rows(self, n: int, k: int) -> bool:
-        """Grow rows ``[0, n)`` by ``k`` tokens each in one vector pass.
-
-        Each row takes :meth:`_row_need` new blocks.  A shortfall beyond
-        the free blocks is reclaimed from the prefix cache in one call
-        first.  Returns False with nothing changed when the need exceeds
-        free plus reclaimable blocks.
+        caller runs the per-row pressure path.
         """
         rows = self._rows
-        added = self._row_need(n, k)
-        need = int(added.sum())
+        need = rows.phase_count[-rows.reserved % self.block_size]
+        return self._reserve(n, 1, need)
+
+    def _reserve(self, n: int, k: int, need: int) -> bool:
+        """Grow all ``n`` decode rows by ``k`` tokens taking ``need``
+        new blocks, reclaiming the shortfall beyond the free blocks in
+        one call; False with nothing changed when it does not fit."""
+        rows = self._rows
+        if n != rows.n:
+            raise ValueError(f"{n} rows to grow, {rows.n} decoding")
         free = self.free_blocks
         if need > free and not self._reclaim_shortfall(need - free):
             return False
-        rows.kv_tokens[:n] += k
-        rows.kv_blocks[:n] += added
-        self._used_blocks += need
+        rows.reserved += k
         self._used_tokens += n * k
+        self._used_blocks += need
         if self._used_blocks > self.high_water_blocks:
             self.high_water_blocks = self._used_blocks
         return True
 
     def stretch_need(self, n: int, k: int) -> int:
-        """Blocks needed to grow every decode row by ``k`` tokens: the
-        sum of :meth:`_row_need`, as :meth:`_grow_rows` commits it.
+        """Blocks needed to grow every decode row by ``k`` tokens.
 
-        It equals the total over ``k`` sequential +1-token grows of the
-        whole batch and is monotone in ``k``, so ``stretch_need(n, k)
-        <= free + reclaimable`` proves every intermediate per-iteration
-        grow of a ``k``-iteration decode stretch fits without evicting
-        a decode.
+        A row holding ``t`` tokens takes ``(k + bs - 1 - (-t) % bs) //
+        bs`` new blocks: the ``k`` tokens beyond the free slots of its
+        last block, in whole blocks, which equals ``ceil((t + k) / bs)
+        - ceil(t / bs)``.  That depends only on ``t % bs``, so the sum
+        runs over the phase counts, not the rows.  It equals the total
+        over ``k`` sequential +1-token grows of the whole batch and is
+        monotone in ``k``, so ``stretch_need(n, k) <= free +
+        reclaimable`` proves every intermediate per-iteration grow of a
+        ``k``-iteration decode stretch fits without evicting a decode.
         """
-        return int(self._row_need(n, k).sum())
+        bs = self.block_size
+        reserved = self._rows.reserved
+        total = 0
+        for phase, count in enumerate(self._rows.phase_count):
+            if count:
+                free_slots = -(phase + reserved) % bs
+                total += count * ((k + bs - 1 - free_slots) // bs)
+        return total
 
     def stretch_grow(self, n: int, k: int) -> None:
-        """Commit a ``k``-token growth of every decode row; raises
-        ``MemoryError`` unless the caller proved it fits via
-        :meth:`stretch_need`.
+        """Commit a ``k``-token growth of every decode row (``k``
+        batch-wide reservations); raises ``MemoryError`` unless the
+        caller proved it fits via :meth:`stretch_need`.
 
         The window's shortfall beyond the free blocks is reclaimed from
         the prefix cache in one call: nothing else touches the tree
@@ -510,8 +728,9 @@ class ArrayKVLedger:
         full it stays full, and taking the high-water mark once at the
         end matches per-iteration updates.
         """
-        if not self._grow_rows(n, k):
+        need = self.stretch_need(n, k)
+        if not self._reserve(n, k, need):
             raise MemoryError(
-                f"KV cache exhausted: stretch needs "
-                f"{self.stretch_need(n, k)} blocks, {self.free_blocks} free"
+                f"KV cache exhausted: stretch needs {need} blocks, "
+                f"{self.free_blocks} free"
             )

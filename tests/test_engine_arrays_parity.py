@@ -11,12 +11,14 @@ other:
   vector branch;
 * the flat batch-time kernels vs the per-shape formula they replaced,
   kept below as :func:`batch_time`;
-* the decode-advance kernels against each other: the scalar sweep vs
-  a one-token vector advance, and one ``k``-token vector advance (a
-  decode stretch's window) vs ``k`` one-token advances, on rows that
-  sit exactly on a gap or deadline boundary; token hooks fire after
-  the sweep, in row order, each finished row completing right after
-  its own hook;
+* the engine's iteration log vs the per-row decode kernels it
+  replaced, kept in ``tests/decode_reference.py``: one iteration vs
+  the scalar sweep and the one-token vector advance, one ``k``-token
+  window (a decode stretch) vs ``k`` iterations, token hooks in row
+  order with each finished row completing right after its own hook,
+  and seeded streams of admissions, mid-flight joins and cancels,
+  evictions, iterations, stretch windows and per-row pressure grows,
+  on rows that sit exactly on a gap or deadline boundary;
 * the KV ledger vs a plain model of paged block math at block sizes 1
   and 16 with off-by-one token counts;
 * the ``ServeConfig.engine`` field, which accepts only the one core.
@@ -27,6 +29,8 @@ Whole-run behaviour is pinned by checksums in
 
 from __future__ import annotations
 
+import copy
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -36,8 +40,10 @@ from repro.api import ServeConfig, Session
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine import ReplicaEngine
+from repro.engine import rows as rows_module
 from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.perfmodel.execution import BatchShape, PrefillChunk
+from tests import decode_reference
 from tests.conftest import make_view
 
 
@@ -205,70 +211,56 @@ class TestLedgerBlockMath:
 #: representable without rounding.
 NOW = 3.0
 DYADIC_TBTS = (0.0625, 0.125, 0.25)
+BLOCK_SIZE = 16
 
 
-class _KernelHarness:
-    """Just enough engine state for the decode-advance kernels.
+class _Reclaimer:
+    """A prefix-cache stand-in: ``blocks`` unreferenced blocks under
+    one ledger owner; every reclaim is logged."""
 
-    Row ``j`` of the batch is built by kind ``j % 6``: fresh (no token
-    yet), non-interactive, last gap exactly ``tbt``, token exactly on
-    its deadline, finishing at this token (unless ``reachable`` is
-    False: then no target is in reach), or random.  Completions remove
-    the row and are recorded in order; the token hook records ``(id,
-    decoded, completion_time, completions so far)``.
+    OWNER = -1
+
+    def __init__(self, ledger, blocks):
+        self.ledger = ledger
+        self.blocks = blocks
+        self.reclaims = []
+        if blocks:
+            ledger.grow(self.OWNER, blocks * ledger.block_size)
+        ledger.set_reclaimer(self)
+
+    def reclaimable_blocks(self):
+        return self.blocks
+
+    def reclaim(self, blocks):
+        blocks = min(blocks, self.blocks)
+        self.ledger.shrink(
+            self.OWNER, blocks * self.ledger.block_size, blocks
+        )
+        self.blocks -= blocks
+        self.reclaims.append(blocks)
+        return blocks
+
+
+class _Twin:
+    """Just enough engine state to drive decode accounting.
+
+    One side runs the engine's iteration log, the other the per-row
+    kernels it replaced (:mod:`tests.decode_reference`).  Both record
+    completions ``(id, completion_time)``, evictions, and with
+    ``hooked`` the token hook's ``(id, decoded, completion_time,
+    completions so far)``.
     """
 
-    _advance_scalar = ReplicaEngine._advance_scalar
-    _advance_vector = ReplicaEngine._advance_vector
-    _complete_rows = ReplicaEngine._complete_rows
-    _fire_token_hooks = ReplicaEngine._fire_token_hooks
-
-    def __init__(self, seed, n, hooked=False, reachable=True):
-        rng = np.random.default_rng(seed)
-        self._rows = rows = _RowStore()
+    def __init__(self, rows, ledger, hooked=False, reclaim_blocks=0):
+        self._rows = rows
+        self.kv_cache = ledger
+        self.reclaimer = _Reclaimer(ledger, reclaim_blocks)
         self._rows_dirty = False
-        self._decode_context_total = 0
+        self.kv_pressure_iterations = 0
         self.completed = []
+        self.evicted = []
         self.hook_log = []
         self.token_hook = self._record_token if hooked else None
-        #: Rows this iteration finishes, by request id, in row order.
-        self.finishing = []
-        for j in range(n):
-            kind = j % 6
-            d0 = 0 if kind == 0 else int(rng.integers(1, 40))
-            target = d0 + (1 if kind == 4 else int(rng.integers(2, 60)))
-            if not reachable:
-                target = 1 << 40
-            request = Request(
-                request_id=100 + j,
-                arrival_time=0.0,
-                prompt_tokens=int(rng.integers(1, 900)),
-                decode_tokens=target,
-                qos=DEFAULT_TIERS[j % 3],
-            )
-            request.prefill_done = request.prompt_tokens
-            request.decoded = d0
-            context = request.context_length
-            i = rows.add(request, context, -(-context // 16))
-            self._decode_context_total += context
-            tbt = float(rng.choice(DYADIC_TBTS))
-            rows.inter[i] = kind != 1
-            rows.tbt[i] = tbt if kind != 1 else 0.0
-            rows.ttft_base[i] = (
-                np.nan if kind == 1 else float(rng.uniform(0.5, 4.0))
-            )
-            if kind == 3:
-                rows.ttft_base[i] = NOW - d0 * tbt
-            if d0:
-                rows.first[i] = float(rng.uniform(0.0, 1.0))
-                rows.last[i] = (
-                    NOW - tbt if kind == 2 else float(rng.uniform(2.5, NOW))
-                )
-                rows.max_tbt[i] = float(rng.choice((0.0, tbt, 0.2)))
-                rows.gap_miss[i] = int(rng.integers(0, 5))
-                rows.ddl_miss[i] = int(rng.integers(0, 5))
-            if j < n - 3 and d0 + 1 >= target:
-                self.finishing.append(request.request_id)
 
     def _record_token(self, request, now):
         self.hook_log.append(
@@ -281,88 +273,249 @@ class _KernelHarness:
         )
 
     def _complete(self, request, now):
-        rows = self._rows
-        i = rows.index[request.request_id]
-        rows.sync_row(i)
-        self._decode_context_total -= int(rows.ctx[i])
-        rows.remove_at(i)
+        self._detach_decode(request)
         self.completed.append((request.request_id, request.completion_time))
 
+    def _evict_decode(self, request):
+        self._detach_decode(request)
+        request.evict()
+        self.evicted.append(request.request_id)
+
+    def admit(self, request, kv_tokens):
+        """Attach a prefilled request holding ``kv_tokens`` KV tokens;
+        False (nothing changed) when they do not fit."""
+        if not self.kv_cache.can_grow(request.request_id, kv_tokens):
+            return False
+        self.kv_cache.grow(request.request_id, kv_tokens)
+        self._attach_decode(request, request.context_length)
+        return True
+
+    def stamp(self):
+        """Start an iteration: reserve the batch's KV growth."""
+        self._reserve_decode_growth()
+        self._rows.batch_n = self._rows.n
+
+    def cancel(self, request):
+        self._detach_decode(request)
+        self.kv_cache.release(request.request_id)
+
     def state(self):
-        rows = self._rows
+        """Everything the two sides must agree on, rows synced on a
+        copy (syncing folds the log, which must not steer the run)."""
+        rows = copy.deepcopy(self._rows)
         n = rows.n
-        return (
-            [r.request_id for r in rows.req],
-            {name: getattr(rows, name)[:n] for name in rows._ARRAY_NAMES},
-            self._decode_context_total,
-            self.completed,
+        for i in range(n):
+            rows.sync_row(i)
+        ledger = self.kv_cache
+        return {
+            "ids": [r.request_id for r in rows.req],
+            "requests": [
+                (
+                    r.decoded, r.first_token_time, r.last_token_time,
+                    r.max_tbt, r.tbt_gap_misses, r.tbt_deadline_misses,
+                )
+                for r in rows.req
+            ],
+            # NaN (no token yet) as None: NaN never compares equal.
+            "columns": {
+                name: [
+                    None if x != x else x
+                    for x in getattr(rows, name)[:n].tolist()
+                ]
+                for name in (
+                    "decoded", "target", "ctx", "kv_tokens", "kv_blocks",
+                    "first", "last", "max_tbt", "gap_miss", "ddl_miss",
+                )
+            },
+            "context_total": self._decode_context_total,
+            "completed": list(self.completed),
+            "evicted": list(self.evicted),
+            "hooks": list(self.hook_log),
+            "ledger": (
+                ledger.used_blocks,
+                ledger.used_tokens,
+                ledger.high_water_blocks,
+                ledger.reclaimable_blocks,
+                ledger.holders(),
+            ),
+            "reclaims": list(self.reclaimer.reclaims),
+        }
+
+
+class _LogTwin(_Twin):
+    """The engine's iteration log, through the engine's own methods."""
+
+    _detach_decode = ReplicaEngine._detach_decode
+    _finish_decodes = ReplicaEngine._finish_decodes
+    _fire_token_hooks = ReplicaEngine._fire_token_hooks
+    _complete_rows = ReplicaEngine._complete_rows
+    _reserve_decode_growth = ReplicaEngine._reserve_decode_growth
+    _pick_eviction_victim = ReplicaEngine._pick_eviction_victim
+    _decode_context_total = ReplicaEngine._decode_context_total
+
+    def __init__(self, capacity_blocks, block_size=BLOCK_SIZE, **kwargs):
+        rows = _RowStore()
+        ledger = ArrayKVLedger(
+            capacity_blocks * block_size, block_size, rows
         )
+        super().__init__(rows, ledger, **kwargs)
+
+    def _attach_decode(self, request, context):
+        ReplicaEngine._attach_decode(self, request)
+
+    def finish(self, now):
+        self._finish_decodes(now)
+
+    def stretch(self, times):
+        """The commit of ``ReplicaEngine._decode_stretch``."""
+        n = self._rows.n
+        self._rows.log_window(times)
+        self.kv_cache.stretch_grow(n, len(times))
 
 
-def _assert_same_state(a, b):
-    ids_a, cols_a, total_a, done_a = a.state()
-    ids_b, cols_b, total_b, done_b = b.state()
-    assert ids_a == ids_b
-    for name, column in cols_a.items():
-        np.testing.assert_array_equal(column, cols_b[name], err_msg=name)
-    assert total_a == total_b
-    assert done_a == done_b
+class _ReferenceTwin(decode_reference.DecodeKernels, _Twin):
+    """The per-row kernels the iteration log replaced."""
+
+    def __init__(self, capacity_blocks, block_size=BLOCK_SIZE, **kwargs):
+        rows = decode_reference._RowStore()
+        ledger = decode_reference.ArrayKVLedger(
+            capacity_blocks * block_size, block_size, rows
+        )
+        self._decode_context_total = 0
+        super().__init__(rows, ledger, **kwargs)
+
+
+def _make_request(request_id, rng, kind, next_time, reachable=True):
+    """A prefilled decode request of kind ``kind % 6``: fresh (no token
+    yet), non-interactive, last gap exactly ``tbt`` at ``next_time``,
+    token exactly on its deadline at ``next_time``, one token left
+    (unless ``reachable`` is False: then no target is in reach), or
+    random.  Returns it with the ``(inter, tbt, ttft_base)`` row
+    overrides that place those ties."""
+    kind %= 6
+    d0 = 0 if kind == 0 else int(rng.integers(1, 40))
+    target = d0 + (1 if kind == 4 else int(rng.integers(2, 60)))
+    if not reachable:
+        target = 1 << 40
+    request = Request(
+        request_id=request_id,
+        arrival_time=0.0,
+        prompt_tokens=int(rng.integers(1, 300)),
+        decode_tokens=target,
+        qos=DEFAULT_TIERS[request_id % 3],
+    )
+    request.prefill_done = request.prompt_tokens
+    request.decoded = d0
+    tbt = float(rng.choice(DYADIC_TBTS))
+    inter = kind != 1
+    ttft_base = (
+        float(rng.integers(8, 64)) / 16.0 if inter else float("nan")
+    )
+    if kind == 3:
+        ttft_base = next_time - d0 * tbt
+    if d0:
+        request.first_token_time = float(rng.integers(0, 16)) / 16.0
+        request.last_token_time = (
+            next_time - tbt
+            if kind == 2
+            else next_time - float(rng.integers(1, 8)) / 16.0
+        )
+        request.max_tbt = float(rng.choice((0.0, tbt, 0.1875)))
+        request.tbt_gap_misses = int(rng.integers(0, 5))
+        request.tbt_deadline_misses = int(rng.integers(0, 5))
+    return request, (inter, tbt if inter else 0.0, ttft_base)
+
+
+def _admit(
+    twins, request_id, seed, kind, next_time, kv_tokens=None, reachable=True
+):
+    """Admit identical copies of one request to every twin."""
+    admitted = []
+    for twin in twins:
+        rng = np.random.default_rng((seed, request_id))
+        request, overrides = _make_request(
+            request_id, rng, kind, next_time, reachable
+        )
+        tokens = request.context_length if kv_tokens is None else kv_tokens
+        admitted.append(twin.admit(request, tokens))
+        if admitted[-1]:
+            rows = twin._rows
+            i = rows.index[request_id]
+            rows.inter[i], rows.tbt[i], rows.ttft_base[i] = overrides
+    assert len(set(admitted)) == 1
+    return admitted[0]
+
+
+def _assert_same(a, b):
+    sa, sb = a.state(), b.state()
+    for key in sa:
+        assert sa[key] == sb[key], key
+
+
+def _batch(seed, m, *twins):
+    """``m`` rows stamped into an iteration, then three rows that join
+    it mid-flight and must not advance."""
+    for j in range(m):
+        _admit(twins, 100 + j, seed, j, NOW)
+    for twin in twins:
+        twin.stamp()
+    for j in range(m, m + 3):
+        _admit(twins, 100 + j, seed, j, NOW)
 
 
 class TestAdvanceKernels:
-    """The decode-advance kernels agree bit for bit on a batch that
-    mixes fresh and non-interactive rows, a gap exactly equal to
-    ``tbt``, a token exactly on its deadline and rows finishing at
-    this token, with three rows behind the batch (joined mid-flight)
-    that must not advance."""
+    """The iteration log against the per-row kernels it replaced
+    (``tests/decode_reference.py``), bit for bit: on a batch that mixes
+    fresh and non-interactive rows, a gap exactly equal to ``tbt``, a
+    token exactly on its deadline and rows finishing at this token,
+    with three rows behind the batch (joined mid-flight) that must not
+    advance; and on seeded streams of admissions, mid-flight joins and
+    cancels, evictions, iterations, stretch windows and per-row
+    pressure grows."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("m", [31, 32, 48])
     def test_scalar_equals_one_token_vector(self, m, seed):
-        scalar = _KernelHarness(seed, m + 3)
-        vector = _KernelHarness(seed, m + 3)
-        finished_rows = scalar._advance_scalar(NOW, m)
+        """One logged iteration equals the reference's scalar sweep
+        and its one-token vector kernel, completions included."""
+        log = _LogTwin(1 << 12)
+        scalar = _ReferenceTwin(1 << 12)
+        vector = _ReferenceTwin(1 << 12)
+        _batch(seed, m, log, scalar, vector)
+        log.finish(NOW)
+        scalar._complete_rows(scalar._advance_scalar(NOW, m), NOW)
         vector._advance_vector((NOW,), m)
         rows = vector._rows
-        assert finished_rows == np.flatnonzero(
-            rows.decoded[:m] >= rows.target[:m]
-        ).tolist()
-        assert finished_rows == [
-            rows.index[rid] for rid in scalar.finishing
-        ]
-        _assert_same_state(scalar, vector)
+        vector._complete_rows(
+            np.flatnonzero(rows.decoded[:m] >= rows.target[:m]).tolist(),
+            NOW,
+        )
+        assert log.completed
+        _assert_same(log, scalar)
+        _assert_same(log, vector)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("m", [31, 32, 48])
     def test_token_hooks_fire_after_the_sweep(self, m, seed):
-        plain = _KernelHarness(seed, m + 3)
-        hooked = _KernelHarness(seed, m + 3, hooked=True)
-        d0 = {r.request_id: r.decoded for r in plain._rows.req}
-        batch = [r.request_id for r in plain._rows.req[:m]]
-        plain._complete_rows(plain._advance_scalar(NOW, m), NOW)
-        hooked._advance_vector((NOW,), m)
-        hooked._fire_token_hooks(NOW, m)
-        finishing = plain.finishing
-        assert finishing
-        assert plain.completed == [(rid, NOW) for rid in finishing]
-        _assert_same_state(plain, hooked)
-        # Every batch row's hook fires in row order, and a finished row
-        # completes right after its own hook.
-        expected = []
-        completions = 0
-        for rid in batch:
-            done = rid in finishing
-            expected.append(
-                (rid, d0[rid] + 1, NOW if done else None, completions)
-            )
-            completions += done
-        assert hooked.hook_log == expected
+        """Token hooks fire row by row in batch order, each on its
+        synced request, and a finished row completes right after its
+        own hook, as with the reference kernels."""
+        log = _LogTwin(1 << 12, hooked=True)
+        reference = _ReferenceTwin(1 << 12, hooked=True)
+        _batch(seed, m, log, reference)
+        batch = [r.request_id for r in log._rows.req[:m]]
+        log.finish(NOW)
+        reference.finish(NOW)
+        _assert_same(log, reference)
+        assert [entry[0] for entry in log.hook_log] == batch
+        assert log.completed
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("k", [2, 5, 17])
     @pytest.mark.parametrize("m", [5, 48])
     def test_window_equals_one_token_steps(self, m, k, seed):
-        """One ``k``-token advance equals ``k`` one-token advances.
+        """One logged ``k``-iteration window (a decode stretch) equals
+        ``k`` reference iterations and ``k`` logged ones.
 
         The window's gaps are dyadic ``tbt`` values, so shared gaps
         exactly equal to a row's ``tbt`` occur and finish times are
@@ -371,12 +524,97 @@ class TestAdvanceKernels:
         rng = np.random.default_rng(1000 + seed)
         gaps = rng.choice(DYADIC_TBTS, size=k - 1)
         times = np.add.accumulate(np.concatenate(((NOW,), gaps)))
-        window = _KernelHarness(seed, m + 3, reachable=False)
-        steps = _KernelHarness(seed, m + 3, reachable=False)
-        window._advance_vector(times, m)
-        for t in times:
-            steps._advance_vector((float(t),), m)
-        _assert_same_state(window, steps)
+        window = _LogTwin(1 << 12)
+        steps = _LogTwin(1 << 12)
+        reference = _ReferenceTwin(1 << 12)
+        twins = (window, steps, reference)
+        for j in range(m):
+            _admit(twins, 100 + j, seed, j, NOW, reachable=False)
+        window.stretch(times)
+        for twin in (steps, reference):
+            for t in times:
+                twin.stamp()
+                twin.finish(float(t))
+        _assert_same(window, steps)
+        _assert_same(window, reference)
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_op_stream_matches_reference(self, seed, hooked, monkeypatch):
+        """A seeded stream of every operation that moves decode rows,
+        compared after each step.  Odd seeds trim the iteration log
+        every few entries."""
+        if seed % 2:
+            monkeypatch.setattr(rows_module, "_TRIM_MIN", 4)
+        rng = np.random.default_rng(seed)
+        block_size = (16, 4, 1)[seed % 3]
+        capacity = int(rng.integers(40, 120))
+        kwargs = dict(
+            block_size=block_size,
+            hooked=hooked,
+            reclaim_blocks=int(rng.integers(0, 30)),
+        )
+        log = _LogTwin(capacity, **kwargs)
+        reference = _ReferenceTwin(capacity, **kwargs)
+        twins = (log, reference)
+        now = NOW
+        next_id = 1000
+        inflight = False
+        counts = Counter()
+        for step in range(500):
+            gap = float(rng.integers(1, 5)) / 16.0
+            rows = log._rows
+            roll = rng.random()
+            if roll < 0.22:
+                kind = int(rng.integers(0, 6))
+                tokens = None
+                if rng.random() < 0.5:
+                    # Block-aligned and off-by-one holdings.
+                    tokens = int(rng.integers(1, 6)) * block_size - int(
+                        rng.integers(0, 2)
+                    )
+                    tokens = max(tokens, 1)
+                if _admit(twins, next_id, seed, kind, now + gap, tokens):
+                    counts["join" if inflight else "admit"] += 1
+                next_id += 1
+            elif roll < 0.30 and rows.n:
+                victim = rows.req[int(rng.integers(0, rows.n))].request_id
+                for twin in twins:
+                    twin.cancel(twin._rows.req[twin._rows.index[victim]])
+                counts["cancel" if not inflight else "mid-cancel"] += 1
+            elif inflight:
+                now += gap
+                for twin in twins:
+                    twin.finish(now)
+                inflight = False
+                counts["iteration"] += 1
+            elif roll < 0.45 and rows.n:
+                k = int(rng.choice((2, 5, 17)))
+                remaining = rows.target[: rows.n] - rows.decoded[: rows.n]
+                ledger = log.kv_cache
+                fits = ledger.stretch_need(rows.n, k) <= (
+                    ledger.free_blocks + ledger.reclaimable_blocks
+                )
+                if int(remaining.min()) > k and fits:
+                    gaps = rng.integers(1, 5, size=k) / 16.0
+                    times = now + np.add.accumulate(gaps)
+                    for twin in twins:
+                        twin.stretch(times)
+                    now = float(times[-1])
+                    counts["stretch"] += 1
+            else:
+                for twin in twins:
+                    twin.stamp()
+                inflight = True
+                counts["pressure"] = log.kv_pressure_iterations
+            _assert_same(log, reference)
+        assert log.kv_pressure_iterations == reference.kv_pressure_iterations
+        # The stream reached every operation.
+        for op in (
+            "admit", "join", "cancel", "mid-cancel", "iteration", "stretch",
+        ):
+            assert counts[op], (op, counts)
+        assert log.completed and log.evicted and counts["pressure"]
 
 
 class TestDecodeSlackParity:

@@ -1,10 +1,13 @@
-"""Decode-mirror and KV-block laws, checked after every iteration.
+"""Decode-mirror, KV-block and iteration-log laws, checked after
+every iteration.
 
-The engine keeps three pieces of redundant state in step by hand: the
-decode-context mirror ``_decode_context_total``, each decode row's
-``kv_blocks`` next to its ``kv_tokens``, and the ledger's running
-``used_blocks``/``used_tokens`` counters next to the holdings they
-sum.  These tests wrap the two methods that advance decode rows
+The engine keeps redundant state in step by hand: the decode-context
+mirror ``_decode_context_total`` (the row store's running ``ctx_off``
+sum), each decode row's derived ``kv_blocks`` next to its
+``kv_tokens``, the ledger's running ``used_blocks``/``used_tokens``
+counters next to the holdings they sum, and the row store's phase
+counts, completion buckets and iteration log next to the rows they
+index.  These tests wrap the two methods that advance decode rows
 (``_finish_iteration`` and ``_decode_stretch``) and assert after every
 call, on pinned runs that cover token hooks, mid-flight batch changes,
 decode stretches, radix reuse on a full pool, decode eviction and a
@@ -13,13 +16,22 @@ decode stretches, radix reuse on a full pool, decode eviction and a
 * ``_decode_context_total == rows.ctx[:n].sum()``;
 * ``kv_blocks == ceil(kv_tokens / block_size)`` on every row;
 * ``used_blocks`` and ``used_tokens`` equal the dict holdings plus the
-  row columns.
+  row columns;
+* ``phase_count`` equals a recount of the live rows' ``kv_off %
+  block_size``;
+* every live row sits in exactly one completion bucket, the one of the
+  iteration where its derived ``decoded`` reaches its target;
+* the log spans exactly the iterations after ``log_base``, holds no
+  entry a live row still needs to fold below ``log_base``, and fewer
+  than one trim window (``trim_at``) of entries below the oldest live
+  fold point; an empty batch keeps an empty log.
 
 Each run must still produce its pinned checksum.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine import ReplicaEngine
@@ -51,6 +63,29 @@ def check_laws(engine: ReplicaEngine) -> None:
     assert ledger.used_tokens == (
         sum(t for t, _ in held) + int(tokens.sum())
     )
+
+    phases = np.bincount(rows.kv_off[:n] % bs, minlength=bs)
+    assert rows.phase_count == phases.tolist()
+
+    k = rows.iterations
+    decoded = rows.decoded[:n]
+    target = rows.target[:n]
+    assert (decoded < target).all()
+    buckets: dict[int, list[int]] = {}
+    for request_id, due in zip(
+        rows.ids[:n].tolist(), (k + target - decoded).tolist()
+    ):
+        buckets.setdefault(due, []).append(request_id)
+    assert rows.done_at == buckets
+
+    assert rows.log_base + len(rows.log) == k
+    if n == 0:
+        assert rows.log == []
+    else:
+        oldest = int(rows.fold[:n].min())
+        assert rows.log_base <= oldest <= k
+        assert oldest - rows.log_base < rows.trim_at
+        assert len(rows.log) < rows.trim_at
 
 
 @pytest.mark.parametrize("case", LAW_CASES)

@@ -226,7 +226,7 @@ class TestKVEviction:
             r.decoded = 1
             requests.append(r)
         for r in requests:
-            engine._attach_decode(r, r.context_length)
+            engine._attach_decode(r)
         sim.schedule(1000.0, lambda: None)
         sim.run()
         assert all(r.next_token_deadline < sim.now for r in requests)
