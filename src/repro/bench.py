@@ -101,11 +101,12 @@ from typing import Any, Callable
 #: decode slack of an engine view over 16 decode rows, swept each
 #: call as QoServe plans, instead of from the request objects.
 #: 15 — decode rows derive from an iteration log: ``soa_advance`` times
-#: logging one finished iteration of 48 rows (their per-token stats
-#: are folded when read, not per iteration), ``engine_soa`` grew
-#: ``soa_iteration_8``/``_48``/``_512`` (one iteration's finish plus
-#: KV reservation at 8, 48 and 512 rows), and ``engine_e2e`` grew a
-#: ``fleet32`` row (AzConv at 64 QPS on 32 least-loaded replicas).
+#: 16 logged iterations of 48 rows plus the fold of every row's stats
+#: (reported per iteration; the fold is where the per-token work went),
+#: ``engine_soa`` grew ``soa_iteration_8``/``_48``/``_512`` (one
+#: iteration's finish plus KV reservation at 8, 48 and 512 rows), and
+#: ``engine_e2e`` grew a ``fleet32`` row (AzConv at 64 QPS on 32
+#: least-loaded replicas).
 SCHEMA_VERSION = 15
 
 #: Repo root (``src/repro/bench.py`` -> two levels up from ``repro``).
@@ -244,12 +245,11 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
     Three pinned 48-row workloads, each timed both ways:
 
-    * ``advance`` — one finished iteration of the decode batch
-      (:meth:`_RowStore.finish_iteration`: log the finish time, pop the
-      completion bucket) vs 48 :meth:`Request.record_output_token`
-      calls.  The log defers each row's per-token stats to the read
-      that folds them, so this is what an iteration pays, not the
-      whole per-token cost;
+    * ``advance`` — one decode token for every row, per iteration:
+      16 finished iterations (:meth:`_RowStore.finish_iteration`: log
+      the finish time, pop the completion bucket) plus the fold of
+      every row's 16 tokens (:meth:`_RowStore.sync_row`), divided by
+      16, vs 48 :meth:`Request.record_output_token` calls;
     * ``kv_grow`` — the whole batch grows one token
       (:meth:`ArrayKVLedger.bulk_decode_grow`, one phase-count lookup)
       vs 48 per-row :meth:`ArrayKVLedger.grow` calls on the same
@@ -260,9 +260,10 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
 
     ``soa_iteration_<n>`` times one iteration's accounting, finish plus
     KV reservation, at 8, 48 and 512 rows: it should not grow with the
-    batch.  Targets and capacity are set far out of reach so the timed
-    loops never complete a request or exhaust KV — every call
-    exercises the steady-state path.
+    batch (the folds it defers are what ``advance`` adds).  Targets
+    and capacity are set far out of reach so the timed loops never
+    complete a request or exhaust KV — every call exercises the
+    steady-state path.
     """
     from repro.core.qos import Q1_INTERACTIVE
     from repro.core.request import Request
@@ -303,32 +304,44 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
     results: dict[str, dict[str, float]] = {}
 
     # --- advance: one decode token for every row --------------------
+    # Timed per ``fold_every`` iterations, reported per iteration.
+    fold_every = 16
+
+    def per_iteration(timing: dict[str, float]) -> dict[str, float]:
+        return {**timing, "best_us": timing["best_us"] / fold_every}
+
     rows, _ = make_soa_state()
     clock = {"now": 0.02}
 
     def soa_advance() -> None:
-        clock["now"] += 0.01
-        rows.finish_iteration(clock["now"])
+        for _ in range(fold_every):
+            clock["now"] += 0.01
+            rows.finish_iteration(clock["now"])
+        for i in range(rows.n):
+            rows.sync_row(i)
 
-    results["soa_advance"] = _timeit(soa_advance, reps=reps, loops=loops)
+    results["soa_advance"] = per_iteration(
+        _timeit(soa_advance, reps=reps, loops=loops // fold_every)
+    )
 
     object_requests = make_requests()
     obj_clock = {"now": 0.02}
 
     def object_advance() -> None:
-        obj_clock["now"] += 0.01
-        now = obj_clock["now"]
-        for request in object_requests:
-            request.record_output_token(now)
+        for _ in range(fold_every):
+            obj_clock["now"] += 0.01
+            now = obj_clock["now"]
+            for request in object_requests:
+                request.record_output_token(now)
 
-    results["object_advance"] = _timeit(
-        object_advance, reps=reps, loops=loops
+    results["object_advance"] = per_iteration(
+        _timeit(object_advance, reps=reps, loops=loops // fold_every)
     )
 
     # --- kv_grow: the whole batch grows one token -------------------
     _, ledger = make_soa_state()
     results["soa_kv_grow"] = _timeit(
-        lambda: ledger.bulk_decode_grow(num_rows), reps=reps, loops=loops
+        ledger.bulk_decode_grow, reps=reps, loops=loops
     )
 
     def row_kv_grow() -> None:
@@ -343,11 +356,11 @@ def _engine_soa_micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
         batch_clock = {"now": 0.02}
 
         def iteration(
-            rows=batch_rows, ledger=batch_ledger, clock=batch_clock, n=count
+            rows=batch_rows, ledger=batch_ledger, clock=batch_clock
         ) -> None:
             clock["now"] += 0.01
             rows.finish_iteration(clock["now"])
-            ledger.bulk_decode_grow(n)
+            ledger.bulk_decode_grow()
 
         results[f"soa_iteration_{count}"] = _timeit(
             iteration, reps=reps, loops=loops

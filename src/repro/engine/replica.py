@@ -617,11 +617,11 @@ class ReplicaEngine:
         # so bisect on it.
         ledger = self.kv_cache
         free = ledger.free_blocks + ledger.reclaimable_blocks
-        if ledger.stretch_need(n, k_cap) > free:
+        if ledger.stretch_need(k_cap) > free:
             lo, hi = 0, k_cap  # invariant: need(lo) <= free < need(hi)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if ledger.stretch_need(n, mid) <= free:
+                if ledger.stretch_need(mid) <= free:
                     lo = mid
                 else:
                     hi = mid
@@ -658,7 +658,7 @@ class ReplicaEngine:
         )
         rows.log_window(c[1 : k + 1])
         self._rows_dirty = True
-        ledger.stretch_grow(n, k)
+        ledger.stretch_grow(k)
         end = float(c[k])
         self.simulator.fast_forward(end)
         return end
@@ -734,10 +734,9 @@ class ReplicaEngine:
         requests return to the prefill queue with recompute pending.
         """
         rows = self._rows
-        n = rows.n
-        if n == 0:
+        if rows.n == 0:
             return
-        if self.kv_cache.bulk_decode_grow(n):
+        if self.kv_cache.bulk_decode_grow():
             return
         # Pressure: the batch does not fit even after reclaiming every
         # unreferenced prefix block.  Grow row by row over a snapshot

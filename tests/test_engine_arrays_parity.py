@@ -368,9 +368,8 @@ class _LogTwin(_Twin):
 
     def stretch(self, times):
         """The commit of ``ReplicaEngine._decode_stretch``."""
-        n = self._rows.n
         self._rows.log_window(times)
-        self.kv_cache.stretch_grow(n, len(times))
+        self.kv_cache.stretch_grow(len(times))
 
 
 class _ReferenceTwin(decode_reference.DecodeKernels, _Twin):
@@ -538,14 +537,21 @@ class TestAdvanceKernels:
         _assert_same(window, steps)
         _assert_same(window, reference)
 
+    @pytest.mark.parametrize("fold", ["scalar", "numpy"])
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_op_stream_matches_reference(self, seed, hooked, monkeypatch):
+    def test_op_stream_matches_reference(
+        self, seed, hooked, fold, monkeypatch
+    ):
         """A seeded stream of every operation that moves decode rows,
-        compared after each step.  Odd seeds trim the iteration log
-        every few entries."""
+        compared after each step, with every fold taking one form.
+        Odd seeds fold every row and empty the iteration log every few
+        entries."""
+        monkeypatch.setattr(
+            rows_module, "_FOLD_SCALAR", 1 << 30 if fold == "scalar" else 0
+        )
         if seed % 2:
-            monkeypatch.setattr(rows_module, "_TRIM_MIN", 4)
+            monkeypatch.setattr(rows_module, "_LOG_SIZE", 4)
         rng = np.random.default_rng(seed)
         block_size = (16, 4, 1)[seed % 3]
         capacity = int(rng.integers(40, 120))
@@ -592,7 +598,7 @@ class TestAdvanceKernels:
                 k = int(rng.choice((2, 5, 17)))
                 remaining = rows.target[: rows.n] - rows.decoded[: rows.n]
                 ledger = log.kv_cache
-                fits = ledger.stretch_need(rows.n, k) <= (
+                fits = ledger.stretch_need(k) <= (
                     ledger.free_blocks + ledger.reclaimable_blocks
                 )
                 if int(remaining.min()) > k and fits:

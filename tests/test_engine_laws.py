@@ -21,10 +21,9 @@ decode stretches, radix reuse on a full pool, decode eviction and a
   block_size``;
 * every live row sits in exactly one completion bucket, the one of the
   iteration where its derived ``decoded`` reaches its target;
-* the log spans exactly the iterations after ``log_base``, holds no
-  entry a live row still needs to fold below ``log_base``, and fewer
-  than one trim window (``trim_at``) of entries below the oldest live
-  fold point; an empty batch keeps an empty log.
+* the log spans exactly the iterations after ``log_base``, within its
+  fixed buffer, and no live row still needs an entry below
+  ``log_base``; an empty batch keeps an empty log.
 
 Each run must still produce its pinned checksum.
 """
@@ -35,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ReplicaEngine
+from repro.engine import rows as rows_module
 from tests.test_engine_pins import CASES, PINS, _digest
 
 LAW_CASES = (
@@ -78,14 +78,13 @@ def check_laws(engine: ReplicaEngine) -> None:
         buckets.setdefault(due, []).append(request_id)
     assert rows.done_at == buckets
 
-    assert rows.log_base + len(rows.log) == k
+    assert rows.log_base + rows.log_len == k
+    assert rows.log_len <= len(rows.log) == rows_module._LOG_SIZE
     if n == 0:
-        assert rows.log == []
+        assert rows.log_len == 0
     else:
-        oldest = int(rows.fold[:n].min())
-        assert rows.log_base <= oldest <= k
-        assert oldest - rows.log_base < rows.trim_at
-        assert len(rows.log) < rows.trim_at
+        assert rows.log_base <= int(rows.fold[:n].min())
+        assert int(rows.fold[:n].max()) <= k
 
 
 @pytest.mark.parametrize("case", LAW_CASES)

@@ -249,7 +249,7 @@ class TestReclaimAwareGrowth:
             assert ledger.can_grow(request.request_id, 1)
             ledger.grow(request.request_id, 1)
         assert evicted, "the twin never reclaimed"
-        assert bulk[1].bulk_decode_grow(rows_n)
+        assert bulk[1].bulk_decode_grow()
         assert _ledger_state(*bulk) == _ledger_state(*per_row)
 
     @pytest.mark.parametrize("rows_n", [12, 40])
@@ -265,7 +265,7 @@ class TestReclaimAwareGrowth:
         assert ledger.free_blocks == 0
         assert ledger.reclaimable_blocks == rows_n - 1
         before = _ledger_state(cache, ledger, evicted)
-        assert not ledger.bulk_decode_grow(rows_n)
+        assert not ledger.bulk_decode_grow()
         assert _ledger_state(cache, ledger, evicted) == before
         assert not evicted
 
@@ -276,12 +276,12 @@ class TestReclaimAwareGrowth:
         stretch = _pressured_twin(seed, rows_n)
         steps = _pressured_twin(seed, rows_n)
         cache, ledger, _ = stretch
-        need = ledger.stretch_need(rows_n, k)
+        need = ledger.stretch_need(k)
         assert ledger.free_blocks < need
         assert need <= ledger.free_blocks + ledger.reclaimable_blocks
-        ledger.stretch_grow(rows_n, k)
+        ledger.stretch_grow(k)
         for _ in range(k):
-            assert steps[1].bulk_decode_grow(rows_n)
+            assert steps[1].bulk_decode_grow()
         assert steps[2], "the twin never reclaimed"
         assert _ledger_state(*stretch) == _ledger_state(*steps)
 
