@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
-from repro.core.chunking import DynamicChunker
+from repro.core.chunking import NI_PACE_FLOOR, DynamicChunker
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.request import Request
 from repro.engine.rows import ArrayKVLedger
@@ -113,7 +113,7 @@ def test_dynamic_chunker_budget(benchmark):
             view.now,
             view.num_decodes,
             view.decode_context_total,
-            view.decode_slack(chunker.ni_pace_floor),
+            view.decode_slack(NI_PACE_FLOOR),
             prefill_context_before=1024,
         )
 

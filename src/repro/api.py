@@ -506,7 +506,7 @@ class Session:
         """Process events up to ``until`` (or to drain); returns now."""
         if until is None:
             return self.drain(max_events=max_events)
-        return self.simulator.run(until=until, max_events=max_events)
+        return self.deployment.run(until=until, max_events=max_events)
 
     def drain(self, max_events: int | None = None) -> float:
         """Run until every pending event has been processed.
@@ -517,7 +517,7 @@ class Session:
         replicas that emptied are released so GPU-hour accounting
         stops at the drain point.
         """
-        now = self.simulator.run(max_events=max_events)
+        now = self.deployment.run(max_events=max_events)
         if self.fleet is not None:
             self.fleet._release_drained(now)
         return now

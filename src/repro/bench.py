@@ -145,7 +145,7 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
         ForestBatchPredictor,
         cached_forest_predictor,
     )
-    from repro.core.chunking import DynamicChunker
+    from repro.core.chunking import NI_PACE_FLOOR, DynamicChunker
     from repro.engine.interface import EngineView
     from repro.engine.rows import ArrayKVLedger, _RowStore
     from repro.experiments.configs import get_execution_model
@@ -223,7 +223,7 @@ def _micro_benchmarks(quick: bool) -> dict[str, dict[str, float]]:
             view.now,
             view.num_decodes,
             view.decode_context_total,
-            view.decode_slack(chunker.ni_pace_floor),
+            view.decode_slack(NI_PACE_FLOOR),
             prefill_context_before=256,
         )
 

@@ -703,6 +703,10 @@ def _serve_command(args) -> int:
     if args.replay is not None:
         from repro.workload import load_azure_trace
 
+        if args.replay_limit is not None and args.replay_limit < 1:
+            print(f"--replay-limit must be >= 1, got {args.replay_limit}",
+                  file=sys.stderr)
+            return 2
         try:
             trace = load_azure_trace(
                 args.replay,
@@ -712,8 +716,8 @@ def _serve_command(args) -> int:
         except OSError as error:
             return _path_error("read --replay", error)
         except ValueError as error:
-            print(f"invalid replay trace {args.replay}: {error}",
-                  file=sys.stderr)
+            # The loader's errors name the file and line themselves.
+            print(f"invalid replay trace: {error}", file=sys.stderr)
             return 1
 
     fleet_config = None

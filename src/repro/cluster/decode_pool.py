@@ -226,12 +226,19 @@ class PartitionedDecodePool:
         ]
 
 
+#: Fraction of the TBT budget a :class:`QoSSharedDecodePool` admission
+#: may let the predicted decode iteration consume (guards against
+#: context growth mid-flight).
+TBT_HEADROOM = 0.9
+
+
 class QoSSharedDecodePool:
     """Shared replicas with TBT-aware dynamic admission (the extension).
 
     A request may join a replica only if the predicted decode
-    iteration time *after* admission stays within the minimum TBT SLO
-    across the replica's residents and the newcomer.  Replicas holding
+    iteration time *after* admission stays within
+    :data:`TBT_HEADROOM` of the minimum TBT SLO across the replica's
+    residents and the newcomer.  Replicas holding
     only relaxed-TBT work therefore batch deeper than the strictest
     class would allow, recovering the capacity the status-quo sizing
     leaves on the table — the decode-side analogue of dynamic
@@ -246,7 +253,6 @@ class QoSSharedDecodePool:
         execution_model: ExecutionModel,
         num_replicas: int,
         default_tbt: float = 0.100,
-        headroom: float = 0.9,
         max_decode_slots: int = 256,
     ) -> None:
         """Args:
@@ -254,13 +260,10 @@ class QoSSharedDecodePool:
         execution_model: Decode-node cost model.
         num_replicas: Decode replicas in the pool.
         default_tbt: TBT assumed for requests without a TBT SLO.
-        headroom: Fraction of the TBT budget the predicted iteration
-            may consume (guards against context growth mid-flight).
         max_decode_slots: Hard per-replica cap.
         """
         self.execution_model = execution_model
         self.default_tbt = float(default_tbt)
-        self.headroom = float(headroom)
         self.group = _DecodeReplicaGroup(
             simulator, execution_model, num_replicas, max_decode_slots
         )
@@ -284,7 +287,7 @@ class QoSSharedDecodePool:
         predicted = self.execution_model.decode_batch_time(
             len(residents) + 1, context
         )
-        return predicted <= self.headroom * budget
+        return predicted <= TBT_HEADROOM * budget
 
     def accept(self, request: Request, now: float) -> None:
         self.group.admit_or_queue(request, can_admit=self._can_admit)

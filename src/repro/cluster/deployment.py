@@ -927,16 +927,17 @@ class ClusterDeployment:
 
     # --- running & reporting ----------------------------------------------
 
-    def next_event_time(self) -> float | None:
-        """When the shared simulator fires next (None when idle)."""
-        return self.simulator.next_event_time()
-
     def submit_trace(self, trace: Trace) -> None:
         for request in trace:
             self.submit(request)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        return self.simulator.run(until=until, max_events=max_events)
+        """Process events up to ``until`` (or until none is left), then
+        sync every replica's decode rows into their requests."""
+        now = self.simulator.run(until=until, max_events=max_events)
+        for engine in self.replicas:
+            engine.sync_rows()
+        return now
 
     def run_until_drained(
         self, max_events: int | None = None
@@ -947,7 +948,7 @@ class ClusterDeployment:
         (see :meth:`_control_tick`): once all work is processed the
         tick stops rescheduling itself and the queue empties.
         """
-        now = self.simulator.run(max_events=max_events)
+        now = self.run(max_events=max_events)
         self.stop_control()
         self._release_drained(now)
         return now

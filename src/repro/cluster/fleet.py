@@ -39,6 +39,18 @@ CONTROL_PRIORITY = -1
 #: Width in simulated seconds of the fleet's SLO burn-rate windows.
 BURN_WINDOW = 60.0
 
+#: Capacity burn rate at or above which :class:`BurnRateAutoscaler`
+#: scales up.
+BURN_HOT = 2.0
+#: Total burn rate at or below which it may drain.  1.0 is the SRE
+#: framing: spending budget at exactly the sustainable rate is, by
+#: definition, affordable.
+BURN_COLD = 1.0
+#: Mean utilization at or below which it may drain.
+SCALE_DOWN_UTILIZATION = 0.45
+#: Burn-rate windows it looks back over.
+LOOKBACK_WINDOWS = 1
+
 #: Allowed violation fraction behind the fleet's burn rate (the
 #: paper's 1% goodput bar).
 SLO_BUDGET = 0.01
@@ -227,14 +239,13 @@ class BurnRateAutoscaler:
 
     Scale **up** when the recent burn rate (violation rate over the
     SLO budget, from the fleet's own
-    :class:`~repro.obs.sketch.BurnRateTracker`) is at or above
-    ``burn_hot`` — the budget is being spent faster than allowed, so
-    waiting for utilization to saturate would ship the violations
-    first.  Scale **down** only when burn is at or below ``burn_cold``
-    *and* mean utilization is at or below ``scale_down_utilization``:
-    cold burn alone can mean the fleet is merely keeping up.  The
-    default ``burn_cold`` of 1.0 is the SRE framing — spending budget
-    at exactly the sustainable rate is, by definition, affordable.
+    :class:`~repro.obs.sketch.BurnRateTracker`, over
+    :data:`LOOKBACK_WINDOWS` windows) is at or above :data:`BURN_HOT`
+    — the budget is being spent faster than allowed, so waiting for
+    utilization to saturate would ship the violations first.  Scale
+    **down** only when burn is at or below :data:`BURN_COLD` *and*
+    mean utilization is at or below :data:`SCALE_DOWN_UTILIZATION`:
+    cold burn alone can mean the fleet is merely keeping up.
 
     Hardware choice follows the violation mix: mostly-interactive
     violations are TTFT misses (prefill, compute-bound), so provision
@@ -242,37 +253,16 @@ class BurnRateAutoscaler:
     (decode, memory-bound) and the best cost-per-bandwidth class wins.
     """
 
-    def __init__(
-        self,
-        burn_hot: float = 2.0,
-        burn_cold: float = 1.0,
-        scale_down_utilization: float = 0.45,
-        lookback_windows: int = 1,
-    ) -> None:
-        if not 0 <= burn_cold < burn_hot:
-            raise ValueError("need 0 <= burn_cold < burn_hot")
-        if not 0 < scale_down_utilization <= 1:
-            raise ValueError("need 0 < scale_down_utilization <= 1")
-        if lookback_windows < 1:
-            raise ValueError("lookback_windows must be >= 1")
-        self.burn_hot = burn_hot
-        self.burn_cold = burn_cold
-        self.scale_down_utilization = scale_down_utilization
-        self.lookback_windows = lookback_windows
-
     def decide(self, fleet: "ClusterDeployment", now: float) -> int:
         # Buy on *capacity* evidence (completion violations under the
         # current fleet size); hold on *total* burn — never drain
         # while the budget is being spent for any reason, including
         # degradation sheds that procurement cannot fix.
-        if fleet.capacity_burn_rate(now, self.lookback_windows) >= (
-            self.burn_hot
-        ):
+        if fleet.capacity_burn_rate(now, LOOKBACK_WINDOWS) >= BURN_HOT:
             return 1
         if (
-            fleet.recent_burn_rate(now, self.lookback_windows)
-            <= self.burn_cold
-            and fleet.last_mean_utilization <= self.scale_down_utilization
+            fleet.recent_burn_rate(now, LOOKBACK_WINDOWS) <= BURN_COLD
+            and fleet.last_mean_utilization <= SCALE_DOWN_UTILIZATION
         ):
             return -1
         return 0

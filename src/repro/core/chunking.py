@@ -11,7 +11,7 @@ opportunistically — the behaviour of Figures 6 and 9.
 The chunker takes the iteration's decodes as numbers (their count,
 summed context and slack), never as request objects; the engine's
 :class:`~repro.engine.interface.EngineView` computes the slack as a
-sweep over its decode rows (``decode_slack(ni_pace_floor)``).
+sweep over its decode rows (``decode_slack(NI_PACE_FLOOR)``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,15 @@ from dataclasses import dataclass
 from repro.core.predictor import BatchLatencyPredictor
 from repro.obs.observer import NULL_OBSERVER, Observer
 
+#: Smallest prefill budget granted when any prefill work is pending,
+#: so progress never stalls completely (QoServe's and Medha's floor).
+MIN_CHUNK = 32
+#: Lower bound (seconds) on the per-token pace budget derived from
+#: non-interactive TTLT slack, so one late batch request cannot
+#: strangle the whole iteration.
+NI_PACE_FLOOR = 0.025
+#: Binary-search resolution of the chunk search, in tokens.
+SEARCH_TOLERANCE = 16
 
 @dataclass(frozen=True)
 class ChunkDecision:
@@ -38,15 +47,14 @@ class ChunkDecision:
 
 
 class DynamicChunker:
-    """Maximizes the prefill chunk under the decode-slack budget."""
+    """Maximizes the prefill chunk under the decode-slack budget (a
+    binary search to :data:`SEARCH_TOLERANCE` tokens)."""
 
     def __init__(
         self,
         predictor: BatchLatencyPredictor,
-        min_chunk: int = 32,
+        min_chunk: int = MIN_CHUNK,
         max_chunk: int = 2500,
-        ni_pace_floor: float = 0.025,
-        search_tolerance: int = 16,
     ) -> None:
         """Args:
         predictor: Batch latency predictor (forest or oracle).
@@ -54,18 +62,12 @@ class DynamicChunker:
             work is pending, so progress never stalls completely.
         max_chunk: Saturation point of the throughput curve; the paper
             picks 2500 from the Figure 4 profile.
-        ni_pace_floor: Lower bound (seconds) on the per-token pace
-            budget derived from non-interactive TTLT slack, so one
-            late batch request cannot strangle the whole iteration.
-        search_tolerance: Binary-search resolution in tokens.
         """
         if min_chunk < 1 or max_chunk < min_chunk:
             raise ValueError("need 1 <= min_chunk <= max_chunk")
         self.predictor = predictor
         self.min_chunk = int(min_chunk)
         self.max_chunk = int(max_chunk)
-        self.ni_pace_floor = float(ni_pace_floor)
-        self.search_tolerance = max(1, int(search_tolerance))
         #: Observability hooks; every chosen budget is reported via
         #: :meth:`Observer.on_chunk_sized` (no-op by default).
         self.observer: Observer = NULL_OBSERVER
@@ -92,7 +94,7 @@ class DynamicChunker:
             num_decodes: Requests that will decode this iteration.
             decode_context_total: Sum of their context lengths.
             latency_budget: Time budget of the iteration: the decode
-                slack (``EngineView.decode_slack(ni_pace_floor)``) for
+                slack (``EngineView.decode_slack(NI_PACE_FLOOR)``) for
                 QoServe, or Medha's fixed TBT target.
             prefill_context_before: Context already processed for the
                 prefill request that will consume the budget (affects
@@ -148,7 +150,7 @@ class DynamicChunker:
         # Binary search for the largest chunk within budget.  The
         # forest is piecewise constant so we verify the final choice.
         lo, hi = self.min_chunk, top
-        while hi - lo > self.search_tolerance:
+        while hi - lo > SEARCH_TOLERANCE:
             mid = (lo + hi) // 2
             if latency(mid) <= budget:
                 lo = mid

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.qos import QoSSpec
 
@@ -131,7 +131,6 @@ class Request:
     cancelled_time: float | None = None
     cancel_reason: str | None = None
     shed: bool = False
-    _extra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.prompt_tokens < 1:

@@ -19,7 +19,8 @@ bucket, in row order.  Reserving the batch's KV growth is one
 phase-count lookup.  A row's token timestamps and TBT gap and deadline
 misses are folded over the log when they are read: when a row leaves
 the batch, when a token hook fires, when a caller reads
-``decode_queue``, and when a run returns.  Schedulers read the rows
+``decode_queue``, and when a deployment's run returns
+(:meth:`ReplicaEngine.sync_rows`).  Schedulers read the rows
 themselves through the :class:`~repro.engine.interface.EngineView`.
 The float expressions are those of :class:`~repro.core.request.Request`
 (e.g. the Eq. 2 token deadline ``(arrival + ttft) + k * tbt`` is kept
@@ -63,12 +64,13 @@ class ReplicaConfig:
     not a knob: an attached observer sees every iteration through
     ``on_iteration_start``/``on_iteration_end``, which a
     :class:`~repro.obs.observer.TracingObserver` records as
-    ``iteration_scheduled`` and ``kv_cache_snapshot`` events.
+    ``iteration_scheduled`` and ``kv_cache_snapshot`` events.  Nor is
+    the KV page size: every ledger uses
+    :data:`~repro.engine.rows.KV_BLOCK_SIZE` tokens per block.
 
     Attributes:
         max_decode_slots: Cap on concurrently running requests
             (vLLM's ``max_num_seqs``); prefill admission respects it.
-        kv_block_size: Paged-attention block size in tokens.
         prefill_sink: Makes the replica a PD-disaggregation prefill
             node when set: receives ``(request, now)`` when a prompt
             finishes prefilling, e.g.
@@ -82,7 +84,6 @@ class ReplicaConfig:
     KV_REUSE_KINDS = ("off", "radix")
 
     max_decode_slots: int = 256
-    kv_block_size: int = 16
     prefill_sink: Callable[[Request, float], None] | None = None
     kv_reuse: str = "off"
 
@@ -130,12 +131,11 @@ class ReplicaEngine:
 
         self._rows = _RowStore()
         # Request objects lag their rows after an iteration finishes
-        # until the rows are synced back (see _sync_rows).
+        # until the rows are synced back (see sync_rows).
         self._rows_dirty = False
 
         self.kv_cache = ArrayKVLedger(
             capacity_tokens=execution_model.kv_capacity_tokens,
-            block_size=self.config.kv_block_size,
             rows=self._rows,
         )
         #: Radix prefix index (``kv_reuse="radix"``), or None; every
@@ -160,7 +160,6 @@ class ReplicaEngine:
         #: Arrivals that found the replica crashed (bare-engine use
         #: only; a cluster router never dispatches to a down replica).
         self.dropped: list[Request] = []
-        self.iterations_run = 0
         self.busy_time = 0.0
         #: Always-on cheap decision counters (one int/dict bump per
         #: occurrence) feeding ``RunSummary.scheduler_stats`` without
@@ -322,6 +321,12 @@ class ReplicaEngine:
     # --- derived state ----------------------------------------------------
 
     @property
+    def iterations_run(self) -> int:
+        """Iterations finished, a decode stretch's collapsed ones
+        included: the row store's iteration counter ``K``."""
+        return self._rows.iterations
+
+    @property
     def _decode_context_total(self) -> int:
         """The decode rows' summed context length, in O(1)."""
         return self._rows.context_total
@@ -330,7 +335,7 @@ class ReplicaEngine:
     def decode_queue(self) -> list[Request]:
         """The decoding requests in batch order, synced from their rows
         (a fresh list)."""
-        self._sync_rows()
+        self.sync_rows()
         return list(self._rows.req)
 
     def decode_load(self) -> tuple[list[Request], int]:
@@ -361,7 +366,9 @@ class ReplicaEngine:
             or self.scheduler.is_pending(request)
         )
 
-    def _sync_rows(self) -> None:
+    def sync_rows(self) -> None:
+        """Fold every decode row's stats back into its request (a no-op
+        when no iteration finished since the last sync)."""
         if not self._rows_dirty:
             return
         self._rows_dirty = False
@@ -470,7 +477,7 @@ class ReplicaEngine:
         if observed:
             self.observer.on_iteration_start(
                 self.replica_id, now, exec_time, assignments, n_live,
-                decode_context_total, self.iterations_run,
+                decode_context_total, rows.iterations,
                 queue_depth=self.scheduler.queue_length(),
             )
         rows.batch_n = n_live
@@ -530,7 +537,6 @@ class ReplicaEngine:
     ) -> None:
         now = self.simulator.now
         self._inflight_event = None
-        self.iterations_run += 1
         self._finish_decodes(now)
         if assignments:
             self._credit_prefills(assignments, now)
@@ -650,7 +656,6 @@ class ReplicaEngine:
 
         self.stretch_hits += 1
         self.stretch_iterations += k
-        self.iterations_run += k
         self.busy_time = float(
             np.add.accumulate(
                 np.concatenate(((self.busy_time,), exec_times[:k]))
@@ -743,8 +748,11 @@ class ReplicaEngine:
         # of the batch, re-selecting the victim after every eviction.
         self.kv_pressure_iterations += 1
         kv_cache = self.kv_cache
+        index = rows.index
         for request in list(rows.req):
             request_id = request.request_id
+            if request_id not in index:
+                continue  # evicted as an earlier row's victim
             if kv_cache.can_grow(request_id, 1):
                 kv_cache.grow(request_id, 1)
                 continue
@@ -1021,31 +1029,6 @@ class ReplicaEngine:
             self._admit_handoffs()
         self._maybe_start()
         return resident
-
-    # --- driving ----------------------------------------------------------
-
-    def run_until_drained(self, max_events: int | None = None) -> float:
-        """Run the simulator until all submitted work completes."""
-        self.simulator.run(max_events=max_events)
-        self._sync_rows()
-        return self.simulator.now
-
-    def advance(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> float:
-        """Process events incrementally, up to virtual time ``until``.
-
-        The online gateway's step API: unlike
-        :meth:`run_until_drained`, the engine stays mid-flight and more
-        requests may be injected (:meth:`submit_now`) between calls.
-        """
-        result = self.simulator.run(until=until, max_events=max_events)
-        self._sync_rows()
-        return result
-
-    def next_event_time(self) -> float | None:
-        """When this replica's simulator fires next (None if idle)."""
-        return self.simulator.next_event_time()
 
     # --- planning ---------------------------------------------------------
 

@@ -41,6 +41,10 @@ from repro.core.request import Request
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.prefix import RadixPrefixCache
 
+#: Paged-attention block size in tokens: every replica's ledger
+#: allocates KV in pages of this many tokens.
+KV_BLOCK_SIZE = 16
+
 #: Ledger marker: the holding's (tokens, blocks) live in the row store.
 _ROW_BACKED = None
 
@@ -440,7 +444,7 @@ class ArrayKVLedger:
     def __init__(
         self,
         capacity_tokens: int,
-        block_size: int = 16,
+        block_size: int = KV_BLOCK_SIZE,
         rows: _RowStore | None = None,
     ) -> None:
         """Args:

@@ -31,6 +31,12 @@ import numpy as _np
 from repro.perfmodel.hardware import HardwareSpec
 from repro.perfmodel.modelspec import ModelSpec
 
+#: Token count at which prefill-GEMM efficiency reaches half of its
+#: asymptote (controls the Figure 4 knee).
+MFU_HALF_TOKENS = 230.0
+#: Fraction of device memory kept aside for activations and
+#: fragmentation; the rest, after the weight shard, holds KV cache.
+KV_MEMORY_RESERVE_FRACTION = 0.08
 
 @dataclass(frozen=True)
 class PrefillChunk:
@@ -71,7 +77,9 @@ class BatchShape:
 
 
 class ExecutionModel:
-    """Computes iteration latency for a (model, hardware, TP) deployment."""
+    """Computes iteration latency for a (model, hardware, TP) deployment,
+    calibrated by :data:`MFU_HALF_TOKENS` and
+    :data:`KV_MEMORY_RESERVE_FRACTION`."""
 
     #: Entry cap on the prefill_time memo (distinct prompt lengths x
     #: chunk sizes per deployment; cleared wholesale on overflow).
@@ -82,25 +90,18 @@ class ExecutionModel:
         model: ModelSpec,
         hardware: HardwareSpec,
         tp_degree: int = 1,
-        mfu_half_tokens: float = 230.0,
-        kv_memory_reserve_fraction: float = 0.08,
     ) -> None:
         """Args:
         model: Transformer architecture.
         hardware: Per-GPU capabilities.
         tp_degree: Tensor-parallel width; FLOPs, bandwidth and memory
             all scale linearly, at the cost of allreduce overhead.
-        mfu_half_tokens: Token count at which GEMM efficiency reaches
-            half of its asymptote (controls the Figure 4 knee).
-        kv_memory_reserve_fraction: Fraction of device memory kept
-            aside for activations and fragmentation.
         """
         if tp_degree < 1:
             raise ValueError(f"tp_degree must be >= 1, got {tp_degree}")
         self.model = model
         self.hardware = hardware
         self.tp_degree = int(tp_degree)
-        self.mfu_half_tokens = float(mfu_half_tokens)
 
         # Precomputed per-deployment constants (per-rank view: shard
         # the work by TP, each rank has its own FLOPs and bandwidth).
@@ -121,7 +122,7 @@ class ExecutionModel:
         # the fixed-chunk sum is deterministic, so memoize it.
         self._prefill_time_cache: dict[tuple[int, int], float] = {}
 
-        reserve = kv_memory_reserve_fraction * hardware.mem_capacity
+        reserve = KV_MEMORY_RESERVE_FRACTION * hardware.mem_capacity
         kv_room = hardware.mem_capacity - self._weight_bytes - reserve
         if kv_room <= 0:
             raise ValueError(
@@ -143,7 +144,7 @@ class ExecutionModel:
     def _gemm_efficiency(self, prefill_tokens: int) -> float:
         """Prefill-GEMM MFU as a saturating function of chunk size."""
         t = float(prefill_tokens)
-        return self._mfu_linear * t / (t + self.mfu_half_tokens)
+        return self._mfu_linear * t / (t + MFU_HALF_TOKENS)
 
     def batch_time(self, shape: BatchShape) -> float:
         """Execution time in seconds for one iteration of ``shape``:

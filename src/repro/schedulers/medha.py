@@ -38,7 +38,6 @@ class MedhaScheduler(FixedChunkScheduler):
         self,
         execution_model: ExecutionModel,
         tbt_target: float = 0.050,
-        min_chunk_size: int = 32,
         max_chunk_size: int = 2500,
         predictor: BatchLatencyPredictor | None = None,
         **kwargs,
@@ -47,7 +46,8 @@ class MedhaScheduler(FixedChunkScheduler):
         execution_model: Deployment cost model (for the predictor).
         tbt_target: The fixed per-iteration latency target the chunk
             is fitted to (Medha assumes one TBT SLO for everyone).
-        min_chunk_size / max_chunk_size: Chunk bounds.
+        max_chunk_size: Chunk ceiling; the floor is
+            :data:`~repro.core.chunking.MIN_CHUNK`.
         predictor: Batch latency predictor; defaults to the oracle.
         """
         super().__init__(chunk_size=max_chunk_size, **kwargs)
@@ -59,7 +59,6 @@ class MedhaScheduler(FixedChunkScheduler):
         # target instead of decode slack.
         self._chunker = DynamicChunker(
             self.predictor,
-            min_chunk=min_chunk_size,
             max_chunk=max_chunk_size,
         )
         self.chunk_history: list[int] = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.core.chunking import DynamicChunker
+from repro.core.chunking import NI_PACE_FLOOR, DynamicChunker
 from repro.core.decode_estimator import (
     DecodeLengthEstimator,
     HistoryDecodeEstimator,
@@ -43,6 +43,13 @@ from repro.obs.observer import Observer
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers.base import FixedChunkScheduler, pack_prefill_assignments
 
+#: Conservative aggregation quantile across the forest's trees
+#: (Section 3.6.1's under-prediction tuning).
+PREDICTOR_QUANTILE = 0.75
+#: Seconds of queue backlog treated as pressure 1.0 by the
+#: load-adaptive alpha.
+PRESSURE_HORIZON = 6.0
+
 
 @dataclass(frozen=True)
 class QoServeConfig:
@@ -59,16 +66,14 @@ class QoServeConfig:
         alpha: Fixed alpha in seconds/token; ``None`` enables the
             load-adaptive tuning of Section 3.6.
         fixed_chunk_size: Token budget when dynamic chunking is off.
-        min_chunk_size / max_chunk_size: Dynamic chunking bounds (the
-            paper saturates throughput at 2500, Figure 4).
+        max_chunk_size: Dynamic chunking ceiling (the paper saturates
+            throughput at 2500, Figure 4); the floor is
+            :data:`~repro.core.chunking.MIN_CHUNK`.
         use_forest_predictor: Predict batch latency with the trained
-            random forest (paper's design); False uses the oracle.
-        predictor_quantile: Conservative aggregation quantile for the
-            forest (Section 3.6.1's under-prediction tuning).
+            random forest (paper's design), aggregated at
+            :data:`PREDICTOR_QUANTILE`; False uses the oracle.
         kv_start_watermark: Admission watermark inherited from the
             base scheduler.
-        pressure_horizon: Seconds of queue backlog treated as pressure
-            1.0 by the load-adaptive alpha.
         replan_interval: Iterations between full queue re-sorts and
             relegation scans.  Priority scores only move with arrivals,
             chunk progress and (slow) alpha drift, so re-planning every
@@ -82,12 +87,9 @@ class QoServeConfig:
     use_hints: bool = True
     alpha: float | None = None
     fixed_chunk_size: int = 256
-    min_chunk_size: int = 32
     max_chunk_size: int = 2500
     use_forest_predictor: bool = True
-    predictor_quantile: float | None = 0.75
     kv_start_watermark: float = 0.90
-    pressure_horizon: float = 6.0
     replan_interval: int = 8
 
 
@@ -115,14 +117,13 @@ class QoServeScheduler(FixedChunkScheduler):
             if self.config.use_forest_predictor:
                 predictor = cached_forest_predictor(
                     execution_model,
-                    quantile=self.config.predictor_quantile,
+                    quantile=PREDICTOR_QUANTILE,
                 )
             else:
                 predictor = OracleBatchPredictor(execution_model)
         self.predictor = predictor
         self.chunker = DynamicChunker(
             predictor,
-            min_chunk=self.config.min_chunk_size,
             max_chunk=self.config.max_chunk_size,
         )
 
@@ -274,7 +275,7 @@ class QoServeScheduler(FixedChunkScheduler):
             view.now,
             view.num_decodes,
             view.decode_context_total,
-            latency_budget=view.decode_slack(self.chunker.ni_pace_floor),
+            latency_budget=view.decode_slack(NI_PACE_FLOOR),
             prefill_context_before=head_context,
         )
         self._last_iteration_estimate = decision.predicted_latency
@@ -318,7 +319,7 @@ class QoServeScheduler(FixedChunkScheduler):
             for r in self._member.values()
             if not r.relegated
         )
-        pressure = backlog / self.config.pressure_horizon
+        pressure = backlog / PRESSURE_HORIZON
         self.hybrid.alpha = self._adaptive_alpha.update(pressure)
 
     # --- notifications -----------------------------------------------------

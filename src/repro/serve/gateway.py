@@ -45,6 +45,10 @@ from repro.serve.clock import VirtualClock
 #: Cancel reason recorded on requests evicted by gateway backpressure.
 SHED_CANCEL_REASON = "gateway_backpressure"
 
+#: Upper bound in wall seconds on one sleep of the drive loop, so
+#: shutdown and new submissions stay responsive.
+MAX_TICK = 0.2
+
 
 @dataclass(kw_only=True)
 class GatewayConfig:
@@ -54,13 +58,12 @@ class GatewayConfig:
         speed: Virtual seconds per wall second; ``inf`` disables wall
             pacing (deterministic as-fast-as-possible mode).
         admission: Rate-limit / backpressure configuration.
-        max_tick: Upper bound on one wall sleep in the drive loop, so
-            shutdown and new submissions stay responsive.
+
+    One wall sleep of the drive loop lasts at most :data:`MAX_TICK`.
     """
 
     speed: float = math.inf
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    max_tick: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -373,11 +376,11 @@ class ServeGateway:
                 break
             if next_time is not None:
                 timeout: float | None = min(
-                    self.config.max_tick,
+                    MAX_TICK,
                     self.clock.wall_delay_until(next_time),
                 )
             elif self.clock.is_realtime:
-                timeout = self.config.max_tick
+                timeout = MAX_TICK
             else:
                 timeout = None  # drained; sleep until a submission
             try:

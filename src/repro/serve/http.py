@@ -54,6 +54,10 @@ from repro.serve.gateway import AdmissionRefused, ServeGateway
 #: longer is a client error; ``time.sleep`` overflows on huge values.
 MAX_LIVE_INTERVAL = 3600.0
 
+#: Wall seconds a handler thread waits on one call into the gateway
+#: loop (a submit, a result or the next streamed token).
+CALL_TIMEOUT = 600.0
+
 
 class GatewayRuntime:
     """Runs a gateway's asyncio loop on a dedicated daemon thread.
@@ -133,12 +137,9 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         self,
         address: tuple[str, int],
         runtime: GatewayRuntime,
-        *,
-        call_timeout: float = 600.0,
     ) -> None:
         super().__init__(address, _GatewayHandler)
         self.runtime = runtime
-        self.call_timeout = call_timeout
         self._serve_thread: threading.Thread | None = None
 
     @property
@@ -185,7 +186,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         async def snap() -> dict:
             return build_live_snapshot(runtime.gateway)
 
-        return runtime.call(snap(), timeout=self.server.call_timeout)
+        return runtime.call(snap(), timeout=CALL_TIMEOUT)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
         gateway = self.server.runtime.gateway
@@ -306,7 +307,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     session_id=session_id,
                     parent_request_id=parent_request_id,
                 ),
-                timeout=self.server.call_timeout,
+                timeout=CALL_TIMEOUT,
             )
         except AdmissionRefused as refused:
             self._send_json(429, {
@@ -326,7 +327,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         else:
             finished = runtime.call(
                 gateway.result(request.request_id),
-                timeout=self.server.call_timeout,
+                timeout=CALL_TIMEOUT,
             )
             self._send_json(200, _completion_payload(finished))
 
@@ -341,7 +342,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             while True:
                 event = runtime.call(
                     gateway.next_token(request_id),
-                    timeout=self.server.call_timeout,
+                    timeout=CALL_TIMEOUT,
                 )
                 if event is None:
                     break

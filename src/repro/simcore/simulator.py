@@ -15,10 +15,9 @@ class Simulator:
     (relative delay) and the driver fires them in deterministic order.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = float(start_time)
-        self._running = False
+        self._now = 0.0
         self._events_processed = 0
         self._run_until: float | None = None
 
@@ -118,12 +117,11 @@ class Simulator:
         Returns:
             The simulated time when processing stopped.
         """
-        self._running = True
         self._run_until = until
         processed = 0
         queue = self._queue
         try:
-            while queue and self._running:
+            while queue:
                 next_time = queue.peek_time()
                 if next_time is None:
                     break
@@ -139,12 +137,7 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
         finally:
-            self._running = False
             self._run_until = None
         if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` call to return early."""
-        self._running = False

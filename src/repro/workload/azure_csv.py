@@ -29,19 +29,21 @@ from repro.simcore.rng import RngStreams
 from repro.workload.tiers import TierAssigner
 from repro.workload.trace import Trace
 
-#: Accepted header spellings (the published traces vary in case).
-_TIMESTAMP_KEYS = ("TIMESTAMP", "Timestamp", "timestamp", "arrival_time")
-_CONTEXT_KEYS = ("ContextTokens", "context_tokens", "prompt_tokens")
-_GENERATED_KEYS = ("GeneratedTokens", "generated_tokens", "decode_tokens")
+#: Accepted header spellings per column (the published traces vary in
+#: case).
+_COLUMNS = {
+    "timestamp": ("TIMESTAMP", "Timestamp", "timestamp", "arrival_time"),
+    "context": ("ContextTokens", "context_tokens", "prompt_tokens"),
+    "generated": ("GeneratedTokens", "generated_tokens", "decode_tokens"),
+}
 
 
-def _pick(row: dict, keys: tuple[str, ...], path: Path, field: str) -> str:
+def _column(header: list[str], field: str) -> str:
+    keys = _COLUMNS[field]
     for key in keys:
-        if key in row and row[key] != "":
-            return row[key]
-    raise ValueError(
-        f"{path}: missing {field} column (looked for {', '.join(keys)})"
-    )
+        if key in header:
+            return key
+    raise ValueError(f"missing {field} column (looked for {', '.join(keys)})")
 
 
 def _parse_timestamp(raw: str) -> float:
@@ -53,6 +55,18 @@ def _parse_timestamp(raw: str) -> float:
         return datetime.fromisoformat(raw.replace("Z", "+00:00")).timestamp()
     except ValueError as error:
         raise ValueError(f"unparseable timestamp {raw!r}") from error
+
+
+def _value(row: dict, key: str, field: str) -> float:
+    raw = row[key]
+    if not raw:  # empty, or None on a short row
+        raise ValueError(f"missing {field}")
+    value = _parse_timestamp(raw) if field == "timestamp" else float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {field} {value!r}")
+    if value < 0 and field != "timestamp":
+        raise ValueError(f"negative {field} {raw!r}")
+    return value
 
 
 def load_azure_trace(
@@ -74,7 +88,7 @@ def load_azure_trace(
         target_qps: When given, inter-arrival gaps are scaled so the
             loaded span matches this mean rate (the paper's fixed-QPS
             replay); ``None`` keeps the native timestamps.
-        max_requests: Truncate after this many rows.
+        max_requests: Truncate after this many rows (at least 1).
         max_prompt_tokens: Clip prompts at the serving context window.
         seed: Seed for tier assignment.
         dataset_name: Trace label; defaults to the file stem.
@@ -83,46 +97,42 @@ def load_azure_trace(
         An arrival-sorted :class:`Trace`.
 
     Raises:
-        ValueError: On missing columns, unparseable or non-finite
-            values (naming the file and line), or an empty file.
+        ValueError: On missing columns, short rows, unparseable,
+            negative or non-finite values, or undecodable text (naming
+            the file and line), or an empty file.
     """
+    if max_requests is not None and max_requests < 1:
+        raise ValueError(f"max_requests must be >= 1, got {max_requests}")
     path = Path(path)
-    arrivals: list[float] = []
-    prompts: list[int] = []
-    decodes: list[int] = []
+    rows: list[list[float]] = []
     with path.open(newline="") as source:
         reader = csv.DictReader(source)
-        for row in reader:
-            arrival = _parse_timestamp(
-                _pick(row, _TIMESTAMP_KEYS, path, "timestamp")
-            )
-            context = float(_pick(row, _CONTEXT_KEYS, path, "context"))
-            generated = float(_pick(row, _GENERATED_KEYS, path, "generated"))
-            for field, value in (
-                ("timestamp", arrival),
-                ("context", context),
-                ("generated", generated),
-            ):
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: non-finite "
-                        f"{field} {value!r}"
-                    )
-            arrivals.append(arrival)
-            prompts.append(int(context))
-            decodes.append(int(generated))
-            if max_requests is not None and len(arrivals) >= max_requests:
-                break
-    if not arrivals:
+        try:
+            columns = [
+                (field, _column(reader.fieldnames, field))
+                for field in _COLUMNS if reader.fieldnames is not None
+            ]
+            for row in reader:
+                rows.append([_value(row, key, field) for field, key in columns])
+                if len(rows) == max_requests:
+                    break
+        except (ValueError, csv.Error) as error:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {error}"
+            ) from None
+    if not rows:
         raise ValueError(f"{path}: no rows")
+    arrivals, prompts, decodes = zip(*rows)
 
     order = np.argsort(np.asarray(arrivals), kind="stable")
     base = arrivals[order[0]]
     times = np.asarray([arrivals[i] - base for i in order], dtype=np.float64)
     span = float(times[-1]) if len(times) > 1 else 0.0
     if target_qps is not None:
-        if target_qps <= 0:
-            raise ValueError("target_qps must be positive")
+        if not 0 < target_qps < math.inf:
+            raise ValueError(
+                f"target_qps must be positive and finite, got {target_qps}"
+            )
         native_qps = (len(times) - 1) / span if span > 0 else None
         if native_qps and native_qps > 0:
             times = times * (native_qps / target_qps)
@@ -135,8 +145,8 @@ def load_azure_trace(
 
     requests = []
     for new_id, source_index in enumerate(order):
-        prompt = min(max(1, prompts[source_index]), max_prompt_tokens)
-        decode = max(1, decodes[source_index])
+        prompt = min(max(1, int(prompts[source_index])), max_prompt_tokens)
+        decode = max(1, int(decodes[source_index]))
         requests.append(
             Request(
                 request_id=new_id,

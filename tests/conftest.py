@@ -16,6 +16,7 @@ from repro.engine.interface import EngineView
 from repro.engine.rows import ArrayKVLedger, _RowStore
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
+from repro.perfmodel.execution import KV_MEMORY_RESERVE_FRACTION
 from repro.simcore import Simulator
 
 
@@ -105,11 +106,10 @@ def small_memory_model(kv_tokens: int = 4096) -> ExecutionModel:
     """Llama3-8B on an A100 whose memory leaves room for exactly
     ``kv_tokens`` tokens of KV, so every engine core builds a tiny
     ledger of its own."""
-    reserve = 0.08  # ExecutionModel's kv_memory_reserve_fraction
     memory = (
         LLAMA3_8B.weight_bytes()
         + (kv_tokens + 0.5) * LLAMA3_8B.kv_bytes_per_token()
-    ) / (1.0 - reserve)
+    ) / (1.0 - KV_MEMORY_RESERVE_FRACTION)
     model = ExecutionModel(
         LLAMA3_8B, dataclasses.replace(A100_80GB, mem_capacity=memory)
     )

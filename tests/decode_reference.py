@@ -4,7 +4,8 @@ Before the engine derived its decode rows from a per-replica iteration
 log, every iteration advanced every row: a scalar sweep below 32 rows,
 a vector kernel for larger batches and for the ``k``-token window of a
 decode stretch, and a per-row KV pass (``bulk_decode_grow``).  The row
-store, the ledger and those kernels are copied here unchanged, so
+store, the ledger and those kernels are copied here unchanged (apart
+from the pressure path's skip of rows it already evicted), so
 ``tests/test_engine_arrays_parity.py`` can drive them and the engine
 through the same admissions, iterations, stretches, cancellations and
 evictions and compare them after every step.
@@ -722,6 +723,11 @@ class DecodeKernels:
         kv_cache = self.kv_cache
         for request in list(rows.req):
             request_id = request.request_id
+            # The one change to the copied kernels: the engine mended
+            # the pressure path to skip a row evicted as an earlier
+            # row's victim, and the oracle follows it.
+            if request_id not in rows.index:
+                continue
             if kv_cache.can_grow(request_id, 1):
                 kv_cache.grow(request_id, 1)
                 continue

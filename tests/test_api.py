@@ -141,6 +141,27 @@ class TestSession:
         session.drain()
         assert all(r.is_finished for r in session.requests)
 
+    def test_advance_leaves_running_requests_current(self):
+        # Decode rows fold their tokens into the request objects when
+        # read; a run that returns mid-flight must leave every one of
+        # them folded, as reading the decode queue does.
+        session = Session(ServeConfig())
+        for request in build_trace(AZURE_CONV, 2.0, 20, seed=3):
+            session.submit(request)
+        session.advance(until=6.0)
+
+        def state():
+            return [
+                (r.request_id, r.decoded, r.max_tbt, r.tbt_gap_misses,
+                 r.tbt_deadline_misses, r.last_token_time)
+                for r in session.requests
+            ]
+
+        seen = state()
+        running = session.engines[0].decode_queue  # syncs every row
+        assert any(r.decoded > 1 for r in running)
+        assert seen == state()
+
     def test_submit_now_returns_engine(self):
         session = Session(ServeConfig(scheduler="fcfs"))
         engine = session.submit_now(make_request())

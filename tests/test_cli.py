@@ -385,6 +385,46 @@ class TestServeCommand:
         assert code == 1
         assert "cannot write --summary-out:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_replay_limit_below_one(self, capsys, replay_csv, limit):
+        code = main(["serve", "--replay", str(replay_csv),
+                     "--replay-limit", limit])
+        assert code == 2
+        assert "--replay-limit must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qps", ["0", "-2", "nan", "inf"])
+    def test_replay_qps_not_positive_finite(self, capsys, replay_csv, qps):
+        code = main(["serve", "--replay", str(replay_csv),
+                     "--replay-qps", qps])
+        assert code == 1
+        assert "target_qps must be positive and finite" in (
+            capsys.readouterr().err
+        )
+
+    def test_malformed_replay_fuzz(self, capsys, tmp_path):
+        """Seeded malformed trace CSVs (the loader fuzz's mutations)
+        replay or exit 1 with a one-line error; none raises."""
+        import random
+
+        from tests.test_workload_azure_csv import TestMalformedFuzz
+
+        path = tmp_path / "t.csv"
+        served = refused = 0
+        mutations = TestMalformedFuzz._mutations(random.Random(5), 30)
+        for data in mutations:
+            path.write_bytes(data)
+            code = main(["serve", "--replay", str(path),
+                         "--scheduler", "fcfs"])
+            err = capsys.readouterr().err
+            if code == 0:
+                served += 1
+                continue
+            assert code == 1, (data, err)
+            assert err.startswith(f"invalid replay trace: {path}: "), err
+            assert err.count("\n") == 1, err
+            refused += 1
+        assert served and refused
+
 
 class TestTopParser:
     def test_defaults(self):

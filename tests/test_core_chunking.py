@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.chunking import DynamicChunker
+from repro.core.chunking import (
+    NI_PACE_FLOOR,
+    SEARCH_TOLERANCE,
+    DynamicChunker,
+)
 from repro.core.predictor import BatchLatencyPredictor
 from tests.conftest import Q1, Q2, Q3, make_request, make_view
 
@@ -27,7 +31,7 @@ def slack(chunker, now, decodes):
     """The Eq. 2 slack of ``decodes`` as QoServe reads it: the engine
     view's sweep over their decode rows, paced at the chunker's floor."""
     view = make_view(decodes=decodes, now=now)
-    return view.decode_slack(chunker.ni_pace_floor)
+    return view.decode_slack(NI_PACE_FLOOR)
 
 
 def decide(chunker, now, decodes, latency_budget=None):
@@ -36,7 +40,7 @@ def decide(chunker, now, decodes, latency_budget=None):
     fixed ``latency_budget`` (Medha's TBT target) is given."""
     view = make_view(decodes=decodes, now=now)
     if latency_budget is None:
-        latency_budget = view.decode_slack(chunker.ni_pace_floor)
+        latency_budget = view.decode_slack(NI_PACE_FLOOR)
     return chunker.prefill_budget(
         now, view.num_decodes, view.decode_context_total, latency_budget
     )
@@ -70,7 +74,7 @@ class TestLatencyBudget:
         r = decode_request(decoded=10)
         # Way past all token deadlines.
         budget = slack(chunker, 100.0, [r])
-        assert budget == pytest.approx(chunker.ni_pace_floor)
+        assert budget == pytest.approx(NI_PACE_FLOOR)
 
     def test_non_interactive_paced_by_ttlt(self, chunker):
         r = decode_request(qos=Q2, decoded=0, decode_tokens=100)
@@ -82,7 +86,7 @@ class TestLatencyBudget:
         r = decode_request(qos=Q2, decode_tokens=50)
         r.decoded = 1
         budget = slack(chunker, 599.9, [r])
-        assert budget == pytest.approx(chunker.ni_pace_floor)
+        assert budget == pytest.approx(NI_PACE_FLOOR)
 
 
 class TestPrefillBudget:
@@ -167,7 +171,7 @@ class TestSearchEfficiency:
         # final-answer re-check must come from the evaluation memo.
         probes = (
             (chunker.max_chunk - chunker.min_chunk)
-            // chunker.search_tolerance
+            // SEARCH_TOLERANCE
         ).bit_length()
         assert counting.calls <= 2 + probes
 
@@ -212,7 +216,7 @@ class TestSearchEfficiency:
         total = sum(r.context_length for r in decodes)
         view = make_view(decodes=decodes, now=6.0)
         assert view.decode_context_total == total
-        latency_budget = view.decode_slack(chunker_a.ni_pace_floor)
+        latency_budget = view.decode_slack(NI_PACE_FLOOR)
         a = decide(chunker_a, 6.0, decodes)
         b = chunker_b.prefill_budget(6.0, len(decodes), total, latency_budget)
         assert a == b

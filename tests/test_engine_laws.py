@@ -25,6 +25,12 @@ decode stretches, radix reuse on a full pool, decode eviction and a
   fixed buffer, and no live row still needs an entry below
   ``log_base``; an empty batch keeps an empty log.
 
+A second law is checked after every decode-growth reservation, the
+point of an iteration where no prefill chunk is reserved yet: a
+request waiting in the prefill queue holds no KV it has not
+prefilled, and a decode evicted by the pressure path holds none at
+all.
+
 Each run must still produce its pinned checksum.
 """
 
@@ -104,5 +110,29 @@ def test_laws_hold_after_every_iteration(case, execution_model, monkeypatch):
         monkeypatch.setattr(
             ReplicaEngine, name, checked(getattr(ReplicaEngine, name))
         )
+    assert _digest(CASES[case](execution_model)) == PINS[case]
+    assert checks
+
+
+def check_queue_holds_only_prefilled(engine: ReplicaEngine) -> None:
+    ledger = engine.kv_cache
+    for request in engine.scheduler.pending_requests():
+        if request.remaining_prefill > 0:
+            assert ledger.holding(request.request_id) <= request.prefill_done
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_queued_requests_hold_only_prefilled_kv(
+    case, execution_model, monkeypatch
+):
+    checks = []
+    reserve = ReplicaEngine._reserve_decode_growth
+
+    def checked(self):
+        reserve(self)
+        check_queue_holds_only_prefilled(self)
+        checks.append(1)
+
+    monkeypatch.setattr(ReplicaEngine, "_reserve_decode_growth", checked)
     assert _digest(CASES[case](execution_model)) == PINS[case]
     assert checks

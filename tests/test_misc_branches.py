@@ -44,15 +44,9 @@ class TestSiloSummaryAtTime:
 
 
 class TestRequestExtras:
-    def test_extra_dict_available_for_annotations(self):
-        r = make_request()
-        r._extra["routing_hint"] = "replica-3"
-        assert r._extra["routing_hint"] == "replica-3"
-
     def test_repr_does_not_explode(self):
         text = repr(make_request())
         assert "Request" in text
-        assert "_extra" not in text  # repr=False field
 
 
 class TestSimulatorPriorityTieBreak:

@@ -4,7 +4,7 @@ heap ordering under re-keying, and chunker safety."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.chunking import DynamicChunker
+from repro.core.chunking import NI_PACE_FLOOR, DynamicChunker
 from repro.core.predictor import OracleBatchPredictor
 from repro.core.qos import DEFAULT_TIERS
 from repro.core.relegation import RelegationPolicy, ViolationChecker
@@ -109,7 +109,7 @@ def test_chunker_budget_always_in_bounds(num_decodes, context, now,
         view.now,
         view.num_decodes,
         view.decode_context_total,
-        view.decode_slack(chunker.ni_pace_floor),
+        view.decode_slack(NI_PACE_FLOOR),
         prefill_context_before=context,
     )
     assert chunker.min_chunk <= decision.prefill_budget <= chunker.max_chunk

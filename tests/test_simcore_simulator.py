@@ -75,18 +75,6 @@ class TestRunLimits:
         simulator.run(max_events=3)
         assert log == [0, 1, 2]
 
-    def test_stop_inside_event(self, simulator):
-        log = []
-
-        def first():
-            log.append(1)
-            simulator.stop()
-
-        simulator.schedule(1.0, first)
-        simulator.schedule(2.0, lambda: log.append(2))
-        simulator.run()
-        assert log == [1]
-
     def test_events_processed_counter(self, simulator):
         for i in range(4):
             simulator.schedule(float(i), lambda: None)

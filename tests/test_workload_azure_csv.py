@@ -164,3 +164,88 @@ class TestRoundTrip:
                                             execution_model), trace
         )
         assert summary.finished == 30
+
+
+class TestMalformedFuzz:
+    """Seeded mutations of a valid trace CSV: each loads into a trace
+    of positive token counts or raises a ``ValueError`` that names the
+    file and the line (or, for a file without data rows, says so),
+    never another exception."""
+
+    HEADER = ("TIMESTAMP", "ContextTokens", "GeneratedTokens")
+    ROWS = (("0.0", "100", "5"), ("1.5", "2000", "10"), ("3.0", "500", "7"))
+    #: Replacement fields: missing, negative, huge, non-numeric,
+    #: non-finite and NUL-byte values.
+    VALUES = (
+        "", "-1", "-0.5", "-1e300", "1e300", "1e400", "9" * 400, "abc",
+        "nan", "NaN", "inf", "-inf", "\x00", "1\x002", "0x10", " 5 ",
+        "1_000", "--1", "2024-01-01T00:00:00", "1,5",
+    )
+    HEADERS = (
+        ("TIMESTAMP", "ContextTokens"),
+        ("TIMESTAMP", "ContextTokens", "Generated"),
+        ("\ufeffTIMESTAMP", "ContextTokens", "GeneratedTokens"),
+        ("TIMESTAMP", "TIMESTAMP", "GeneratedTokens"),
+        ("timestamp", "prompt_tokens", "decode_tokens", "extra"),
+        ("",),
+        ("TIME\x00STAMP", "ContextTokens", "GeneratedTokens"),
+    )
+
+    @classmethod
+    def _mutations(cls, rng, count):
+        for _ in range(count):
+            header = list(cls.HEADER)
+            rows = [list(row) for row in cls.ROWS]
+            kind = rng.randrange(6)
+            if kind == 0:  # a short row
+                del rows[rng.randrange(len(rows))][rng.randrange(3):]
+            elif kind == 1:
+                rows[rng.randrange(len(rows))][rng.randrange(3)] = (
+                    rng.choice(cls.VALUES)
+                )
+            elif kind == 2:
+                header = list(rng.choice(cls.HEADERS))
+            elif kind == 3:  # a long row
+                rows[rng.randrange(len(rows))].append(
+                    rng.choice(cls.VALUES)
+                )
+            elif kind == 4:  # header only, or nothing at all
+                rows = []
+                if rng.random() < 0.5:
+                    header = []
+            text = "".join(
+                ",".join(line) + "\n" for line in [header, *rows] if line
+            )
+            data = text.encode()
+            if kind == 5:
+                cut = rng.randrange(len(data))
+                data = data[:cut] + rng.choice(
+                    (b"\x00", b"\xff\xfe", b'"', b"\r", b"")
+                ) + data[cut + 1:]
+            yield data
+
+    def test_loader(self, tmp_path):
+        import random
+
+        path = tmp_path / "t.csv"
+        loaded = refused = 0
+        for data in self._mutations(random.Random(31), 300):
+            path.write_bytes(data)
+            try:
+                trace = load_azure_trace(path)
+            except ValueError as error:
+                message = str(error)
+                assert message.startswith(f"{path}: "), (data, message)
+                assert "line " in message or "no rows" in message, (
+                    data, message,
+                )
+                refused += 1
+                continue
+            assert all(
+                r.prompt_tokens >= 1 and r.decode_tokens >= 1
+                for r in trace
+            ), data
+            arrivals = [r.arrival_time for r in trace]
+            assert arrivals == sorted(arrivals), data
+            loaded += 1
+        assert loaded and refused
